@@ -24,6 +24,7 @@ __all__ = [
     "ExtNat",
     "is_infinite",
     "unit_reciprocal",
+    "unit_rational",
     "floor_reciprocal",
     "integer_root",
     "floor_root_power",
@@ -122,9 +123,12 @@ def unit_reciprocal(d: ExtNat) -> Fraction:
     return Fraction(1, d)
 
 
-def _require_unit(x: Fraction) -> None:
+def unit_rational(x) -> Fraction:
+    """x as a Fraction, checked to lie in [0, 1]."""
+    x = Fraction(x)
     if not (0 <= x <= 1):
         raise DomainError(f"value {x} lies outside [0, 1]")
+    return x
 
 
 def floor_reciprocal(x: Fraction) -> ExtNat:
@@ -133,8 +137,7 @@ def floor_reciprocal(x: Fraction) -> ExtNat:
     This is the greedy digit map: for x = p/q in lowest terms the result
     is the exact integer quotient q // p.
     """
-    x = Fraction(x)
-    _require_unit(x)
+    x = unit_rational(x)
     if x == 0:
         return INFINITY
     return x.denominator // x.numerator
@@ -193,10 +196,10 @@ class Enclosure:
         if self.lo > self.hi:
             raise DomainError(f"enclosure bounds out of order: [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def exact(value) -> "Enclosure":
+    @classmethod
+    def exact(cls, value) -> "Enclosure":
         v = Fraction(value)
-        return Enclosure(v, v)
+        return cls(v, v)
 
     @property
     def width(self) -> Fraction:
@@ -213,8 +216,11 @@ class Enclosure:
     def __contains__(self, value) -> bool:
         return self.lo <= Fraction(value) <= self.hi
 
-    def contains_enclosure(self, other: "Enclosure") -> bool:
+    def contains_interval(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
+
+    def strictly_contains_interval(self, other: "Enclosure") -> bool:
+        return self.lo < other.lo and other.hi < self.hi
 
     def __add__(self, other):
         if isinstance(other, Enclosure):
@@ -257,12 +263,8 @@ class Enclosure:
         return Enclosure(lo, hi)
 
 
-@dataclass(frozen=True)
-class RatInterval:
-    """A closed rational subinterval of the unit interval [0, 1]."""
-
-    lo: Fraction
-    hi: Fraction
+class RatInterval(Enclosure):
+    """An enclosure within the unit interval [0, 1], bounds coerced to Fraction."""
 
     def __post_init__(self):
         lo, hi = Fraction(self.lo), Fraction(self.hi)
@@ -270,32 +272,6 @@ class RatInterval:
         object.__setattr__(self, "hi", hi)
         if not (0 <= lo <= hi <= 1):
             raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
-
-    @staticmethod
-    def point(x) -> "RatInterval":
-        x = Fraction(x)
-        return RatInterval(x, x)
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
-
-    def contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def strictly_contains_interval(self, other: "RatInterval") -> bool:
-        return self.lo < other.lo and other.hi < self.hi
 
 
 UNIT_INTERVAL = RatInterval(Fraction(0), Fraction(1))

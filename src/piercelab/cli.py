@@ -94,7 +94,7 @@ REPORT_SCHEMA = {
 
 
 def fmt_enclosure(e) -> list[str]:
-    if isinstance(e, (Enclosure, RatInterval)):
+    if isinstance(e, Enclosure):
         return [fmt_rational(e.lo), fmt_rational(e.hi)]
     raise TypeError(f"not an enclosure: {e!r}")
 
@@ -169,7 +169,7 @@ def _envelope(command: str, params: dict, results: dict, bits: int, seed=None) -
     }
 
 
-def _build_rule(args, allow_explicit_prefix=True):
+def _build_rule(args):
     prefix = parse_prefix(args.prefix) if getattr(args, "prefix", None) else ()
     family = args.rule
     if family == "power":
@@ -183,7 +183,10 @@ def _build_rule(args, allow_explicit_prefix=True):
     if family == "binary":
         if args.alpha is None or args.pattern is None:
             raise DomainError("--rule binary requires --alpha and --pattern")
-        bits = tuple(int(c) for c in args.pattern)
+        try:
+            bits = tuple(int(c) for c in args.pattern)
+        except ValueError as exc:
+            raise DomainError(f"cannot parse pattern {args.pattern!r}") from exc
         return BitPerturbedRule(parse_rational(args.alpha), bits)
     raise DomainError(f"unknown rule family {family!r}")
 
@@ -378,8 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prefix", required=True)
     p.add_argument("--rule", choices=("power", "tower"), default=None)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--pattern", default=None)
-    p.add_argument("--offset", type=int, default=None)
     p.add_argument("--bits", type=int, default=None)
 
     p = sub.add_parser("lambda")
@@ -426,26 +427,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_precision(args) -> int:
-    flag = getattr(args, "bits", None)
-    if args.command == "sample":
-        flag = None  # sample's --bits is the draw width, not a precision
-    if flag is not None:
-        return flag
+    # sample's --bits is the draw width, not a precision
+    bits = None if args.command == "sample" else getattr(args, "bits", None)
     env = os.environ.get(ENV_PRECISION)
-    if env is not None:
+    if bits is None and env is not None:
         try:
-            return int(env)
+            bits = int(env)
         except ValueError as exc:
             raise DomainError(f"bad {ENV_PRECISION}={env!r}") from exc
-    if args.config:
+    if bits is None and args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
             if "precision_bits" in config:
-                return int(config["precision_bits"])
+                bits = int(config["precision_bits"])
         except (json.JSONDecodeError, TypeError, ValueError) as exc:
             raise DomainError(f"bad config file {args.config}: {exc}") from exc
-    return DEFAULT_PRECISION
+    bits = DEFAULT_PRECISION if bits is None else bits
+    if bits < 0:
+        raise DomainError(f"precision must be non-negative, got {bits} bits")
+    return bits
 
 
 def run(argv, stdout: TextIO, stderr: TextIO) -> int:

@@ -26,7 +26,7 @@ from .arith import (
     integer_root,
     log2_enclosure,
 )
-from .pierce import DigitStatus, safe_digits
+from .pierce import DigitStatus, checked_digits, safe_digits
 from .rules import DigitRule
 from .space import PierceSeq
 
@@ -161,7 +161,7 @@ def estimate_point_exponent(
     # A terminated orbit proves the point rational; so does a point
     # enclosure by construction.  Rationals have exponent exactly 0
     # whatever the window diagnostic says.
-    rational = result.status is DigitStatus.TERMINATED or x.is_point
+    rational = result.status is DigitStatus.TERMINATED or x.is_exact
     return ExponentEstimate(
         lo,
         hi,
@@ -254,16 +254,14 @@ def reciprocal_power_sum(
     exact_hi = _ZERO
     int_mode = False
     ilo = ihi = 0
-    last_digit = 0
-    for k in range(1, n_terms + 1):
-        d = seq.term(k)
-        if d is INFINITY:
-            break
-        # Strict increase of the digits is what makes the tail bound
-        # below sound; enforce it rather than trusting the rule.
-        if d <= last_digit:
-            raise DomainError(f"rule fails strict increase at index {k}")
-        last_digit = d
+    # Strict increase of the digits is what makes the tail bound below
+    # sound: a prefix is checked when its sequence is built, and rule
+    # terms are checked here rather than trusted.
+    if seq.is_finite:
+        digits = seq.prefix[:n_terms]
+    else:
+        digits = checked_digits(seq.rule.term(k) for k in range(1, n_terms + 1))
+    for k, d in enumerate(digits, start=1):
         # Term below resolution: close with a certified tail bound
         # (terms decrease, so each of the remaining ones is no larger).
         if d.bit_length() * p > tiny_bits * q + p:

@@ -1,49 +1,71 @@
 """The Pierce digit algorithm and shift dynamics over exact rationals.
 
 A single greedy step maps x to (d, t) with d = floor(1/x) and
-t = 1 - d*x; iterating the step produces the strictly increasing digit
-sequence of x, which terminates at 0 exactly when x is rational.  The
-interval variant propagates a rational enclosure through the shift and
-only ever emits digits shared by every point of the enclosure.
+t = 1 - d*x.  For x = p/q it keeps the denominator fixed:
+T(p/q) = 1 - (q//p)*p/q = (q mod p)/q, so the digits of a rational are
+d_k = q // p_k with p_{k+1} = q - d_k*p_k, computed on integers alone.
+The numerators strictly decrease, so the strictly increasing digit
+sequence of x terminates at 0 exactly when x is rational.  The interval
+variant runs the same step on both endpoints over a common denominator
+and only ever emits digits shared by every point of the enclosure.
+Partial sums of the alternating series are likewise integer pairs
+(S_k, P_k) with s_k = S_k / P_k and P_k = d_1 ... d_k.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 
 from .arith import (
     DomainError,
     ExtNat,
     INFINITY,
     RatInterval,
-    floor_reciprocal,
+    unit_rational,
 )
 
 __all__ = [
     "DigitStatus",
     "SafeDigits",
+    "checked_digits",
     "validate_prefix",
     "digit_step",
     "digits_rational",
     "safe_digits",
+    "alternating_sums",
     "partial_sums",
     "shift_orbit",
 ]
 
 
+def checked_digits(digits):
+    """Yield the digits, checking each is a positive integer above the last."""
+    last = 0
+    for k, d in enumerate(digits, start=1):
+        if not isinstance(d, int) or d < 1:
+            raise DomainError(f"digit {d!r} at index {k} is not a positive integer")
+        if d <= last:
+            raise DomainError(f"strict increase fails at index {k}: {last} -> {d}")
+        last = d
+        yield d
+
+
 def validate_prefix(digits) -> tuple[int, ...]:
     """Check a finite digit prefix: positive integers, strictly increasing."""
-    prefix = tuple(digits)
-    last = 0
-    for d in prefix:
-        if not isinstance(d, int) or d < 1:
-            raise DomainError(f"digit {d!r} is not a positive integer")
-        if d <= last:
-            raise DomainError(f"prefix {prefix} is not strictly increasing")
-        last = d
-    return prefix
+    return tuple(checked_digits(digits))
+
+
+def _orbit(x: Fraction):
+    """Yield (d_k, p_k) for x = p_0/q, where T^k(x) = p_k/q; stops at 0."""
+    p, q = x.numerator, x.denominator
+    while p:
+        d = q // p
+        p = q - d * p
+        yield d, p
 
 
 def digit_step(x: Fraction) -> tuple[ExtNat, Fraction]:
@@ -53,27 +75,19 @@ def digit_step(x: Fraction) -> tuple[ExtNat, Fraction]:
     smaller numerator than x in lowest terms, which is why the iteration
     terminates on rationals.
     """
-    x = Fraction(x)
-    d = floor_reciprocal(x)
-    if d is INFINITY:
-        return INFINITY, Fraction(0)
-    return d, 1 - d * x
+    x = unit_rational(x)
+    d, p = next(_orbit(x), (INFINITY, 0))
+    return d, Fraction(p, x.denominator)
 
 
 def digits_rational(x: Fraction) -> tuple[int, ...]:
-    """The full digit sequence of a rational x in [0, 1].
+    """The full digit sequence of a rational x = p/q in [0, 1].
 
-    Terminates because the remainder's numerator strictly decreases:
-    for x = p/q the next numerator is q mod p reduced, which is < p.
+    Every remainder keeps the denominator q, so the digits are q // p_k
+    with p_{k+1} = q mod p_k < p_k: no gcd is taken at any step, and the
+    loop ends after at most p steps.
     """
-    x = Fraction(x)
-    if not (0 <= x <= 1):
-        raise DomainError(f"value {x} lies outside [0, 1]")
-    digits: list[int] = []
-    while x != 0:
-        d, x = digit_step(x)
-        digits.append(d)
-    return tuple(digits)
+    return tuple(d for d, _ in _orbit(unit_rational(x)))
 
 
 class DigitStatus(Enum):
@@ -94,27 +108,45 @@ def safe_digits(interval: RatInterval, max_n: int) -> SafeDigits:
     """Extract digits valid for the whole rational enclosure.
 
     The shift is affine decreasing on each digit cell, so the image of
-    [lo, hi] under one step with digit d is exactly [1 - d*hi, 1 - d*lo].
-    A digit is emitted only while floor(1/x) agrees at both endpoints;
-    the first disagreement yields AMBIGUOUS, reaching max_n yields
-    EXHAUSTED, and a point orbit hitting 0 yields TERMINATED.
+    [lo, hi] under one step with digit d is exactly [1 - d*hi, 1 - d*lo];
+    over a common denominator Q, with lo = a/Q and hi = b/Q, that is
+    (a, b) -> (Q - d*b, Q - d*a).  A digit is emitted only while
+    floor(1/x) agrees at both endpoints; the first disagreement yields
+    AMBIGUOUS, reaching max_n yields EXHAUSTED, and a point orbit hitting
+    0 yields TERMINATED.
     """
     if max_n < 0:
         raise DomainError("max_n must be non-negative")
     lo, hi = interval.lo, interval.hi
+    q = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
     digits: list[int] = []
     while True:
-        if lo == hi == 0:
+        if b == 0:
             return SafeDigits(tuple(digits), DigitStatus.TERMINATED)
         if len(digits) >= max_n:
             return SafeDigits(tuple(digits), DigitStatus.EXHAUSTED)
-        d_hi = floor_reciprocal(hi)
-        d_lo = floor_reciprocal(lo)
-        if d_hi != d_lo:
+        d = q // b
+        if a == 0 or q // a != d:
             return SafeDigits(tuple(digits), DigitStatus.AMBIGUOUS)
-        d = d_hi
         digits.append(d)
-        lo, hi = 1 - d * hi, 1 - d * lo
+        a, b = q - d * b, q - d * a
+
+
+def alternating_sums(digits):
+    """Yield the partial sums of the alternating series as integer pairs.
+
+    For k = 1, 2, ... yields (S_k, P_k) with P_k = d_1 ... d_k and
+    S_k / P_k = sum_{j<=k} (-1)^{j+1} / (d_1 ... d_j), advancing as
+    (S, P) <- (S*d + 1, P*d) on odd steps and (S*d - 1, P*d) on even
+    ones.  Consecutive sums differ by exactly 1/P_k.  The digits are not
+    checked here.
+    """
+    s, p, sign = 0, 1, 1
+    for d in digits:
+        s, p, sign = s * d + sign, p * d, -sign
+        yield s, p
 
 
 def partial_sums(prefix) -> list[Fraction]:
@@ -126,25 +158,13 @@ def partial_sums(prefix) -> list[Fraction]:
     prefix = validate_prefix(prefix)
     if not prefix:
         raise DomainError("partial sums of an empty prefix are undefined")
-    sums: list[Fraction] = []
-    term = Fraction(1)
-    total = Fraction(0)
-    for j, d in enumerate(prefix, start=1):
-        term /= d
-        total += term if j % 2 == 1 else -term
-        sums.append(total)
-    return sums
+    return [Fraction(s, p) for s, p in alternating_sums(prefix)]
 
 
 def shift_orbit(x: Fraction, n: int) -> list[Fraction]:
     """[T(x), T^2(x), ..., T^n(x)] exactly; 0 is a fixed point."""
-    x = Fraction(x)
-    if not (0 <= x <= 1):
-        raise DomainError(f"value {x} lies outside [0, 1]")
+    x = unit_rational(x)
     if n < 0:
         raise DomainError("orbit length must be non-negative")
-    orbit: list[Fraction] = []
-    for _ in range(n):
-        _, x = digit_step(x)
-        orbit.append(x)
-    return orbit
+    orbit = [Fraction(p, x.denominator) for _, p in islice(_orbit(x), n)]
+    return orbit + [Fraction(0)] * (n - len(orbit))

@@ -22,6 +22,7 @@ from .arith import (
     log2_enclosure,
     rational_str,
 )
+from .pierce import validate_prefix
 
 __all__ = [
     "DigitRule",
@@ -46,12 +47,17 @@ def _check_alpha(alpha: Fraction, allow_zero: bool) -> Fraction:
 
 
 def _floor_power_log2(b: int, alpha: Fraction, bits: int) -> Enclosure:
-    """Enclosure of log2(floor(b**(1/alpha))) without materialising the floor.
+    """Enclosure of log2(floor(b**(1/alpha))), alpha = p/q in (0, 1].
 
-    With u = b**(q/p) >= 4 the floor loses at most
+    Exact scaling when p = 1; small bases materialise the floor; larger
+    ones never do: with u = b**(q/p) >= 4 the floor loses at most
     -log2(1 - 1/u) <= 3/u <= 3/b bits, since q/p >= 1.
     """
     p, q = alpha.numerator, alpha.denominator
+    if p == 1:
+        return log2_enclosure(b, bits).scale(q)
+    if b < _EXACT_LOG_BASE_BOUND:
+        return log2_enclosure(floor_root_power(b, p, q), bits)
     lb = log2_enclosure(b, bits)
     exp = Fraction(q, p)
     hi = lb.hi * exp
@@ -84,16 +90,7 @@ class DigitRule:
         raise NotImplementedError
 
     def check_strictly_increasing(self, depth: int) -> None:
-        last = 0
-        for k in range(1, depth + 1):
-            t = self.term(k)
-            if not isinstance(t, int) or t < 1:
-                raise DomainError(f"rule produced non-digit {t!r} at index {k}")
-            if t <= last:
-                raise DomainError(
-                    f"rule fails strict increase at index {k}: {last} -> {t}"
-                )
-            last = t
+        validate_prefix(self.terms(depth))
 
     def _require_index(self, k: int) -> None:
         if k < 1:
@@ -137,11 +134,6 @@ class PowerFloorRule(DigitRule):
         if k <= len(self.prefix):
             return log2_enclosure(self.prefix[k - 1], bits)
         b = self._base + (k - len(self.prefix))
-        p, q = self.alpha.numerator, self.alpha.denominator
-        if p == 1:
-            return log2_enclosure(b, bits).scale(q)
-        if b < _EXACT_LOG_BASE_BOUND:
-            return log2_enclosure(self.term(k), bits)
         return _floor_power_log2(b, self.alpha, bits)
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
@@ -267,11 +259,6 @@ class BitPerturbedRule(DigitRule):
         b = self._eps(k) + 2 * k - 1
         if self.alpha == 0:
             return log2_enclosure(b, bits).scale(k)
-        p, q = self.alpha.numerator, self.alpha.denominator
-        if p == 1:
-            return log2_enclosure(b, bits).scale(q)
-        if b < _EXACT_LOG_BASE_BOUND:
-            return log2_enclosure(self.term(k), bits)
         return _floor_power_log2(b, self.alpha, bits)
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:

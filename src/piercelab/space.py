@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, pairwise
 from typing import Optional, Union
 
 from .arith import (
@@ -21,7 +22,7 @@ from .arith import (
     RatInterval,
     unit_reciprocal,
 )
-from .pierce import digits_rational, validate_prefix
+from .pierce import alternating_sums, checked_digits, digits_rational, validate_prefix
 from .rules import DigitRule
 
 __all__ = [
@@ -88,13 +89,12 @@ class PierceSeq:
 SIGMA_ZERO = PierceSeq.finite(())
 
 
-def _alternating_sum(prefix: tuple[int, ...]) -> Fraction:
-    total = Fraction(0)
-    term = Fraction(1)
-    for j, d in enumerate(prefix, start=1):
-        term /= d
-        total += term if j % 2 == 1 else -term
-    return total
+def _exact_sum(digits) -> tuple[int, int]:
+    """(S_n, P_n) of a finite digit sequence: value S_n / P_n, digit product P_n."""
+    s, p = 0, 1
+    for s, p in alternating_sums(digits):
+        pass
+    return s, p
 
 
 def expansion_value(
@@ -114,28 +114,16 @@ def expansion_value(
     which is what interval-localised callers rely on.
     """
     if seq.is_finite:
-        return _alternating_sum(seq.prefix)
-    target = Fraction(1, 1 << precision_bits)
-    term = Fraction(1)
-    total = Fraction(0)
-    prev = None
-    last_digit = 0
-    k = 0
-    while True:
-        k += 1
-        d = seq.rule.term(k)
-        if not isinstance(d, int) or d <= last_digit:
-            raise DomainError(f"rule fails strict increase at index {k}")
-        last_digit = d
-        term /= d
-        prev = total
-        total += term if k % 2 == 1 else -term
+        return Fraction(*_exact_sum(seq.prefix))
+    target = 1 << precision_bits
+    sums = alternating_sums(checked_digits(seq.rule.term(k) for k in count(1)))
+    for k, (prev, (s, p)) in enumerate(pairwise(sums), start=2):
         # prev is the depth-(k-1) sum: both bracket endpoints must
-        # reach min_depth before an enclosure may be returned
-        if k - 1 >= max(min_depth, 2):
-            lo, hi = (prev, total) if prev <= total else (total, prev)
-            if hi - lo <= target:
-                return RatInterval(lo, hi)
+        # reach min_depth before an enclosure may be returned; the
+        # bracket is exactly 1/P_k wide
+        if k - 1 >= max(min_depth, 2) and p >= target:
+            lo, hi = sorted((Fraction(*prev), Fraction(s, p)))
+            return RatInterval(lo, hi)
 
 
 def bump_last(prefix) -> tuple[int, ...]:
@@ -185,14 +173,12 @@ def fundamental_interval(prefix) -> FundamentalInterval:
     prefix = validate_prefix(prefix)
     if not prefix:
         raise DomainError("the empty prefix has no fundamental interval")
-    a = _alternating_sum(prefix)
-    b = _alternating_sum(bump_last(prefix))
+    s, p = _exact_sum(prefix)
+    a = Fraction(s, p)
+    b = Fraction(*_exact_sum(bump_last(prefix)))
     left, right = (a, b) if a <= b else (b, a)
     diameter = right - left
-    product = Fraction(1)
-    for d in prefix:
-        product /= d
-    assert diameter == product / (prefix[-1] + 1)
+    assert diameter == Fraction(1, p * (prefix[-1] + 1))
     return FundamentalInterval(prefix, left, right, diameter)
 
 
@@ -223,10 +209,9 @@ def locate_cylinder(interval: RatInterval) -> tuple[int, ...]:
     Descends the chain of cells containing the midpoint, returning the
     shallowest one that fits.  When the midpoint's (finite, rational)
     digit chain is exhausted first, the children of the final cell
-    accumulate exactly at the midpoint with exact offsets P/m (P the
-    reciprocal digit product), so the first admissible child index is
-    computed directly rather than scanned.  Deterministic by
-    construction.
+    accumulate exactly at the midpoint with exact offsets 1/(P*m) (P the
+    digit product), so the first admissible child index is computed
+    directly rather than scanned.  Deterministic by construction.
     """
     lo, hi = interval.lo, interval.hi
     if lo >= hi:
@@ -238,14 +223,11 @@ def locate_cylinder(interval: RatInterval) -> tuple[int, ...]:
         if lo <= cell.left and cell.right <= hi:
             return chain[:depth]
     # mid equals the value of its full chain; children sit at
-    # mid + (-1)^n * P/m and shrink toward mid, which is interior.
-    product = Fraction(1)
-    for d in chain:
-        product /= d
+    # mid + (-1)^n / (P*m) and shrink toward mid, which is interior.
+    _, product = _exact_sum(chain)
     side = 1 if len(chain) % 2 == 0 else -1
     gap = (hi - mid) if side > 0 else (mid - lo)
-    first = max(chain[-1] + 1, -(-product.numerator * gap.denominator
-                                 // (product.denominator * gap.numerator)))
+    first = max(chain[-1] + 1, -(-gap.denominator // (product * gap.numerator)))
     for d in (first, first + 1):
         candidate = chain + (d,)
         cell = fundamental_interval(candidate)

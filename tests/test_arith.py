@@ -140,6 +140,9 @@ class TestIntervals:
             RatInterval(F(1, 2), F(1, 3))
         with pytest.raises(DomainError):
             RatInterval(F(-1, 2), F(1, 3))
+        with pytest.raises(DomainError):
+            RatInterval.exact(F(3, 2))
+        assert isinstance(RatInterval.exact(F(1, 2)), RatInterval)
 
     def test_containment(self):
         outer = RatInterval(F(1, 4), F(3, 4))
@@ -148,6 +151,7 @@ class TestIntervals:
         assert outer.strictly_contains_interval(inner)
         assert not inner.contains_interval(outer)
         assert F(1, 3) in inner
+        assert Enclosure(F(-1), F(2)).strictly_contains_interval(outer)
 
     def test_enclosure_arithmetic(self):
         a = Enclosure(F(1), F(2))

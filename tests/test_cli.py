@@ -70,6 +70,56 @@ class TestLambdaCommand:
         assert report["results"]["window_certifies"] is False
 
 
+class TestDivergent:
+    def test_readme_invocation(self):
+        from fractions import Fraction
+
+        code, out, _ = invoke(
+            ["divergent", "--s", "1/2", "--prefix", "2,9,16", "--j", "2", "--terms", "1000"]
+        )
+        assert code == 0
+        (report,) = lines_of(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        res = report["results"]
+        assert res["verdict"] == "divergent"
+        lo, hi = (Fraction(t) for t in res["partial_sum"])
+        assert lo <= hi
+        terms = res["first_terms"]
+        assert all(a < b for a, b in zip(terms, terms[1:]))
+
+
+def assert_one_line_domain_error(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("domain error") and err.count("\n") == 1
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lambda", "--rule", "binary", "--alpha", "1/2", "--pattern", "0x", "--window", "10"],
+            ["construct", "--alpha", "1/2", "--in", "1/3,1/2", "--bits", "-1"],
+            ["eval", "--prefix", "2", "--bits", "-1"],
+        ],
+    )
+    def test_flag_inputs(self, argv):
+        assert_one_line_domain_error(*invoke(argv))
+
+    def test_negative_env_precision(self, monkeypatch):
+        argv = ["construct", "--alpha", "1/2", "--in", "1/3,1/2"]
+        assert_one_line_domain_error(*invoke(argv, env_bits=-1, monkeypatch=monkeypatch))
+
+    def test_negative_config_precision(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"precision_bits": -1}')
+        assert_one_line_domain_error(*invoke(["--config", str(cfg), "eval", "--prefix", "2"]))
+
+    @pytest.mark.parametrize("flag", [["--pattern", "01"], ["--offset", "3"]])
+    def test_eval_has_no_rule_only_flags(self, flag):
+        code, _, _ = invoke(["eval", "--prefix", "2"] + flag)
+        assert code == 2
+
+
 class TestGuards:
     def test_grid_guard_exit_code(self):
         code, _, err = invoke(["grid", "--alpha", "1/2", "--depth", "13"])

@@ -148,7 +148,7 @@ class TestWitnesses:
 
     def test_degenerate_interval(self):
         with pytest.raises(DomainError):
-            witness_in_interval(RatInterval.point(F(1, 2)), F(1, 2))
+            witness_in_interval(RatInterval.exact(F(1, 2)), F(1, 2))
 
     def test_certificate_must_match_rule(self):
         from piercelab.constructions import Witness

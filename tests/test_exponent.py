@@ -91,7 +91,7 @@ class TestWindows:
 
 class TestPointEstimates:
     def test_rational_point(self):
-        est = estimate_point_exponent(RatInterval.point(F(7, 10)), 64)
+        est = estimate_point_exponent(RatInterval.exact(F(7, 10)), 64)
         assert (est.window_lo, est.window_hi) == (2, 3)
         # sup is attained at psi_2 = log 2 / log 3 = 0.6309...
         assert abs(float(est.sup.midpoint) - math.log(2) / math.log(3)) < 1e-6
@@ -100,7 +100,7 @@ class TestPointEstimates:
         assert est.certified_depth == 3
 
     def test_zero_point(self):
-        est = estimate_point_exponent(RatInterval.point(F(0)), 10)
+        est = estimate_point_exponent(RatInterval.exact(F(0)), 10)
         assert est.certified and est.certificate == 0
         assert est.sup.lo == est.sup.hi == 0
 
@@ -113,7 +113,7 @@ class TestPointEstimates:
     def test_exhausted_point_still_certified_rational(self):
         # the enclosure is a single rational, so exponent 0 is analytic
         # even though only 2 of the 3 digits were extracted
-        est = estimate_point_exponent(RatInterval.point(F(7, 10)), 2)
+        est = estimate_point_exponent(RatInterval.exact(F(7, 10)), 2)
         assert est.status is DigitStatus.EXHAUSTED
         assert est.certified and est.certificate == 0
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from piercelab.arith import DomainError, INFINITY, RatInterval
 from piercelab.pierce import (
     DigitStatus,
+    SafeDigits,
     digit_step,
     digits_rational,
     partial_sums,
@@ -107,7 +108,7 @@ class TestSafeDigits:
         assert res.status is DigitStatus.AMBIGUOUS
 
     def test_point_terminates(self):
-        res = safe_digits(RatInterval.point(F(1, 3)), 5)
+        res = safe_digits(RatInterval.exact(F(1, 3)), 5)
         assert res.prefix == (3,)
         assert res.status is DigitStatus.TERMINATED
 
@@ -117,7 +118,7 @@ class TestSafeDigits:
         assert res.status is DigitStatus.AMBIGUOUS
 
     def test_exhausted(self):
-        res = safe_digits(RatInterval.point(F(7, 10)), 2)
+        res = safe_digits(RatInterval.exact(F(7, 10)), 2)
         assert res.prefix == (1, 3)
         assert res.status is DigitStatus.EXHAUSTED
 
@@ -134,3 +135,22 @@ class TestSafeDigits:
         y = lo + pick * (hi - lo)
         digits = digits_rational(y)
         assert digits[: len(res.prefix)] == res.prefix
+
+    @given(unit_fractions, st.one_of(st.none(), unit_fractions), st.integers(0, 12))
+    @settings(max_examples=300)
+    def test_exact(self, x, y, max_n):
+        # The result is pinned, not only sound: a point yields its own
+        # digits; a proper interval yields the longest common prefix of
+        # its endpoints' digits, in both cases cut at max_n.
+        lo, hi = (x, x) if y is None else (min(x, y), max(x, y))
+        res = safe_digits(RatInterval(lo, hi), max_n)
+        a, b = digits_rational(lo), digits_rational(hi)
+        if lo == hi:
+            status = DigitStatus.TERMINATED if len(a) <= max_n else DigitStatus.EXHAUSTED
+            assert res == SafeDigits(a[:max_n], status)
+            return
+        c = next((i for i, (u, v) in enumerate(zip(a, b)) if u != v), min(len(a), len(b)))
+        if c >= max_n:
+            assert res == SafeDigits(a[:max_n], DigitStatus.EXHAUSTED)
+        else:
+            assert res == SafeDigits(a[:c], DigitStatus.AMBIGUOUS)

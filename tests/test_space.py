@@ -180,7 +180,7 @@ class TestLocateCylinder:
 
     def test_degenerate(self):
         with pytest.raises(DomainError):
-            locate_cylinder(RatInterval.point(F(1, 2)))
+            locate_cylinder(RatInterval.exact(F(1, 2)))
 
     @given(
         st.fractions(min_value=0, max_value=F(99, 100), max_denominator=10**4),

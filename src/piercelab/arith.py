@@ -22,7 +22,6 @@ __all__ = [
     "UncertifiedRuleError",
     "INFINITY",
     "ExtNat",
-    "is_infinite",
     "unit_reciprocal",
     "unit_rational",
     "floor_reciprocal",
@@ -31,7 +30,6 @@ __all__ = [
     "ceil_root_power",
     "Enclosure",
     "RatInterval",
-    "UNIT_INTERVAL",
     "log2_enclosure",
     "ln2_enclosure",
     "ln_enclosure",
@@ -108,10 +106,6 @@ class _InfinityType:
 INFINITY = _InfinityType()
 
 ExtNat = Union[int, _InfinityType]
-
-
-def is_infinite(d: ExtNat) -> bool:
-    return d is INFINITY
 
 
 def unit_reciprocal(d: ExtNat) -> Fraction:
@@ -272,9 +266,6 @@ class RatInterval(Enclosure):
         object.__setattr__(self, "hi", hi)
         if not (0 <= lo <= hi <= 1):
             raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
-
-
-UNIT_INTERVAL = RatInterval(Fraction(0), Fraction(1))
 
 
 _LOG2_CACHE: dict[tuple[int, int], Enclosure] = {}

@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Optional, TextIO
@@ -99,7 +100,13 @@ def fmt_enclosure(e) -> list[str]:
     raise TypeError(f"not an enclosure: {e!r}")
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
+    """An exact rational written "n" or "p/q"; decimals are refused."""
+    if not _RATIONAL.fullmatch(text.strip()):
+        raise DomainError(f"cannot parse rational {text!r}: expected n or p/q")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -439,10 +446,16 @@ def _resolve_precision(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 config = json.load(fh)
-            if "precision_bits" in config:
-                bits = int(config["precision_bits"])
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        except ValueError as exc:  # malformed JSON or text
             raise DomainError(f"bad config file {args.config}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise DomainError(f"bad config file {args.config}: expected a JSON object")
+        if "precision_bits" in config:
+            bits = config["precision_bits"]
+            if type(bits) is not int:  # a JSON bool is an int subclass here
+                raise DomainError(
+                    f"bad config file {args.config}: precision_bits must be an integer"
+                )
     bits = DEFAULT_PRECISION if bits is None else bits
     if bits < 0:
         raise DomainError(f"precision must be non-negative, got {bits} bits")

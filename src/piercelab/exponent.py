@@ -186,11 +186,11 @@ def certified_exponent(rule: DigitRule) -> Fraction:
 def classify_divergence(rule: DigitRule, s: Fraction) -> Verdict:
     """Whether sum 1/d_k**s diverges along a rule, for s in (0, 1].
 
-    Decided per family: strictly below the certified exponent the sum
-    diverges by comparison with a shifted harmonic series, strictly
-    above it converges by a p-series bound, and the boundary s equal to
-    the exponent is settled by the family's own comparison.  Uncertified
-    rules yield UNKNOWN, never a guess.
+    Decided once for all certified families, which share the tail
+    floor(b_k**(q_k/p_k)): up to and including a positive certified
+    exponent the sum diverges by comparison with a shifted harmonic
+    series, above it (and at every s for exponent 0) it converges by a
+    p-series bound.  Uncertified rules yield UNKNOWN, never a guess.
     """
     s = Fraction(s)
     if not (0 < s <= 1):
@@ -209,10 +209,6 @@ class PowerSumPartial:
     n_terms: int
     sum: Enclosure
     verdict: Verdict
-
-    @property
-    def value(self) -> Fraction:
-        return self.sum.lo
 
 
 def _term_bounds(d: int, p: int, q: int, shift: int) -> tuple[Fraction, Fraction]:

@@ -3,10 +3,12 @@
 Each family defines its k-th term analytically, knows a certified
 binary-log enclosure for that term without necessarily materialising it
 (tower terms get astronomically large), and carries its analytic
-convergence-exponent certificate where one exists.  Floor-based families
-verify their first gaps explicitly at construction; beyond that the
-derivative bound (d/dx) x^(1/a) >= 1 for 1/a >= 1 guarantees strict
-increase.
+convergence-exponent certificate where one exists.  The four certified
+families share one shape: a checked prefix, then floor(b_k**(q_k/p_k))
+with q_k >= p_k, so they share one term, one log enclosure and one
+divergence argument.  They verify their first gaps explicitly at
+construction; beyond that the derivative bound (d/dx) x**(q/p) >= 1 for
+q/p >= 1 guarantees strict increase.
 """
 
 from __future__ import annotations
@@ -46,25 +48,6 @@ def _check_alpha(alpha: Fraction, allow_zero: bool) -> Fraction:
     return alpha
 
 
-def _floor_power_log2(b: int, alpha: Fraction, bits: int) -> Enclosure:
-    """Enclosure of log2(floor(b**(1/alpha))), alpha = p/q in (0, 1].
-
-    Exact scaling when p = 1; small bases materialise the floor; larger
-    ones never do: with u = b**(q/p) >= 4 the floor loses at most
-    -log2(1 - 1/u) <= 3/u <= 3/b bits, since q/p >= 1.
-    """
-    p, q = alpha.numerator, alpha.denominator
-    if p == 1:
-        return log2_enclosure(b, bits).scale(q)
-    if b < _EXACT_LOG_BASE_BOUND:
-        return log2_enclosure(floor_root_power(b, p, q), bits)
-    lb = log2_enclosure(b, bits)
-    exp = Fraction(q, p)
-    hi = lb.hi * exp
-    lo = lb.lo * exp - Fraction(3, b)
-    return Enclosure(lo, hi)
-
-
 class DigitRule:
     """Base interface: an analytic rule for a strictly increasing digit sequence."""
 
@@ -97,8 +80,48 @@ class DigitRule:
             raise DomainError("digit indices are 1-based")
 
 
+class _FloorPowerRule(DigitRule):
+    """A checked prefix, then the tail floor(b_k**(q_k/p_k)) with q_k >= p_k.
+
+    Subclasses provide `prefix` and `_tail(k) -> (b_k, p_k, q_k)` for the
+    indices past it.  With certificate alpha > 0 the tail is
+    floor(b_k**(1/alpha)) with b_k <= c + 2k, so at s <= alpha every tail
+    term satisfies term**s <= b_k: a shifted harmonic minorant, and the
+    power sum diverges.  Above alpha it converges by a p-series bound.
+    Certificate 0 means the power q_k grows with k, so the terms dominate
+    2**k and every positive power sum converges.
+    """
+
+    def term(self, k: int) -> int:
+        self._require_index(k)
+        if k <= len(self.prefix):
+            return self.prefix[k - 1]
+        b, p, q = self._tail(k)
+        return floor_root_power(b, p, q)
+
+    def log2_term(self, k: int, bits: int = 32) -> Enclosure:
+        # Exact scaling when p = 1; small bases materialise the floor;
+        # larger ones never do: with u = b**(q/p) >= b >= 4 the floor
+        # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
+        self._require_index(k)
+        if k <= len(self.prefix):
+            return log2_enclosure(self.prefix[k - 1], bits)
+        b, p, q = self._tail(k)
+        if p == 1:
+            lb = log2_enclosure(b, bits)
+            return lb if q == 1 else lb.scale(q)
+        if b < _EXACT_LOG_BASE_BOUND:
+            return log2_enclosure(floor_root_power(b, p, q), bits)
+        lb = log2_enclosure(b, bits)
+        exp = Fraction(q, p)
+        return Enclosure(lb.lo * exp - Fraction(3, b), lb.hi * exp)
+
+    def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
+        return Fraction(s) <= self.certificate
+
+
 @dataclass(frozen=True)
-class PowerFloorRule(DigitRule):
+class PowerFloorRule(_FloorPowerRule):
     """Continue a prefix with floor((base+i)**(1/alpha)), alpha in (0, 1].
 
     An empty prefix is treated as base 1, so the tail starts at
@@ -118,27 +141,9 @@ class PowerFloorRule(DigitRule):
     def certificate(self) -> Fraction:
         return self.alpha
 
-    @property
-    def _base(self) -> int:
-        return self.prefix[-1] if self.prefix else 1
-
-    def term(self, k: int) -> int:
-        self._require_index(k)
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        b = self._base + (k - len(self.prefix))
-        return floor_root_power(b, self.alpha.numerator, self.alpha.denominator)
-
-    def log2_term(self, k: int, bits: int = 32) -> Enclosure:
-        self._require_index(k)
-        if k <= len(self.prefix):
-            return log2_enclosure(self.prefix[k - 1], bits)
-        b = self._base + (k - len(self.prefix))
-        return _floor_power_log2(b, self.alpha, bits)
-
-    def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
-        # At s = alpha: floor(b**(1/a))**a <= b, a shifted harmonic minorant.
-        return Fraction(s) <= self.alpha
+    def _tail(self, k: int) -> tuple[int, int, int]:
+        b = (self.prefix[-1] if self.prefix else 1) + k - len(self.prefix)
+        return b, self.alpha.numerator, self.alpha.denominator
 
     def describe(self) -> dict:
         return {
@@ -149,7 +154,7 @@ class PowerFloorRule(DigitRule):
 
 
 @dataclass(frozen=True)
-class TowerRule(DigitRule):
+class TowerRule(_FloorPowerRule):
     """Continue a prefix with (base+i)**(M+i); convergence exponent 0.
 
     M is the prefix length; the empty prefix uses base 1, so the tail
@@ -164,63 +169,36 @@ class TowerRule(DigitRule):
         object.__setattr__(self, "prefix", tuple(self.prefix))
         self.check_strictly_increasing(len(self.prefix) + 8)
 
-    @property
-    def _base(self) -> int:
-        return self.prefix[-1] if self.prefix else 1
-
-    def term(self, k: int) -> int:
-        self._require_index(k)
-        m = len(self.prefix)
-        if k <= m:
-            return self.prefix[k - 1]
-        i = k - m
-        return (self._base + i) ** (m + i)
-
-    def log2_term(self, k: int, bits: int = 32) -> Enclosure:
-        self._require_index(k)
-        m = len(self.prefix)
-        if k <= m:
-            return log2_enclosure(self.prefix[k - 1], bits)
-        i = k - m
-        return log2_enclosure(self._base + i, bits).scale(m + i)
-
-    def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
-        # Terms dominate 2**k, so every positive power sum converges.
-        return False
+    def _tail(self, k: int) -> tuple[int, int, int]:
+        # i = k - M, so the power M + i is k itself.
+        return (self.prefix[-1] if self.prefix else 1) + k - len(self.prefix), 1, k
 
     def describe(self) -> dict:
         return {"family": "tower", "prefix": list(self.prefix)}
 
 
 @dataclass(frozen=True)
-class LinearRule(DigitRule):
+class LinearRule(_FloorPowerRule):
     """The arithmetic rule k -> offset + k; convergence exponent 1."""
 
     offset: int = 0
 
     certificate = Fraction(1)
+    prefix = ()
 
     def __post_init__(self):
         if not isinstance(self.offset, int) or self.offset < 0:
             raise DomainError("offset must be a non-negative integer")
 
-    def term(self, k: int) -> int:
-        self._require_index(k)
-        return self.offset + k
-
-    def log2_term(self, k: int, bits: int = 32) -> Enclosure:
-        self._require_index(k)
-        return log2_enclosure(self.offset + k, bits)
-
-    def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
-        return Fraction(s) <= 1
+    def _tail(self, k: int) -> tuple[int, int, int]:
+        return self.offset + k, 1, 1
 
     def describe(self) -> dict:
         return {"family": "linear", "offset": self.offset}
 
 
 @dataclass(frozen=True)
-class BitPerturbedRule(DigitRule):
+class BitPerturbedRule(_FloorPowerRule):
     """Digits floor((eps_k + 2k - 1)**(1/alpha)) driven by a 0/1 pattern.
 
     Distinct bit patterns give distinct sequences, all with convergence
@@ -231,6 +209,8 @@ class BitPerturbedRule(DigitRule):
 
     alpha: Fraction
     bits: tuple[int, ...]
+
+    prefix = ()
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _check_alpha(self.alpha, allow_zero=True))
@@ -244,28 +224,11 @@ class BitPerturbedRule(DigitRule):
     def certificate(self) -> Fraction:
         return self.alpha
 
-    def _eps(self, k: int) -> int:
-        return self.bits[k - 1] if k <= len(self.bits) else 0
-
-    def term(self, k: int) -> int:
-        self._require_index(k)
-        b = self._eps(k) + 2 * k - 1
+    def _tail(self, k: int) -> tuple[int, int, int]:
+        b = (self.bits[k - 1] if k <= len(self.bits) else 0) + 2 * k - 1
         if self.alpha == 0:
-            return b**k
-        return floor_root_power(b, self.alpha.numerator, self.alpha.denominator)
-
-    def log2_term(self, k: int, bits: int = 32) -> Enclosure:
-        self._require_index(k)
-        b = self._eps(k) + 2 * k - 1
-        if self.alpha == 0:
-            return log2_enclosure(b, bits).scale(k)
-        return _floor_power_log2(b, self.alpha, bits)
-
-    def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
-        if self.alpha == 0:
-            return False
-        # At s = alpha: term**alpha <= eps + 2k - 1 <= 2k.
-        return Fraction(s) <= self.alpha
+            return b, 1, k
+        return b, self.alpha.numerator, self.alpha.denominator
 
     def describe(self) -> dict:
         return {

@@ -7,6 +7,12 @@ import pytest
 from piercelab.cli import REPORT_SCHEMA, run
 
 
+@pytest.fixture(autouse=True)
+def no_env_precision(monkeypatch):
+    """Tests set their own precision; the caller's shell must not leak in."""
+    monkeypatch.delenv("PIERCE_LAB_PRECISION_BITS", raising=False)
+
+
 def invoke(argv, env_bits=None, monkeypatch=None):
     out, err = io.StringIO(), io.StringIO()
     if env_bits is not None:
@@ -100,6 +106,11 @@ class TestMalformedInput:
             ["lambda", "--rule", "binary", "--alpha", "1/2", "--pattern", "0x", "--window", "10"],
             ["construct", "--alpha", "1/2", "--in", "1/3,1/2", "--bits", "-1"],
             ["eval", "--prefix", "2", "--bits", "-1"],
+            # decimal input is refused: only "n" and "p/q" are rationals
+            ["expand", "1e-3"],
+            ["expand", "0.5"],
+            ["expand", "1_0/2_0"],
+            ["construct", "--alpha", "0.5", "--in", "0.25,0.5"],
         ],
     )
     def test_flag_inputs(self, argv):
@@ -112,6 +123,14 @@ class TestMalformedInput:
     def test_negative_config_precision(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"precision_bits": -1}')
+        assert_one_line_domain_error(*invoke(["--config", str(cfg), "eval", "--prefix", "2"]))
+
+    @pytest.mark.parametrize(
+        "text", ['[{"precision_bits": 40}]', '{"precision_bits": 1.7}', '{"precision_bits": true}']
+    )
+    def test_malformed_config(self, text, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
         assert_one_line_domain_error(*invoke(["--config", str(cfg), "eval", "--prefix", "2"]))
 
     @pytest.mark.parametrize("flag", [["--pattern", "01"], ["--offset", "3"]])

@@ -1,0 +1,79 @@
+from fractions import Fraction as F
+
+import pytest
+
+from piercelab.arith import log2_enclosure
+from piercelab.rules import (
+    BitPerturbedRule,
+    ExplicitRule,
+    LinearRule,
+    PowerFloorRule,
+    TowerRule,
+)
+
+PATTERN = (0, 1, 1, 0, 1, 0, 1)
+
+# id -> (rule, whether tail log enclosures come from the materialised floor)
+CASES = {
+    "power-1/2": (PowerFloorRule((2,), F(1, 2)), False),  # p == 1: scaled log2(b)
+    "power-2/3-small": (PowerFloorRule((2,), F(2, 3)), True),  # exact floor
+    "power-2/3-large": (PowerFloorRule((2**18,), F(2, 3)), False),  # 3/b slack
+    "tower": (TowerRule((2,)), False),
+    "linear": (LinearRule(3), True),
+    "binary-2/3": (BitPerturbedRule(F(2, 3), PATTERN), True),
+    "binary-0": (BitPerturbedRule(F(0), PATTERN), False),
+}
+
+S_GRID = (F(1, 10), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(9, 10), F(1))
+
+
+def prefix_of(rule) -> tuple[int, ...]:
+    return tuple(rule.describe().get("prefix", ()))
+
+
+def indices(rule) -> list[int]:
+    m = len(prefix_of(rule))
+    return list(range(1, m + 41)) + [m + 100, m + 1000]
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def test_terms_strictly_increase(case):
+    rule, _ = case
+    ks = indices(rule)
+    terms = [rule.term(k) for k in ks]
+    assert all(a < b for a, b in zip(terms, terms[1:]))
+    prefix = prefix_of(rule)
+    assert rule.terms(len(prefix)) == prefix
+
+
+def test_log2_term_certifies_the_term(case):
+    rule, tail_materialises = case
+    for k in indices(rule):
+        enc = rule.log2_term(k, 32)
+        ref = log2_enclosure(rule.term(k), 32)
+        assert enc.lo <= ref.hi and ref.lo <= enc.hi, k  # both hold log2(term(k))
+        if k <= len(prefix_of(rule)) or tail_materialises:
+            assert enc == ref, k
+
+
+def test_power_sum_diverges_at_and_below_the_certificate(case):
+    rule, _ = case
+    cert = rule.certificate
+    for s in S_GRID + ((cert,) if cert > 0 else ()):
+        assert rule.power_sum_diverges(s) is (cert > 0 and s <= cert), s
+
+
+def test_tower_power_sums_converge():
+    for rule in (TowerRule((2,)), BitPerturbedRule(F(0), PATTERN)):
+        assert rule.certificate == 0
+        assert not any(rule.power_sum_diverges(s) for s in S_GRID)
+
+
+def test_explicit_rule_is_uncertified():
+    rule = ExplicitRule(lambda k: 2**k, name="2^k")
+    assert rule.power_sum_diverges(F(1, 2)) is None
+    assert rule.log2_term(5) == log2_enclosure(32)

@@ -30,6 +30,7 @@ __all__ = [
     "ceil_root_power",
     "Enclosure",
     "RatInterval",
+    "log2_bounds",
     "log2_enclosure",
     "ln2_enclosure",
     "ln_enclosure",
@@ -268,68 +269,71 @@ class RatInterval(Enclosure):
             raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
 
 
-_LOG2_CACHE: dict[tuple[int, int], Enclosure] = {}
+_LOG2_CACHE: dict[tuple[int, int], int] = {}
+_LOG2_CACHE_CAP = 1 << 17  # entries; the cache only memoises, so it is cleared when full
 
 
 def _log2_mantissa_bits(n: int, e: int, steps: int, precision: int):
-    """One attempt at extracting `steps` fractional bits of log2(n / 2**e).
+    """`steps` fractional bits of log2(n / 2**e) as an integer, or None.
 
-    Maintains a certified scaled interval around the mantissa under
-    repeated squaring with outward truncation.  Returns the accumulated
-    bit integer, or None if the interval ever straddles the threshold 2
-    (retry at higher working precision).
+    None means an output bit was undecided: retry at higher precision.
     """
+    # With P = precision the true scaled mantissa power x lies in
+    # [2**P, 2**(P+1)) and a <= x <= a + delta.  Squaring gives
+    # x' - a' < (x - a)(x + a) / 2**P + 1 < 4*delta + 1, because
+    # x + a < 2**(P+2) and a' = floor(a*a / 2**P) > a*a / 2**P - 1.
+    # A 1 bit halves both: x'/2 - (a' >> 1) <= (x' - a' + 1)/2 < 2*delta + 1.
+    # delta <- 4*delta + 3 bounds both cases.
     if e <= precision:
         a = n << (precision - e)
-        b = a
+        delta = 0
     else:
         a = n >> (e - precision)
-        b = a + 1
+        delta = 1
     two = 2 << precision
     acc = 0
     for _ in range(steps):
         a = (a * a) >> precision
-        b = ((b * b) >> precision) + 1
+        delta = 4 * delta + 3
         acc <<= 1
         if a >= two:
             acc += 1
             a >>= 1
-            b = (b >> 1) + (b & 1)
-        elif b >= two:
+        elif a + delta >= two:
             return None
     return acc
 
 
-def log2_enclosure(n: int, frac_bits: int = 32) -> Enclosure:
-    """Certified rational enclosure of log2(n), width <= 2**-frac_bits.
+def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
+    """Integers lo <= S*log2(n) <= hi at scale S = 2**(frac_bits+1).
 
-    Exact for powers of two.  Otherwise the mantissa is squared
-    repeatedly with truncation, which brackets log2 by pure integer
-    comparisons; the working precision is doubled on the rare occasions
-    the truncated interval cannot decide an output bit.
+    hi == lo for powers of two, else lo + 1.  The mantissa is squared
+    repeatedly with truncation, which brackets log2 by integer comparisons.
     """
     if not isinstance(n, int) or n < 1:
-        raise DomainError("log2_enclosure requires a positive integer")
+        raise DomainError("log2 requires a positive integer")
     key = (n, frac_bits)
-    hit = _LOG2_CACHE.get(key)
-    if hit is not None:
-        return hit
-    e = n.bit_length() - 1
-    if n == (1 << e):
-        enc = Enclosure.exact(e)
-        _LOG2_CACHE[key] = enc
-        return enc
-    steps = frac_bits + 1
-    precision = 2 * steps + 16
-    while True:
-        acc = _log2_mantissa_bits(n, e, steps, precision)
-        if acc is not None:
-            break
-        precision *= 2
-    denom = 1 << steps
-    enc = Enclosure(e + Fraction(acc, denom), e + Fraction(acc + 1, denom))
-    _LOG2_CACHE[key] = enc
-    return enc
+    lo = _LOG2_CACHE.get(key)
+    if lo is None:
+        e = n.bit_length() - 1
+        steps = frac_bits + 1
+        lo = e << steps
+        if n != 1 << e:
+            precision = 2 * steps + 16
+            while (acc := _log2_mantissa_bits(n, e, steps, precision)) is None:
+                precision *= 2
+            lo += acc
+        if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
+            _LOG2_CACHE.clear()
+        _LOG2_CACHE[key] = lo
+    return lo, lo if n & (n - 1) == 0 else lo + 1
+
+
+def log2_enclosure(n: int, frac_bits: int = 32) -> Enclosure:
+    """Certified enclosure of log2(n), width <= 2**-frac_bits; exact for powers of two."""
+    lo, hi = log2_bounds(n, frac_bits)
+    scale = 2 << frac_bits
+    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
 
 
 _LN2_CACHE: dict[int, Enclosure] = {}

@@ -176,25 +176,37 @@ def _envelope(command: str, params: dict, results: dict, bits: int, seed=None) -
     }
 
 
+def _rule_alpha(args) -> Optional[Fraction]:
+    """The --alpha of eval or lambda, refused where the rule family ignores it."""
+    if args.alpha is None:
+        return None
+    alpha = parse_rational(args.alpha)
+    if args.rule not in ("power", "binary"):
+        family = f"--rule {args.rule}" if args.rule else "no --rule"
+        raise DomainError(f"{args.command} with {family} does not read --alpha")
+    return alpha
+
+
 def _build_rule(args):
     prefix = parse_prefix(args.prefix) if getattr(args, "prefix", None) else ()
     family = args.rule
+    alpha = _rule_alpha(args)
     if family == "power":
-        if args.alpha is None:
+        if alpha is None:
             raise DomainError("--rule power requires --alpha")
-        return PowerFloorRule(prefix, parse_rational(args.alpha))
+        return PowerFloorRule(prefix, alpha)
     if family == "tower":
         return TowerRule(prefix)
     if family == "linear":
         return LinearRule(args.offset or 0)
     if family == "binary":
-        if args.alpha is None or args.pattern is None:
+        if alpha is None or args.pattern is None:
             raise DomainError("--rule binary requires --alpha and --pattern")
         try:
             bits = tuple(int(c) for c in args.pattern)
         except ValueError as exc:
             raise DomainError(f"cannot parse pattern {args.pattern!r}") from exc
-        return BitPerturbedRule(parse_rational(args.alpha), bits)
+        return BitPerturbedRule(alpha, bits)
     raise DomainError(f"unknown rule family {family!r}")
 
 
@@ -221,8 +233,9 @@ def _cmd_eval(args, emitter: _Emitter, bits: int) -> int:
         results = {"rule": rule.describe(), "value": fmt_enclosure(value)}
         params["rule"] = args.rule
         if args.alpha:
-            params["alpha"] = fmt_rational(parse_rational(args.alpha))
+            params["alpha"] = fmt_rational(rule.alpha)
     else:
+        _rule_alpha(args)  # refuses a given --alpha
         value = expansion_value(PierceSeq.finite(prefix), bits)
         results = {"value": fmt_rational(value)}
     if prefix:
@@ -375,8 +388,20 @@ _COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing them, and reads "-p/q" as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern takes "-3" for a value but "-3/4" for an option.
+        self._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?$|^-[0-9]*\.[0-9]+$")
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pierce-lab", add_help=True)
+    parser = _ArgumentParser(prog="pierce-lab", add_help=True)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--config", default=None, help="JSON config file")
     sub = parser.add_subparsers(dest="command")
@@ -479,6 +504,9 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=stderr)
+        return 2
     try:
         bits = _resolve_precision(args)
         emitter = _Emitter(stdout, args.format)

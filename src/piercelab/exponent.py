@@ -24,7 +24,7 @@ from .arith import (
     RatInterval,
     UncertifiedRuleError,
     integer_root,
-    log2_enclosure,
+    log2_bounds,
 )
 from .pierce import DigitStatus, checked_digits, safe_digits
 from .rules import DigitRule
@@ -46,7 +46,6 @@ __all__ = [
 DEFAULT_SCAN_BITS = 32
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class Verdict(Enum):
@@ -55,28 +54,37 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclosure:
-    """Certified enclosure of log n / log d_n for n >= 2; exact 0 at d_n = INFINITY.
+def _ratio_bounds(seq: PierceSeq, n: int, bits: int) -> tuple[int, int, int, int]:
+    """Integers with 0 <= a/b <= log n / log d_n <= c/d <= 1; b, d > 0.
 
-    Lies in [0, 1] because strictly increasing digits satisfy d_n >= n;
-    that same bound is used to tighten the denominator enclosure.
+    Where log d_n's lower bound is at most log n's upper bound, d_n >= n
+    caps the ratio at hi/lo >= 1, so that tightening is the clamp at 1.
     """
     if n < 2:
         raise DomainError("growth ratios are defined for indices n >= 2")
-    num = log2_enclosure(n, bits)
+    lo, hi = log2_bounds(n, bits)
+    scale = 2 << bits
     if seq.is_finite:
         d = seq.term(n)
         if d is INFINITY:
-            return Enclosure.exact(0)
-        den = log2_enclosure(d, bits)
+            return 0, 1, 0, 1
+        den_lo, den_hi, den_scale = *log2_bounds(d, bits), scale
     else:
         # Terms of an infinite rule are never INFINITY; asking the rule
-        # for a log enclosure avoids materialising tower-sized digits.
-        den = seq.rule.log2_term(n, bits)
-    den_lo = max(den.lo, num.lo)  # d_n >= n
-    lo = max(num.lo / den.hi, _ZERO)
-    hi = min(num.hi / den_lo, _ONE)
-    return Enclosure(lo, hi)
+        # for log bounds avoids materialising tower-sized digits.
+        den_lo, den_hi, den_scale = seq.rule.log2_term_bounds(n, bits)
+    if den_lo * scale <= hi * den_scale:
+        return lo * den_scale, den_hi * scale, 1, 1
+    return lo * den_scale, den_hi * scale, hi * den_scale, den_lo * scale
+
+
+def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclosure:
+    """Certified enclosure of log n / log d_n for n >= 2; exact 0 at d_n = INFINITY.
+
+    Lies in [0, 1] because strictly increasing digits satisfy d_n >= n.
+    """
+    a, b, c, d = _ratio_bounds(seq, n, bits)
+    return Enclosure(Fraction(a, b), Fraction(c, d))
 
 
 def exponent_window(
@@ -91,15 +99,14 @@ def exponent_window(
     lo = max(lo, 2)
     if seq.is_finite:
         hi = min(hi, seq.depth)
-    sup_lo = _ZERO
-    sup_hi = _ZERO
+    a, b, c, d = 0, 1, 0, 1
     for n in range(lo, hi + 1):
-        g = growth_ratio(seq, n, bits)
-        if g.lo > sup_lo:
-            sup_lo = g.lo
-        if g.hi > sup_hi:
-            sup_hi = g.hi
-    return Enclosure(sup_lo, sup_hi)
+        na, nb, nc, nd = _ratio_bounds(seq, n, bits)
+        if na * b > a * nb:
+            a, b = na, nb
+        if nc * d > c * nd:
+            c, d = nc, nd
+    return Enclosure(Fraction(a, b), Fraction(c, d))
 
 
 @dataclass(frozen=True)

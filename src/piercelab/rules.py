@@ -21,7 +21,7 @@ from .arith import (
     DomainError,
     Enclosure,
     floor_root_power,
-    log2_enclosure,
+    log2_bounds,
     rational_str,
 )
 from .pierce import validate_prefix
@@ -59,8 +59,13 @@ class DigitRule:
         raise NotImplementedError
 
     def log2_term(self, k: int, bits: int = 32) -> Enclosure:
-        """Certified enclosure of log2(term(k)); default materialises the term."""
-        return log2_enclosure(self.term(k), bits)
+        """Certified enclosure of log2(term(k))."""
+        lo, hi, den = self.log2_term_bounds(k, bits)
+        return Enclosure(Fraction(lo, den), Fraction(hi, den))
+
+    def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
+        """Integers with lo/den <= log2(term(k)) <= hi/den; materialises the term."""
+        return (*log2_bounds(self.term(k), bits), 2 << bits)
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         """Whether sum 1/term(k)**s diverges; None when not certified."""
@@ -99,22 +104,22 @@ class _FloorPowerRule(DigitRule):
         b, p, q = self._tail(k)
         return floor_root_power(b, p, q)
 
-    def log2_term(self, k: int, bits: int = 32) -> Enclosure:
+    def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
         # Exact scaling when p = 1; small bases materialise the floor;
         # larger ones never do: with u = b**(q/p) >= b >= 4 the floor
         # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
         self._require_index(k)
+        scale = 2 << bits
         if k <= len(self.prefix):
-            return log2_enclosure(self.prefix[k - 1], bits)
+            return (*log2_bounds(self.prefix[k - 1], bits), scale)
         b, p, q = self._tail(k)
         if p == 1:
-            lb = log2_enclosure(b, bits)
-            return lb if q == 1 else lb.scale(q)
+            lo, hi = log2_bounds(b, bits)
+            return q * lo, q * hi, scale
         if b < _EXACT_LOG_BASE_BOUND:
-            return log2_enclosure(floor_root_power(b, p, q), bits)
-        lb = log2_enclosure(b, bits)
-        exp = Fraction(q, p)
-        return Enclosure(lb.lo * exp - Fraction(3, b), lb.hi * exp)
+            return (*log2_bounds(floor_root_power(b, p, q), bits), scale)
+        lo, hi = log2_bounds(b, bits)
+        return lo * q * b - 3 * p * scale, hi * q * b, p * b * scale
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         return Fraction(s) <= self.certificate

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piercelab import arith
 from piercelab.arith import (
     DomainError,
     Enclosure,
@@ -16,6 +17,7 @@ from piercelab.arith import (
     integer_root,
     ln2_enclosure,
     ln_enclosure,
+    log2_bounds,
     log2_enclosure,
     pow_enclosure,
     unit_reciprocal,
@@ -185,6 +187,65 @@ class TestLog2Enclosure:
             lo, hi = log_ratio_bracket(n, 2, 4096)
             assert enc.lo <= hi and lo <= enc.hi
             assert enc.width <= F(1, 1 << 48)
+
+    @given(st.integers(1, 8), st.integers(2, 1 << 20))
+    @settings(max_examples=200)
+    def test_integer_oracle(self, frac_bits, n):
+        # lo/S <= log2(n) <= hi/S at S = 2**(frac_bits+1) is 2**lo <= n**S <= 2**hi.
+        scale = 2 << frac_bits
+        enc = log2_enclosure(n, frac_bits)
+        lo, hi = enc.lo * scale, enc.hi * scale
+        assert lo.denominator == hi.denominator == 1
+        power = n**scale
+        assert 2 ** int(lo) <= power <= 2 ** int(hi)
+        if n & (n - 1):
+            assert power < 2 ** int(hi)
+
+    def test_kernel_bits_or_retry(self):
+        # At tiny working precisions the slack decides often; every answer
+        # must still be floor(2**steps * log2(n / 2**e)), checked in integers.
+        for n in range(3, 600, 2):
+            e = n.bit_length() - 1
+            for steps in range(1, 7):
+                power = n ** (1 << steps)
+                for precision in range(1, 13):
+                    acc = arith._log2_mantissa_bits(n, e, steps, precision)
+                    if acc is not None:
+                        low = (e << steps) + acc
+                        assert 2**low <= power < 2 ** (low + 1)
+
+    def test_precision_retry(self, monkeypatch):
+        # With P = 82, the working precision at 32 bits, the mantissa's top
+        # P bits are floor(sqrt(2) * 2**P): its square truncates just below
+        # 2 while the upper bound lands above, so the first pass cannot
+        # decide the first bit and the precision is doubled.
+        n = (math.isqrt(2 << 164) << 10) + 1
+        attempts = []
+        kernel = arith._log2_mantissa_bits
+
+        def spy(*args):
+            attempts.append((args[3], kernel(*args)))
+            return attempts[-1][1]
+
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        monkeypatch.setattr(arith, "_log2_mantissa_bits", spy)
+        enc = log2_enclosure(n)
+        assert attempts[0] == (82, None)
+        assert attempts[1][0] == 164 and attempts[-1][1] is not None
+        assert enc.width == F(1, 1 << 33)
+        # The 33 bits are a prefix of the 41 bits of a finer enclosure.
+        finer = log2_enclosure(n, 40)
+        assert enc.lo * 2**33 == (finer.lo * 2**41) // 2**8
+
+    @pytest.mark.parametrize("frac_bits", [0, 8, 32])
+    def test_bounds_scale_the_enclosure(self, frac_bits):
+        scale = 2 << frac_bits
+        for n in (2, 3, 1024, 1025, 3**40):
+            lo, hi = log2_bounds(n, frac_bits)
+            assert hi - lo == (0 if n & (n - 1) == 0 else 1)
+            assert log2_enclosure(n, frac_bits) == Enclosure(F(lo, scale), F(hi, scale))
+        with pytest.raises(DomainError):
+            log2_bounds(0)
 
     def test_big_input(self):
         n = 3**500

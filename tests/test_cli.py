@@ -111,10 +111,31 @@ class TestMalformedInput:
             ["expand", "0.5"],
             ["expand", "1_0/2_0"],
             ["construct", "--alpha", "0.5", "--in", "0.25,0.5"],
+            # --alpha is parsed, and refused where the family does not read it
+            ["eval", "--prefix", "2", "--alpha", "0.5"],
+            ["lambda", "--rule", "tower", "--alpha", "0.5", "--window", "10"],
+            ["lambda", "--rule", "linear", "--alpha", "1e-3", "--window", "10"],
+            ["eval", "--prefix", "2", "--alpha", "1/2"],
+            ["eval", "--prefix", "2", "--rule", "tower", "--alpha", "1/2"],
+            ["lambda", "--rule", "tower", "--alpha", "1/2", "--window", "10"],
         ],
     )
     def test_flag_inputs(self, argv):
         assert_one_line_domain_error(*invoke(argv))
+
+    def test_negative_positional_rational(self):
+        code, out, err = invoke(["expand", "-3/4"])
+        assert_one_line_domain_error(code, out, err)
+        assert "-3/4" in err and "outside [0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "argv", [["expand"], ["lambda", "--rule", "foo", "--window", "3"], ["expand", "1/2", "2"]]
+    )
+    def test_usage_error_is_one_line(self, argv, capsys):
+        code, out, err = invoke(argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error") and err.count("\n") == 1
+        assert capsys.readouterr() == ("", "")
 
     def test_negative_env_precision(self, monkeypatch):
         argv = ["construct", "--alpha", "1/2", "--in", "1/3,1/2"]

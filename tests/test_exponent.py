@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab.arith import DomainError, RatInterval, UncertifiedRuleError
+from piercelab import arith
+from piercelab.arith import (
+    INFINITY,
+    DomainError,
+    Enclosure,
+    RatInterval,
+    UncertifiedRuleError,
+    log2_enclosure,
+)
 from piercelab.exponent import (
     Verdict,
     certified_exponent,
@@ -19,6 +27,7 @@ from piercelab.exponent import (
 from piercelab.pierce import DigitStatus
 from piercelab.rules import (
     BitPerturbedRule,
+    DigitRule,
     ExplicitRule,
     LinearRule,
     PowerFloorRule,
@@ -87,6 +96,102 @@ class TestWindows:
     def test_window_bounds_recorded(self):
         est = estimate_exponent(PierceSeq.infinite(SQUARES), 1000)
         assert (est.window_lo, est.window_hi) == (500, 1000)
+
+
+def reference_ratio(seq, n, bits=32):
+    """growth_ratio written out on Fraction enclosures of both logs."""
+    num = log2_enclosure(n, bits)
+    if seq.is_finite:
+        d = seq.term(n)
+        if d is INFINITY:
+            return Enclosure.exact(0)
+        den = log2_enclosure(d, bits)
+    else:
+        den = seq.rule.log2_term(n, bits)
+    lo = max(num.lo / den.hi, F(0))
+    hi = min(num.hi / max(den.lo, num.lo), F(1))
+    return Enclosure(lo, hi)
+
+
+def reference_window(seq, lo, hi, bits=32):
+    """Pointwise maxima over lo..hi; indices past finite digits give exact 0."""
+    ratios = [reference_ratio(seq, n, bits) for n in range(max(lo, 2), hi + 1)]
+    return Enclosure(
+        max((r.lo for r in ratios), default=F(0)),
+        max((r.hi for r in ratios), default=F(0)),
+    )
+
+
+class ZeroLowerLogIdentity(DigitRule):
+    """k -> k with log bounds [0, hi]: only d_n >= n keeps the ratio finite."""
+
+    def term(self, k):
+        return k
+
+    def log2_term_bounds(self, k, bits=32):
+        _, hi, den = super().log2_term_bounds(k, bits)
+        return 0, hi, den
+
+
+class FinerLogIdentity(DigitRule):
+    """k -> k with log bounds one bit finer, often strictly inside log2 n's."""
+
+    def term(self, k):
+        return k
+
+    def log2_term_bounds(self, k, bits=32):
+        return super().log2_term_bounds(k, bits + 1)
+
+
+REFERENCE_CASES = [
+    # prefix digits, then materialised floors of small bases
+    (PierceSeq.infinite(PowerFloorRule((2, 5, 11), F(1, 2))), 2, 300),
+    # bases from 2**18 up: the 3/b slack bound, nothing materialised
+    (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300),
+    # p == 1: exact scaling, with q == 1 and with q == k
+    (PierceSeq.infinite(PowerFloorRule((3,), F(1))), 2, 300),
+    (PierceSeq.infinite(TowerRule((2,))), 2, 200),
+    (PierceSeq.infinite(LinearRule(3)), 2, 300),
+    # d_n = n: the upper bound is clamped at 1, also when the log bounds are loose
+    (PierceSeq.infinite(LinearRule(0)), 2, 100),
+    (PierceSeq.infinite(ZeroLowerLogIdentity()), 2, 100),
+    (PierceSeq.infinite(FinerLogIdentity()), 2, 100),
+    (PierceSeq.infinite(BitPerturbedRule(F(0), (0, 1, 1, 0, 1))), 2, 200),
+    (PierceSeq.infinite(BitPerturbedRule(F(2, 3), (0, 1, 1, 0, 1, 0, 1))), 2, 300),
+    (PierceSeq.infinite(ExplicitRule(lambda k: k * k + k, name="k^2+k")), 2, 300),
+    # windows that run past the finite digits, partly and wholly
+    (PierceSeq.finite(tuple(k**3 for k in range(1, 40))), 10, 100),
+    (PierceSeq.finite((2, 5, 11)), 5, 20),
+]
+
+
+class TestReferenceWindow:
+    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES)
+    def test_window_equals_reference(self, seq, lo, hi):
+        assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
+
+    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES)
+    def test_growth_ratio_equals_reference(self, seq, lo, hi):
+        for n in range(max(lo, 2), hi + 1):
+            assert growth_ratio(seq, n) == reference_ratio(seq, n)
+
+
+class TestLogCache:
+    def test_capped_cache_keeps_the_window(self, monkeypatch):
+        seq = PierceSeq.infinite(PowerFloorRule((2,), F(1, 2)))
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        expected = exponent_window(seq, 50, 400)
+        sizes = []
+
+        class RecordingCache(dict):
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                sizes.append(len(self))
+
+        monkeypatch.setattr(arith, "_LOG2_CACHE", RecordingCache())
+        monkeypatch.setattr(arith, "_LOG2_CACHE_CAP", 16)
+        assert exponent_window(seq, 50, 400) == expected
+        assert len(sizes) > 16 and max(sizes) <= 16
 
 
 class TestPointEstimates:

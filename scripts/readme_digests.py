@@ -1,10 +1,11 @@
 """Print the SHA-256 of the stdout of every README command-line example.
 
 Reads the `pierce-lab` lines of the README's "Command line" block, runs
-each as `python -m piercelab ...` against this checkout's `src/`, and
-prints one `sha256  command` line per command.  Exits 1 if any command
-exits non-zero.  Comparing the output of two checkouts shows whether a
-change kept the README commands byte-identical:
+each as `python -m piercelab ...` against this checkout's `src/`, once as
+written and once with `--format csv`, and prints one `sha256  command`
+line per run.  Exits 1 if any run exits non-zero.  Comparing the output
+of two checkouts shows whether a change kept the README commands
+byte-identical:
 
     python3 scripts/readme_digests.py > digests.txt
 """
@@ -41,13 +42,15 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     failed = 0
-    for command in readme_commands(ROOT / "README.md"):
-        argv = [sys.executable, "-m", "piercelab", *shlex.split(command)[1:]]
-        proc = subprocess.run(argv, capture_output=True, env=env, cwd=ROOT)
-        print(f"{hashlib.sha256(proc.stdout).hexdigest()}  {command}", flush=True)
-        if proc.returncode != 0:
-            failed += 1
-            print(f"exit {proc.returncode}: {command}", file=sys.stderr)
+    for readme_command in readme_commands(ROOT / "README.md"):
+        csv_command = readme_command.replace("pierce-lab", "pierce-lab --format csv", 1)
+        for command in (readme_command, csv_command):
+            argv = [sys.executable, "-m", "piercelab", *shlex.split(command)[1:]]
+            proc = subprocess.run(argv, capture_output=True, env=env, cwd=ROOT)
+            print(f"{hashlib.sha256(proc.stdout).hexdigest()}  {command}", flush=True)
+            if proc.returncode != 0:
+                failed += 1
+                print(f"exit {proc.returncode}: {command}", file=sys.stderr)
     return 1 if failed else 0
 
 

@@ -41,9 +41,15 @@ BigRational = Fraction
 
 
 def rational_str(x: Fraction) -> str:
-    """Canonical exact string "p/q" (always with the denominator)."""
+    """Canonical exact string "p/q" (always with the denominator).
+
+    Raises GuardExceededError past Python's int-to-str digit limit.
+    """
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise GuardExceededError(f"rational too long to print: {exc}") from exc
 
 
 class DomainError(ValueError):

@@ -8,13 +8,15 @@ byte-identical output.  Sweep commands stream one envelope per item
 plus a final summary envelope.
 
 Exit codes: 0 success, 2 domain error or bad arguments, 3 guard
-exceeded, 64 unknown subcommand.
+exceeded (a number too long to print included), 64 unknown subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
@@ -120,7 +122,7 @@ def parse_interval(text: str) -> RatInterval:
     return RatInterval(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
-def parse_prefix(text: str) -> tuple[int, ...]:
+def parse_prefix(text: Optional[str]) -> tuple[int, ...]:
     if not text:
         return ()
     try:
@@ -128,28 +130,6 @@ def parse_prefix(text: str) -> tuple[int, ...]:
     except ValueError as exc:
         raise DomainError(f"cannot parse prefix {text!r}") from exc
     return validate_prefix(digits)
-
-
-class _Emitter:
-    """Writes envelopes deterministically as JSON lines or flat CSV rows."""
-
-    def __init__(self, stream: TextIO, fmt: str):
-        self.stream = stream
-        self.fmt = fmt
-        self.line = 0
-
-    def emit(self, envelope: dict) -> None:
-        if self.fmt == "json":
-            self.stream.write(
-                json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
-            )
-        else:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            for path, value in _flatten(envelope):
-                writer.writerow([self.line, path, value])
-            self.stream.write(buf.getvalue())
-        self.line += 1
 
 
 def _flatten(node, path=""):
@@ -163,19 +143,6 @@ def _flatten(node, path=""):
         yield path, json.dumps(node)
 
 
-def _envelope(command: str, params: dict, results: dict, bits: int, seed=None) -> dict:
-    return {
-        "command": command,
-        "params": params,
-        "results": results,
-        "provenance": {
-            "version": __version__,
-            "seed": seed,
-            "precision_bits": bits,
-        },
-    }
-
-
 def _rule_alpha(args) -> Optional[Fraction]:
     """The --alpha of eval or lambda, refused where the rule family ignores it."""
     if args.alpha is None:
@@ -187,8 +154,7 @@ def _rule_alpha(args) -> Optional[Fraction]:
     return alpha
 
 
-def _build_rule(args):
-    prefix = parse_prefix(args.prefix) if getattr(args, "prefix", None) else ()
+def _build_rule(args, prefix: tuple[int, ...]):
     family = args.rule
     alpha = _rule_alpha(args)
     if family == "power":
@@ -210,7 +176,7 @@ def _build_rule(args):
     raise DomainError(f"unknown rule family {family!r}")
 
 
-def _cmd_expand(args, emitter: _Emitter, bits: int) -> int:
+def _cmd_expand(args, bits: int):
     x = parse_rational(args.value)
     digits = digits_rational(x)
     tau = dual_representation(x)[1] if 0 < x < 1 else None
@@ -220,15 +186,14 @@ def _cmd_expand(args, emitter: _Emitter, bits: int) -> int:
         "tau": list(tau) if tau is not None else None,
         "orbit": [fmt_rational(t) for t in orbit],
     }
-    emitter.emit(_envelope("expand", {"x": fmt_rational(x)}, results, bits))
-    return 0
+    yield {"x": fmt_rational(x)}, results
 
 
-def _cmd_eval(args, emitter: _Emitter, bits: int) -> int:
+def _cmd_eval(args, bits: int):
     prefix = parse_prefix(args.prefix)
     params = {"prefix": list(prefix), "bits": bits}
     if args.rule:
-        rule = _build_rule(args)
+        rule = _build_rule(args, prefix)
         value = expansion_value(PierceSeq.infinite(rule), bits)
         results = {"rule": rule.describe(), "value": fmt_enclosure(value)}
         params["rule"] = args.rule
@@ -242,12 +207,11 @@ def _cmd_eval(args, emitter: _Emitter, bits: int) -> int:
         cell = fundamental_interval(prefix)
         results["interval"] = [fmt_rational(cell.left), fmt_rational(cell.right)]
         results["diameter"] = fmt_rational(cell.diameter)
-    emitter.emit(_envelope("eval", params, results, bits))
-    return 0
+    yield params, results
 
 
-def _cmd_lambda(args, emitter: _Emitter, bits: int) -> int:
-    rule = _build_rule(args)
+def _cmd_lambda(args, bits: int):
+    rule = _build_rule(args, parse_prefix(args.prefix))
     estimate = estimate_exponent(PierceSeq.infinite(rule), args.window)
     results = {
         "rule": rule.describe(),
@@ -258,11 +222,10 @@ def _cmd_lambda(args, emitter: _Emitter, bits: int) -> int:
         "certificate": fmt_rational(certified_exponent(rule)),
     }
     params = {"rule": args.rule, "window": args.window}
-    emitter.emit(_envelope("lambda", params, results, bits))
-    return 0
+    yield params, results
 
 
-def _cmd_construct(args, emitter: _Emitter, bits: int) -> int:
+def _cmd_construct(args, bits: int):
     interval = parse_interval(args.interval)
     alpha = parse_rational(args.alpha)
     witness = witness_in_interval(interval, alpha, bits)
@@ -277,11 +240,10 @@ def _cmd_construct(args, emitter: _Emitter, bits: int) -> int:
         "in": fmt_enclosure(interval),
         "bits": bits,
     }
-    emitter.emit(_envelope("construct", params, results, bits))
-    return 0
+    yield params, results
 
 
-def _cmd_divergent(args, emitter: _Emitter, bits: int) -> int:
+def _cmd_divergent(args, bits: int):
     prefix = parse_prefix(args.prefix)
     s = parse_rational(args.s)
     rule = divergent_tail_rule(prefix, s, args.j)
@@ -296,11 +258,10 @@ def _cmd_divergent(args, emitter: _Emitter, bits: int) -> int:
         results["partial_sum"] = fmt_enclosure(partial.sum)
         results["n_terms"] = partial.n_terms
     params = {"s": fmt_rational(s), "prefix": list(prefix), "j": args.j}
-    emitter.emit(_envelope("divergent", params, results, bits))
-    return 0
+    yield params, results
 
 
-def _cmd_cover(args, emitter: _Emitter, bits: int) -> int:
+def _cmd_cover(args, bits: int):
     params_obj = CoverParams(
         N=args.N,
         alpha=parse_rational(args.alpha),
@@ -326,11 +287,10 @@ def _cmd_cover(args, emitter: _Emitter, bits: int) -> int:
         "s": fmt_rational(params_obj.s),
         "kmax": args.kmax,
     }
-    emitter.emit(_envelope("cover", params, results, bits))
-    return 0
+    yield params, results
 
 
-def _cmd_grid(args, emitter: _Emitter, bits: int) -> int:
+def _cmd_grid(args, bits: int):
     alpha = parse_rational(args.alpha)
     report = grid_witness_sweep(alpha, args.depth, bits)
     params = {"alpha": fmt_rational(alpha), "depth": args.depth, "bits": bits}
@@ -343,17 +303,16 @@ def _cmd_grid(args, emitter: _Emitter, bits: int) -> int:
             "enclosure": fmt_enclosure(cell.witness.enclosure),
             "certificate": fmt_rational(cell.witness.certificate),
         }
-        emitter.emit(_envelope("grid", params, results, bits))
+        yield params, results
     summary = {
         "kind": "summary",
         "cells": len(report.cells),
         "all_witnessed": report.all_witnessed,
     }
-    emitter.emit(_envelope("grid", params, summary, bits))
-    return 0
+    yield params, summary
 
 
-def _cmd_sample(args, emitter: _Emitter, bits: int) -> int:
+def _cmd_sample(args, bits: int):
     report = sample_digit_statistics(args.bits, args.count, args.seed)
     params = {"bits": args.bits, "count": args.count, "seed": args.seed}
     for rec in report.samples:
@@ -365,15 +324,14 @@ def _cmd_sample(args, emitter: _Emitter, bits: int) -> int:
             "log_ratio": fmt_enclosure(rec.log_ratio) if rec.log_ratio else None,
             "window": fmt_enclosure(rec.window),
         }
-        emitter.emit(_envelope("sample", params, results, bits, seed=args.seed))
+        yield params, results
     summary = {
         "kind": "summary",
         "algorithm": report.algorithm,
         "median_log_ratio": fmt_rational(report.median_log_ratio),
         "median_depth": fmt_rational(report.median_depth),
     }
-    emitter.emit(_envelope("sample", params, summary, bits, seed=args.seed))
-    return 0
+    yield params, summary
 
 
 _COMMANDS = {
@@ -400,6 +358,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@functools.cache  # built on first use, so importing the module stays cheap
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="pierce-lab", add_help=True)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -499,9 +458,9 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
         print(f"unknown subcommand: {attempted}", file=stderr)
         print(USAGE, file=stderr, end="")
         return 64
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(stdout):  # argparse prints help to sys.stdout
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     except argparse.ArgumentError as exc:
@@ -509,8 +468,28 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
         return 2
     try:
         bits = _resolve_precision(args)
-        emitter = _Emitter(stdout, args.format)
-        return _COMMANDS[args.command](args, emitter, bits)
+        seed = getattr(args, "seed", None)
+        provenance = {"version": __version__, "seed": seed, "precision_bits": bits}
+        for line, (params, results) in enumerate(_COMMANDS[args.command](args, bits)):
+            envelope = {
+                "command": args.command,
+                "params": params,
+                "results": results,
+                "provenance": provenance,
+            }
+            try:  # both formats refuse an integer past Python's int-to-str digit limit
+                if args.format == "json":
+                    text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
+                else:
+                    buf = io.StringIO()
+                    csv.writer(buf, lineterminator="\n").writerows(
+                        [line, path, value] for path, value in _flatten(envelope)
+                    )
+                    text = buf.getvalue()
+            except ValueError as exc:
+                raise GuardExceededError(f"report number too long to print: {exc}") from exc
+            stdout.write(text)
+        return 0
     except GuardExceededError as exc:
         print(f"guard exceeded: {exc}", file=stderr)
         return 3

@@ -163,20 +163,31 @@ class FundamentalInterval:
         return RatInterval(self.left, self.right)
 
 
+def _cell(s: int, p: int, d: int, n: int) -> tuple[Fraction, Fraction]:
+    """(left, right) of the depth-n cell whose prefix sums to s/p and ends in d.
+
+    The bumped prefix (last digit d + 1) has the value
+    (s*(d+1) - (-1)^(n+1)) / (p*(d+1)): below s/p for odd n, above it for
+    even n.
+    """
+    sign = 1 if n % 2 else -1
+    value, bumped = Fraction(s, p), Fraction(s * (d + 1) - sign, p * (d + 1))
+    return (bumped, value) if sign > 0 else (value, bumped)
+
+
 def fundamental_interval(prefix) -> FundamentalInterval:
     """Exact endpoints and diameter of the cell of a non-empty prefix.
 
     The endpoints are the values of the prefix and of its last-digit
-    bump; the diameter equals (prod 1/d_j) / (d_n + 1), which is also
-    asserted here as an internal cross-check.
+    bump, both from the prefix's last partial sum; the diameter equals
+    (prod 1/d_j) / (d_n + 1), which is also asserted here as an internal
+    cross-check.
     """
     prefix = validate_prefix(prefix)
     if not prefix:
         raise DomainError("the empty prefix has no fundamental interval")
     s, p = _exact_sum(prefix)
-    a = Fraction(s, p)
-    b = Fraction(*_exact_sum(bump_last(prefix)))
-    left, right = (a, b) if a <= b else (b, a)
+    left, right = _cell(s, p, prefix[-1], len(prefix))
     diameter = right - left
     assert diameter == Fraction(1, p * (prefix[-1] + 1))
     return FundamentalInterval(prefix, left, right, diameter)
@@ -217,14 +228,13 @@ def locate_cylinder(interval: RatInterval) -> tuple[int, ...]:
     if lo >= hi:
         raise DomainError("locate_cylinder requires an interval with interior")
     mid = (lo + hi) / 2
-    chain = digits_rational(mid)
-    for depth in range(1, len(chain) + 1):
-        cell = fundamental_interval(chain[:depth])
-        if lo <= cell.left and cell.right <= hi:
+    chain = digits_rational(mid)  # non-empty: mid > 0
+    for depth, (d, (s, product)) in enumerate(zip(chain, alternating_sums(chain)), start=1):
+        left, right = _cell(s, product, d, depth)
+        if lo <= left and right <= hi:
             return chain[:depth]
     # mid equals the value of its full chain; children sit at
     # mid + (-1)^n / (P*m) and shrink toward mid, which is interior.
-    _, product = _exact_sum(chain)
     side = 1 if len(chain) % 2 == 0 else -1
     gap = (hi - mid) if side > 0 else (mid - lo)
     first = max(chain[-1] + 1, -(-gap.denominator // (product * gap.numerator)))

@@ -1,10 +1,12 @@
+import argparse
+import csv
 import io
 import json
 
 import jsonschema
 import pytest
 
-from piercelab.cli import REPORT_SCHEMA, run
+from piercelab.cli import REPORT_SCHEMA, _build_parser, run
 
 
 @pytest.fixture(autouse=True)
@@ -166,6 +168,21 @@ class TestGuards:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a rational past Python's 4300-digit int-to-str limit
+            ["eval", "--prefix", "2", "--rule", "power", "--alpha", "1/10000"],
+            # an integer digit past that limit, in both output formats
+            ["divergent", "--s", "1/10000", "--prefix", "2", "--j", "1"],
+            ["--format", "csv", "divergent", "--s", "1/10000", "--prefix", "2", "--j", "1"],
+        ],
+    )
+    def test_number_too_long_to_print(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 3 and out == ""
+        assert err.startswith("guard exceeded") and err.count("\n") == 1
+
     def test_unknown_subcommand(self):
         code, _, err = invoke(["frobnicate", "--x", "1"])
         assert code == 64
@@ -275,6 +292,12 @@ class TestFormatsAndConfig:
         code, out, _ = invoke(["--help"])
         assert code == 0 and "usage" in out
 
+    def test_subcommand_help_goes_to_given_stdout(self, capsys):
+        code, out, err = invoke(["expand", "-h"])
+        assert code == 0 and err == ""
+        assert out.startswith("usage: pierce-lab expand")
+        assert capsys.readouterr() == ("", "")
+
     def test_cover_report_fields(self):
         _, out, _ = invoke(
             ["cover", "--alpha", "1/2", "--beta", "1/2", "--eps", "1/10", "--s", "3", "--kmax", "30"]
@@ -284,3 +307,43 @@ class TestFormatsAndConfig:
         assert res["verdict"] == "ratio_vanishing"
         assert res["threshold"] == "9/10"
         assert len(res["terms"]) == 30 and len(res["ratios"]) == 29
+
+
+class TestSharedParser:
+    def test_earlier_runs_leave_no_state(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"precision_bits": 40}')
+        plain = ["eval", "--prefix", "2"]
+        _build_parser.cache_clear()
+        assert invoke(["expand"])[0] == 2  # usage error
+        assert invoke(["expand", "3/2"])[0] == 2  # domain error
+        assert invoke(["--config", str(cfg), *plain])[0] == 0
+        assert invoke([*plain, "--bits", "8"])[0] == 0
+        after = invoke(plain)
+        _build_parser.cache_clear()
+        assert after == invoke(plain)
+        assert lines_of(after[1])[0]["provenance"]["precision_bits"] == 64
+
+    def test_parser_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        _build_parser.cache_clear()
+        assert invoke(["expand", "7/10"])[0] == 0
+        first = len(built)
+        assert first > 0
+        assert invoke(["eval", "--prefix", "2"])[0] == 0
+        assert len(built) == first
+
+    def test_csv_rows_numbered_per_envelope(self):
+        code, out, _ = invoke(["--format", "csv", "grid", "--alpha", "1/2", "--depth", "2"])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert sorted({int(line) for line, _, _ in rows}) == [0, 1, 2, 3, 4]
+        kinds = {int(line): json.loads(value) for line, key, value in rows if key == "results.kind"}
+        assert kinds == {0: "cell", 1: "cell", 2: "cell", 3: "cell", 4: "summary"}

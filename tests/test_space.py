@@ -192,6 +192,11 @@ class TestLocateCylinder:
         prefix = locate_cylinder(RatInterval(lo, hi))
         cell = fundamental_interval(prefix)
         assert lo <= cell.left and cell.right <= hi
+        # the shallowest fitting cell of the midpoint's chain, else a child of its last cell
+        chain = digits_rational((lo + hi) / 2)
+        cells = [fundamental_interval(chain[:depth]) for depth in range(1, len(chain) + 1)]
+        fits = [c.prefix for c in cells if lo <= c.left and c.right <= hi]
+        assert (prefix == fits[0]) if fits else (prefix[:-1] == chain)
 
     def test_midpoint_chain_consistency(self):
         iv = RatInterval(F(9, 10), F(1))

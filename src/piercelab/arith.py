@@ -271,7 +271,9 @@ class RatInterval(Enclosure):
         lo, hi = Fraction(self.lo), Fraction(self.hi)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if not (0 <= lo <= hi <= 1):
+        if lo > hi:
+            raise DomainError(f"interval [{lo}, {hi}] has its endpoints out of order")
+        if not (0 <= lo and hi <= 1):
             raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
 
 
@@ -310,6 +312,24 @@ def _log2_mantissa_bits(n: int, e: int, steps: int, precision: int):
     return acc
 
 
+def _log2_floor(n: int, steps: int) -> int:
+    """floor(2**steps * log2(n)) by the squaring kernel."""
+    e = n.bit_length() - 1
+    lo = e << steps
+    if n != 1 << e:
+        precision = 2 * steps + 16
+        while (acc := _log2_mantissa_bits(n, e, steps, precision)) is None:
+            precision *= 2
+        lo += acc
+    return lo
+
+
+def _remember(key: tuple[int, int], lo: int) -> None:
+    if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
+        _LOG2_CACHE.clear()
+    _LOG2_CACHE[key] = lo
+
+
 def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
     """Integers lo <= S*log2(n) <= hi at scale S = 2**(frac_bits+1).
 
@@ -321,18 +341,70 @@ def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
     key = (n, frac_bits)
     lo = _LOG2_CACHE.get(key)
     if lo is None:
-        e = n.bit_length() - 1
-        steps = frac_bits + 1
-        lo = e << steps
-        if n != 1 << e:
-            precision = 2 * steps + 16
-            while (acc := _log2_mantissa_bits(n, e, steps, precision)) is None:
-                precision *= 2
-            lo += acc
-        if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
-            _LOG2_CACHE.clear()
-        _LOG2_CACHE[key] = lo
+        lo = _log2_floor(n, frac_bits + 1)
+        _remember(key, lo)
     return lo, lo if n & (n - 1) == 0 else lo + 1
+
+
+# Guard bits of a log run below the output scale.  A step widens the
+# accumulator by a few units, so thousands of steps fit between re-seeds.
+_RUN_GUARD_BITS = 24
+
+
+def _log2_run(ns, frac_bits: int = 32):
+    """Yield log2_bounds(n, frac_bits) for each n of an increasing run.
+
+    Reads and fills `_LOG2_CACHE` like log2_bounds.  A miss at m steps an
+    integer interval [acc_lo, acc_hi] around 2**w * log2 from the last
+    miss prev, w = frac_bits + 1 + g, by log2 m - log2 prev =
+    (2/ln 2) atanh(y), y = (m - prev)/(m + prev): odd powers of y while
+    C*y**j > 1 for C = 2**w * 2/ln 2, then at most 1/(1 - y**2) < 2 units
+    of tail.  Where both ends agree on `>> g` that is the kernel's unique
+    floor; otherwise the kernel re-seeds at w bits.  A gap past prev/16
+    takes the plain kernel and leaves the seeding to the next miss, so
+    runs of far-apart digits cost what log2_bounds costs.  Powers of two
+    are exact.
+    """
+    g = _RUN_GUARD_BITS
+    w = frac_bits + 1 + g
+    ln2 = ln2_enclosure(w + 8)
+    c_lo = (2 << w) * ln2.hi.denominator // ln2.hi.numerator
+    c_hi = -(-(2 << w) * ln2.lo.denominator // ln2.lo.numerator)
+    cached = _LOG2_CACHE.get
+    prev = acc_lo = acc_hi = 0
+    seeded = False
+    for m in ns:
+        key = (m, frac_bits)
+        lo = cached(key)
+        if lo is None:
+            d = m - prev
+            if m & (m - 1) == 0:
+                acc_lo = acc_hi = (m.bit_length() - 1) << w
+                seeded = True
+            elif not 0 < 16 * d <= prev:
+                lo = _log2_floor(m, frac_bits + 1)
+                seeded = False
+            else:
+                if seeded:
+                    t = m + prev
+                    d2, t2 = d * d, t * t
+                    u_lo, u_hi = c_lo * d // t, -(-c_hi * d // t)
+                    j = 1
+                    while u_hi > 1:
+                        acc_lo += u_lo // j
+                        acc_hi -= -u_hi // j
+                        u_lo, u_hi = u_lo * d2 // t2, -(-u_hi * d2 // t2)
+                        j += 2
+                    acc_hi += 2
+                if not seeded or acc_lo >> g != acc_hi >> g:
+                    acc_lo = _log2_floor(m, w)
+                    acc_hi = acc_lo + 1
+                    seeded = True
+            prev = m
+            if seeded:
+                lo = acc_lo >> g
+            _remember(key, lo)
+        yield lo, lo if m & (m - 1) == 0 else lo + 1
 
 
 def log2_enclosure(n: int, frac_bits: int = 32) -> Enclosure:

@@ -67,7 +67,9 @@ def divergent_tail_rule(prefix, s: Fraction, keep: int) -> DigitRule:
     s = Fraction(s)
     if not (0 < s <= 1):
         raise DomainError("the divergence exponent must lie in (0, 1]")
-    if keep < 0 or keep > len(prefix):
+    if keep < 0:
+        raise DomainError(f"keep={keep} must be non-negative")
+    if keep > len(prefix):
         raise DomainError(
             f"keep={keep} exceeds the available prefix length {len(prefix)}"
         )

@@ -23,6 +23,7 @@ from .arith import (
     INFINITY,
     RatInterval,
     UncertifiedRuleError,
+    _log2_run,
     integer_root,
     log2_bounds,
 )
@@ -54,28 +55,37 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-def _ratio_bounds(seq: PierceSeq, n: int, bits: int) -> tuple[int, int, int, int]:
+def _ratio(lo: int, hi: int, den_lo: int, den_hi: int, den_scale: int, scale: int):
     """Integers with 0 <= a/b <= log n / log d_n <= c/d <= 1; b, d > 0.
 
-    Where log d_n's lower bound is at most log n's upper bound, d_n >= n
-    caps the ratio at hi/lo >= 1, so that tightening is the clamp at 1.
+    From lo/scale <= log2 n <= hi/scale and den_lo/den_scale <=
+    log2 d_n <= den_hi/den_scale.  Where log d_n's lower bound is at most
+    log n's upper bound, d_n >= n caps the ratio at hi/lo >= 1, so that
+    tightening is the clamp at 1.
     """
+    if den_scale != scale:
+        lo, hi = lo * den_scale, hi * den_scale
+        den_lo, den_hi = den_lo * scale, den_hi * scale
+    if den_lo <= hi:
+        return lo, den_hi, 1, 1
+    return lo, den_hi, hi, den_lo
+
+
+def _ratio_bounds(seq: PierceSeq, n: int, bits: int) -> tuple[int, int, int, int]:
+    """_ratio at one index n >= 2; (0, 1, 0, 1) where d_n = INFINITY."""
     if n < 2:
         raise DomainError("growth ratios are defined for indices n >= 2")
-    lo, hi = log2_bounds(n, bits)
     scale = 2 << bits
     if seq.is_finite:
         d = seq.term(n)
         if d is INFINITY:
             return 0, 1, 0, 1
-        den_lo, den_hi, den_scale = *log2_bounds(d, bits), scale
+        den = (*log2_bounds(d, bits), scale)
     else:
         # Terms of an infinite rule are never INFINITY; asking the rule
         # for log bounds avoids materialising tower-sized digits.
-        den_lo, den_hi, den_scale = seq.rule.log2_term_bounds(n, bits)
-    if den_lo * scale <= hi * den_scale:
-        return lo * den_scale, den_hi * scale, 1, 1
-    return lo * den_scale, den_hi * scale, hi * den_scale, den_lo * scale
+        den = seq.rule.log2_term_bounds(n, bits)
+    return _ratio(*log2_bounds(n, bits), *den, scale)
 
 
 def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclosure:
@@ -95,13 +105,19 @@ def exponent_window(
     The pointwise maxima of the individual lower and upper bounds
     enclose the true window maximum.  An empty window (or one past the
     finite digits) gives exact 0, matching the all-INFINITY convention.
+    Both logs come from runs along the window, the indices and the
+    digits being increasing.
     """
     lo = max(lo, 2)
+    scale = 2 << bits
     if seq.is_finite:
         hi = min(hi, seq.depth)
+        dens = ((*bounds, scale) for bounds in _log2_run(seq.prefix[lo - 1:hi], bits))
+    else:
+        dens = seq.rule.log2_term_run(lo, hi, bits)
     a, b, c, d = 0, 1, 0, 1
-    for n in range(lo, hi + 1):
-        na, nb, nc, nd = _ratio_bounds(seq, n, bits)
+    for logs, den in zip(_log2_run(range(lo, hi + 1), bits), dens):
+        na, nb, nc, nd = _ratio(*logs, *den, scale)
         if na * b > a * nb:
             a, b = na, nb
         if nc * d > c * nd:

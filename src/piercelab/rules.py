@@ -15,11 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .arith import (
     DomainError,
     Enclosure,
+    _log2_run,
     floor_root_power,
     log2_bounds,
     rational_str,
@@ -67,6 +70,11 @@ class DigitRule:
         """Integers with lo/den <= log2(term(k)) <= hi/den; materialises the term."""
         return (*log2_bounds(self.term(k), bits), 2 << bits)
 
+    def log2_term_run(self, lo: int, hi: int, bits: int = 32):
+        """Yield log2_term_bounds(k, bits) for k = lo..hi."""
+        for k in range(lo, hi + 1):
+            yield self.log2_term_bounds(k, bits)
+
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         """Whether sum 1/term(k)**s diverges; None when not certified."""
         return None
@@ -104,22 +112,36 @@ class _FloorPowerRule(DigitRule):
         b, p, q = self._tail(k)
         return floor_root_power(b, p, q)
 
-    def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
-        # Exact scaling when p = 1; small bases materialise the floor;
-        # larger ones never do: with u = b**(q/p) >= b >= 4 the floor
-        # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
-        self._require_index(k)
-        scale = 2 << bits
+    def _log2_operand(self, k: int) -> tuple[int, int, int]:
+        """(n, p, q) with term(k) = n**q when p == 1, else floor(n**(q/p)) for n >= 2**18."""
         if k <= len(self.prefix):
-            return (*log2_bounds(self.prefix[k - 1], bits), scale)
+            return self.prefix[k - 1], 1, 1
         b, p, q = self._tail(k)
+        if p != 1 and b < _EXACT_LOG_BASE_BOUND:
+            return floor_root_power(b, p, q), 1, 1
+        return b, p, q
+
+    @staticmethod
+    def _scale_log(n: int, p: int, q: int, lo: int, hi: int, scale: int):
+        # Exact scaling when p = 1.  Otherwise n = b >= 2**18 (smaller bases
+        # come materialised, with p = q = 1), and with u = b**(q/p) >= b the
+        # floor loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
         if p == 1:
-            lo, hi = log2_bounds(b, bits)
             return q * lo, q * hi, scale
-        if b < _EXACT_LOG_BASE_BOUND:
-            return (*log2_bounds(floor_root_power(b, p, q), bits), scale)
-        lo, hi = log2_bounds(b, bits)
-        return lo * q * b - 3 * p * scale, hi * q * b, p * b * scale
+        return lo * q * n - 3 * p * scale, hi * q * n, p * n * scale
+
+    def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
+        self._require_index(k)
+        n, p, q = self._log2_operand(k)
+        return self._scale_log(n, p, q, *log2_bounds(n, bits), 2 << bits)
+
+    def log2_term_run(self, lo: int, hi: int, bits: int = 32):
+        # One log run over the operands: prefix digits, then bases or floors.
+        self._require_index(lo)
+        scale = 2 << bits
+        operands, ns = tee(map(self._log2_operand, range(lo, hi + 1)))
+        for (n, p, q), (a, b) in zip(operands, _log2_run(map(itemgetter(0), ns), bits)):
+            yield self._scale_log(n, p, q, a, b, scale)
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         return Fraction(s) <= self.certificate

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from piercelab import arith
@@ -253,6 +253,101 @@ class TestLog2Enclosure:
         assert enc.width <= F(1, 1 << 32)
         assert abs(float(enc.lo) - 500 * math.log2(3)) < 1e-6
 
+
+
+FRAC_BITS = st.sampled_from([0, 8, 32, 48])
+
+
+@st.composite
+def mixed_runs(draw):
+    """Increasing runs whose gaps are small, within n/16 (stepped) or past it (kernel)."""
+    n = draw(st.integers(1, 1 << 40))
+    run = [n]
+    for kind in draw(st.lists(st.sampled_from("sml"), min_size=50, max_size=300)):
+        top = {"s": 3, "m": max(1, n // 16), "l": n + 2}[kind]
+        low = n // 16 + 1 if kind == "l" else 1
+        n += draw(st.integers(low, max(low, top)))
+        run.append(n)
+    return run
+
+
+def run_settings(examples: int):
+    # check() swaps the cache with monkeypatch anew in every example.
+    return settings(max_examples=examples, deadline=None,
+                    suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestLog2Run:
+    """_log2_run yields exactly log2_bounds, sharing its cache."""
+
+    @staticmethod
+    def check(monkeypatch, ns, frac_bits, prefill=()):
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        expected = [log2_bounds(n, frac_bits) for n in ns]
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        for n in prefill:
+            log2_bounds(n, frac_bits)
+        assert list(arith._log2_run(ns, frac_bits)) == expected
+        assert all(arith._LOG2_CACHE[n, frac_bits] == lo for n, (lo, _) in zip(ns, expected))
+
+    @given(st.integers(1, 3), st.integers(300, 3000), FRAC_BITS)
+    @run_settings(12)
+    def test_consecutive_from_the_start(self, monkeypatch, start, length, frac_bits):
+        self.check(monkeypatch, range(start, start + length), frac_bits)
+
+    @given(st.integers(9, 70), st.integers(1, 300), st.integers(1, 300), FRAC_BITS)
+    @run_settings(30)
+    def test_across_powers_of_two(self, monkeypatch, e, below, above, frac_bits):
+        self.check(monkeypatch, range((1 << e) - below, (1 << e) + above), frac_bits)
+
+    @given(st.integers(2, 10**6), st.integers(1, 400), FRAC_BITS)
+    @run_settings(20)
+    def test_gappy_floor_powers(self, monkeypatch, b, length, frac_bits):
+        ns = [floor_root_power(c, 3, 4) for c in range(b, b + length)]
+        self.check(monkeypatch, ns, frac_bits)
+
+    @given(mixed_runs(), FRAC_BITS)
+    @run_settings(40)
+    def test_mixed_and_kernel_sized_gaps(self, monkeypatch, ns, frac_bits):
+        self.check(monkeypatch, ns, frac_bits)
+
+    @given(mixed_runs(), st.data())
+    @run_settings(40)
+    def test_interleaved_with_cached_entries(self, monkeypatch, ns, data):
+        prefill = data.draw(st.lists(st.sampled_from(ns) | st.integers(1, 1 << 41)))
+        self.check(monkeypatch, ns, 32, prefill)
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """(n, steps) of every squaring-kernel call."""
+        calls = []
+        kernel = arith._log2_floor
+
+        def spy(n, steps):
+            calls.append((n, steps))
+            return kernel(n, steps)
+
+        monkeypatch.setattr(arith, "_log2_floor", spy)
+        return calls
+
+    @pytest.mark.parametrize("guard_bits", [1, 2])
+    def test_tiny_guard_forces_fallbacks(self, monkeypatch, kernel_calls, guard_bits):
+        monkeypatch.setattr(arith, "_RUN_GUARD_BITS", guard_bits)
+        ns = range(1000, 3000)
+        self.check(monkeypatch, ns, 32)
+        seeds = [n for n, steps in kernel_calls if steps == 33 + guard_bits]
+        assert len(seeds) > len(ns) // 2
+
+    def test_default_guard_rarely_falls_back(self, monkeypatch, kernel_calls):
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        assert len(list(arith._log2_run(range(50_000, 60_000)))) == 10_000
+        # the first n by the plain kernel, the second seeds the accumulator
+        assert kernel_calls[:2] == [(50_000, 33), (50_001, 33 + 24)]
+        assert len(kernel_calls) <= 10
+
+    def test_far_apart_runs_take_the_plain_kernel(self, monkeypatch, kernel_calls):
+        self.check(monkeypatch, [3**k for k in range(1, 60)], 32)
+        assert {steps for _, steps in kernel_calls} == {33}
 
 class TestLnEnclosures:
     def test_ln2(self):

@@ -139,6 +139,20 @@ class TestMalformedInput:
         assert err.startswith("usage error") and err.count("\n") == 1
         assert capsys.readouterr() == ("", "")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["construct", "--alpha", "1/2", "--in", "1/2,1/3"], "endpoints out of order"),
+            (["construct", "--alpha", "1/2", "--in", "1/3,3/2"], "not within [0, 1]"),
+            (["divergent", "--s", "1/2", "--prefix", "2", "--j", "-1"], "must be non-negative"),
+            (["divergent", "--s", "1/2", "--prefix", "2", "--j", "2"], "exceeds the available"),
+        ],
+    )
+    def test_message_names_the_fault(self, argv, message):
+        code, out, err = invoke(argv)
+        assert_one_line_domain_error(code, out, err)
+        assert message in err
+
     def test_negative_env_precision(self, monkeypatch):
         argv = ["construct", "--alpha", "1/2", "--in", "1/3,1/2"]
         assert_one_line_domain_error(*invoke(argv, env_bits=-1, monkeypatch=monkeypatch))

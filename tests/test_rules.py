@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from piercelab import arith
 from piercelab.arith import log2_enclosure
 from piercelab.rules import (
     BitPerturbedRule,
@@ -58,6 +61,35 @@ def test_log2_term_certifies_the_term(case):
         assert enc.lo <= ref.hi and ref.lo <= enc.hi, k  # both hold log2(term(k))
         if k <= len(prefix_of(rule)) or tail_materialises:
             assert enc == ref, k
+
+
+@given(st.integers(0, 3000), st.integers(0, 400))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
+    # Prefix indices, p == 1 (tower too), materialised floors and the slack path.
+    rule, _ = case
+    lo = max(1, len(prefix_of(rule)) + start - 50)
+    ks = range(lo, lo + length + 1)
+    monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+    expected = [rule.log2_term_bounds(k) for k in ks]
+    monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+    assert list(rule.log2_term_run(ks.start, ks.stop - 1)) == expected
+
+
+@pytest.mark.parametrize(
+    "rule, lo, hi",
+    [
+        # the tail leaves the materialised floor for the slack path at b = 2**18
+        (PowerFloorRule((), F(2, 3)), (1 << 18) - 60, (1 << 18) + 60),
+        (ExplicitRule(lambda k: 3 * k * k + 1, name="3k^2+1"), 1, 300),
+    ],
+)
+def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
+    monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+    expected = [rule.log2_term_bounds(k) for k in range(lo, hi + 1)]
+    monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+    assert list(rule.log2_term_run(lo, hi)) == expected
 
 
 def test_power_sum_diverges_at_and_below_the_certificate(case):

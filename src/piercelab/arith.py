@@ -351,16 +351,35 @@ def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
 _RUN_GUARD_BITS = 24
 
 
+def _log2_step(acc_lo: int, acc_hi: int, n: int, m: int, c_lo: int, c_hi: int):
+    """Move [acc_lo, acc_hi] from around 2**w * log2 n to around 2**w * log2 m.
+
+    Needs n < m <= n + n/16 and c_lo <= C <= c_hi for C = 2**w * 2/ln 2.
+    Adds (2/ln 2) atanh(y), y = (m - n)/(m + n) <= 1/33, as odd powers of
+    y over j while C*y**j > 1, floored below and ceiled above; the terms
+    left out sum to at most 1/(1 - y**2) < 2 units, added above.
+    """
+    t = m + n
+    d = m - n
+    d2, t2 = d * d, t * t
+    u_lo, u_hi = c_lo * d // t, -(-c_hi * d // t)
+    j = 1
+    while u_hi > 1:
+        acc_lo += u_lo // j
+        acc_hi -= -u_hi // j
+        u_lo, u_hi = u_lo * d2 // t2, -(-u_hi * d2 // t2)
+        j += 2
+    return acc_lo, acc_hi + 2
+
+
 def _log2_run(ns, frac_bits: int = 32):
     """Yield log2_bounds(n, frac_bits) for each n of an increasing run.
 
     Reads and fills `_LOG2_CACHE` like log2_bounds.  A miss at m steps an
     integer interval [acc_lo, acc_hi] around 2**w * log2 from the last
-    miss prev, w = frac_bits + 1 + g, by log2 m - log2 prev =
-    (2/ln 2) atanh(y), y = (m - prev)/(m + prev): odd powers of y while
-    C*y**j > 1 for C = 2**w * 2/ln 2, then at most 1/(1 - y**2) < 2 units
-    of tail.  Where both ends agree on `>> g` that is the kernel's unique
-    floor; otherwise the kernel re-seeds at w bits.  A gap past prev/16
+    miss prev, w = frac_bits + 1 + g, by _log2_step.  Where both ends
+    agree on `>> g` that is the kernel's unique floor; otherwise the
+    kernel re-seeds at w bits.  A gap past prev/16
     takes the plain kernel and leaves the seeding to the next miss, so
     runs of far-apart digits cost what log2_bounds costs.  Powers of two
     are exact.
@@ -386,16 +405,7 @@ def _log2_run(ns, frac_bits: int = 32):
                 seeded = False
             else:
                 if seeded:
-                    t = m + prev
-                    d2, t2 = d * d, t * t
-                    u_lo, u_hi = c_lo * d // t, -(-c_hi * d // t)
-                    j = 1
-                    while u_hi > 1:
-                        acc_lo += u_lo // j
-                        acc_hi -= -u_hi // j
-                        u_lo, u_hi = u_lo * d2 // t2, -(-u_hi * d2 // t2)
-                        j += 2
-                    acc_hi += 2
+                    acc_lo, acc_hi = _log2_step(acc_lo, acc_hi, prev, m, c_lo, c_hi)
                 if not seeded or acc_lo >> g != acc_hi >> g:
                     acc_lo = _log2_floor(m, w)
                     acc_hi = acc_lo + 1

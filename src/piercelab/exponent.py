@@ -20,12 +20,10 @@ from typing import Optional
 from .arith import (
     DomainError,
     Enclosure,
-    INFINITY,
     RatInterval,
     UncertifiedRuleError,
     _log2_run,
     integer_root,
-    log2_bounds,
 )
 from .pierce import DigitStatus, checked_digits, safe_digits
 from .rules import DigitRule
@@ -55,46 +53,14 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-def _ratio(lo: int, hi: int, den_lo: int, den_hi: int, den_scale: int, scale: int):
-    """Integers with 0 <= a/b <= log n / log d_n <= c/d <= 1; b, d > 0.
-
-    From lo/scale <= log2 n <= hi/scale and den_lo/den_scale <=
-    log2 d_n <= den_hi/den_scale.  Where log d_n's lower bound is at most
-    log n's upper bound, d_n >= n caps the ratio at hi/lo >= 1, so that
-    tightening is the clamp at 1.
-    """
-    if den_scale != scale:
-        lo, hi = lo * den_scale, hi * den_scale
-        den_lo, den_hi = den_lo * scale, den_hi * scale
-    if den_lo <= hi:
-        return lo, den_hi, 1, 1
-    return lo, den_hi, hi, den_lo
-
-
-def _ratio_bounds(seq: PierceSeq, n: int, bits: int) -> tuple[int, int, int, int]:
-    """_ratio at one index n >= 2; (0, 1, 0, 1) where d_n = INFINITY."""
-    if n < 2:
-        raise DomainError("growth ratios are defined for indices n >= 2")
-    scale = 2 << bits
-    if seq.is_finite:
-        d = seq.term(n)
-        if d is INFINITY:
-            return 0, 1, 0, 1
-        den = (*log2_bounds(d, bits), scale)
-    else:
-        # Terms of an infinite rule are never INFINITY; asking the rule
-        # for log bounds avoids materialising tower-sized digits.
-        den = seq.rule.log2_term_bounds(n, bits)
-    return _ratio(*log2_bounds(n, bits), *den, scale)
-
-
 def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclosure:
     """Certified enclosure of log n / log d_n for n >= 2; exact 0 at d_n = INFINITY.
 
     Lies in [0, 1] because strictly increasing digits satisfy d_n >= n.
     """
-    a, b, c, d = _ratio_bounds(seq, n, bits)
-    return Enclosure(Fraction(a, b), Fraction(c, d))
+    if n < 2:
+        raise DomainError("growth ratios are defined for indices n >= 2")
+    return exponent_window(seq, n, n, bits)
 
 
 def exponent_window(
@@ -114,14 +80,25 @@ def exponent_window(
         hi = min(hi, seq.depth)
         dens = ((*bounds, scale) for bounds in _log2_run(seq.prefix[lo - 1:hi], bits))
     else:
+        # Terms of an infinite rule are never INFINITY; asking the rule
+        # for log bounds avoids materialising tower-sized digits.
         dens = seq.rule.log2_term_run(lo, hi, bits)
+    # Running maxima a/b and c/d of the ratio's lower and upper bounds,
+    # from n_lo/scale <= log2 n <= n_hi/scale and d_lo/d_scale <= log2 d_n
+    # <= d_hi/d_scale.  Where log d_n's lower bound is at most log n's
+    # upper bound, d_n >= n caps the ratio at n_hi/n_lo >= 1, so that
+    # tightening is the clamp at 1.
     a, b, c, d = 0, 1, 0, 1
-    for logs, den in zip(_log2_run(range(lo, hi + 1), bits), dens):
-        na, nb, nc, nd = _ratio(*logs, *den, scale)
-        if na * b > a * nb:
-            a, b = na, nb
-        if nc * d > c * nd:
-            c, d = nc, nd
+    for (n_lo, n_hi), (d_lo, d_hi, d_scale) in zip(_log2_run(range(lo, hi + 1), bits), dens):
+        if d_scale != scale:
+            n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
+            d_lo, d_hi = d_lo * scale, d_hi * scale
+        if n_lo * b > a * d_hi:
+            a, b = n_lo, d_hi
+        if d_lo <= n_hi:
+            c = d = 1
+        elif n_hi * d > c * d_lo:
+            c, d = n_hi, d_lo
     return Enclosure(Fraction(a, b), Fraction(c, d))
 
 

@@ -277,6 +277,45 @@ def run_settings(examples: int):
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
+@st.composite
+def small_steps(draw):
+    """(n, m) with n < m <= n + n/16, the gaps _log2_step is used on."""
+    n = draw(st.integers(16, 1 << 80))
+    return n, n + draw(st.integers(1, n // 16))
+
+
+def log2_step_constants(w: int) -> tuple[int, int]:
+    """Integers c_lo <= 2**w * 2/ln 2 <= c_hi."""
+    ln2 = ln2_enclosure(w + 8)
+    return ((2 << w) * ln2.hi.denominator // ln2.hi.numerator,
+            -(-(2 << w) * ln2.lo.denominator // ln2.lo.numerator))
+
+
+class TestLog2Step:
+    """One atanh step of a log run brackets the log it steps to."""
+
+    @given(small_steps(), FRAC_BITS)
+    @settings(max_examples=300, deadline=None)
+    def test_seeded_step_brackets_the_floor(self, gap, frac_bits):
+        n, m = gap
+        w = frac_bits + 1 + arith._RUN_GUARD_BITS
+        seed = arith._log2_floor(n, w)
+        acc_lo, acc_hi = arith._log2_step(seed, seed + 1, n, m, *log2_step_constants(w))
+        floor = arith._log2_floor(m, w)
+        assert acc_lo <= floor and floor + 1 <= acc_hi
+
+    @given(small_steps(), st.integers(1, 90))
+    @settings(max_examples=300, deadline=None)
+    def test_step_brackets_the_log_difference(self, gap, w):
+        # The difference at w + 32 bits is A with A - 1 < 2**(w+32) *
+        # (log2 m - log2 n) < A + 1; the step from 0 must cover it.
+        n, m = gap
+        lo, hi = arith._log2_step(0, 0, n, m, *log2_step_constants(w))
+        diff = arith._log2_floor(m, w + 32) - arith._log2_floor(n, w + 32)
+        assert lo << 32 < diff + 1
+        assert hi << 32 >= diff + 1
+
+
 class TestLog2Run:
     """_log2_run yields exactly log2_bounds, sharing its cache."""
 

@@ -324,26 +324,16 @@ def _log2_floor(n: int, steps: int) -> int:
     return lo
 
 
-def _remember(key: tuple[int, int], lo: int) -> None:
-    if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
-        _LOG2_CACHE.clear()
-    _LOG2_CACHE[key] = lo
-
-
 def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
     """Integers lo <= S*log2(n) <= hi at scale S = 2**(frac_bits+1).
 
     hi == lo for powers of two, else lo + 1.  The mantissa is squared
     repeatedly with truncation, which brackets log2 by integer comparisons.
+    A one-index run of _log2_run: its miss takes the plain kernel.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("log2 requires a positive integer")
-    key = (n, frac_bits)
-    lo = _LOG2_CACHE.get(key)
-    if lo is None:
-        lo = _log2_floor(n, frac_bits + 1)
-        _remember(key, lo)
-    return lo, lo if n & (n - 1) == 0 else lo + 1
+    return next(_log2_run((n,), frac_bits))
 
 
 # Guard bits of a log run below the output scale.  A step widens the
@@ -375,13 +365,13 @@ def _log2_step(acc_lo: int, acc_hi: int, n: int, m: int, c_lo: int, c_hi: int):
 def _log2_run(ns, frac_bits: int = 32):
     """Yield log2_bounds(n, frac_bits) for each n of an increasing run.
 
-    Reads and fills `_LOG2_CACHE` like log2_bounds.  A miss at m steps an
+    The one reader and writer of `_LOG2_CACHE`.  A miss at m steps an
     integer interval [acc_lo, acc_hi] around 2**w * log2 from the last
     miss prev, w = frac_bits + 1 + g, by _log2_step.  Where both ends
     agree on `>> g` that is the kernel's unique floor; otherwise the
-    kernel re-seeds at w bits.  A gap past prev/16
-    takes the plain kernel and leaves the seeding to the next miss, so
-    runs of far-apart digits cost what log2_bounds costs.  Powers of two
+    kernel re-seeds at w bits.  A gap past prev/16 (the first miss
+    included) takes the plain kernel and leaves the seeding to the next
+    miss, so far-apart digits cost one kernel call each.  Powers of two
     are exact.
     """
     g = _RUN_GUARD_BITS
@@ -413,7 +403,9 @@ def _log2_run(ns, frac_bits: int = 32):
             prev = m
             if seeded:
                 lo = acc_lo >> g
-            _remember(key, lo)
+            if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
+                _LOG2_CACHE.clear()
+            _LOG2_CACHE[key] = lo
         yield lo, lo if m & (m - 1) == 0 else lo + 1
 
 

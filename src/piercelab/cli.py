@@ -143,20 +143,27 @@ def _flatten(node, path=""):
         yield path, json.dumps(node)
 
 
-def _rule_alpha(args) -> Optional[Fraction]:
-    """The --alpha of eval or lambda, refused where the rule family ignores it."""
-    if args.alpha is None:
-        return None
-    alpha = parse_rational(args.alpha)
-    if args.rule not in ("power", "binary"):
-        family = f"--rule {args.rule}" if args.rule else "no --rule"
-        raise DomainError(f"{args.command} with {family} does not read --alpha")
-    return alpha
+# The family flags that each --rule reads; eval without a rule reads --prefix.
+_RULE_FLAGS = {
+    None: ("prefix",),
+    "power": ("prefix", "alpha"),
+    "tower": ("prefix",),
+    "linear": ("offset",),
+    "binary": ("alpha", "pattern"),
+}
+
+
+def _check_rule_flags(args) -> None:
+    """Refuse a family flag of eval or lambda that the rule family ignores."""
+    for flag in ("prefix", "alpha", "pattern", "offset"):
+        if getattr(args, flag, None) is not None and flag not in _RULE_FLAGS[args.rule]:
+            family = f"--rule {args.rule}" if args.rule else "no --rule"
+            raise DomainError(f"{args.command} with {family} does not read --{flag}")
 
 
 def _build_rule(args, prefix: tuple[int, ...]):
     family = args.rule
-    alpha = _rule_alpha(args)
+    alpha = None if args.alpha is None else parse_rational(args.alpha)
     if family == "power":
         if alpha is None:
             raise DomainError("--rule power requires --alpha")
@@ -190,6 +197,7 @@ def _cmd_expand(args, bits: int):
 
 
 def _cmd_eval(args, bits: int):
+    _check_rule_flags(args)
     prefix = parse_prefix(args.prefix)
     params = {"prefix": list(prefix), "bits": bits}
     if args.rule:
@@ -200,7 +208,6 @@ def _cmd_eval(args, bits: int):
         if args.alpha:
             params["alpha"] = fmt_rational(rule.alpha)
     else:
-        _rule_alpha(args)  # refuses a given --alpha
         value = expansion_value(PierceSeq.finite(prefix), bits)
         results = {"value": fmt_rational(value)}
     if prefix:
@@ -211,6 +218,7 @@ def _cmd_eval(args, bits: int):
 
 
 def _cmd_lambda(args, bits: int):
+    _check_rule_flags(args)
     rule = _build_rule(args, parse_prefix(args.prefix))
     estimate = estimate_exponent(PierceSeq.infinite(rule), args.window)
     results = {
@@ -381,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default=None)
     p.add_argument("--offset", type=int, default=None)
     p.add_argument("--window", type=int, required=True)
-    p.add_argument("--bits", type=int, default=None)
 
     p = sub.add_parser("construct")
     p.add_argument("--alpha", required=True)

@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import tee
-from operator import itemgetter
+from itertools import chain, repeat, tee
+from operator import add, itemgetter
 from typing import Callable, Optional
 
 from .arith import (
     DomainError,
     Enclosure,
+    GuardExceededError,
     _log2_run,
-    floor_root_power,
+    integer_root,
     log2_bounds,
     rational_str,
 )
@@ -41,6 +42,22 @@ __all__ = [
 # Bases below this bound take the exact-value path in log enclosures;
 # above it the floor slack 3/b is already tighter than 2**-18.
 _EXACT_LOG_BASE_BOUND = 1 << 18
+
+# Digits are materialised only up to this many bits.
+DIGIT_BITS_GUARD = 1 << 20
+
+
+def _floor_power(b: int, p: int, q: int) -> int:
+    """floor(b**(q/p)), refused when its bit length certainly exceeds the guard."""
+    # The floor has floor(q/p * log2(b)) + 1 <= ceil(q/p * bit_length(b))
+    # bits; only past the guard is the certified lower end of log2(b) needed.
+    if q * b.bit_length() > p * DIGIT_BITS_GUARD:
+        lo, _ = log2_bounds(b, 32)  # lo <= 2**33 * log2(b)
+        if q * lo >= p * DIGIT_BITS_GUARD << 33:
+            raise GuardExceededError(
+                f"digit floor({b}**({q}/{p})) exceeds the digit guard of {DIGIT_BITS_GUARD} bits"
+            )
+    return integer_root(b**q, p)
 
 
 def _check_alpha(alpha: Fraction, allow_zero: bool) -> Fraction:
@@ -96,52 +113,61 @@ class DigitRule:
 class _FloorPowerRule(DigitRule):
     """A checked prefix, then the tail floor(b_k**(q_k/p_k)) with q_k >= p_k.
 
-    Subclasses provide `prefix` and `_tail(k) -> (b_k, p_k, q_k)` for the
-    indices past it.  With certificate alpha > 0 the tail is
-    floor(b_k**(1/alpha)) with b_k <= c + 2k, so at s <= alpha every tail
+    Subclasses provide `prefix` and, unless b_k runs on from the last
+    prefix digit, `_bases(lo, hi)`.  With certificate alpha > 0 the tail
+    is floor(b_k**(1/alpha)) with b_k <= c + 2k, so at s <= alpha every tail
     term satisfies term**s <= b_k: a shifted harmonic minorant, and the
     power sum diverges.  Above alpha it converges by a p-series bound.
-    Certificate 0 means the power q_k grows with k, so the terms dominate
-    2**k and every positive power sum converges.
+    Certificate 0 means the power q_k = k grows with k, so the terms
+    dominate 2**k and every positive power sum converges.
     """
 
     def term(self, k: int) -> int:
         self._require_index(k)
         if k <= len(self.prefix):
             return self.prefix[k - 1]
-        b, p, q = self._tail(k)
-        return floor_root_power(b, p, q)
+        (b,) = self._bases(k, k)
+        alpha = self.certificate
+        if alpha:
+            return _floor_power(b, alpha.numerator, alpha.denominator)
+        return _floor_power(b, 1, k)
 
-    def _log2_operand(self, k: int) -> tuple[int, int, int]:
-        """(n, p, q) with term(k) = n**q when p == 1, else floor(n**(q/p)) for n >= 2**18."""
-        if k <= len(self.prefix):
-            return self.prefix[k - 1], 1, 1
-        b, p, q = self._tail(k)
-        if p != 1 and b < _EXACT_LOG_BASE_BOUND:
-            return floor_root_power(b, p, q), 1, 1
-        return b, p, q
+    def _bases(self, lo: int, hi: int):
+        """The tail bases b_k for k = lo..hi."""
+        shift = (self.prefix[-1] if self.prefix else 1) - len(self.prefix)
+        return range(lo + shift, hi + shift + 1)
 
-    @staticmethod
-    def _scale_log(n: int, p: int, q: int, lo: int, hi: int, scale: int):
-        # Exact scaling when p = 1.  Otherwise n = b >= 2**18 (smaller bases
-        # come materialised, with p = q = 1), and with u = b**(q/p) >= b the
-        # floor loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
-        if p == 1:
-            return q * lo, q * hi, scale
-        return lo * q * n - 3 * p * scale, hi * q * n, p * n * scale
+    def _operands(self, lo: int, hi: int):
+        """(n, p, q) for k = lo..hi: term(k) = n**q if p == 1, else floor(n**(q/p)), n >= 2**18."""
+        for d in self.prefix[lo - 1:hi]:
+            yield d, 1, 1
+        lo = max(lo, len(self.prefix) + 1)
+        alpha = self.certificate
+        if not alpha:  # b_k**k
+            yield from zip(self._bases(lo, hi), repeat(1), range(lo, hi + 1))
+            return
+        p, q = alpha.numerator, alpha.denominator
+        for b in self._bases(lo, hi):
+            if p != 1 and b < _EXACT_LOG_BASE_BOUND:
+                yield _floor_power(b, p, q), 1, 1
+            else:
+                yield b, p, q
 
     def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
-        self._require_index(k)
-        n, p, q = self._log2_operand(k)
-        return self._scale_log(n, p, q, *log2_bounds(n, bits), 2 << bits)
+        return next(self.log2_term_run(k, k, bits))
 
     def log2_term_run(self, lo: int, hi: int, bits: int = 32):
-        # One log run over the operands: prefix digits, then bases or floors.
+        # One log run over the operands.  Scaling is exact when p == 1.
+        # Otherwise n = b >= 2**18, and with u = b**(q/p) >= b the floor
+        # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
         self._require_index(lo)
         scale = 2 << bits
-        operands, ns = tee(map(self._log2_operand, range(lo, hi + 1)))
+        operands, ns = tee(self._operands(lo, hi))
         for (n, p, q), (a, b) in zip(operands, _log2_run(map(itemgetter(0), ns), bits)):
-            yield self._scale_log(n, p, q, a, b, scale)
+            if p == 1:
+                yield q * a, q * b, scale
+            else:
+                yield a * q * n - 3 * p * scale, b * q * n, p * n * scale
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         return Fraction(s) <= self.certificate
@@ -168,10 +194,6 @@ class PowerFloorRule(_FloorPowerRule):
     def certificate(self) -> Fraction:
         return self.alpha
 
-    def _tail(self, k: int) -> tuple[int, int, int]:
-        b = (self.prefix[-1] if self.prefix else 1) + k - len(self.prefix)
-        return b, self.alpha.numerator, self.alpha.denominator
-
     def describe(self) -> dict:
         return {
             "family": "power_floor",
@@ -196,10 +218,6 @@ class TowerRule(_FloorPowerRule):
         object.__setattr__(self, "prefix", tuple(self.prefix))
         self.check_strictly_increasing(len(self.prefix) + 8)
 
-    def _tail(self, k: int) -> tuple[int, int, int]:
-        # i = k - M, so the power M + i is k itself.
-        return (self.prefix[-1] if self.prefix else 1) + k - len(self.prefix), 1, k
-
     def describe(self) -> dict:
         return {"family": "tower", "prefix": list(self.prefix)}
 
@@ -217,8 +235,8 @@ class LinearRule(_FloorPowerRule):
         if not isinstance(self.offset, int) or self.offset < 0:
             raise DomainError("offset must be a non-negative integer")
 
-    def _tail(self, k: int) -> tuple[int, int, int]:
-        return self.offset + k, 1, 1
+    def _bases(self, lo: int, hi: int):
+        return range(self.offset + lo, self.offset + hi + 1)
 
     def describe(self) -> dict:
         return {"family": "linear", "offset": self.offset}
@@ -251,11 +269,8 @@ class BitPerturbedRule(_FloorPowerRule):
     def certificate(self) -> Fraction:
         return self.alpha
 
-    def _tail(self, k: int) -> tuple[int, int, int]:
-        b = (self.bits[k - 1] if k <= len(self.bits) else 0) + 2 * k - 1
-        if self.alpha == 0:
-            return b, 1, k
-        return b, self.alpha.numerator, self.alpha.denominator
+    def _bases(self, lo: int, hi: int):
+        return map(add, chain(self.bits[lo - 1:hi], repeat(0)), range(2 * lo - 1, 2 * hi, 2))
 
     def describe(self) -> dict:
         return {

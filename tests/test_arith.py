@@ -244,8 +244,11 @@ class TestLog2Enclosure:
             lo, hi = log2_bounds(n, frac_bits)
             assert hi - lo == (0 if n & (n - 1) == 0 else 1)
             assert log2_enclosure(n, frac_bits) == Enclosure(F(lo, scale), F(hi, scale))
+
+    @pytest.mark.parametrize("n", [0, -1, F(3)])
+    def test_bounds_refuse_non_positive_or_non_integer(self, n):
         with pytest.raises(DomainError):
-            log2_bounds(0)
+            log2_bounds(n)
 
     def test_big_input(self):
         n = 3**500

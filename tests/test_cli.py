@@ -6,6 +6,7 @@ import json
 import jsonschema
 import pytest
 
+from piercelab import rules
 from piercelab.cli import REPORT_SCHEMA, _build_parser, run
 
 
@@ -113,13 +114,18 @@ class TestMalformedInput:
             ["expand", "0.5"],
             ["expand", "1_0/2_0"],
             ["construct", "--alpha", "0.5", "--in", "0.25,0.5"],
-            # --alpha is parsed, and refused where the family does not read it
+            # a family flag is refused where the family does not read it
             ["eval", "--prefix", "2", "--alpha", "0.5"],
             ["lambda", "--rule", "tower", "--alpha", "0.5", "--window", "10"],
             ["lambda", "--rule", "linear", "--alpha", "1e-3", "--window", "10"],
             ["eval", "--prefix", "2", "--alpha", "1/2"],
             ["eval", "--prefix", "2", "--rule", "tower", "--alpha", "1/2"],
             ["lambda", "--rule", "tower", "--alpha", "1/2", "--window", "10"],
+            ["lambda", "--rule", "linear", "--pattern", "1", "--window", "10"],
+            ["lambda", "--rule", "tower", "--prefix", "2", "--offset", "0", "--window", "10"],
+            ["lambda", "--rule", "tower", "--prefix", "2", "--pattern", "01", "--window", "10"],
+            ["lambda", "--rule", "binary", "--alpha", "1/2", "--pattern", "01", "--offset", "1",
+             "--window", "10"],
         ],
     )
     def test_flag_inputs(self, argv):
@@ -131,7 +137,15 @@ class TestMalformedInput:
         assert "-3/4" in err and "outside [0, 1]" in err
 
     @pytest.mark.parametrize(
-        "argv", [["expand"], ["lambda", "--rule", "foo", "--window", "3"], ["expand", "1/2", "2"]]
+        "argv",
+        [
+            ["expand"],
+            ["lambda", "--rule", "foo", "--window", "3"],
+            ["expand", "1/2", "2"],
+            # the window scan runs at its own fixed precision, so lambda has no --bits
+            ["lambda", "--rule", "power", "--prefix", "2", "--alpha", "1/2", "--window", "1000",
+             "--bits", "8"],
+        ],
     )
     def test_usage_error_is_one_line(self, argv, capsys):
         code, out, err = invoke(argv)
@@ -146,6 +160,14 @@ class TestMalformedInput:
             (["construct", "--alpha", "1/2", "--in", "1/3,3/2"], "not within [0, 1]"),
             (["divergent", "--s", "1/2", "--prefix", "2", "--j", "-1"], "must be non-negative"),
             (["divergent", "--s", "1/2", "--prefix", "2", "--j", "2"], "exceeds the available"),
+            (["lambda", "--rule", "linear", "--prefix", "5,7", "--pattern", "1", "--window", "100"],
+             "lambda with --rule linear does not read --prefix"),
+            (["lambda", "--rule", "power", "--prefix", "2", "--alpha", "1/2", "--offset", "3",
+              "--window", "10"], "lambda with --rule power does not read --offset"),
+            (["lambda", "--rule", "binary", "--alpha", "1/2", "--pattern", "01", "--prefix", "2",
+              "--window", "10"], "lambda with --rule binary does not read --prefix"),
+            (["eval", "--prefix", "2", "--alpha", "1/2"],
+             "eval with no --rule does not read --alpha"),
         ],
     )
     def test_message_names_the_fault(self, argv, message):
@@ -196,6 +218,29 @@ class TestGuards:
         code, out, err = invoke(argv)
         assert code == 3 and out == ""
         assert err.startswith("guard exceeded") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # floor(3**(10**6)) has about 1.58 million bits
+            ["eval", "--prefix", "2", "--rule", "power", "--alpha", "1/1000000"],
+            # floor(5**(1000001/2)) is the first digit past the guard
+            ["lambda", "--rule", "power", "--prefix", "2", "--alpha", "2/1000001",
+             "--window", "10"],
+        ],
+    )
+    def test_digit_size_guard(self, argv, monkeypatch):
+        root = rules.integer_root
+
+        def bounded_root(m, p):  # no floor past the guard is ever taken
+            assert m.bit_length() <= p * (rules.DIGIT_BITS_GUARD + 1)
+            return root(m, p)
+
+        monkeypatch.setattr(rules, "integer_root", bounded_root)
+        code, out, err = invoke(argv)
+        assert code == 3 and out == ""
+        assert err.startswith("guard exceeded: digit") and err.count("\n") == 1
+        assert str(rules.DIGIT_BITS_GUARD) in err
 
     def test_unknown_subcommand(self):
         code, _, err = invoke(["frobnicate", "--x", "1"])

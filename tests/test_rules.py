@@ -4,8 +4,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from piercelab import arith
-from piercelab.arith import log2_enclosure
+from piercelab import arith, rules
+from piercelab.arith import GuardExceededError, log2_enclosure
 from piercelab.rules import (
     BitPerturbedRule,
     ExplicitRule,
@@ -53,6 +53,27 @@ def test_terms_strictly_increase(case):
     assert rule.terms(len(prefix)) == prefix
 
 
+def reference_term(rule, k):
+    """The k-th digit written out from the family docstrings."""
+    prefix = prefix_of(rule)
+    if k <= len(prefix):
+        return prefix[k - 1]
+    if isinstance(rule, LinearRule):
+        return rule.offset + k
+    if isinstance(rule, BitPerturbedRule):
+        b = (rule.bits[k - 1] if k <= len(rule.bits) else 0) + 2 * k - 1
+    else:
+        b = (prefix[-1] if prefix else 1) + k - len(prefix)
+    alpha = rule.certificate
+    return b**k if alpha == 0 else arith.floor_root_power(b, alpha.numerator, alpha.denominator)
+
+
+def test_terms_follow_the_family_formulas(case):
+    rule, _ = case
+    for k in indices(rule):
+        assert rule.term(k) == reference_term(rule, k), k
+
+
 def test_log2_term_certifies_the_term(case):
     rule, tail_materialises = case
     for k in indices(rule):
@@ -83,6 +104,24 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
         # the tail leaves the materialised floor for the slack path at b = 2**18
         (PowerFloorRule((), F(2, 3)), (1 << 18) - 60, (1 << 18) + 60),
         (ExplicitRule(lambda k: 3 * k * k + 1, name="3k^2+1"), 1, 300),
+        (PowerFloorRule((2, 5), F(2, 3)), (1 << 18) - 60, (1 << 18) + 60),
+        (BitPerturbedRule(F(2, 3), PATTERN), (1 << 17) - 30, (1 << 17) + 30),
+        # windows across the prefix end, for every family with a prefix
+        (PowerFloorRule((2, 5, 11), F(1, 2)), 1, 40),
+        (PowerFloorRule((2, 5, 11), F(2, 3)), 2, 40),
+        (PowerFloorRule((2**18,), F(2, 3)), 1, 40),
+        (TowerRule((2, 9)), 1, 40),
+        (LinearRule(3), 1, 40),
+        # windows across the end of the perturbation pattern
+        (BitPerturbedRule(F(2, 3), PATTERN), 1, 40),
+        (BitPerturbedRule(F(2, 3), PATTERN), len(PATTERN), len(PATTERN) + 1),
+        (BitPerturbedRule(F(0), PATTERN), len(PATTERN), len(PATTERN) + 1),
+        (BitPerturbedRule(F(1, 2), (1,) * 20), 5, 60),
+        # empty windows
+        (PowerFloorRule((2, 5, 11), F(1, 2)), 3, 2),
+        (TowerRule((2,)), 10, 9),
+        (LinearRule(0), 5, 1),
+        (BitPerturbedRule(F(2, 3), PATTERN), 8, 7),
     ],
 )
 def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
@@ -90,6 +129,20 @@ def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
     expected = [rule.log2_term_bounds(k) for k in range(lo, hi + 1)]
     monkeypatch.setattr(arith, "_LOG2_CACHE", {})
     assert list(rule.log2_term_run(lo, hi)) == expected
+
+
+@pytest.mark.parametrize("b, p", [(2, 1), (3, 1), (3, 2), (7, 3), (2**18 + 3, 5)])
+@pytest.mark.parametrize("guard", [1000, 4099])
+def test_digit_size_guard_refuses_exactly_past_the_bound(b, p, guard, monkeypatch):
+    monkeypatch.setattr(rules, "DIGIT_BITS_GUARD", guard)
+    # floor(b**(q/p)) has (bit_length(b**q) - 1) // p + 1 bits; q is the
+    # largest power that keeps it within the guard
+    q = 1
+    while ((b ** (q + 1)).bit_length() - 1) // p + 1 <= guard:
+        q += 1
+    assert rules._floor_power(b, p, q) == arith.floor_root_power(b, p, q)
+    with pytest.raises(GuardExceededError):
+        rules._floor_power(b, p, q + 1)
 
 
 def test_power_sum_diverges_at_and_below_the_certificate(case):

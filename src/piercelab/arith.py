@@ -223,18 +223,6 @@ class Enclosure:
     def strictly_contains_interval(self, other: "Enclosure") -> bool:
         return self.lo < other.lo and other.hi < self.hi
 
-    def __add__(self, other):
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo + other.lo, self.hi + other.hi)
-        o = Fraction(other)
-        return Enclosure(self.lo + o, self.hi + o)
-
-    def __sub__(self, other):
-        if isinstance(other, Enclosure):
-            return Enclosure(self.lo - other.hi, self.hi - other.lo)
-        o = Fraction(other)
-        return Enclosure(self.lo - o, self.hi - o)
-
     def scale(self, c) -> "Enclosure":
         """Multiply by a non-negative rational scalar."""
         c = Fraction(c)
@@ -255,13 +243,6 @@ class Enclosure:
         if self.lo < 0:
             raise DomainError("div_pos expects a non-negative dividend")
         return Enclosure(self.lo / other.hi, self.hi / other.lo)
-
-    def round_outward(self, frac_bits: int) -> "Enclosure":
-        """Widen to dyadic endpoints with denominator 2**frac_bits."""
-        scale = 1 << frac_bits
-        lo = Fraction(math.floor(self.lo * scale), scale)
-        hi = Fraction(math.ceil(self.hi * scale), scale)
-        return Enclosure(lo, hi)
 
 
 class RatInterval(Enclosure):
@@ -442,27 +423,27 @@ def ln_enclosure(n: int, frac_bits: int = 32) -> Enclosure:
     return log2_enclosure(n, frac_bits).mul_pos(ln2_enclosure(frac_bits))
 
 
+def _scaled_root(m: int, v: int, t: int) -> tuple[int, bool]:
+    """(floor(2**t * m**(1/v)), whether that root is exact) for m >= 0, v >= 1.
+
+    The one scaled root of the package: m**(1/v) lies in [r, r+1] / 2**t.
+    """
+    r = integer_root(m << (v * t), v)
+    return r, r & ((1 << t) - 1) == 0 and (r >> t) ** v == m
+
+
 def pow_enclosure(base: int, exponent: Fraction, frac_bits: int = 64) -> Enclosure:
     """Certified enclosure of base**exponent for integer base >= 1.
 
-    Rational exponents are handled by scaled integer roots:
-    base**(u/v) * 2**t lies in [r, r+1] for r = floor-root of
-    base**u << (v*t).  Negative exponents go through the reciprocal.
+    An exponent u/v >= 0 is the scaled root of base**u at 2**frac_bits;
+    a negative one goes through the reciprocal.
     """
     if base < 1:
         raise DomainError("pow_enclosure requires base >= 1")
     exponent = Fraction(exponent)
-    if exponent == 0 or base == 1:
-        return Enclosure.exact(1)
     if exponent < 0:
         pos = pow_enclosure(base, -exponent, frac_bits)
         return Enclosure(1 / pos.hi, 1 / pos.lo)
-    u, v = exponent.numerator, exponent.denominator
-    power = base**u
-    if v == 1:
-        return Enclosure.exact(power)
-    r = integer_root(power << (v * frac_bits), v)
+    r, exact = _scaled_root(base**exponent.numerator, exponent.denominator, frac_bits)
     scale = 1 << frac_bits
-    if (r % scale == 0) and (r // scale) ** v == power:
-        return Enclosure.exact(Fraction(r, scale))
-    return Enclosure(Fraction(r, scale), Fraction(r + 1, scale))
+    return Enclosure(Fraction(r, scale), Fraction(r + (not exact), scale))

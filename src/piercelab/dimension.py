@@ -22,10 +22,10 @@ from .arith import (
     Enclosure,
     GuardExceededError,
     RatInterval,
+    _scaled_root,
     ceil_root_power,
     floor_root_power,
     ln_enclosure,
-    pow_enclosure,
 )
 from .constructions import Witness, witness_in_interval
 from .exponent import exponent_window
@@ -199,12 +199,22 @@ class CoverReport:
     verdict: CoverVerdict
 
 
+def _outward(quads, bits: int) -> tuple[Enclosure, ...]:
+    """Quadruples (lo_num, lo_den, hi_num, hi_den) rounded outward to 2**-bits."""
+    scale = 1 << bits
+    return tuple(
+        Enclosure(Fraction((a << bits) // b, scale), Fraction(-((-c << bits) // d), scale))
+        for a, b, c, d in quads
+    )
+
+
 def covering_sum(params: CoverParams, bits: int = 96) -> CoverReport:
     """Evaluate the covering series a_k = k**(k*g) / (k!)**(s*h+1).
 
     Here g = 1/(alpha-eps) and h = 1/(beta+eps).  Terms and consecutive
-    ratios are certified enclosures obtained by scaled integer roots.
-    The verdict is RATIO_VANISHING only when s exceeds the threshold
+    ratios are exact quotients of scaled integer roots, rounded outward
+    once; partial sums add the term bounds at 32 guard bits.  The
+    verdict is RATIO_VANISHING only when s exceeds the threshold
     (beta+eps)(g-1) and the ratios are certifiably below 1 and
     decreasing over the final quarter of the window; anything else is
     INCONCLUSIVE, because the construction proves nothing there.
@@ -216,33 +226,39 @@ def covering_sum(params: CoverParams, bits: int = 96) -> CoverReport:
     g = params.upper_exponent
     exp_fact = params.s * params.lower_exponent + 1
     ks = tuple(range(params.N, params.k_max + 1))
-    terms: list[Enclosure] = []
-    factorial = math.factorial(params.N - 1) if params.N > 1 else 1
+    # A term or ratio is a quadruple (lo_num, lo_den, hi_num, hi_den).  The
+    # roots a of 2**bits * k**(k*g) and c of 2**bits * (k!)**exp_fact are
+    # exact or one below the truth; the scales cancel.
+    terms = []
+    factorial = math.factorial(params.N - 1)
     for k in ks:
-        factorial *= k if k > 1 else 1
-        numerator = pow_enclosure(k, k * g, bits)
-        denominator = pow_enclosure(factorial, exp_fact, bits)
-        terms.append(numerator.div_pos(denominator))
-    ratios = [terms[i + 1].div_pos(terms[i]) for i in range(len(terms) - 1)]
-    sums: list[Enclosure] = []
-    running = Enclosure.exact(0)
-    for t in terms:
-        running = running + t
-        sums.append(running.round_outward(bits))
-    terms_out = tuple(t.round_outward(bits) for t in terms)
-    ratios_out = tuple(r.round_outward(bits) for r in ratios)
+        factorial *= k
+        e = math.gcd(k * g.numerator, g.denominator)
+        a, a_exact = _scaled_root(k ** (k * g.numerator // e), g.denominator // e, bits)
+        c, c_exact = _scaled_root(factorial**exp_fact.numerator, exp_fact.denominator, bits)
+        terms.append((a, c + (not c_exact), a + (not a_exact), c))
+    # a_{k+1}/a_k lies in [lo_{k+1}/hi_k, hi_{k+1}/lo_k]; every a >= 2**bits.
+    ratios = [(a1 * d0, b1 * c0, c1 * b0, d1 * a0)
+              for (a0, b0, c0, d0), (a1, b1, c1, d1) in zip(terms, terms[1:])]
+    guard = bits + 32
+    sums, lo, hi = [], 0, 0
+    for a, b, c, d in terms:
+        lo += (a << guard) // b
+        hi -= (-c << guard) // d
+        sums.append((lo, 1 << guard, hi, 1 << guard))
 
     verdict = CoverVerdict.INCONCLUSIVE
     if params.s > params.threshold and ratios:
         tail = ratios[-max(1, len(ratios) // 4):]
-        below_one = all(r.hi < 1 for r in tail)
+        below_one = all(c < d for _, _, c, d in tail)
         decreasing = all(
-            tail[i + 1].hi <= tail[i].lo for i in range(len(tail) - 1)
+            c1 * b0 <= a0 * d1 for (a0, b0, _, _), (_, _, c1, d1) in zip(tail, tail[1:])
         )
         if below_one and decreasing:
             verdict = CoverVerdict.RATIO_VANISHING
     return CoverReport(
-        params, ks, terms_out, ratios_out, tuple(sums), params.threshold, verdict
+        params, ks, _outward(terms, bits), _outward(ratios, bits), _outward(sums, bits),
+        params.threshold, verdict,
     )
 
 

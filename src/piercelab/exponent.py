@@ -23,6 +23,7 @@ from .arith import (
     RatInterval,
     UncertifiedRuleError,
     _log2_run,
+    _scaled_root,
     integer_root,
 )
 from .pierce import DigitStatus, checked_digits, safe_digits
@@ -214,16 +215,12 @@ class PowerSumPartial:
 def _term_bounds(d: int, p: int, q: int, shift: int) -> tuple[Fraction, Fraction]:
     """Certified bounds for 1/d**(p/q); exact when d**p is a perfect q-th power."""
     v = d**p
-    if q == 1:
-        t = Fraction(1, v)
+    r = integer_root(v, q)
+    if r**q == v:
+        t = Fraction(1, r)
         return t, t
-    r0 = integer_root(v, q)
-    if r0**q == v:
-        t = Fraction(1, r0)
-        return t, t
-    r = integer_root(v << (q * shift), q)
-    scale = 1 << shift
-    return Fraction(scale, r + 1), Fraction(scale, r)
+    r, _ = _scaled_root(v, q, shift)
+    return Fraction(1 << shift, r + 1), Fraction(1 << shift, r)
 
 
 def reciprocal_power_sum(

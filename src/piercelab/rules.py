@@ -6,9 +6,9 @@ binary-log enclosure for that term without necessarily materialising it
 convergence-exponent certificate where one exists.  The four certified
 families share one shape: a checked prefix, then floor(b_k**(q_k/p_k))
 with q_k >= p_k, so they share one term, one log enclosure and one
-divergence argument.  They verify their first gaps explicitly at
-construction; beyond that the derivative bound (d/dx) x**(q/p) >= 1 for
-q/p >= 1 guarantees strict increase.
+divergence argument.  Construction checks only the given prefix: the
+tail increases strictly by proof (see `_FloorPowerRule`), so no tail
+digit is built until it is asked for.
 """
 
 from __future__ import annotations
@@ -102,9 +102,6 @@ class DigitRule:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def check_strictly_increasing(self, depth: int) -> None:
-        validate_prefix(self.terms(depth))
-
     def _require_index(self, k: int) -> None:
         if k < 1:
             raise DomainError("digit indices are 1-based")
@@ -120,6 +117,14 @@ class _FloorPowerRule(DigitRule):
     power sum diverges.  Above alpha it converges by a p-series bound.
     Certificate 0 means the power q_k = k grows with k, so the terms
     dominate 2**k and every positive power sum converges.
+
+    Construction checks only the prefix; the tail increases strictly.
+    Its bases b_k >= 1 increase with k, and for q/p >= 1 the bound
+    (b+1)**(q/p) >= b**(q/p) + 1 makes their floors differ by at least 1;
+    tower powers b_k**k grow in base and exponent.  Each tail digit is at
+    least its base, and at the seam the default bases start at d_last + 1
+    (2 after an empty prefix); the families that override `_bases` have
+    no prefix.
     """
 
     def term(self, k: int) -> int:
@@ -186,9 +191,8 @@ class PowerFloorRule(_FloorPowerRule):
     alpha: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
+        object.__setattr__(self, "prefix", validate_prefix(self.prefix))
         object.__setattr__(self, "alpha", _check_alpha(self.alpha, allow_zero=False))
-        self.check_strictly_increasing(len(self.prefix) + 64)
 
     @property
     def certificate(self) -> Fraction:
@@ -215,8 +219,7 @@ class TowerRule(_FloorPowerRule):
     certificate = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
-        self.check_strictly_increasing(len(self.prefix) + 8)
+        object.__setattr__(self, "prefix", validate_prefix(self.prefix))
 
     def describe(self) -> dict:
         return {"family": "tower", "prefix": list(self.prefix)}
@@ -263,7 +266,6 @@ class BitPerturbedRule(_FloorPowerRule):
         if any(b not in (0, 1) for b in pattern):
             raise DomainError("perturbation pattern must consist of bits 0/1")
         object.__setattr__(self, "bits", pattern)
-        self.check_strictly_increasing(max(len(pattern), 16) + 8)
 
     @property
     def certificate(self) -> Fraction:
@@ -294,7 +296,7 @@ class ExplicitRule(DigitRule):
     certificate = None
 
     def __post_init__(self):
-        self.check_strictly_increasing(16)
+        validate_prefix(self.terms(16))
 
     def term(self, k: int) -> int:
         self._require_index(k)

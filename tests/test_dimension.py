@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab.arith import DomainError, GuardExceededError, pow_enclosure
+from piercelab.arith import DomainError, Enclosure, GuardExceededError, pow_enclosure
 from piercelab.dimension import (
     CoverParams,
     CoverVerdict,
@@ -130,6 +130,63 @@ class TestCoveringSum:
         p = CoverParams(N=1, alpha=F(1, 2), beta=F(1, 2), epsilon=F(1, 10), s=F(3), k_max=513)
         with pytest.raises(GuardExceededError):
             covering_sum(p)
+
+
+def reference_ledger(params, bits):
+    """The covering ledger from exact rational enclosures.
+
+    pow_enclosure terms divided by div_pos, exact running sums, and every
+    reported enclosure floored/ceiled to 2**-bits; the verdict is read off
+    the exact ratios.
+    """
+    scale = 1 << bits
+
+    def outward(lo, hi):
+        return Enclosure(F(math.floor(lo * scale), scale), F(math.ceil(hi * scale), scale))
+
+    g = params.upper_exponent
+    exp_fact = params.s * params.lower_exponent + 1
+    terms = [
+        pow_enclosure(k, k * g, bits).div_pos(pow_enclosure(math.factorial(k), exp_fact, bits))
+        for k in range(params.N, params.k_max + 1)
+    ]
+    ratios = [b.div_pos(a) for a, b in zip(terms, terms[1:])]
+    sums, lo, hi = [], F(0), F(0)
+    for t in terms:
+        lo, hi = lo + t.lo, hi + t.hi
+        sums.append(outward(lo, hi))
+    verdict = CoverVerdict.INCONCLUSIVE
+    if params.s > params.threshold and ratios:
+        tail = ratios[-max(1, len(ratios) // 4):]
+        if all(r.hi < 1 for r in tail) and all(b.hi <= a.lo for a, b in zip(tail, tail[1:])):
+            verdict = CoverVerdict.RATIO_VANISHING
+    return (
+        tuple(outward(t.lo, t.hi) for t in terms),
+        tuple(outward(r.lo, r.hi) for r in ratios),
+        tuple(sums),
+        verdict,
+    )
+
+
+LEDGER_POINTS = [
+    # the three acceptance points, then two below or near the threshold
+    dict(alpha=F(1, 2), beta=F(1, 2), epsilon=F(1, 10), s=F(3)),
+    dict(alpha=F(1), beta=F(1), epsilon=F(1, 5), s=F(4)),
+    dict(alpha=F(3, 5), beta=F(4, 5), epsilon=F(1, 10), s=F(9, 2)),
+    dict(alpha=F(1, 2), beta=F(1, 2), epsilon=F(1, 10), s=F(1, 2)),
+    dict(alpha=F(1, 2), beta=F(1, 2), epsilon=F(1, 10), s=F(1)),
+]
+
+
+class TestReferenceLedger:
+    @pytest.mark.parametrize("point", LEDGER_POINTS)
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("bits", [64, 96])
+    def test_ledger_equals_reference(self, point, N, bits):
+        params = CoverParams(N=N, k_max=60, **point)
+        report = covering_sum(params, bits)
+        got = (report.terms, report.ratios, report.partial_sums, report.verdict)
+        assert got == reference_ledger(params, bits)
 
 
 class TestRefinedBound:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from piercelab import arith, rules
 from piercelab.arith import GuardExceededError, log2_enclosure
+from piercelab.pierce import validate_prefix
 from piercelab.rules import (
     BitPerturbedRule,
     ExplicitRule,
@@ -51,6 +52,40 @@ def test_terms_strictly_increase(case):
     assert all(a < b for a, b in zip(terms, terms[1:]))
     prefix = prefix_of(rule)
     assert rule.terms(len(prefix)) == prefix
+
+
+PREFIXES = st.lists(st.integers(1, 200), max_size=5, unique=True).map(lambda ds: tuple(sorted(ds)))
+ALPHAS = st.integers(1, 8).flatmap(lambda q: st.integers(1, q).map(lambda p: F(p, q)))  # >= 1/8
+DRAWN_RULES = st.one_of(
+    st.builds(PowerFloorRule, PREFIXES, ALPHAS),
+    st.builds(TowerRule, PREFIXES),
+    st.builds(LinearRule, st.integers(0, 10)),
+    st.builds(
+        BitPerturbedRule,
+        st.one_of(st.just(F(0)), ALPHAS),
+        st.lists(st.integers(0, 1), max_size=16).map(tuple),
+    ),
+)
+
+
+@given(DRAWN_RULES)
+@settings(max_examples=60, deadline=None)
+def test_drawn_terms_strictly_increase(rule):
+    # Construction checks only the prefix; the tail, seam included, must
+    # increase by the proof in the _FloorPowerRule docstring.
+    prefix = prefix_of(rule)
+    terms = rule.terms(len(prefix) + 64)
+    assert terms[:len(prefix)] == prefix
+    assert validate_prefix(terms) == terms
+
+
+def test_construction_takes_no_root(monkeypatch):
+    calls = []
+    monkeypatch.setattr(rules, "integer_root", lambda m, p: calls.append((m, p)))
+    PowerFloorRule((2,), F(2, 347001))
+    TowerRule((2,))
+    BitPerturbedRule(F(2, 3), (0, 1, 1))
+    assert calls == []
 
 
 def reference_term(rule, k):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_
 from typing import Union
 
 __all__ = [
@@ -145,7 +147,11 @@ def floor_reciprocal(x: Fraction) -> ExtNat:
 
 
 def integer_root(m: int, p: int) -> int:
-    """floor(m ** (1/p)) for m >= 0, p >= 1, by integer Newton iteration."""
+    """floor(m ** (1/p)) for m >= 0, p >= 1, by integer Newton iteration.
+
+    Roots wider than 128 bits start from the root of the top half at
+    doubling precision, so Newton begins with half the bits right.
+    """
     if p < 1:
         raise DomainError("root degree must be >= 1")
     if m < 0:
@@ -157,15 +163,27 @@ def integer_root(m: int, p: int) -> int:
     if m.bit_length() <= p:
         # m < 2**p means the root is 1 (m >= 2 here).
         return 1
-    x = 1 << -(-m.bit_length() // p)  # 2**ceil(bits/p) >= m**(1/p)
+    bits = -(-m.bit_length() // p)
+    if bits <= 128:
+        return _newton_root(m, p, 1 << bits)  # 2**ceil(bits/p) >= m**(1/p)
+    # floor(m**(1/p) / 2**s) is the root of m >> p*s, so one more,
+    # shifted back, is above m**(1/p).
+    s = bits // 2
+    return _newton_root(m, p, integer_root(m >> p * s, p) + 1 << s)
+
+
+def _newton_root(m: int, p: int, x: int) -> int:
+    """floor(m ** (1/p)) for p >= 2 by Newton from any x >= floor(m ** (1/p)).
+
+    By the AM-GM inequality every iterate stays >= floor(m ** (1/p)), and
+    it decreases strictly while above it, so the first one that does not
+    decrease is the floor.
+    """
     while True:
         y = ((p - 1) * x + m // x ** (p - 1)) // p
         if y >= x:
-            break
+            return x
         x = y
-    while x**p > m:
-        x -= 1
-    return x
 
 
 def floor_root_power(n: int, p: int, q: int) -> int:
@@ -310,11 +328,12 @@ def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
 
     hi == lo for powers of two, else lo + 1.  The mantissa is squared
     repeatedly with truncation, which brackets log2 by integer comparisons.
-    A one-index run of _log2_run: its miss takes the plain kernel.
+    A one-index batch of _log2_lows: its miss takes the plain kernel.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("log2 requires a positive integer")
-    return next(_log2_run((n,), frac_bits))
+    (lo,) = _log2_lows((n,), frac_bits)
+    return lo, lo + (n & (n - 1) != 0)
 
 
 # Guard bits of a log run below the output scale.  A step widens the
@@ -343,10 +362,11 @@ def _log2_step(acc_lo: int, acc_hi: int, n: int, m: int, c_lo: int, c_hi: int):
     return acc_lo, acc_hi + 2
 
 
-def _log2_run(ns, frac_bits: int = 32):
-    """Yield log2_bounds(n, frac_bits) for each n of an increasing run.
+def _log2_lows(ns, frac_bits: int = 32) -> list[int]:
+    """[log2_bounds(n, frac_bits)[0] for n in ns], for an increasing run ns.
 
-    The one reader and writer of `_LOG2_CACHE`.  A miss at m steps an
+    The one reader and writer of `_LOG2_CACHE`: all hits are looked up
+    first, then only the misses are walked.  A miss at m steps an
     integer interval [acc_lo, acc_hi] around 2**w * log2 from the last
     miss prev, w = frac_bits + 1 + g, by _log2_step.  Where both ends
     agree on `>> g` that is the kernel's unique floor; otherwise the
@@ -355,39 +375,40 @@ def _log2_run(ns, frac_bits: int = 32):
     miss, so far-apart digits cost one kernel call each.  Powers of two
     are exact.
     """
+    lows = list(map(_LOG2_CACHE.get, zip(ns, repeat(frac_bits))))
+    if None not in lows:
+        return lows
     g = _RUN_GUARD_BITS
     w = frac_bits + 1 + g
-    ln2 = ln2_enclosure(w + 8)
-    c_lo = (2 << w) * ln2.hi.denominator // ln2.hi.numerator
-    c_hi = -(-(2 << w) * ln2.lo.denominator // ln2.lo.numerator)
-    cached = _LOG2_CACHE.get
+    c_lo = c_hi = None
     prev = acc_lo = acc_hi = 0
     seeded = False
-    for m in ns:
-        key = (m, frac_bits)
-        lo = cached(key)
-        if lo is None:
-            d = m - prev
-            if m & (m - 1) == 0:
-                acc_lo = acc_hi = (m.bit_length() - 1) << w
-                seeded = True
-            elif not 0 < 16 * d <= prev:
-                lo = _log2_floor(m, frac_bits + 1)
-                seeded = False
-            else:
-                if seeded:
-                    acc_lo, acc_hi = _log2_step(acc_lo, acc_hi, prev, m, c_lo, c_hi)
-                if not seeded or acc_lo >> g != acc_hi >> g:
-                    acc_lo = _log2_floor(m, w)
-                    acc_hi = acc_lo + 1
-                    seeded = True
-            prev = m
+    for i, m in compress(enumerate(ns), map(is_, lows, repeat(None))):
+        d = m - prev
+        if m & (m - 1) == 0:
+            acc_lo = acc_hi = (m.bit_length() - 1) << w
+            seeded = True
+        elif not 0 < 16 * d <= prev:
+            lo = _log2_floor(m, frac_bits + 1)
+            seeded = False
+        else:
             if seeded:
-                lo = acc_lo >> g
-            if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
-                _LOG2_CACHE.clear()
-            _LOG2_CACHE[key] = lo
-        yield lo, lo if m & (m - 1) == 0 else lo + 1
+                if c_lo is None:
+                    ln2 = ln2_enclosure(w + 8)
+                    c_lo = (2 << w) * ln2.hi.denominator // ln2.hi.numerator
+                    c_hi = -(-(2 << w) * ln2.lo.denominator // ln2.lo.numerator)
+                acc_lo, acc_hi = _log2_step(acc_lo, acc_hi, prev, m, c_lo, c_hi)
+            if not seeded or acc_lo >> g != acc_hi >> g:
+                acc_lo = _log2_floor(m, w)
+                acc_hi = acc_lo + 1
+                seeded = True
+        prev = m
+        if seeded:
+            lo = acc_lo >> g
+        if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
+            _LOG2_CACHE.clear()
+        _LOG2_CACHE[m, frac_bits] = lows[i] = lo
+    return lows
 
 
 def log2_enclosure(n: int, frac_bits: int = 32) -> Enclosure:

@@ -22,7 +22,7 @@ from .arith import (
     Enclosure,
     RatInterval,
     UncertifiedRuleError,
-    _log2_run,
+    _log2_lows,
     _scaled_root,
     integer_root,
 )
@@ -64,6 +64,12 @@ def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclo
     return exponent_window(seq, n, n, bits)
 
 
+# Indices per log batch: a window's logs are taken a chunk at a time, so
+# the batches stay far below the log cache's cap and a long window
+# never clears the entries it is about to read.
+_WINDOW_CHUNK = 1 << 12
+
+
 def exponent_window(
     seq: PierceSeq, lo: int, hi: int, bits: int = DEFAULT_SCAN_BITS
 ) -> Enclosure:
@@ -72,34 +78,41 @@ def exponent_window(
     The pointwise maxima of the individual lower and upper bounds
     enclose the true window maximum.  An empty window (or one past the
     finite digits) gives exact 0, matching the all-INFINITY convention.
-    Both logs come from runs along the window, the indices and the
-    digits being increasing.
+    Both logs come from batches along each chunk of the window, the
+    indices and the digits being increasing.
     """
     lo = max(lo, 2)
     scale = 2 << bits
     if seq.is_finite:
         hi = min(hi, seq.depth)
-        dens = ((*bounds, scale) for bounds in _log2_run(seq.prefix[lo - 1:hi], bits))
-    else:
-        # Terms of an infinite rule are never INFINITY; asking the rule
-        # for log bounds avoids materialising tower-sized digits.
-        dens = seq.rule.log2_term_run(lo, hi, bits)
     # Running maxima a/b and c/d of the ratio's lower and upper bounds,
     # from n_lo/scale <= log2 n <= n_hi/scale and d_lo/d_scale <= log2 d_n
     # <= d_hi/d_scale.  Where log d_n's lower bound is at most log n's
     # upper bound, d_n >= n caps the ratio at n_hi/n_lo >= 1, so that
     # tightening is the clamp at 1.
     a, b, c, d = 0, 1, 0, 1
-    for (n_lo, n_hi), (d_lo, d_hi, d_scale) in zip(_log2_run(range(lo, hi + 1), bits), dens):
-        if d_scale != scale:
-            n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
-            d_lo, d_hi = d_lo * scale, d_hi * scale
-        if n_lo * b > a * d_hi:
-            a, b = n_lo, d_hi
-        if d_lo <= n_hi:
-            c = d = 1
-        elif n_hi * d > c * d_lo:
-            c, d = n_hi, d_lo
+    for start in range(lo, hi + 1, _WINDOW_CHUNK):
+        end = min(start + _WINDOW_CHUNK, hi + 1)
+        if seq.is_finite:
+            digits = seq.prefix[start - 1:end - 1]
+            dens = [(d_lo, d_lo + (m & (m - 1) != 0), scale)
+                    for m, d_lo in zip(digits, _log2_lows(digits, bits))]
+        else:
+            # Terms of an infinite rule are never INFINITY; asking the rule
+            # for log bounds avoids materialising tower-sized digits.
+            dens = seq.rule.log2_term_run(start, end - 1, bits)
+        ns = range(start, end)
+        for n, n_lo, (d_lo, d_hi, d_scale) in zip(ns, _log2_lows(ns, bits), dens):
+            n_hi = n_lo + (n & (n - 1) != 0)
+            if d_scale != scale:
+                n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
+                d_lo, d_hi = d_lo * scale, d_hi * scale
+            if n_lo * b > a * d_hi:
+                a, b = n_lo, d_hi
+            if d_lo <= n_hi:
+                c = d = 1
+            elif n_hi * d > c * d_lo:
+                c, d = n_hi, d_lo
     return Enclosure(Fraction(a, b), Fraction(c, d))
 
 

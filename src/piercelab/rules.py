@@ -15,15 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat, tee
-from operator import add, itemgetter
+from itertools import chain, repeat
+from operator import add
 from typing import Callable, Optional
 
 from .arith import (
     DomainError,
     Enclosure,
     GuardExceededError,
-    _log2_run,
+    _log2_lows,
+    _newton_root,
     integer_root,
     log2_bounds,
     rational_str,
@@ -47,8 +48,11 @@ _EXACT_LOG_BASE_BOUND = 1 << 18
 DIGIT_BITS_GUARD = 1 << 20
 
 
-def _floor_power(b: int, p: int, q: int) -> int:
-    """floor(b**(q/p)), refused when its bit length certainly exceeds the guard."""
+def _floor_power(b: int, p: int, q: int, above: Optional[int] = None) -> int:
+    """floor(b**(q/p)), refused when its bit length certainly exceeds the guard.
+
+    `above`, when given for p > 2, is a start >= the floor for Newton.
+    """
     # The floor has floor(q/p * log2(b)) + 1 <= ceil(q/p * bit_length(b))
     # bits; only past the guard is the certified lower end of log2(b) needed.
     if q * b.bit_length() > p * DIGIT_BITS_GUARD:
@@ -57,7 +61,24 @@ def _floor_power(b: int, p: int, q: int) -> int:
             raise GuardExceededError(
                 f"digit floor({b}**({q}/{p})) exceeds the digit guard of {DIGIT_BITS_GUARD} bits"
             )
-    return integer_root(b**q, p)
+    if above is None or p == 2:
+        return integer_root(b**q, p)
+    return _newton_root(b**q, p, above)
+
+
+def _floors(bases, p: int, q: int):
+    """floor(b**(q/p)) for increasing bases b, p > 1, each Newton root seeded.
+
+    From the last floor f at b0 and delta = b - b0, (1 + t)**r <= e**(rt)
+    <= 1/(1 - rt) bounds b**(q/p) < (f + 1) * p*b0 / (p*b0 - q*delta),
+    whose ceiling is the start while q*delta < p*b0.
+    """
+    f = b0 = 0
+    for b in bases:
+        den = p * b0 - q * (b - b0)
+        f = _floor_power(b, p, q, -(-(f + 1) * p * b0 // den) if den > 0 else None)
+        b0 = b
+        yield f
 
 
 def _check_alpha(alpha: Fraction, allow_zero: bool) -> Fraction:
@@ -87,10 +108,9 @@ class DigitRule:
         """Integers with lo/den <= log2(term(k)) <= hi/den; materialises the term."""
         return (*log2_bounds(self.term(k), bits), 2 << bits)
 
-    def log2_term_run(self, lo: int, hi: int, bits: int = 32):
-        """Yield log2_term_bounds(k, bits) for k = lo..hi."""
-        for k in range(lo, hi + 1):
-            yield self.log2_term_bounds(k, bits)
+    def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
+        """[log2_term_bounds(k, bits) for k = lo..hi]."""
+        return [self.log2_term_bounds(k, bits) for k in range(lo, hi + 1)]
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         """Whether sum 1/term(k)**s diverges; None when not certified."""
@@ -142,37 +162,40 @@ class _FloorPowerRule(DigitRule):
         shift = (self.prefix[-1] if self.prefix else 1) - len(self.prefix)
         return range(lo + shift, hi + shift + 1)
 
-    def _operands(self, lo: int, hi: int):
+    def _operands(self, lo: int, hi: int) -> list:
         """(n, p, q) for k = lo..hi: term(k) = n**q if p == 1, else floor(n**(q/p)), n >= 2**18."""
-        for d in self.prefix[lo - 1:hi]:
-            yield d, 1, 1
+        ops = [(d, 1, 1) for d in self.prefix[lo - 1:hi]]
         lo = max(lo, len(self.prefix) + 1)
+        bases = self._bases(lo, hi)
         alpha = self.certificate
         if not alpha:  # b_k**k
-            yield from zip(self._bases(lo, hi), repeat(1), range(lo, hi + 1))
-            return
-        p, q = alpha.numerator, alpha.denominator
-        for b in self._bases(lo, hi):
-            if p != 1 and b < _EXACT_LOG_BASE_BOUND:
-                yield _floor_power(b, p, q), 1, 1
-            else:
-                yield b, p, q
+            ops += zip(bases, repeat(1), range(lo, hi + 1))
+        elif alpha.numerator == 1:  # b_k**q
+            ops += zip(bases, repeat(1), repeat(alpha.denominator))
+        else:
+            p, q = alpha.numerator, alpha.denominator
+            bases = list(bases)
+            small = [b for b in bases if b < _EXACT_LOG_BASE_BOUND]
+            ops += zip(_floors(small, p, q), repeat(1), repeat(1))
+            ops += zip(bases[len(small):], repeat(p), repeat(q))
+        return ops
 
     def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
-        return next(self.log2_term_run(k, k, bits))
+        (bounds,) = self.log2_term_run(k, k, bits)
+        return bounds
 
-    def log2_term_run(self, lo: int, hi: int, bits: int = 32):
-        # One log run over the operands.  Scaling is exact when p == 1.
+    def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
+        # One log batch over the operands.  Scaling is exact when p == 1.
         # Otherwise n = b >= 2**18, and with u = b**(q/p) >= b the floor
         # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
         self._require_index(lo)
         scale = 2 << bits
-        operands, ns = tee(self._operands(lo, hi))
-        for (n, p, q), (a, b) in zip(operands, _log2_run(map(itemgetter(0), ns), bits)):
-            if p == 1:
-                yield q * a, q * b, scale
-            else:
-                yield a * q * n - 3 * p * scale, b * q * n, p * n * scale
+        ops = self._operands(lo, hi)
+        return [
+            (q * a, q * (a + (n & (n - 1) != 0)), scale) if p == 1
+            else (a * q * n - 3 * p * scale, (a + (n & (n - 1) != 0)) * q * n, p * n * scale)
+            for (n, p, q), a in zip(ops, _log2_lows([n for n, _, _ in ops], bits))
+        ]
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         return Fraction(s) <= self.certificate

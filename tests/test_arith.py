@@ -87,6 +87,18 @@ class TestRoots:
         assert r**p <= m
         assert (r + 1) ** p > m
 
+    @given(st.integers(3, 99), st.integers(10**3, 10**4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_wide_integer_root(self, p, bits, data):
+        # Roots past 128 bits start at doubling precision; exact powers
+        # and their predecessors sit on either side of a floor step.
+        r = data.draw(st.integers(2, 1 << -(-bits // p)))
+        m = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        assert integer_root(r**p, p) == r
+        assert integer_root(r**p - 1, p) == r - 1
+        root = integer_root(m, p)
+        assert root**p <= m < (root + 1) ** p
+
     def test_bisection_oracle(self):
         # Independent oracle for a handful of frozen cases.
         def by_bisection(n, p, q):
@@ -317,7 +329,7 @@ class TestLog2Step:
 
 
 class TestLog2Run:
-    """_log2_run yields exactly log2_bounds, sharing its cache."""
+    """_log2_lows along a run gives exactly the lower ends of log2_bounds, sharing its cache."""
 
     @staticmethod
     def check(monkeypatch, ns, frac_bits, prefill=()):
@@ -326,7 +338,7 @@ class TestLog2Run:
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         for n in prefill:
             log2_bounds(n, frac_bits)
-        assert list(arith._log2_run(ns, frac_bits)) == expected
+        assert arith._log2_lows(ns, frac_bits) == [lo for lo, _ in expected]
         assert all(arith._LOG2_CACHE[n, frac_bits] == lo for n, (lo, _) in zip(ns, expected))
 
     @given(st.integers(1, 3), st.integers(300, 3000), FRAC_BITS)
@@ -379,7 +391,7 @@ class TestLog2Run:
 
     def test_default_guard_rarely_falls_back(self, monkeypatch, kernel_calls):
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
-        assert len(list(arith._log2_run(range(50_000, 60_000)))) == 10_000
+        assert len(arith._log2_lows(range(50_000, 60_000))) == 10_000
         # the first n by the plain kernel, the second seeds the accumulator
         assert kernel_calls[:2] == [(50_000, 33), (50_001, 33 + 24)]
         assert len(kernel_calls) <= 10
@@ -387,6 +399,17 @@ class TestLog2Run:
     def test_far_apart_runs_take_the_plain_kernel(self, monkeypatch, kernel_calls):
         self.check(monkeypatch, [3**k for k in range(1, 60)], 32)
         assert {steps for _, steps in kernel_calls} == {33}
+
+    def test_cached_bounds_build_no_step_constants(self, monkeypatch, kernel_calls):
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        ns = range(1100, 1200)  # no power of two
+        lows = arith._log2_lows(ns, 32)
+        calls = []
+        monkeypatch.setattr(arith, "ln2_enclosure", lambda *args: calls.append(args))
+        kernel_calls.clear()
+        assert [log2_bounds(n) for n in ns] == [(lo, lo + 1) for lo in lows]
+        assert calls == [] and kernel_calls == []
+
 
 class TestLnEnclosures:
     def test_ln2(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab import arith
+from piercelab import arith, exponent
 from piercelab.arith import (
     INFINITY,
     DomainError,
@@ -168,6 +168,16 @@ REFERENCE_CASES = [
 class TestReferenceWindow:
     @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES)
     def test_window_equals_reference(self, seq, lo, hi):
+        assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
+
+    @pytest.mark.parametrize(
+        "seq, lo, hi",
+        REFERENCE_CASES + [(PierceSeq.finite(tuple(3 * k * k + 1 for k in range(1, 60))), 2, 70)],
+    )
+    def test_chunked_window_equals_reference(self, seq, lo, hi, monkeypatch):
+        # Chunks of 7 put chunk seams inside every window, the finite
+        # prefix's end included.
+        monkeypatch.setattr(exponent, "_WINDOW_CHUNK", 7)
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
 
     @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES)

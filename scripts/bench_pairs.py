@@ -23,12 +23,13 @@ import subprocess
 import sys
 
 
-def run(checkout: str, workload: str, seed: int, seconds: int | None) -> dict:
-    """One untraced benchmark run in `checkout`; returns its run record."""
+def run(checkout: str, workload: str, seed: int) -> dict:
+    """One untraced benchmark run in `checkout`; returns its run record.
+
+    The run length is `run_seconds` of the checkout's BENCHMARK.json.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -58,8 +59,6 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="wall time per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args()
 
     higher = higher_is_better(args.parent)
@@ -71,7 +70,7 @@ def main() -> int:
         checkouts = (args.parent, args.change)
         records = [None, None]
         for side in order:
-            records[side] = run(checkouts[side], args.workload, seed, args.seconds)
+            records[side] = run(checkouts[side], args.workload, seed)
         parent, change = records
         if not (parent["correct"] and change["correct"]):
             flagged.append(f"pair {i} (seed {seed}): a run is not correct")

@@ -328,12 +328,12 @@ def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
 
     hi == lo for powers of two, else lo + 1.  The mantissa is squared
     repeatedly with truncation, which brackets log2 by integer comparisons.
-    A one-index batch of _log2_lows: its miss takes the plain kernel.
+    A one-index batch of _log2_ends: its miss takes the plain kernel.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("log2 requires a positive integer")
-    (lo,) = _log2_lows((n,), frac_bits)
-    return lo, lo + (n & (n - 1) != 0)
+    (lo,), (hi,) = _log2_ends((n,), frac_bits)
+    return lo, hi
 
 
 # Guard bits of a log run below the output scale.  A step widens the
@@ -409,6 +409,15 @@ def _log2_lows(ns, frac_bits: int = 32) -> list[int]:
             _LOG2_CACHE.clear()
         _LOG2_CACHE[m, frac_bits] = lows[i] = lo
     return lows
+
+
+def _log2_ends(ns, frac_bits: int = 32) -> tuple[list[int], list[int]]:
+    """The lower and the upper ends of log2_bounds(n, frac_bits) for an increasing run ns.
+
+    The one place the upper end is written: lo at powers of two, else lo + 1.
+    """
+    lows = _log2_lows(ns, frac_bits)
+    return lows, [lo + (n & (n - 1) != 0) for n, lo in zip(ns, lows)]
 
 
 def log2_enclosure(n: int, frac_bits: int = 32) -> Enclosure:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 from .arith import (
@@ -22,7 +23,7 @@ from .arith import (
     Enclosure,
     RatInterval,
     UncertifiedRuleError,
-    _log2_lows,
+    _log2_ends,
     _scaled_root,
     integer_root,
 )
@@ -94,16 +95,12 @@ def exponent_window(
     for start in range(lo, hi + 1, _WINDOW_CHUNK):
         end = min(start + _WINDOW_CHUNK, hi + 1)
         if seq.is_finite:
-            digits = seq.prefix[start - 1:end - 1]
-            dens = [(d_lo, d_lo + (m & (m - 1) != 0), scale)
-                    for m, d_lo in zip(digits, _log2_lows(digits, bits))]
+            dens = zip(*_log2_ends(seq.prefix[start - 1:end - 1], bits), repeat(scale))
         else:
             # Terms of an infinite rule are never INFINITY; asking the rule
             # for log bounds avoids materialising tower-sized digits.
             dens = seq.rule.log2_term_run(start, end - 1, bits)
-        ns = range(start, end)
-        for n, n_lo, (d_lo, d_hi, d_scale) in zip(ns, _log2_lows(ns, bits), dens):
-            n_hi = n_lo + (n & (n - 1) != 0)
+        for n_lo, n_hi, (d_lo, d_hi, d_scale) in zip(*_log2_ends(range(start, end), bits), dens):
             if d_scale != scale:
                 n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
                 d_lo, d_hi = d_lo * scale, d_hi * scale

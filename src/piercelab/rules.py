@@ -23,8 +23,7 @@ from .arith import (
     DomainError,
     Enclosure,
     GuardExceededError,
-    _log2_lows,
-    _newton_root,
+    _log2_ends,
     integer_root,
     log2_bounds,
     rational_str,
@@ -48,11 +47,8 @@ _EXACT_LOG_BASE_BOUND = 1 << 18
 DIGIT_BITS_GUARD = 1 << 20
 
 
-def _floor_power(b: int, p: int, q: int, above: Optional[int] = None) -> int:
-    """floor(b**(q/p)), refused when its bit length certainly exceeds the guard.
-
-    `above`, when given for p > 2, is a start >= the floor for Newton.
-    """
+def _floor_power(b: int, p: int, q: int) -> int:
+    """floor(b**(q/p)), refused when its bit length certainly exceeds the guard."""
     # The floor has floor(q/p * log2(b)) + 1 <= ceil(q/p * bit_length(b))
     # bits; only past the guard is the certified lower end of log2(b) needed.
     if q * b.bit_length() > p * DIGIT_BITS_GUARD:
@@ -61,24 +57,7 @@ def _floor_power(b: int, p: int, q: int, above: Optional[int] = None) -> int:
             raise GuardExceededError(
                 f"digit floor({b}**({q}/{p})) exceeds the digit guard of {DIGIT_BITS_GUARD} bits"
             )
-    if above is None or p == 2:
-        return integer_root(b**q, p)
-    return _newton_root(b**q, p, above)
-
-
-def _floors(bases, p: int, q: int):
-    """floor(b**(q/p)) for increasing bases b, p > 1, each Newton root seeded.
-
-    From the last floor f at b0 and delta = b - b0, (1 + t)**r <= e**(rt)
-    <= 1/(1 - rt) bounds b**(q/p) < (f + 1) * p*b0 / (p*b0 - q*delta),
-    whose ceiling is the start while q*delta < p*b0.
-    """
-    f = b0 = 0
-    for b in bases:
-        den = p * b0 - q * (b - b0)
-        f = _floor_power(b, p, q, -(-(f + 1) * p * b0 // den) if den > 0 else None)
-        b0 = b
-        yield f
+    return integer_root(b**q, p)
 
 
 def _check_alpha(alpha: Fraction, allow_zero: bool) -> Fraction:
@@ -174,10 +153,8 @@ class _FloorPowerRule(DigitRule):
             ops += zip(bases, repeat(1), repeat(alpha.denominator))
         else:
             p, q = alpha.numerator, alpha.denominator
-            bases = list(bases)
-            small = [b for b in bases if b < _EXACT_LOG_BASE_BOUND]
-            ops += zip(_floors(small, p, q), repeat(1), repeat(1))
-            ops += zip(bases[len(small):], repeat(p), repeat(q))
+            ops += ((_floor_power(b, p, q), 1, 1) if b < _EXACT_LOG_BASE_BOUND else (b, p, q)
+                    for b in bases)
         return ops
 
     def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
@@ -192,9 +169,9 @@ class _FloorPowerRule(DigitRule):
         scale = 2 << bits
         ops = self._operands(lo, hi)
         return [
-            (q * a, q * (a + (n & (n - 1) != 0)), scale) if p == 1
-            else (a * q * n - 3 * p * scale, (a + (n & (n - 1) != 0)) * q * n, p * n * scale)
-            for (n, p, q), a in zip(ops, _log2_lows([n for n, _, _ in ops], bits))
+            (q * a, q * b, scale) if p == 1
+            else (a * q * n - 3 * p * scale, b * q * n, p * n * scale)
+            for (n, p, q), a, b in zip(ops, *_log2_ends([n for n, _, _ in ops], bits))
         ]
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:

@@ -178,7 +178,18 @@ class TestReferenceWindow:
         # Chunks of 7 put chunk seams inside every window, the finite
         # prefix's end included.
         monkeypatch.setattr(exponent, "_WINDOW_CHUNK", 7)
+        indices = []
+        ends = exponent._log2_ends
+
+        def recording_ends(ns, bits):  # the index batches are ranges, the digit ones are not
+            if isinstance(ns, range):
+                indices.extend(ns)
+            return ends(ns, bits)
+
+        monkeypatch.setattr(exponent, "_log2_ends", recording_ends)
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
+        top = min(hi, seq.depth) if seq.is_finite else hi
+        assert indices == list(range(max(lo, 2), top + 1))
 
     @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES)
     def test_growth_ratio_equals_reference(self, seq, lo, hi):

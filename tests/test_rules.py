@@ -170,7 +170,7 @@ BOUND = rules._EXACT_LOG_BASE_BOUND
 
 
 @st.composite
-def seeded_windows(draw):
+def seam_windows(draw):
     """(rule, lo, hi) for p > 1 across the prefix seam or across b = 2**18."""
     alpha = draw(ALPHAS.filter(lambda a: a.numerator > 1 and a < 1))
     family = draw(st.sampled_from(["power", "binary"]))
@@ -185,9 +185,9 @@ def seeded_windows(draw):
     return rule, lo, seam + draw(st.integers(0, 40))
 
 
-@given(seeded_windows())
+@given(seam_windows())
 @settings(max_examples=60, deadline=None)
-def test_seeded_floors_equal_the_roots(window):
+def test_operands_floor_the_small_bases(window):
     rule, lo, hi = window
     alpha = rule.certificate
     p, q = alpha.numerator, alpha.denominator
@@ -200,42 +200,6 @@ def test_seeded_floors_equal_the_roots(window):
         (b,) = rule._bases(k, k)
         expected.append((arith.floor_root_power(b, p, q), 1, 1) if b < BOUND else (b, p, q))
     assert rule._operands(lo, hi) == expected
-
-
-@given(
-    st.integers(2, 9).flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 3 * p))),
-    st.lists(st.integers(1, 3 * BOUND), min_size=1, max_size=60, unique=True).map(sorted),
-)
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_floors_fall_back_where_the_seed_bound_fails(monkeypatch, pq, bases):
-    # Each floor is seeded from the last unless q*delta >= p*b0 (the
-    # first base included), where the unseeded root is taken.
-    p, q = pq
-    roots = []
-    monkeypatch.setattr(rules, "integer_root", lambda m, d: roots.append(m) or arith.integer_root(m, d))
-    assert list(rules._floors(bases, p, q)) == [arith.floor_root_power(b, p, q) for b in bases]
-    unseeded = [b for b0, b in zip([0] + bases, bases) if p == 2 or q * (b - b0) >= p * b0]
-    assert roots == [b**q for b in unseeded]
-
-
-def test_seeded_floors_keep_the_digit_guard(monkeypatch):
-    guard = 20
-    monkeypatch.setattr(rules, "DIGIT_BITS_GUARD", guard)
-    newton = rules._newton_root
-    seeded = []
-
-    def bounded_root(m, p, x):  # no seeded floor past the guard is ever taken
-        assert m.bit_length() <= p * (guard + 1)
-        seeded.append(m)
-        return newton(m, p, x)
-
-    monkeypatch.setattr(rules, "_newton_root", bounded_root)
-    # floor(b**(4/3)) passes 2**20 bits at b = 2**15
-    floors = rules._floors(range(2**15 - 50, 2**15 + 50), 3, 4)
-    with pytest.raises(GuardExceededError):
-        list(floors)
-    assert len(seeded) == 49  # every floor below 2**15 but the first
 
 
 @pytest.mark.parametrize("b, p", [(2, 1), (3, 1), (3, 2), (7, 3), (2**18 + 3, 5)])

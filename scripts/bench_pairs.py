@@ -7,10 +7,12 @@ each checkout, the parent first in even pairs and the change first in odd
 ones, so a drift of the machine's speed does not favour either side.
 Each run writes its record to `.perfbench/` in its own checkout; the
 script reads both records of each pair and prints, for every end-to-end
-metric, the parent's and the change's median and quartiles and the number
-of pairs the change won.  A pair whose run is not `correct`, or whose two
-digests differ, is flagged; the exit code is then 1.  Stdlib only; it
-changes nothing under `perfbench/`.
+metric, the parent's and the change's median and quartiles, the relative
+change of the median and the number of pairs the change won.  A pair
+whose run is not `correct`, or whose two digests differ, is flagged, and
+so is a metric whose median is worse than the parent's by more than its
+`bound` in BENCHMARK.json; the exit code is then 1.  Stdlib only; it
+only reads BENCHMARK.json and changes nothing under `perfbench/`.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ def run(checkout: str, workload: str, seed: int) -> dict:
         return json.load(fh)
 
 
-def higher_is_better(checkout: str) -> dict:
-    """Metric name -> whether higher is better, from BENCHMARK.json."""
+def end_to_end(checkout: str) -> dict:
+    """Metric name -> (whether higher is better, bound), from BENCHMARK.json."""
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    return {m["name"]: (m["better"] == "higher", m["bound"]) for m in spec["end_to_end"]}
 
 
 def quartiles(values: list) -> tuple[float, float, float]:
@@ -61,8 +63,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args()
 
-    higher = higher_is_better(args.parent)
-    values = {name: ([], []) for name in higher}
+    metrics = end_to_end(args.parent)
+    values = {name: ([], []) for name in metrics}
     flagged = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -84,12 +86,17 @@ def main() -> int:
             file=sys.stderr, flush=True)
 
     print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
-    print(f"{'metric':18s} {'parent q1/median/q3':>30s} {'change q1/median/q3':>30s} {'wins':>6s}")
+    print(f"{'metric':18s} {'parent q1/median/q3':>30s} {'change q1/median/q3':>30s}"
+          f" {'median':>8s} {'wins':>6s}")
     for name, (ps, cs) in values.items():
-        wins = sum((c > p) if higher[name] else (c < p) for p, c in zip(ps, cs))
-        pq = "/".join(f"{v:.4g}" for v in quartiles(ps))
-        cq = "/".join(f"{v:.4g}" for v in quartiles(cs))
-        print(f"{name:18s} {pq:>30s} {cq:>30s} {wins:>3d}/{args.pairs}")
+        higher, bound = metrics[name]
+        wins = sum((c > p) if higher else (c < p) for p, c in zip(ps, cs))
+        pq, cq = quartiles(ps), quartiles(cs)
+        rel = (cq[1] - pq[1]) / pq[1]
+        print(f"{name:18s} {'/'.join(f'{v:.4g}' for v in pq):>30s}"
+              f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {rel:>+8.2%} {wins:>3d}/{args.pairs}")
+        if (-rel if higher else rel) > bound:
+            flagged.append(f"{name}: median {rel:+.2%} is worse than its bound of {bound:.0%}")
     for msg in flagged:
         print(f"FLAGGED {msg}")
     return 1 if flagged else 0

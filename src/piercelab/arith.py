@@ -280,55 +280,12 @@ _LOG2_CACHE: dict[tuple[int, int], int] = {}
 _LOG2_CACHE_CAP = 1 << 17  # entries; the cache only memoises, so it is cleared when full
 
 
-def _log2_mantissa_bits(n: int, e: int, steps: int, precision: int):
-    """`steps` fractional bits of log2(n / 2**e) as an integer, or None.
-
-    None means an output bit was undecided: retry at higher precision.
-    """
-    # With P = precision the true scaled mantissa power x lies in
-    # [2**P, 2**(P+1)) and a <= x <= a + delta.  Squaring gives
-    # x' - a' < (x - a)(x + a) / 2**P + 1 < 4*delta + 1, because
-    # x + a < 2**(P+2) and a' = floor(a*a / 2**P) > a*a / 2**P - 1.
-    # A 1 bit halves both: x'/2 - (a' >> 1) <= (x' - a' + 1)/2 < 2*delta + 1.
-    # delta <- 4*delta + 3 bounds both cases.
-    if e <= precision:
-        a = n << (precision - e)
-        delta = 0
-    else:
-        a = n >> (e - precision)
-        delta = 1
-    two = 2 << precision
-    acc = 0
-    for _ in range(steps):
-        a = (a * a) >> precision
-        delta = 4 * delta + 3
-        acc <<= 1
-        if a >= two:
-            acc += 1
-            a >>= 1
-        elif a + delta >= two:
-            return None
-    return acc
-
-
-def _log2_floor(n: int, steps: int) -> int:
-    """floor(2**steps * log2(n)) by the squaring kernel."""
-    e = n.bit_length() - 1
-    lo = e << steps
-    if n != 1 << e:
-        precision = 2 * steps + 16
-        while (acc := _log2_mantissa_bits(n, e, steps, precision)) is None:
-            precision *= 2
-        lo += acc
-    return lo
-
-
 def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
     """Integers lo <= S*log2(n) <= hi at scale S = 2**(frac_bits+1).
 
-    hi == lo for powers of two, else lo + 1.  The mantissa is squared
-    repeatedly with truncation, which brackets log2 by integer comparisons.
-    A one-index batch of _log2_ends: its miss takes the plain kernel.
+    hi == lo for powers of two, else lo + 1.  lo is the unique floor of
+    S*log2(n), kept once both ends of an atanh series from the power of
+    two below n agree on it: a one-index batch of _log2_ends.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("log2 requires a positive integer")
@@ -337,17 +294,18 @@ def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
 
 
 # Guard bits of a log run below the output scale.  A step widens the
-# accumulator by a few units, so thousands of steps fit between re-seeds.
+# accumulator by a few units, so thousands of steps fit between anchors.
 _RUN_GUARD_BITS = 24
 
 
 def _log2_step(acc_lo: int, acc_hi: int, n: int, m: int, c_lo: int, c_hi: int):
-    """Move [acc_lo, acc_hi] from around 2**w * log2 n to around 2**w * log2 m.
+    """Move integers acc_lo <= floor(2**w * log2 n) <= acc_hi to the same for m.
 
-    Needs n < m <= n + n/16 and c_lo <= C <= c_hi for C = 2**w * 2/ln 2.
-    Adds (2/ln 2) atanh(y), y = (m - n)/(m + n) <= 1/33, as odd powers of
-    y over j while C*y**j > 1, floored below and ceiled above; the terms
-    left out sum to at most 1/(1 - y**2) < 2 units, added above.
+    Needs n <= m < 2n and c_lo <= C <= c_hi for C = 2**w * 2/ln 2.
+    Adds (2/ln 2) atanh(y), y = (m - n)/(m + n) < 1/3, as odd powers of
+    y over j while C*y**j > 1, floored below and ceiled above.  The terms
+    left out sum to at most 1/(1 - y**2) <= 9/8 units; with 2**w * log2 n
+    below acc_hi + 1, 2 units added above keep the floor for m.
     """
     t = m + n
     d = m - n
@@ -362,49 +320,71 @@ def _log2_step(acc_lo: int, acc_hi: int, n: int, m: int, c_lo: int, c_hi: int):
     return acc_lo, acc_hi + 2
 
 
+def _log2_constants(w: int) -> tuple[int, int]:
+    """Integers c_lo <= 2**w * 2/ln 2 <= c_hi for _log2_step."""
+    ln2 = ln2_enclosure(w + 8)
+    return ((2 << w) * ln2.hi.denominator // ln2.hi.numerator,
+            -(-(2 << w) * ln2.lo.denominator // ln2.lo.numerator))
+
+
+def _log2_anchored(m: int, w: int, c_lo: int, c_hi: int) -> tuple[int, int]:
+    """Integers lo <= floor(2**w * log2 m) <= hi: one _log2_step from 2**e <= m.
+
+    Past w + 8 bits the step goes to m >> s and adds s; the bits cut off
+    move log2 m by less than 2**-(w+8)/ln 2, under the one unit added
+    above.  m < 2**(e+s+1) caps hi, which decides m just below a power of two.
+    """
+    s = max(m.bit_length() - w - 8, 0)
+    m >>= s
+    e = m.bit_length() - 1
+    lo, hi = _log2_step((e + s) << w, (e + s) << w, 1 << e, m, c_lo, c_hi)
+    return lo, min(hi + (s > 0), ((e + s + 1) << w) - 1)
+
+
+def _log2_floor(n: int, steps: int) -> int:
+    """floor(2**steps * log2(n)): anchors at 2g, 4g, ... guard bits until both ends agree.
+
+    g = _RUN_GUARD_BITS; _log2_lows calls it where an anchor at g disagreed.
+    """
+    g = 2 * _RUN_GUARD_BITS
+    while True:
+        w = steps + g
+        lo, hi = _log2_anchored(n, w, *_log2_constants(w))
+        if lo >> g == hi >> g:
+            return lo >> g
+        g *= 2
+
+
 def _log2_lows(ns, frac_bits: int = 32) -> list[int]:
     """[log2_bounds(n, frac_bits)[0] for n in ns], for an increasing run ns.
 
     The one reader and writer of `_LOG2_CACHE`: all hits are looked up
     first, then only the misses are walked.  A miss at m steps an
-    integer interval [acc_lo, acc_hi] around 2**w * log2 from the last
+    integer bracket [acc_lo, acc_hi] of floor(2**w * log2) from the last
     miss prev, w = frac_bits + 1 + g, by _log2_step.  Where both ends
-    agree on `>> g` that is the kernel's unique floor; otherwise the
-    kernel re-seeds at w bits.  A gap past prev/16 (the first miss
-    included) takes the plain kernel and leaves the seeding to the next
-    miss, so far-apart digits cost one kernel call each.  Powers of two
-    are exact.
+    agree on `>> g` that is the unique floor of 2**(frac_bits+1) * log2 m.
+    The first miss, a gap past prev/16 and a disagreeing step anchor
+    the bracket at the power of two below m instead; an anchor that
+    still disagrees leaves that floor to _log2_floor.  The step
+    constants are built once per batch, and only when it has a miss.
     """
     lows = list(map(_LOG2_CACHE.get, zip(ns, repeat(frac_bits))))
     if None not in lows:
         return lows
     g = _RUN_GUARD_BITS
     w = frac_bits + 1 + g
-    c_lo = c_hi = None
+    c_lo, c_hi = _log2_constants(w)
     prev = acc_lo = acc_hi = 0
-    seeded = False
     for i, m in compress(enumerate(ns), map(is_, lows, repeat(None))):
-        d = m - prev
-        if m & (m - 1) == 0:
-            acc_lo = acc_hi = (m.bit_length() - 1) << w
-            seeded = True
-        elif not 0 < 16 * d <= prev:
+        near = 0 < 16 * (m - prev) <= prev
+        if near:
+            acc_lo, acc_hi = _log2_step(acc_lo, acc_hi, prev, m, c_lo, c_hi)
+        if not near or acc_lo >> g != acc_hi >> g:
+            acc_lo, acc_hi = _log2_anchored(m, w, c_lo, c_hi)
+        lo = acc_lo >> g
+        if lo != acc_hi >> g:
             lo = _log2_floor(m, frac_bits + 1)
-            seeded = False
-        else:
-            if seeded:
-                if c_lo is None:
-                    ln2 = ln2_enclosure(w + 8)
-                    c_lo = (2 << w) * ln2.hi.denominator // ln2.hi.numerator
-                    c_hi = -(-(2 << w) * ln2.lo.denominator // ln2.lo.numerator)
-                acc_lo, acc_hi = _log2_step(acc_lo, acc_hi, prev, m, c_lo, c_hi)
-            if not seeded or acc_lo >> g != acc_hi >> g:
-                acc_lo = _log2_floor(m, w)
-                acc_hi = acc_lo + 1
-                seeded = True
         prev = m
-        if seeded:
-            lo = acc_lo >> g
         if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
             _LOG2_CACHE.clear()
         _LOG2_CACHE[m, frac_bits] = lows[i] = lo
@@ -436,9 +416,9 @@ def ln2_enclosure(frac_bits: int = 64) -> Enclosure:
     if hit is not None:
         return hit
     terms = frac_bits + 8
-    s = Fraction(0)
-    for k in range(1, terms + 1):
-        s += Fraction(1, k << k)
+    # Over the common denominator lcm(1..terms) * 2**terms: one gcd, not one per term.
+    lcm = math.lcm(*range(1, terms + 1))
+    s = Fraction(sum(lcm // k << terms - k for k in range(1, terms + 1)), lcm << terms)
     # Tail sum_{k>K} 1/(k 2^k) < 2^-K / (K+1).
     tail = Fraction(1, (terms + 1) << terms)
     enc = Enclosure(s, s + tail)

@@ -84,12 +84,14 @@ class DigitRule:
         return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
     def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
-        """Integers with lo/den <= log2(term(k)) <= hi/den; materialises the term."""
-        return (*log2_bounds(self.term(k), bits), 2 << bits)
+        """Integers with lo/den <= log2(term(k)) <= hi/den: the one-index log2_term_run."""
+        (bounds,) = self.log2_term_run(k, k, bits)
+        return bounds
 
     def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
-        """[log2_term_bounds(k, bits) for k = lo..hi]."""
-        return [self.log2_term_bounds(k, bits) for k in range(lo, hi + 1)]
+        """[log2_term_bounds(k, bits) for k = lo..hi]: one log batch over the terms."""
+        terms = [self.term(k) for k in range(lo, hi + 1)]
+        return list(zip(*_log2_ends(terms, bits), repeat(2 << bits)))
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         """Whether sum 1/term(k)**s diverges; None when not certified."""
@@ -156,10 +158,6 @@ class _FloorPowerRule(DigitRule):
             ops += ((_floor_power(b, p, q), 1, 1) if b < _EXACT_LOG_BASE_BOUND else (b, p, q)
                     for b in bases)
         return ops
-
-    def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
-        (bounds,) = self.log2_term_run(k, k, bits)
-        return bounds
 
     def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
         # One log batch over the operands.  Scaling is exact when p == 1.

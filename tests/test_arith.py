@@ -1,8 +1,11 @@
+import decimal
+import functools
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from piercelab import arith
@@ -28,7 +31,7 @@ def log_ratio_bracket(n: int, m: int, denom: int) -> tuple[F, F]:
     """Independent oracle: log(n)/log(m) in [t/denom, (t+1)/denom].
 
     Found by direct big-integer power comparison m**t <= n**denom < m**(t+1);
-    shares nothing with the repeated-squaring implementation.
+    shares nothing with the atanh series of the implementation.
     """
     assert n >= 1 and m >= 2
     target = n**denom
@@ -38,6 +41,44 @@ def log_ratio_bracket(n: int, m: int, denom: int) -> tuple[F, F]:
     while m ** (t + 1) <= target:
         t += 1
     return F(t, denom), F(t + 1, denom)
+
+
+@functools.lru_cache(maxsize=None)
+def decimal_ln2(prec: int) -> Decimal:
+    return decimal.Context(prec=prec).ln(Decimal(2))
+
+
+def decimal_log2_floor(n: int, steps: int):
+    """Independent oracle: floor(2**steps * log2 n) by stdlib decimal, or None.
+
+    The precision leaves about 50 correct digits after the point.  Within
+    10**-40 of an integer K the digits cannot decide the floor: where K is
+    a multiple of 2**steps, log2 n is next to E = K >> steps and n < 2**E
+    decides it exactly; any other such value is skipped (None).
+    """
+    prec = 50 + len(str(n.bit_length() << steps))
+    ctx = decimal.Context(prec=prec)
+    x = ctx.multiply(ctx.divide(ctx.ln(Decimal(n)), decimal_ln2(prec)), 1 << steps)
+    k = int(x.to_integral_value())
+    if abs(x - k) >= Decimal(10) ** -40:
+        return int(x.to_integral_value(rounding=decimal.ROUND_FLOOR))
+    if k % (1 << steps) == 0:
+        return k - (n < 1 << (k >> steps))
+    return None
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(m, w) of every anchor."""
+    calls = []
+    anchored = arith._log2_anchored
+
+    def spy(m, w, c_lo, c_hi):
+        calls.append((m, w))
+        return anchored(m, w, c_lo, c_hi)
+
+    monkeypatch.setattr(arith, "_log2_anchored", spy)
+    return calls
 
 
 class TestFloorReciprocal:
@@ -211,39 +252,43 @@ class TestLog2Enclosure:
             assert power < 2 ** int(hi)
 
     def test_kernel_bits_or_retry(self):
-        # At tiny working precisions the slack decides often; every answer
-        # must still be floor(2**steps * log2(n / 2**e)), checked in integers.
+        # At tiny guards an anchor often leaves the floor undecided; every
+        # one it decides must still be floor(2**steps * log2(n)), and every
+        # anchor at w bits must bracket floor(2**w * log2(n)), checked in integers.
+        decided = undecided = 0
         for n in range(3, 600, 2):
-            e = n.bit_length() - 1
             for steps in range(1, 7):
                 power = n ** (1 << steps)
-                for precision in range(1, 13):
-                    acc = arith._log2_mantissa_bits(n, e, steps, precision)
-                    if acc is not None:
-                        low = (e << steps) + acc
+                for guard in range(1, 13):
+                    w = steps + guard
+                    lo, hi = arith._log2_anchored(n, w, *arith._log2_constants(w))
+                    if w <= 10:
+                        assert 2**lo <= n ** (1 << w) < 2 ** (hi + 1)
+                    if lo >> guard == hi >> guard:
+                        low = lo >> guard
                         assert 2**low <= power < 2 ** (low + 1)
+                        decided += 1
+                    else:
+                        undecided += 1
+        assert decided > undecided > 0
 
-    def test_precision_retry(self, monkeypatch):
-        # With P = 82, the working precision at 32 bits, the mantissa's top
-        # P bits are floor(sqrt(2) * 2**P): its square truncates just below
-        # 2 while the upper bound lands above, so the first pass cannot
-        # decide the first bit and the precision is doubled.
-        n = (math.isqrt(2 << 164) << 10) + 1
-        attempts = []
-        kernel = arith._log2_mantissa_bits
-
-        def spy(*args):
-            attempts.append((args[3], kernel(*args)))
-            return attempts[-1][1]
-
+    def test_precision_retry(self, monkeypatch, kernel_calls):
+        # n = isqrt(2**(2k+1)) puts 2*log2(n) within about 2**(1.5-k) below
+        # 2k + 1.  For k = 64 the batch's anchor at g guard bits and the
+        # first _log2_floor anchor at 2g straddle 2k + 1, and the second,
+        # at 4g, decides.
+        k = 64
+        n = math.isqrt(2 << 2 * k)
+        assert 1 << 2 * k <= n * n < 2 << 2 * k  # floor(2 * log2(n)) == 2k
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
-        monkeypatch.setattr(arith, "_log2_mantissa_bits", spy)
-        enc = log2_enclosure(n)
-        assert attempts[0] == (82, None)
-        assert attempts[1][0] == 164 and attempts[-1][1] is not None
-        assert enc.width == F(1, 1 << 33)
+        g = arith._RUN_GUARD_BITS
+        assert arith._log2_floor(n, 1) == 2 * k
+        assert [w for _, w in kernel_calls] == [1 + 2 * g, 1 + 4 * g]
+        kernel_calls.clear()
+        assert log2_bounds(n, 0) == (2 * k, 2 * k + 1)
+        assert [w for _, w in kernel_calls] == [1 + g, 1 + 2 * g, 1 + 4 * g]
         # The 33 bits are a prefix of the 41 bits of a finer enclosure.
-        finer = log2_enclosure(n, 40)
+        enc, finer = log2_enclosure(n), log2_enclosure(n, 40)
         assert enc.lo * 2**33 == (finer.lo * 2**41) // 2**8
 
     @pytest.mark.parametrize("frac_bits", [0, 8, 32])
@@ -290,42 +335,71 @@ def run_settings(examples: int):
 
 
 @st.composite
-def small_steps(draw):
-    """(n, m) with n < m <= n + n/16, the gaps _log2_step is used on."""
-    n = draw(st.integers(16, 1 << 80))
-    return n, n + draw(st.integers(1, n // 16))
-
-
-def log2_step_constants(w: int) -> tuple[int, int]:
-    """Integers c_lo <= 2**w * 2/ln 2 <= c_hi."""
-    ln2 = ln2_enclosure(w + 8)
-    return ((2 << w) * ln2.hi.denominator // ln2.hi.numerator,
-            -(-(2 << w) * ln2.lo.denominator // ln2.lo.numerator))
+def step_gaps(draw):
+    """(n, m) with n <= m < 2n: up to n/16 along a run, up to 2n from an anchor."""
+    n = draw(st.integers(1, 1 << 80))
+    return n, n + draw(st.integers(0, draw(st.sampled_from([n // 16, n - 1]))))
 
 
 class TestLog2Step:
-    """One atanh step of a log run brackets the log it steps to."""
+    """One atanh step brackets the log it steps to, against the decimal oracle."""
 
-    @given(small_steps(), FRAC_BITS)
+    @given(step_gaps(), FRAC_BITS)
     @settings(max_examples=300, deadline=None)
     def test_seeded_step_brackets_the_floor(self, gap, frac_bits):
         n, m = gap
         w = frac_bits + 1 + arith._RUN_GUARD_BITS
-        seed = arith._log2_floor(n, w)
-        acc_lo, acc_hi = arith._log2_step(seed, seed + 1, n, m, *log2_step_constants(w))
-        floor = arith._log2_floor(m, w)
-        assert acc_lo <= floor and floor + 1 <= acc_hi
+        seed, floor = decimal_log2_floor(n, w), decimal_log2_floor(m, w)
+        assume(seed is not None and floor is not None)
+        acc_lo, acc_hi = arith._log2_step(seed, seed, n, m, *arith._log2_constants(w))
+        assert acc_lo <= floor <= acc_hi
 
-    @given(small_steps(), st.integers(1, 90))
+    @given(step_gaps(), st.integers(1, 90))
     @settings(max_examples=300, deadline=None)
     def test_step_brackets_the_log_difference(self, gap, w):
         # The difference at w + 32 bits is A with A - 1 < 2**(w+32) *
         # (log2 m - log2 n) < A + 1; the step from 0 must cover it.
         n, m = gap
-        lo, hi = arith._log2_step(0, 0, n, m, *log2_step_constants(w))
-        diff = arith._log2_floor(m, w + 32) - arith._log2_floor(n, w + 32)
+        floor_m, floor_n = decimal_log2_floor(m, w + 32), decimal_log2_floor(n, w + 32)
+        assume(floor_m is not None and floor_n is not None)
+        lo, hi = arith._log2_step(0, 0, n, m, *arith._log2_constants(w))
+        diff = floor_m - floor_n
         assert lo << 32 < diff + 1
         assert hi << 32 >= diff + 1
+
+
+@st.composite
+def wide_logs(draw):
+    """n of 100 to 5000 bits, often next to a power of two: the anchor truncates them all."""
+    e = draw(st.integers(100, 4999))
+    near = st.sampled_from([1 << e, (1 << e) + 1, (1 << e) - 1, (2 << e) - 1])
+    return draw(near | st.integers(1 << e, (2 << e) - 1))
+
+
+class TestLog2Wide:
+    """Anchors of wide n step from n's top bits, and still give the floor."""
+
+    @given(wide_logs(), FRAC_BITS)
+    @run_settings(120)
+    def test_truncated_anchor_brackets_the_floor(self, monkeypatch, n, frac_bits):
+        w = frac_bits + 1 + arith._RUN_GUARD_BITS
+        floor = decimal_log2_floor(n, w)
+        low = decimal_log2_floor(n, frac_bits + 1)
+        assume(floor is not None and low is not None)
+        lo, hi = arith._log2_anchored(n, w, *arith._log2_constants(w))
+        assert lo <= floor <= hi
+        assert arith._log2_floor(n, frac_bits + 1) == low
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        assert log2_bounds(n, frac_bits) == (low, low + (n & (n - 1) != 0))
+
+    @pytest.mark.parametrize("e", [40, 100, 1000, 5000])
+    def test_below_a_power_of_two_anchors_once(self, monkeypatch, kernel_calls, e):
+        # log2(2**(e+1) - 1) is within 2**-e of e + 1; only m < 2**(e+1)
+        # keeps the anchor's upper end below it.
+        n = (2 << e) - 1
+        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
+        assert log2_bounds(n) == (((e + 1) << 33) - 1, (e + 1) << 33)
+        assert kernel_calls == [(n, 33 + arith._RUN_GUARD_BITS)]
 
 
 class TestLog2Run:
@@ -333,13 +407,13 @@ class TestLog2Run:
 
     @staticmethod
     def check(monkeypatch, ns, frac_bits, prefill=()):
-        monkeypatch.setattr(arith, "_LOG2_CACHE", {})
-        expected = [log2_bounds(n, frac_bits) for n in ns]
+        expected = [decimal_log2_floor(n, frac_bits + 1) for n in ns]
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         for n in prefill:
             log2_bounds(n, frac_bits)
-        assert arith._log2_lows(ns, frac_bits) == [lo for lo, _ in expected]
-        assert all(arith._LOG2_CACHE[n, frac_bits] == lo for n, (lo, _) in zip(ns, expected))
+        lows = arith._log2_lows(ns, frac_bits)
+        assert all(e is None or lo == e for lo, e in zip(lows, expected))
+        assert all(arith._LOG2_CACHE[n, frac_bits] == lo for n, lo in zip(ns, lows))
 
     @given(st.integers(1, 3), st.integers(300, 3000), FRAC_BITS)
     @run_settings(12)
@@ -368,37 +442,27 @@ class TestLog2Run:
         prefill = data.draw(st.lists(st.sampled_from(ns) | st.integers(1, 1 << 41)))
         self.check(monkeypatch, ns, 32, prefill)
 
-    @pytest.fixture
-    def kernel_calls(self, monkeypatch):
-        """(n, steps) of every squaring-kernel call."""
-        calls = []
-        kernel = arith._log2_floor
-
-        def spy(n, steps):
-            calls.append((n, steps))
-            return kernel(n, steps)
-
-        monkeypatch.setattr(arith, "_log2_floor", spy)
-        return calls
-
     @pytest.mark.parametrize("guard_bits", [1, 2])
     def test_tiny_guard_forces_fallbacks(self, monkeypatch, kernel_calls, guard_bits):
         monkeypatch.setattr(arith, "_RUN_GUARD_BITS", guard_bits)
         ns = range(1000, 3000)
         self.check(monkeypatch, ns, 32)
-        seeds = [n for n, steps in kernel_calls if steps == 33 + guard_bits]
-        assert len(seeds) > len(ns) // 2
+        anchors = [m for m, w in kernel_calls if w == 33 + guard_bits]
+        assert len(anchors) > len(ns) // 2
+        # some anchors disagree too, and _log2_floor anchors wider
+        assert any(w == 33 + 2 * guard_bits for _, w in kernel_calls)
 
     def test_default_guard_rarely_falls_back(self, monkeypatch, kernel_calls):
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         assert len(arith._log2_lows(range(50_000, 60_000))) == 10_000
-        # the first n by the plain kernel, the second seeds the accumulator
-        assert kernel_calls[:2] == [(50_000, 33), (50_001, 33 + 24)]
+        # the first n anchors the accumulator, and the rest step from it
+        assert kernel_calls[0] == (50_000, 33 + 24)
         assert len(kernel_calls) <= 10
 
-    def test_far_apart_runs_take_the_plain_kernel(self, monkeypatch, kernel_calls):
-        self.check(monkeypatch, [3**k for k in range(1, 60)], 32)
-        assert {steps for _, steps in kernel_calls} == {33}
+    def test_far_apart_runs_anchor_every_miss(self, monkeypatch, kernel_calls):
+        ns = [3**k for k in range(1, 60)]
+        self.check(monkeypatch, ns, 32)
+        assert kernel_calls == [(n, 33 + 24) for n in ns]
 
     def test_cached_bounds_build_no_step_constants(self, monkeypatch, kernel_calls):
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
@@ -417,6 +481,16 @@ class TestLnEnclosures:
         # float ln2 is within 1e-15 of the truth; the enclosure is far tighter
         assert abs(float(enc.lo) - math.log(2)) < 1e-14
         assert enc.width <= F(1, 1 << 64)
+
+    @pytest.mark.parametrize("frac_bits", [0, 1, 64, 300])
+    def test_ln2_is_the_series_sum(self, frac_bits):
+        # The per-term Fraction sum is the reference for the common-denominator one.
+        terms = frac_bits + 8
+        s = sum(F(1, k << k) for k in range(1, terms + 1))
+        enc = ln2_enclosure(frac_bits)
+        assert enc == Enclosure(s, s + F(1, (terms + 1) << terms))
+        ln2, err = F(decimal_ln2(150)), F(1, 10**140)
+        assert enc.lo <= ln2 + err and ln2 - err <= enc.hi
 
     def test_ln(self):
         enc = ln_enclosure(10, 32)

@@ -128,9 +128,8 @@ class ZeroLowerLogIdentity(DigitRule):
     def term(self, k):
         return k
 
-    def log2_term_bounds(self, k, bits=32):
-        _, hi, den = super().log2_term_bounds(k, bits)
-        return 0, hi, den
+    def log2_term_run(self, lo, hi, bits=32):
+        return [(0, up, den) for _, up, den in super().log2_term_run(lo, hi, bits)]
 
 
 class FinerLogIdentity(DigitRule):
@@ -139,8 +138,8 @@ class FinerLogIdentity(DigitRule):
     def term(self, k):
         return k
 
-    def log2_term_bounds(self, k, bits=32):
-        return super().log2_term_bounds(k, bits + 1)
+    def log2_term_run(self, lo, hi, bits=32):
+        return super().log2_term_run(lo, hi, bits + 1)
 
 
 REFERENCE_CASES = [

@@ -6,13 +6,14 @@ Pair i runs `perfbench/run.py --workload W --seed S+i --trace 0` once in
 each checkout, the parent first in even pairs and the change first in odd
 ones, so a drift of the machine's speed does not favour either side.
 Each run writes its record to `.perfbench/` in its own checkout; the
-script reads both records of each pair and prints, for every end-to-end
-metric, the parent's and the change's median and quartiles, the relative
-change of the median and the number of pairs the change won.  A pair
-whose run is not `correct`, or whose two digests differ, is flagged, and
-so is a metric whose median is worse than the parent's by more than its
-`bound` in BENCHMARK.json; the exit code is then 1.  Stdlib only; it
-only reads BENCHMARK.json and changes nothing under `perfbench/`.
+script reads both records of each pair and prints each side's `src/` line
+count and, for every end-to-end metric, the parent's and the change's
+median and quartiles, the relative change of the median and the number
+of pairs the change won.  A pair whose run is not `correct`, or whose two
+digests differ, is flagged, and so is a metric whose median is worse than
+the parent's by more than its `bound` in BENCHMARK.json; the exit code is
+then 1.  Stdlib only; it only reads BENCHMARK.json and changes nothing
+under `perfbench/`.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ def main() -> int:
             f"{name} {ps[-1]:.4g} -> {cs[-1]:.4g}" for name, (ps, cs) in values.items()),
             file=sys.stderr, flush=True)
 
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}")
+    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1},"
+          f" src_lines {parent['src_lines']} -> {change['src_lines']}")
     print(f"{'metric':18s} {'parent q1/median/q3':>30s} {'change q1/median/q3':>30s}"
           f" {'median':>8s} {'wins':>6s}")
     for name, (ps, cs) in values.items():

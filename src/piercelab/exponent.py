@@ -222,15 +222,14 @@ class PowerSumPartial:
     verdict: Verdict
 
 
-def _term_bounds(d: int, p: int, q: int, shift: int) -> tuple[Fraction, Fraction]:
-    """Certified bounds for 1/d**(p/q); exact when d**p is a perfect q-th power."""
+def _term_bounds(d: int, p: int, q: int, shift: int) -> tuple[int, int, int, int]:
+    """Integers with a/b <= 1/d**(p/q) <= c/e; exact when d**p is a perfect q-th power."""
     v = d**p
     r = integer_root(v, q)
     if r**q == v:
-        t = Fraction(1, r)
-        return t, t
+        return 1, r, 1, r
     r, _ = _scaled_root(v, q, shift)
-    return Fraction(1 << shift, r + 1), Fraction(1 << shift, r)
+    return 1 << shift, r + 1, 1 << shift, r
 
 
 def reciprocal_power_sum(
@@ -263,26 +262,24 @@ def reciprocal_power_sum(
     if seq.is_finite:
         digits = seq.prefix[:n_terms]
     else:
-        digits = checked_digits(seq.rule.term(k) for k in range(1, n_terms + 1))
+        digits = checked_digits(seq.rule.terms_run(1, n_terms))
     for k, d in enumerate(digits, start=1):
         # Term below resolution: close with a certified tail bound
         # (terms decrease, so each of the remaining ones is no larger).
         if d.bit_length() * p > tiny_bits * q + p:
-            tail_each = Fraction(1, 1 << tiny_bits)
             remaining = n_terms - k + 1
             if int_mode:
-                ihi += -((-(remaining * tail_each.numerator) << shift)
-                         // tail_each.denominator)
+                ihi += remaining << (shift - tiny_bits)
             else:
-                exact_hi += remaining * tail_each
+                exact_hi += Fraction(remaining, 1 << tiny_bits)
             break
-        t_lo, t_hi = _term_bounds(d, p, q, shift)
+        a, b, c, e = _term_bounds(d, p, q, shift)
         if int_mode:
-            ilo += (t_lo.numerator << shift) // t_lo.denominator
-            ihi += -((-t_hi.numerator << shift) // t_hi.denominator)
+            ilo += (a << shift) // b
+            ihi += -((-c << shift) // e)
         else:
-            exact_lo += t_lo
-            exact_hi += t_hi
+            exact_lo += Fraction(a, b)
+            exact_hi += Fraction(c, e)
             if exact_hi.denominator.bit_length() > 256:
                 int_mode = True
                 ilo = (exact_lo.numerator << shift) // exact_lo.denominator

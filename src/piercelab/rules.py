@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from operator import add
 from typing import Callable, Optional
 
@@ -78,19 +78,18 @@ class DigitRule:
         """Exact k-th digit (1-indexed)."""
         raise NotImplementedError
 
+    def terms_run(self, lo: int, hi: int):
+        """Iterator over term(k) for k = lo..hi, each digit built only when read."""
+        return map(self.term, range(lo, hi + 1))
+
     def log2_term(self, k: int, bits: int = 32) -> Enclosure:
         """Certified enclosure of log2(term(k))."""
-        lo, hi, den = self.log2_term_bounds(k, bits)
+        ((lo, hi, den),) = self.log2_term_run(k, k, bits)
         return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
-    def log2_term_bounds(self, k: int, bits: int = 32) -> tuple[int, int, int]:
-        """Integers with lo/den <= log2(term(k)) <= hi/den: the one-index log2_term_run."""
-        (bounds,) = self.log2_term_run(k, k, bits)
-        return bounds
-
     def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
-        """[log2_term_bounds(k, bits) for k = lo..hi]: one log batch over the terms."""
-        terms = [self.term(k) for k in range(lo, hi + 1)]
+        """Integers with lo/den <= log2(term(k)) <= hi/den for k = lo..hi: one log batch."""
+        terms = list(self.terms_run(lo, hi))
         return list(zip(*_log2_ends(terms, bits), repeat(2 << bits)))
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
@@ -98,7 +97,7 @@ class DigitRule:
         return None
 
     def terms(self, n: int) -> tuple[int, ...]:
-        return tuple(self.term(k) for k in range(1, n + 1))
+        return tuple(self.terms_run(1, n))
 
     def describe(self) -> dict:
         raise NotImplementedError
@@ -129,43 +128,43 @@ class _FloorPowerRule(DigitRule):
     """
 
     def term(self, k: int) -> int:
-        self._require_index(k)
-        if k <= len(self.prefix):
-            return self.prefix[k - 1]
-        (b,) = self._bases(k, k)
-        alpha = self.certificate
-        if alpha:
-            return _floor_power(b, alpha.numerator, alpha.denominator)
-        return _floor_power(b, 1, k)
+        return next(self.terms_run(k, k))
+
+    def terms_run(self, lo: int, hi: int):
+        return starmap(_floor_power, self._operands(lo, hi))
 
     def _bases(self, lo: int, hi: int):
         """The tail bases b_k for k = lo..hi."""
         shift = (self.prefix[-1] if self.prefix else 1) - len(self.prefix)
         return range(lo + shift, hi + shift + 1)
 
-    def _operands(self, lo: int, hi: int) -> list:
-        """(n, p, q) for k = lo..hi: term(k) = n**q if p == 1, else floor(n**(q/p)), n >= 2**18."""
-        ops = [(d, 1, 1) for d in self.prefix[lo - 1:hi]]
+    def _operands(self, lo: int, hi: int):
+        """Lazy (n, p, q) for k = lo..hi with term(k) = floor(n**(q/p)), n >= 2**18 if p > 1.
+
+        The one place a term is written: prefix digits and the floors of
+        small bases come as (d, 1, 1).
+        """
+        self._require_index(lo)
+        prefix = zip(self.prefix[lo - 1:hi], repeat(1), repeat(1))
         lo = max(lo, len(self.prefix) + 1)
         bases = self._bases(lo, hi)
         alpha = self.certificate
         if not alpha:  # b_k**k
-            ops += zip(bases, repeat(1), range(lo, hi + 1))
+            tail = zip(bases, repeat(1), range(lo, hi + 1))
         elif alpha.numerator == 1:  # b_k**q
-            ops += zip(bases, repeat(1), repeat(alpha.denominator))
+            tail = zip(bases, repeat(1), repeat(alpha.denominator))
         else:
             p, q = alpha.numerator, alpha.denominator
-            ops += ((_floor_power(b, p, q), 1, 1) if b < _EXACT_LOG_BASE_BOUND else (b, p, q)
+            tail = ((_floor_power(b, p, q), 1, 1) if b < _EXACT_LOG_BASE_BOUND else (b, p, q)
                     for b in bases)
-        return ops
+        return chain(prefix, tail)
 
     def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
         # One log batch over the operands.  Scaling is exact when p == 1.
         # Otherwise n = b >= 2**18, and with u = b**(q/p) >= b the floor
         # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
-        self._require_index(lo)
         scale = 2 << bits
-        ops = self._operands(lo, hi)
+        ops = list(self._operands(lo, hi))
         return [
             (q * a, q * b, scale) if p == 1
             else (a * q * n - 3 * p * scale, b * q * n, p * n * scale)

@@ -24,6 +24,7 @@ from piercelab.exponent import (
     growth_ratio,
     reciprocal_power_sum,
 )
+from piercelab.constructions import divergent_tail_rule
 from piercelab.pierce import DigitStatus
 from piercelab.rules import (
     BitPerturbedRule,
@@ -333,3 +334,61 @@ class TestPowerSums:
         sneaky = ExplicitRule(lambda k: k if k <= 20 else 20, name="plateau")
         with pytest.raises(DomainError):
             reciprocal_power_sum(PierceSeq.infinite(sneaky), F(1, 2), 50)
+
+
+def reference_power_sum(seq, s, n_terms, bits=64):
+    """reciprocal_power_sum restated term by term in Fractions.
+
+    Each term is bounded by 1/r for a perfect power r**q = d**p, else by
+    2**shift / (r+1) and 2**shift / r with r = floor(2**shift * d**(p/q)).
+    Once the upper sum's denominator passes 256 bits, both ends round
+    outward to multiples of 2**-shift, as does each later term; a term
+    below 2**-tiny closes the sum with that bound for each one left.
+    """
+    p, q = s.numerator, s.denominator
+    shift, tiny = bits + 32, bits + 8
+    unit = F(1, 1 << shift)
+    lo = hi = F(0)
+    scaled = False
+    for k in range(1, n_terms + 1):
+        d = seq.term(k)
+        if d.bit_length() * p > tiny * q + p:
+            hi += F(n_terms - k + 1, 1 << tiny)
+            break
+        r = arith.integer_root(d**p, q)
+        if r**q == d**p:
+            t_lo = t_hi = F(1, r)
+        else:
+            r = arith.integer_root(d**p << q * shift, q)
+            t_lo, t_hi = F(1 << shift, r + 1), F(1 << shift, r)
+        if scaled:
+            t_lo, t_hi = math.floor(t_lo / unit) * unit, math.ceil(t_hi / unit) * unit
+        lo, hi = lo + t_lo, hi + t_hi
+        if not scaled and hi.denominator.bit_length() > 256:
+            scaled = True
+            lo, hi = math.floor(lo / unit) * unit, math.ceil(hi / unit) * unit
+    return Enclosure(lo, hi)
+
+
+ACCEPTANCE_S = (F(1, 4), F(1, 2), F(3, 4), F(1))
+
+
+@pytest.mark.parametrize(
+    "rule, s, n_terms, bits",
+    [
+        # the acceptance rules: perfect powers at s = alpha, irrational terms
+        # off it; 3 terms stay exact, 300 take every sum past 256 bits
+        (divergent_tail_rule((1, 2, 3, 4, 5), alpha, j), s, n_terms, 64)
+        for alpha in ACCEPTANCE_S for s in ACCEPTANCE_S for j in (1, 5) for n_terms in (3, 300)
+    ] + [
+        # closed by the tail bound: after the switch to integers, and before it
+        (TowerRule(()), F(1), 10**6, 64),
+        (TowerRule(()), F(1), 10**6, 16),
+        (PowerFloorRule((), F(2, 31)), F(1, 2), 10**6, 64),
+        (LinearRule(1), F(1, 2), 1, 64),
+    ],
+)
+def test_power_sum_equals_the_per_term_reference(rule, s, n_terms, bits):
+    seq = PierceSeq.infinite(rule)
+    partial = reciprocal_power_sum(seq, s, n_terms, bits)
+    assert partial.sum == reference_power_sum(seq, s, n_terms, bits)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from piercelab import arith, rules
 from piercelab.arith import GuardExceededError, log2_enclosure
+from piercelab.exponent import reciprocal_power_sum
 from piercelab.pierce import validate_prefix
 from piercelab.rules import (
     BitPerturbedRule,
@@ -14,6 +15,7 @@ from piercelab.rules import (
     PowerFloorRule,
     TowerRule,
 )
+from piercelab.space import PierceSeq, expansion_value
 
 PATTERN = (0, 1, 1, 0, 1, 0, 1)
 
@@ -128,7 +130,7 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
     lo = max(1, len(prefix_of(rule)) + start - 50)
     ks = range(lo, lo + length + 1)
     monkeypatch.setattr(arith, "_LOG2_CACHE", {})
-    expected = [rule.log2_term_bounds(k) for k in ks]
+    expected = [rule.log2_term_run(k, k)[0] for k in ks]
     monkeypatch.setattr(arith, "_LOG2_CACHE", {})
     assert rule.log2_term_run(ks.start, ks.stop - 1) == expected
 
@@ -161,7 +163,7 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
 )
 def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
     monkeypatch.setattr(arith, "_LOG2_CACHE", {})
-    expected = [rule.log2_term_bounds(k) for k in range(lo, hi + 1)]
+    expected = [rule.log2_term_run(k, k)[0] for k in range(lo, hi + 1)]
     monkeypatch.setattr(arith, "_LOG2_CACHE", {})
     assert rule.log2_term_run(lo, hi) == expected
 
@@ -199,7 +201,7 @@ def test_operands_floor_the_small_bases(window):
             continue
         (b,) = rule._bases(k, k)
         expected.append((arith.floor_root_power(b, p, q), 1, 1) if b < BOUND else (b, p, q))
-    assert rule._operands(lo, hi) == expected
+    assert list(rule._operands(lo, hi)) == expected
 
 
 @pytest.mark.parametrize("b, p", [(2, 1), (3, 1), (3, 2), (7, 3), (2**18 + 3, 5)])
@@ -214,6 +216,39 @@ def test_digit_size_guard_refuses_exactly_past_the_bound(b, p, guard, monkeypatc
     assert rules._floor_power(b, p, q) == arith.floor_root_power(b, p, q)
     with pytest.raises(GuardExceededError):
         rules._floor_power(b, p, q + 1)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The (b, p, q) of every digit floor(b**(q/p)) built; past 100 the test fails."""
+    calls = []
+    floor_power = rules._floor_power
+
+    def spy(b, p, q):
+        calls.append((b, p, q))
+        assert len(calls) <= 100, "digits built past the ones read"
+        return floor_power(b, p, q)
+
+    monkeypatch.setattr(rules, "_floor_power", spy)
+    return calls
+
+
+def test_power_sum_builds_no_tower_term_past_the_tail_cut(built):
+    # 19**18 > 2**73 is the first term below the resolution at 64 bits
+    reciprocal_power_sum(PierceSeq.infinite(TowerRule(())), F(1), 10**6)
+    assert built == [(k + 1, 1, k) for k in range(1, 19)]
+
+
+def test_power_sum_floors_no_base_past_the_tail_cut(built):
+    # the operands floor bases below 2**18 themselves; 27**(31/2) > 2**73 closes the sum
+    reciprocal_power_sum(PierceSeq.infinite(PowerFloorRule((), F(2, 31))), F(1), 10**6)
+    assert [b for b, p, _ in built if p == 2] == list(range(2, 28))
+
+
+def test_expansion_value_builds_no_digit_past_its_depth(built):
+    # the bracket 1/(2 * 5 * 6**3 * ... * 12**3) is the first below 2**-64
+    expansion_value(PierceSeq.infinite(PowerFloorRule((2, 5), F(1, 3))), 64, min_depth=4)
+    assert [b for b, _, q in built if q == 3] == list(range(6, 13))
 
 
 def test_power_sum_diverges_at_and_below_the_certificate(case):

@@ -5,6 +5,8 @@
 Pair i runs `perfbench/run.py --workload W --seed S+i --trace 0` once in
 each checkout, the parent first in even pairs and the change first in odd
 ones, so a drift of the machine's speed does not favour either side.
+`--workload all` runs the pairs of every workload in the parent's
+BENCHMARK.json in turn and prints one table per workload.
 Each run writes its record to `.perfbench/` in its own checkout; the
 script reads both records of each pair and prints each side's `src/` line
 count and, for every end-to-end metric, the parent's and the change's
@@ -41,10 +43,13 @@ def run(checkout: str, workload: str, seed: int) -> dict:
         return json.load(fh)
 
 
-def end_to_end(checkout: str) -> dict:
-    """Metric name -> (whether higher is better, bound), from BENCHMARK.json."""
+def benchmark_spec(checkout: str) -> dict:
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = json.load(fh)
+        return json.load(fh)
+
+
+def end_to_end(spec: dict) -> dict:
+    """Metric name -> (whether higher is better, bound), from BENCHMARK.json."""
     return {m["name"]: (m["better"] == "higher", m["bound"]) for m in spec["end_to_end"]}
 
 
@@ -55,16 +60,8 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("parent")
-    parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    args = parser.parse_args()
-
-    metrics = end_to_end(args.parent)
+def compare(args, metrics: dict, workload: str) -> list:
+    """Run the pairs of one workload and print its table; returns the flagged lines."""
     values = {name: ([], []) for name in metrics}
     flagged = []
     for i in range(args.pairs):
@@ -73,7 +70,7 @@ def main() -> int:
         checkouts = (args.parent, args.change)
         records = [None, None]
         for side in order:
-            records[side] = run(checkouts[side], args.workload, seed)
+            records[side] = run(checkouts[side], workload, seed)
         parent, change = records
         if not (parent["correct"] and change["correct"]):
             flagged.append(f"pair {i} (seed {seed}): a run is not correct")
@@ -86,7 +83,7 @@ def main() -> int:
             f"{name} {ps[-1]:.4g} -> {cs[-1]:.4g}" for name, (ps, cs) in values.items()),
             file=sys.stderr, flush=True)
 
-    print(f"{args.workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1},"
+    print(f"{workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1},"
           f" src_lines {parent['src_lines']} -> {change['src_lines']}")
     print(f"{'metric':18s} {'parent q1/median/q3':>30s} {'change q1/median/q3':>30s}"
           f" {'median':>8s} {'wins':>6s}")
@@ -100,7 +97,27 @@ def main() -> int:
         if (-rel if higher else rel) > bound:
             flagged.append(f"{name}: median {rel:+.2%} is worse than its bound of {bound:.0%}")
     for msg in flagged:
-        print(f"FLAGGED {msg}")
+        print(f"FLAGGED {workload} {msg}")
+    sys.stdout.flush()
+    return flagged
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True, help="a workload name, or all")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    args = parser.parse_args()
+
+    spec = benchmark_spec(args.parent)
+    metrics = end_to_end(spec)
+    if args.workload == "all":
+        workloads = [w["name"] for w in spec["workloads"]]
+    else:
+        workloads = [args.workload]
+    flagged = [msg for workload in workloads for msg in compare(args, metrics, workload)]
     return 1 if flagged else 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Optional
 
 from .arith import (
@@ -71,6 +71,28 @@ def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclo
 _WINDOW_CHUNK = 1 << 12
 
 
+def _unpruned(lows: list, highs: list, digits, a: int, b: int, scale: int) -> list:
+    """The index log ends and digits of a finite chunk that can hold a window maximum.
+
+    A digit of l bits has scale*(l-1) <= d_lo <= d_hi <= scale*l, from its
+    bit length alone.  The best coarse lower ratio t/u = n_lo/(scale*l),
+    seeded with the running lower maximum a/b of earlier chunks, is at most
+    the window's lower maximum.  An index whose coarse upper ratio
+    n_hi/(scale*(l-1)) lies strictly below t/u has both of its ratios below
+    both window maxima, so it can be neither.  A clamped index
+    (d_lo <= n_hi) has a coarse upper ratio of at least 1 >= t/u and is
+    kept, and so is the index t/u came from.  Digits of a window are at
+    least its indices >= 2, so l >= 2.
+    """
+    tops = [scale * d.bit_length() for d in digits]
+    t, u = a, b
+    for n_lo, top in zip(lows, tops):
+        if n_lo * u > t * top:
+            t, u = n_lo, top
+    keep = [n_hi * u >= t * (top - scale) for n_hi, top in zip(highs, tops)]
+    return [list(compress(xs, keep)) for xs in (lows, highs, digits)]
+
+
 def exponent_window(
     seq: PierceSeq, lo: int, hi: int, bits: int = DEFAULT_SCAN_BITS
 ) -> Enclosure:
@@ -80,7 +102,9 @@ def exponent_window(
     enclose the true window maximum.  An empty window (or one past the
     finite digits) gives exact 0, matching the all-INFINITY convention.
     Both logs come from batches along each chunk of the window, the
-    indices and the digits being increasing.
+    indices and the digits being increasing.  Over a finite prefix only
+    the digits that survive a bit-length prune (`_unpruned`) take
+    certified logs.
     """
     lo = max(lo, 2)
     scale = 2 << bits
@@ -95,12 +119,15 @@ def exponent_window(
     for start in range(lo, hi + 1, _WINDOW_CHUNK):
         end = min(start + _WINDOW_CHUNK, hi + 1)
         if seq.is_finite:
-            dens = zip(*_log2_ends(seq.prefix[start - 1:end - 1], bits), repeat(scale))
+            ends = _log2_ends(range(start, end), bits)
+            *ends, digits = _unpruned(*ends, seq.prefix[start - 1:end - 1], a, b, scale)
+            dens = zip(*_log2_ends(digits, bits), repeat(scale))
         else:
             # Terms of an infinite rule are never INFINITY; asking the rule
             # for log bounds avoids materialising tower-sized digits.
             dens = seq.rule.log2_term_run(start, end - 1, bits)
-        for n_lo, n_hi, (d_lo, d_hi, d_scale) in zip(*_log2_ends(range(start, end), bits), dens):
+            ends = _log2_ends(range(start, end), bits)
+        for n_lo, n_hi, (d_lo, d_hi, d_scale) in zip(*ends, dens):
             if d_scale != scale:
                 n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
                 d_lo, d_hi = d_lo * scale, d_hi * scale

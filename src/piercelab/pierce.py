@@ -127,11 +127,16 @@ def safe_digits(interval: RatInterval, max_n: int) -> SafeDigits:
             return SafeDigits(tuple(digits), DigitStatus.TERMINATED)
         if len(digits) >= max_n:
             return SafeDigits(tuple(digits), DigitStatus.EXHAUSTED)
+        # One big division per step.  With a <= b and d = q // b, d*a <=
+        # d*b <= q, so rest = q - d*a >= 0 and q // a == d exactly when
+        # rest < a; at a == 0 (digit INFINITY at lo) rest = q >= a, so that
+        # case is AMBIGUOUS too.  rest is the next b.
         d = q // b
-        if a == 0 or q // a != d:
+        rest = q - d * a
+        if rest >= a:
             return SafeDigits(tuple(digits), DigitStatus.AMBIGUOUS)
         digits.append(d)
-        a, b = q - d * b, q - d * a
+        a, b = q - d * b, rest
 
 
 def alternating_sums(digits):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, pairwise
+from itertools import pairwise
 from typing import Optional, Union
 
 from .arith import (
@@ -83,7 +83,11 @@ class PierceSeq:
         return self.rule.term(k)
 
     def terms(self, n: int) -> tuple[ExtNat, ...]:
-        return tuple(self.term(k) for k in range(1, n + 1))
+        """The first n digits (none for n <= 0), INFINITY past a finite prefix."""
+        n = max(n, 0)
+        if self.prefix is not None:
+            return self.prefix[:n] + (INFINITY,) * (n - len(self.prefix))
+        return self.rule.terms(n)
 
 
 SIGMA_ZERO = PierceSeq.finite(())
@@ -116,7 +120,12 @@ def expansion_value(
     if seq.is_finite:
         return Fraction(*_exact_sum(seq.prefix))
     target = 1 << precision_bits
-    sums = alternating_sums(checked_digits(seq.rule.term(k) for k in count(1)))
+    # The loop returns by index `depth`: strictly increasing digits have
+    # d_j >= j, so P_k >= k! >= 2**(k-1) >= target from k = precision_bits + 1,
+    # and k - 1 >= max(min_depth, 2) from k = max(min_depth + 1, 3).  The
+    # stream is lazy, so no digit past the last one read is built.
+    depth = max(min_depth + 1, 3, precision_bits + 1)
+    sums = alternating_sums(checked_digits(seq.rule.terms_run(1, depth)))
     for k, (prev, (s, p)) in enumerate(pairwise(sums), start=2):
         # prev is the depth-(k-1) sum: both bracket endpoints must
         # reach min_depth before an enclosure may be returned; the
@@ -124,6 +133,7 @@ def expansion_value(
         if k - 1 >= max(min_depth, 2) and p >= target:
             lo, hi = sorted((Fraction(*prev), Fraction(s, p)))
             return RatInterval(lo, hi)
+    raise AssertionError(f"the expansion bracket did not close by digit {depth}")
 
 
 def bump_last(prefix) -> tuple[int, ...]:
@@ -196,7 +206,7 @@ def fundamental_interval(prefix) -> FundamentalInterval:
 def cylinder_contains(prefix, seq: PierceSeq) -> bool:
     """Whether the first len(prefix) digits of seq equal the prefix."""
     prefix = validate_prefix(prefix)
-    return all(seq.term(k) == prefix[k - 1] for k in range(1, len(prefix) + 1))
+    return seq.terms(len(prefix)) == prefix
 
 
 def seq_distance(s: PierceSeq, t: PierceSeq, depth: int) -> Fraction:
@@ -208,9 +218,8 @@ def seq_distance(s: PierceSeq, t: PierceSeq, depth: int) -> Fraction:
     if depth < 1:
         raise DomainError("depth must be at least 1")
     total = Fraction(0)
-    for k in range(1, depth + 1):
-        gap = abs(unit_reciprocal(s.term(k)) - unit_reciprocal(t.term(k)))
-        total += Fraction(1, 1 << k) * gap
+    for k, (u, v) in enumerate(zip(s.terms(depth), t.terms(depth)), start=1):
+        total += Fraction(1, 1 << k) * abs(unit_reciprocal(u) - unit_reciprocal(v))
     return total
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from piercelab.arith import (
     Enclosure,
     RatInterval,
     UncertifiedRuleError,
+    log2_bounds,
     log2_enclosure,
 )
 from piercelab.exponent import (
@@ -25,6 +27,7 @@ from piercelab.exponent import (
     reciprocal_power_sum,
 )
 from piercelab.constructions import divergent_tail_rule
+from piercelab.dimension import sample_digit_statistics
 from piercelab.pierce import DigitStatus
 from piercelab.rules import (
     BitPerturbedRule,
@@ -162,6 +165,9 @@ REFERENCE_CASES = [
     # windows that run past the finite digits, partly and wholly
     (PierceSeq.finite(tuple(k**3 for k in range(1, 40))), 10, 100),
     (PierceSeq.finite((2, 5, 11)), 5, 20),
+    # log2 16 = 4 is a whole bit below its bit length, 5: only the
+    # coarse bound 4 keeps index 3 (ratio 0.396) against index 2's 0.356
+    (PierceSeq.finite((1, 7, 16)), 2, 3),
 ]
 
 
@@ -195,6 +201,61 @@ class TestReferenceWindow:
     def test_growth_ratio_equals_reference(self, seq, lo, hi):
         for n in range(max(lo, 2), hi + 1):
             assert growth_ratio(seq, n) == reference_ratio(seq, n)
+
+
+def per_index_window(prefix, lo, hi, bits=32):
+    """A finite window scanned index by index on log2_bounds, with the clamp at 1."""
+    lows, highs = [F(0)], [F(0)]
+    for n in range(max(lo, 2), min(hi, len(prefix)) + 1):
+        n_lo, n_hi = log2_bounds(n, bits)
+        d_lo, d_hi = log2_bounds(prefix[n - 1], bits)
+        lows.append(F(n_lo, d_hi))
+        highs.append(F(1) if d_lo <= n_hi else F(n_hi, d_lo))
+    return Enclosure(max(lows), max(highs))
+
+
+@st.composite
+def finite_prefixes(draw):
+    """Strictly increasing digits mixing clamps, exact ties, powers of two and jumps."""
+    digits, last = [], 0
+    steps = st.tuples(st.sampled_from(["clamp", "square", "power", "jump", "scale"]),
+                      st.integers(0, 2**40))
+    for n, (kind, r) in enumerate(draw(st.lists(steps, min_size=1, max_size=40)), start=1):
+        d = {
+            "clamp": last + 1,  # d_n near n: the upper ratio is clamped at 1
+            "square": n * n,  # ratio 1/2 exactly at every power-of-two n: ties
+            "power": 1 << last.bit_length(),  # log2 d a whole bit below its bit length
+            "jump": last + 1 + r,
+            "scale": last * (2 + r % 7),  # steep growth, as in sampled points
+        }[kind]
+        last = max(d, last + 1)
+        digits.append(last)
+    return tuple(digits)
+
+
+class TestPrunedWindow:
+    @given(finite_prefixes(), st.integers(1, 45), st.integers(0, 45), st.integers(1, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_index_scan(self, prefix, lo, length, chunk):
+        # Chunks of at most 9 put seams inside most windows: later chunks
+        # prune against the lower maximum of earlier ones.
+        with mock.patch.object(exponent, "_WINDOW_CHUNK", chunk):
+            got = exponent_window(PierceSeq.finite(prefix), lo, lo + length)
+        assert got == per_index_window(prefix, lo, lo + length)
+
+    def test_most_sampled_digits_skip_the_logs(self, monkeypatch):
+        logged = []
+        ends = exponent._log2_ends
+
+        def recording_ends(ns, bits):  # the index batches are ranges, the digit ones are not
+            if not isinstance(ns, range):
+                logged.extend(ns)
+            return ends(ns, bits)
+
+        monkeypatch.setattr(exponent, "_log2_ends", recording_ends)
+        report = sample_digit_statistics(4096, 20, 20260809)
+        window = sum(s.depth - max(2, -(-s.depth // 2)) + 1 for s in report.samples)
+        assert window > 500 and 5 * len(logged) < window
 
 
 class TestLogCache:

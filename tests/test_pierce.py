@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -101,7 +102,53 @@ class TestShiftOrbit:
             assert F(1, d + 1) <= t <= F(1, d)
 
 
+def two_division_safe_digits(interval, max_n):
+    """safe_digits restated with each endpoint's digit taken by its own division."""
+    lo, hi = interval.lo, interval.hi
+    q = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    b = hi.numerator * (q // hi.denominator)
+    digits = []
+    while True:
+        if b == 0:
+            return SafeDigits(tuple(digits), DigitStatus.TERMINATED)
+        if len(digits) >= max_n:
+            return SafeDigits(tuple(digits), DigitStatus.EXHAUSTED)
+        d = q // b
+        if a == 0 or q // a != d:
+            return SafeDigits(tuple(digits), DigitStatus.AMBIGUOUS)
+        digits.append(d)
+        a, b = q - d * b, q - d * a
+
+
+open_unit = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(bool)
+
+
+@st.composite
+def split_at_step_one(draw):
+    """lo in the cell of digit k + 1, hi in the cell of digit k."""
+    k = draw(st.integers(1, 50))
+    s, t = draw(open_unit), draw(open_unit)
+    lo = F(1, k + 2) + s * (F(1, k + 1) - F(1, k + 2))
+    hi = F(1, k + 1) + t * (F(1, k) - F(1, k + 1))
+    return lo, hi
+
+
+safe_digit_endpoints = st.one_of(
+    st.tuples(unit_fractions, unit_fractions).map(sorted),
+    unit_fractions.map(lambda x: (x, x)),  # point enclosures
+    unit_fractions.map(lambda x: (F(0), x)),  # lo = 0: digit INFINITY at lo
+    split_at_step_one(),
+)
+
+
 class TestSafeDigits:
+    @given(safe_digit_endpoints, st.integers(0, 12))
+    @settings(max_examples=300)
+    def test_equals_the_two_division_restatement(self, ends, max_n):
+        interval = RatInterval(*ends)
+        assert safe_digits(interval, max_n) == two_division_safe_digits(interval, max_n)
+
     def test_ambiguous_example(self):
         res = safe_digits(RatInterval(F(2, 5), F(9, 20)), 5)
         assert res.prefix == (2,)

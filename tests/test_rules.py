@@ -251,6 +251,21 @@ def test_expansion_value_builds_no_digit_past_its_depth(built):
     assert [b for b, _, q in built if q == 3] == list(range(6, 13))
 
 
+@pytest.mark.parametrize("bits, min_depth", [(1, 2), (64, 2), (64, 12), (300, 4)])
+def test_expansion_value_builds_the_terms_read_one_at_a_time(case, bits, min_depth, built):
+    # The bounded stream builds the digits, and in the same order, that
+    # reading term(k) for k = 1, 2, ... up to the closing bracket builds.
+    rule, _ = case
+    expansion_value(PierceSeq.infinite(rule), bits, min_depth)
+    streamed = built[:]
+    built.clear()
+    k, product = 0, 1
+    while k < max(min_depth + 1, 3) or product < 1 << bits:
+        k += 1
+        product *= rule.term(k)
+    assert streamed == built
+
+
 def test_power_sum_diverges_at_and_below_the_certificate(case):
     rule, _ = case
     cert = rule.certificate

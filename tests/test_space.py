@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab.arith import DomainError, RatInterval
+from piercelab.arith import INFINITY, DomainError, RatInterval
 from piercelab.pierce import digits_rational
 from piercelab.rules import ExplicitRule, LinearRule, PowerFloorRule
 from piercelab.space import (
@@ -130,6 +130,23 @@ class TestFundamentalInterval:
             product /= d
         tail = product * F(1, m_max + 1)
         assert total + tail == cell.diameter
+
+
+class TestTerms:
+    def test_finite_prefix_is_padded_with_infinity(self):
+        seq = PierceSeq.finite((2, 5))
+        assert seq.terms(4) == (2, 5, INFINITY, INFINITY)
+        assert seq.terms(1) == (2,)
+        assert SIGMA_ZERO.terms(2) == (INFINITY, INFINITY)
+
+    def test_rule_terms(self):
+        squares = PowerFloorRule((1,), F(1, 2))
+        assert PierceSeq.infinite(squares).terms(4) == squares.terms(4) == (1, 4, 9, 16)
+
+    @pytest.mark.parametrize("n", [0, -1, -3])
+    def test_no_terms_below_one(self, n):
+        assert PierceSeq.finite((2, 5, 9)).terms(n) == ()
+        assert PierceSeq.infinite(PowerFloorRule((2, 5, 9), F(1, 2))).terms(n) == ()
 
 
 class TestCylinders:

@@ -165,20 +165,22 @@ REFERENCE_CASES = [
     # windows that run past the finite digits, partly and wholly
     (PierceSeq.finite(tuple(k**3 for k in range(1, 40))), 10, 100),
     (PierceSeq.finite((2, 5, 11)), 5, 20),
-    # log2 16 = 4 is a whole bit below its bit length, 5: only the
-    # coarse bound 4 keeps index 3 (ratio 0.396) against index 2's 0.356
-    (PierceSeq.finite((1, 7, 16)), 2, 3),
 ]
+
+# log2 16 = 4 is a whole bit below its bit length, 5: only the
+# coarse bound 4 keeps index 3 (ratio 0.396) against index 2's 0.356
+POWER_OF_TWO_CASE = (PierceSeq.finite((1, 7, 16)), 2, 3)
 
 
 class TestReferenceWindow:
-    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES)
+    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES + [POWER_OF_TWO_CASE])
     def test_window_equals_reference(self, seq, lo, hi):
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
 
     @pytest.mark.parametrize(
         "seq, lo, hi",
-        REFERENCE_CASES + [(PierceSeq.finite(tuple(3 * k * k + 1 for k in range(1, 60))), 2, 70)],
+        REFERENCE_CASES
+        + [(PierceSeq.finite(tuple(3 * k * k + 1 for k in range(1, 60))), 2, 70), POWER_OF_TWO_CASE],
     )
     def test_chunked_window_equals_reference(self, seq, lo, hi, monkeypatch):
         # Chunks of 7 put chunk seams inside every window, the finite
@@ -197,7 +199,7 @@ class TestReferenceWindow:
         top = min(hi, seq.depth) if seq.is_finite else hi
         assert indices == list(range(max(lo, 2), top + 1))
 
-    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES)
+    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES + [POWER_OF_TWO_CASE])
     def test_growth_ratio_equals_reference(self, seq, lo, hi):
         for n in range(max(lo, 2), hi + 1):
             assert growth_ratio(seq, n) == reference_ratio(seq, n)

@@ -32,6 +32,7 @@ __all__ = [
     "ceil_root_power",
     "Enclosure",
     "RatInterval",
+    "LOG2_SCALE",
     "log2_bounds",
     "log2_enclosure",
     "ln2_enclosure",
@@ -276,20 +277,24 @@ class RatInterval(Enclosure):
             raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
 
 
-_LOG2_CACHE: dict[tuple[int, int], int] = {}
+# The one scale of certified binary logs: lo <= LOG2_SCALE * log2(n) <= hi.
+LOG2_SCALE_BITS = 33
+LOG2_SCALE = 1 << LOG2_SCALE_BITS
+
+_LOG2_CACHE: dict[int, int] = {}  # n -> floor(LOG2_SCALE * log2(n))
 _LOG2_CACHE_CAP = 1 << 17  # entries; the cache only memoises, so it is cleared when full
 
 
-def log2_bounds(n: int, frac_bits: int = 32) -> tuple[int, int]:
-    """Integers lo <= S*log2(n) <= hi at scale S = 2**(frac_bits+1).
+def log2_bounds(n: int) -> tuple[int, int]:
+    """Integers lo <= LOG2_SCALE*log2(n) <= hi.
 
     hi == lo for powers of two, else lo + 1.  lo is the unique floor of
-    S*log2(n), kept once both ends of an atanh series from the power of
-    two below n agree on it: a one-index batch of _log2_ends.
+    LOG2_SCALE*log2(n), kept once both ends of an atanh series from the
+    power of two below n agree on it: a one-index batch of _log2_ends.
     """
     if not isinstance(n, int) or n < 1:
         raise DomainError("log2 requires a positive integer")
-    (lo,), (hi,) = _log2_ends((n,), frac_bits)
+    (lo,), (hi,) = _log2_ends((n,))
     return lo, hi
 
 
@@ -341,38 +346,38 @@ def _log2_anchored(m: int, w: int, c_lo: int, c_hi: int) -> tuple[int, int]:
     return lo, min(hi + (s > 0), ((e + s + 1) << w) - 1)
 
 
-def _log2_floor(n: int, steps: int) -> int:
-    """floor(2**steps * log2(n)): anchors at 2g, 4g, ... guard bits until both ends agree.
+def _log2_floor(n: int) -> int:
+    """floor(LOG2_SCALE * log2(n)): anchors at 2g, 4g, ... guard bits until both ends agree.
 
     g = _RUN_GUARD_BITS; _log2_lows calls it where an anchor at g disagreed.
     """
     g = 2 * _RUN_GUARD_BITS
     while True:
-        w = steps + g
+        w = LOG2_SCALE_BITS + g
         lo, hi = _log2_anchored(n, w, *_log2_constants(w))
         if lo >> g == hi >> g:
             return lo >> g
         g *= 2
 
 
-def _log2_lows(ns, frac_bits: int = 32) -> list[int]:
-    """[log2_bounds(n, frac_bits)[0] for n in ns], for an increasing run ns.
+def _log2_lows(ns) -> list[int]:
+    """[log2_bounds(n)[0] for n in ns], for an increasing run ns.
 
     The one reader and writer of `_LOG2_CACHE`: all hits are looked up
     first, then only the misses are walked.  A miss at m steps an
     integer bracket [acc_lo, acc_hi] of floor(2**w * log2) from the last
-    miss prev, w = frac_bits + 1 + g, by _log2_step.  Where both ends
-    agree on `>> g` that is the unique floor of 2**(frac_bits+1) * log2 m.
+    miss prev, w = LOG2_SCALE_BITS + g, by _log2_step.  Where both ends
+    agree on `>> g` that is the unique floor of LOG2_SCALE * log2 m.
     The first miss, a gap past prev/16 and a disagreeing step anchor
     the bracket at the power of two below m instead; an anchor that
     still disagrees leaves that floor to _log2_floor.  The step
     constants are built once per batch, and only when it has a miss.
     """
-    lows = list(map(_LOG2_CACHE.get, zip(ns, repeat(frac_bits))))
+    lows = list(map(_LOG2_CACHE.get, ns))
     if None not in lows:
         return lows
     g = _RUN_GUARD_BITS
-    w = frac_bits + 1 + g
+    w = LOG2_SCALE_BITS + g
     c_lo, c_hi = _log2_constants(w)
     prev = acc_lo = acc_hi = 0
     for i, m in compress(enumerate(ns), map(is_, lows, repeat(None))):
@@ -383,28 +388,27 @@ def _log2_lows(ns, frac_bits: int = 32) -> list[int]:
             acc_lo, acc_hi = _log2_anchored(m, w, c_lo, c_hi)
         lo = acc_lo >> g
         if lo != acc_hi >> g:
-            lo = _log2_floor(m, frac_bits + 1)
+            lo = _log2_floor(m)
         prev = m
         if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
             _LOG2_CACHE.clear()
-        _LOG2_CACHE[m, frac_bits] = lows[i] = lo
+        _LOG2_CACHE[m] = lows[i] = lo
     return lows
 
 
-def _log2_ends(ns, frac_bits: int = 32) -> tuple[list[int], list[int]]:
-    """The lower and the upper ends of log2_bounds(n, frac_bits) for an increasing run ns.
+def _log2_ends(ns) -> tuple[list[int], list[int]]:
+    """The lower and the upper ends of log2_bounds(n) for an increasing run ns.
 
     The one place the upper end is written: lo at powers of two, else lo + 1.
     """
-    lows = _log2_lows(ns, frac_bits)
+    lows = _log2_lows(ns)
     return lows, [lo + (n & (n - 1) != 0) for n, lo in zip(ns, lows)]
 
 
-def log2_enclosure(n: int, frac_bits: int = 32) -> Enclosure:
-    """Certified enclosure of log2(n), width <= 2**-frac_bits; exact for powers of two."""
-    lo, hi = log2_bounds(n, frac_bits)
-    scale = 2 << frac_bits
-    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+def log2_enclosure(n: int) -> Enclosure:
+    """Certified enclosure of log2(n), width 1/LOG2_SCALE; exact for powers of two."""
+    lo, hi = log2_bounds(n)
+    return Enclosure(Fraction(lo, LOG2_SCALE), Fraction(hi, LOG2_SCALE))
 
 
 _LN2_CACHE: dict[int, Enclosure] = {}
@@ -426,11 +430,11 @@ def ln2_enclosure(frac_bits: int = 64) -> Enclosure:
     return enc
 
 
-def ln_enclosure(n: int, frac_bits: int = 32) -> Enclosure:
+def ln_enclosure(n: int) -> Enclosure:
     """Certified enclosure of the natural logarithm of a positive integer."""
     if n == 1:
         return Enclosure.exact(0)
-    return log2_enclosure(n, frac_bits).mul_pos(ln2_enclosure(frac_bits))
+    return log2_enclosure(n).mul_pos(ln2_enclosure(32))
 
 
 def _scaled_root(m: int, v: int, t: int) -> tuple[int, bool]:

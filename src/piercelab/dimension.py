@@ -338,7 +338,7 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
         seq = PierceSeq.finite(sd.prefix)
         window = exponent_window(seq, max(2, -(-depth // 2)), depth)
         if depth >= 1:
-            log_ratio = ln_enclosure(sd.prefix[-1], 32).scale(Fraction(1, depth))
+            log_ratio = ln_enclosure(sd.prefix[-1]).scale(Fraction(1, depth))
             log_ratios.append(log_ratio.midpoint)
         else:
             log_ratio = None

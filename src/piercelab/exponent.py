@@ -19,6 +19,7 @@ from itertools import compress, repeat
 from typing import Optional
 
 from .arith import (
+    LOG2_SCALE,
     DomainError,
     Enclosure,
     RatInterval,
@@ -44,8 +45,6 @@ __all__ = [
     "classify_divergence",
 ]
 
-DEFAULT_SCAN_BITS = 32
-
 _ZERO = Fraction(0)
 
 
@@ -55,14 +54,14 @@ class Verdict(Enum):
     UNKNOWN = "unknown"
 
 
-def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclosure:
+def growth_ratio(seq: PierceSeq, n: int) -> Enclosure:
     """Certified enclosure of log n / log d_n for n >= 2; exact 0 at d_n = INFINITY.
 
     Lies in [0, 1] because strictly increasing digits satisfy d_n >= n.
     """
     if n < 2:
         raise DomainError("growth ratios are defined for indices n >= 2")
-    return exponent_window(seq, n, n, bits)
+    return exponent_window(seq, n, n)
 
 
 # Indices per log batch: a window's logs are taken a chunk at a time, so
@@ -71,31 +70,29 @@ def growth_ratio(seq: PierceSeq, n: int, bits: int = DEFAULT_SCAN_BITS) -> Enclo
 _WINDOW_CHUNK = 1 << 12
 
 
-def _unpruned(lows: list, highs: list, digits, a: int, b: int, scale: int) -> list:
+def _unpruned(lows: list, highs: list, digits, a: int, b: int) -> list:
     """The index log ends and digits of a finite chunk that can hold a window maximum.
 
-    A digit of l bits has scale*(l-1) <= d_lo <= d_hi <= scale*l, from its
-    bit length alone.  The best coarse lower ratio t/u = n_lo/(scale*l),
+    At S = LOG2_SCALE a digit of l bits has S*(l-1) <= d_lo <= d_hi <= S*l,
+    from its bit length alone.  The best coarse lower ratio t/u = n_lo/(S*l),
     seeded with the running lower maximum a/b of earlier chunks, is at most
     the window's lower maximum.  An index whose coarse upper ratio
-    n_hi/(scale*(l-1)) lies strictly below t/u has both of its ratios below
+    n_hi/(S*(l-1)) lies strictly below t/u has both of its ratios below
     both window maxima, so it can be neither.  A clamped index
     (d_lo <= n_hi) has a coarse upper ratio of at least 1 >= t/u and is
     kept, and so is the index t/u came from.  Digits of a window are at
     least its indices >= 2, so l >= 2.
     """
-    tops = [scale * d.bit_length() for d in digits]
+    tops = [LOG2_SCALE * d.bit_length() for d in digits]
     t, u = a, b
     for n_lo, top in zip(lows, tops):
         if n_lo * u > t * top:
             t, u = n_lo, top
-    keep = [n_hi * u >= t * (top - scale) for n_hi, top in zip(highs, tops)]
+    keep = [n_hi * u >= t * (top - LOG2_SCALE) for n_hi, top in zip(highs, tops)]
     return [list(compress(xs, keep)) for xs in (lows, highs, digits)]
 
 
-def exponent_window(
-    seq: PierceSeq, lo: int, hi: int, bits: int = DEFAULT_SCAN_BITS
-) -> Enclosure:
+def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     """Certified enclosure of max growth_ratio over indices lo..hi.
 
     The pointwise maxima of the individual lower and upper bounds
@@ -107,7 +104,7 @@ def exponent_window(
     certified logs.
     """
     lo = max(lo, 2)
-    scale = 2 << bits
+    scale = LOG2_SCALE
     if seq.is_finite:
         hi = min(hi, seq.depth)
     # Running maxima a/b and c/d of the ratio's lower and upper bounds,
@@ -119,14 +116,14 @@ def exponent_window(
     for start in range(lo, hi + 1, _WINDOW_CHUNK):
         end = min(start + _WINDOW_CHUNK, hi + 1)
         if seq.is_finite:
-            ends = _log2_ends(range(start, end), bits)
-            *ends, digits = _unpruned(*ends, seq.prefix[start - 1:end - 1], a, b, scale)
-            dens = zip(*_log2_ends(digits, bits), repeat(scale))
+            ends = _log2_ends(range(start, end))
+            *ends, digits = _unpruned(*ends, seq.prefix[start - 1:end - 1], a, b)
+            dens = zip(*_log2_ends(digits), repeat(scale))
         else:
             # Terms of an infinite rule are never INFINITY; asking the rule
             # for log bounds avoids materialising tower-sized digits.
-            dens = seq.rule.log2_term_run(start, end - 1, bits)
-            ends = _log2_ends(range(start, end), bits)
+            dens = seq.rule.log2_term_run(start, end - 1)
+            ends = _log2_ends(range(start, end))
         for n_lo, n_hi, (d_lo, d_hi, d_scale) in zip(*ends, dens):
             if d_scale != scale:
                 n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
@@ -170,20 +167,16 @@ def _half_window(n_eff: int) -> tuple[int, int]:
     return max(2, -(-n_eff // 2)), n_eff
 
 
-def estimate_exponent(
-    seq: PierceSeq, n_max: int, bits: int = DEFAULT_SCAN_BITS
-) -> ExponentEstimate:
+def estimate_exponent(seq: PierceSeq, n_max: int) -> ExponentEstimate:
     """Scan the tail window [ceil(n_max/2), n_max] of a sequence."""
     if n_max < 2:
         raise DomainError("n_max must be at least 2")
     lo, hi = _half_window(n_max)
-    sup = exponent_window(seq, lo, hi, bits)
+    sup = exponent_window(seq, lo, hi)
     return ExponentEstimate(lo, hi, sup, certified=False, certificate=None)
 
 
-def estimate_point_exponent(
-    x: RatInterval, n_max: int, bits: int = DEFAULT_SCAN_BITS
-) -> ExponentEstimate:
+def estimate_point_exponent(x: RatInterval, n_max: int) -> ExponentEstimate:
     """Window diagnostic for a point given as a rational enclosure.
 
     Runs the safe digit extraction to at most n_max digits and scans the
@@ -195,7 +188,7 @@ def estimate_point_exponent(
     n_eff = len(result.prefix)
     seq = PierceSeq.finite(result.prefix)
     lo, hi = _half_window(n_eff)
-    sup = exponent_window(seq, lo, hi, bits) if n_eff >= 2 else Enclosure.exact(0)
+    sup = exponent_window(seq, lo, hi) if n_eff >= 2 else Enclosure.exact(0)
     # A terminated orbit proves the point rational; so does a point
     # enclosure by construction.  Rationals have exponent exactly 0
     # whatever the window diagnostic says.

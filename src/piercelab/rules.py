@@ -20,8 +20,8 @@ from operator import add
 from typing import Callable, Optional
 
 from .arith import (
+    LOG2_SCALE,
     DomainError,
-    Enclosure,
     GuardExceededError,
     _log2_ends,
     integer_root,
@@ -52,8 +52,8 @@ def _floor_power(b: int, p: int, q: int) -> int:
     # The floor has floor(q/p * log2(b)) + 1 <= ceil(q/p * bit_length(b))
     # bits; only past the guard is the certified lower end of log2(b) needed.
     if q * b.bit_length() > p * DIGIT_BITS_GUARD:
-        lo, _ = log2_bounds(b, 32)  # lo <= 2**33 * log2(b)
-        if q * lo >= p * DIGIT_BITS_GUARD << 33:
+        lo, _ = log2_bounds(b)  # lo <= LOG2_SCALE * log2(b)
+        if q * lo >= p * DIGIT_BITS_GUARD * LOG2_SCALE:
             raise GuardExceededError(
                 f"digit floor({b}**({q}/{p})) exceeds the digit guard of {DIGIT_BITS_GUARD} bits"
             )
@@ -82,15 +82,10 @@ class DigitRule:
         """Iterator over term(k) for k = lo..hi, each digit built only when read."""
         return map(self.term, range(lo, hi + 1))
 
-    def log2_term(self, k: int, bits: int = 32) -> Enclosure:
-        """Certified enclosure of log2(term(k))."""
-        ((lo, hi, den),) = self.log2_term_run(k, k, bits)
-        return Enclosure(Fraction(lo, den), Fraction(hi, den))
-
-    def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
+    def log2_term_run(self, lo: int, hi: int) -> list:
         """Integers with lo/den <= log2(term(k)) <= hi/den for k = lo..hi: one log batch."""
         terms = list(self.terms_run(lo, hi))
-        return list(zip(*_log2_ends(terms, bits), repeat(2 << bits)))
+        return list(zip(*_log2_ends(terms), repeat(LOG2_SCALE)))
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
         """Whether sum 1/term(k)**s diverges; None when not certified."""
@@ -145,7 +140,8 @@ class _FloorPowerRule(DigitRule):
         small bases come as (d, 1, 1).
         """
         self._require_index(lo)
-        prefix = zip(self.prefix[lo - 1:hi], repeat(1), repeat(1))
+        # max(hi, 0): a negative hi must not count from the prefix's end
+        prefix = zip(self.prefix[lo - 1:max(hi, 0)], repeat(1), repeat(1))
         lo = max(lo, len(self.prefix) + 1)
         bases = self._bases(lo, hi)
         alpha = self.certificate
@@ -159,16 +155,15 @@ class _FloorPowerRule(DigitRule):
                     for b in bases)
         return chain(prefix, tail)
 
-    def log2_term_run(self, lo: int, hi: int, bits: int = 32) -> list:
+    def log2_term_run(self, lo: int, hi: int) -> list:
         # One log batch over the operands.  Scaling is exact when p == 1.
         # Otherwise n = b >= 2**18, and with u = b**(q/p) >= b the floor
         # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
-        scale = 2 << bits
         ops = list(self._operands(lo, hi))
         return [
-            (q * a, q * b, scale) if p == 1
-            else (a * q * n - 3 * p * scale, b * q * n, p * n * scale)
-            for (n, p, q), a, b in zip(ops, *_log2_ends([n for n, _, _ in ops], bits))
+            (q * a, q * b, LOG2_SCALE) if p == 1
+            else (a * q * n - 3 * p * LOG2_SCALE, b * q * n, p * n * LOG2_SCALE)
+            for (n, p, q), a, b in zip(ops, *_log2_ends([n for n, _, _ in ops]))
         ]
 
     def power_sum_diverges(self, s: Fraction) -> Optional[bool]:

@@ -13,6 +13,7 @@ from piercelab.arith import (
     DomainError,
     Enclosure,
     INFINITY,
+    LOG2_SCALE,
     RatInterval,
     ceil_root_power,
     floor_reciprocal,
@@ -225,31 +226,32 @@ class TestLog2Enclosure:
     @given(st.integers(2, 10**6))
     @settings(max_examples=60)
     def test_contains_log2(self, n):
-        enc = log2_enclosure(n, 24)
+        enc = log2_enclosure(n)
         lo, hi = log_ratio_bracket(n, 2, 128)
         # Both intervals contain log2(n); certified width bound holds.
-        assert enc.width <= F(1, 1 << 24)
+        assert enc.width <= F(1, LOG2_SCALE)
         assert enc.lo <= hi and lo <= enc.hi
 
     def test_sharp_oracle(self):
         for n in (3, 7, 10, 1000, 999983):
-            enc = log2_enclosure(n, 48)
+            enc = log2_enclosure(n)
             lo, hi = log_ratio_bracket(n, 2, 4096)
             assert enc.lo <= hi and lo <= enc.hi
-            assert enc.width <= F(1, 1 << 48)
+            assert enc.lo * LOG2_SCALE == decimal_log2_floor(n, arith.LOG2_SCALE_BITS)
+            assert enc.width == F(1, LOG2_SCALE)
 
     @given(st.integers(1, 8), st.integers(2, 1 << 20))
     @settings(max_examples=200)
-    def test_integer_oracle(self, frac_bits, n):
-        # lo/S <= log2(n) <= hi/S at S = 2**(frac_bits+1) is 2**lo <= n**S <= 2**hi.
-        scale = 2 << frac_bits
-        enc = log2_enclosure(n, frac_bits)
-        lo, hi = enc.lo * scale, enc.hi * scale
+    def test_integer_oracle(self, k, n):
+        # The top bits of lo = floor(LOG2_SCALE * log2(n)) are l = floor(2**k * log2(n)),
+        # which is 2**l <= n**(2**k) < 2**(l+1).
+        enc = log2_enclosure(n)
+        lo, hi = enc.lo * LOG2_SCALE, enc.hi * LOG2_SCALE
         assert lo.denominator == hi.denominator == 1
-        power = n**scale
-        assert 2 ** int(lo) <= power <= 2 ** int(hi)
-        if n & (n - 1):
-            assert power < 2 ** int(hi)
+        assert hi - lo == (n & (n - 1) != 0)
+        low = int(lo) >> arith.LOG2_SCALE_BITS - k
+        power = n ** (1 << k)
+        assert 2**low <= power < 2 ** (low + 1)
 
     def test_kernel_bits_or_retry(self):
         # At tiny guards an anchor often leaves the floor undecided; every
@@ -273,31 +275,28 @@ class TestLog2Enclosure:
         assert decided > undecided > 0
 
     def test_precision_retry(self, monkeypatch, kernel_calls):
-        # n = isqrt(2**(2k+1)) puts 2*log2(n) within about 2**(1.5-k) below
-        # 2k + 1.  For k = 64 the batch's anchor at g guard bits and the
-        # first _log2_floor anchor at 2g straddle 2k + 1, and the second,
-        # at 4g, decides.
-        k = 64
+        # n = isqrt(2**(2k+1)) puts LOG2_SCALE*log2(n) within about
+        # 2**(32+1.5-k) below K = 2**32 * (2k+1).  For k = 96 the batch's
+        # anchor at g guard bits and the first _log2_floor anchor at 2g
+        # straddle K, and the second, at 4g, decides.
+        k = 96
         n = math.isqrt(2 << 2 * k)
         assert 1 << 2 * k <= n * n < 2 << 2 * k  # floor(2 * log2(n)) == 2k
+        K = (2 * k + 1) << 32
+        assert decimal_log2_floor(n, arith.LOG2_SCALE_BITS) == K - 1
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         g = arith._RUN_GUARD_BITS
-        assert arith._log2_floor(n, 1) == 2 * k
-        assert [w for _, w in kernel_calls] == [1 + 2 * g, 1 + 4 * g]
+        assert arith._log2_floor(n) == K - 1
+        assert [w for _, w in kernel_calls] == [33 + 2 * g, 33 + 4 * g]
         kernel_calls.clear()
-        assert log2_bounds(n, 0) == (2 * k, 2 * k + 1)
-        assert [w for _, w in kernel_calls] == [1 + g, 1 + 2 * g, 1 + 4 * g]
-        # The 33 bits are a prefix of the 41 bits of a finer enclosure.
-        enc, finer = log2_enclosure(n), log2_enclosure(n, 40)
-        assert enc.lo * 2**33 == (finer.lo * 2**41) // 2**8
+        assert log2_bounds(n) == (K - 1, K)
+        assert [w for _, w in kernel_calls] == [33 + g, 33 + 2 * g, 33 + 4 * g]
 
-    @pytest.mark.parametrize("frac_bits", [0, 8, 32])
-    def test_bounds_scale_the_enclosure(self, frac_bits):
-        scale = 2 << frac_bits
+    def test_bounds_scale_the_enclosure(self):
         for n in (2, 3, 1024, 1025, 3**40):
-            lo, hi = log2_bounds(n, frac_bits)
+            lo, hi = log2_bounds(n)
             assert hi - lo == (0 if n & (n - 1) == 0 else 1)
-            assert log2_enclosure(n, frac_bits) == Enclosure(F(lo, scale), F(hi, scale))
+            assert log2_enclosure(n) == Enclosure(F(lo, LOG2_SCALE), F(hi, LOG2_SCALE))
 
     @pytest.mark.parametrize("n", [0, -1, F(3)])
     def test_bounds_refuse_non_positive_or_non_integer(self, n):
@@ -306,8 +305,8 @@ class TestLog2Enclosure:
 
     def test_big_input(self):
         n = 3**500
-        enc = log2_enclosure(n, 32)
-        assert enc.width <= F(1, 1 << 32)
+        enc = log2_enclosure(n)
+        assert enc.width <= F(1, LOG2_SCALE)
         assert abs(float(enc.lo) - 500 * math.log2(3)) < 1e-6
 
 
@@ -384,13 +383,13 @@ class TestLog2Wide:
     def test_truncated_anchor_brackets_the_floor(self, monkeypatch, n, frac_bits):
         w = frac_bits + 1 + arith._RUN_GUARD_BITS
         floor = decimal_log2_floor(n, w)
-        low = decimal_log2_floor(n, frac_bits + 1)
+        low = decimal_log2_floor(n, arith.LOG2_SCALE_BITS)
         assume(floor is not None and low is not None)
         lo, hi = arith._log2_anchored(n, w, *arith._log2_constants(w))
         assert lo <= floor <= hi
-        assert arith._log2_floor(n, frac_bits + 1) == low
+        assert arith._log2_floor(n) == low
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
-        assert log2_bounds(n, frac_bits) == (low, low + (n & (n - 1) != 0))
+        assert log2_bounds(n) == (low, low + (n & (n - 1) != 0))
 
     @pytest.mark.parametrize("e", [40, 100, 1000, 5000])
     def test_below_a_power_of_two_anchors_once(self, monkeypatch, kernel_calls, e):
@@ -406,47 +405,47 @@ class TestLog2Run:
     """_log2_lows along a run gives exactly the lower ends of log2_bounds, sharing its cache."""
 
     @staticmethod
-    def check(monkeypatch, ns, frac_bits, prefill=()):
-        expected = [decimal_log2_floor(n, frac_bits + 1) for n in ns]
+    def check(monkeypatch, ns, prefill=()):
+        expected = [decimal_log2_floor(n, arith.LOG2_SCALE_BITS) for n in ns]
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         for n in prefill:
-            log2_bounds(n, frac_bits)
-        lows = arith._log2_lows(ns, frac_bits)
+            log2_bounds(n)
+        lows = arith._log2_lows(ns)
         assert all(e is None or lo == e for lo, e in zip(lows, expected))
-        assert all(arith._LOG2_CACHE[n, frac_bits] == lo for n, lo in zip(ns, lows))
+        assert all(arith._LOG2_CACHE[n] == lo for n, lo in zip(ns, lows))
 
-    @given(st.integers(1, 3), st.integers(300, 3000), FRAC_BITS)
+    @given(st.integers(1, 3), st.integers(300, 3000))
     @run_settings(12)
-    def test_consecutive_from_the_start(self, monkeypatch, start, length, frac_bits):
-        self.check(monkeypatch, range(start, start + length), frac_bits)
+    def test_consecutive_from_the_start(self, monkeypatch, start, length):
+        self.check(monkeypatch, range(start, start + length))
 
-    @given(st.integers(9, 70), st.integers(1, 300), st.integers(1, 300), FRAC_BITS)
+    @given(st.integers(9, 70), st.integers(1, 300), st.integers(1, 300))
     @run_settings(30)
-    def test_across_powers_of_two(self, monkeypatch, e, below, above, frac_bits):
-        self.check(monkeypatch, range((1 << e) - below, (1 << e) + above), frac_bits)
+    def test_across_powers_of_two(self, monkeypatch, e, below, above):
+        self.check(monkeypatch, range((1 << e) - below, (1 << e) + above))
 
-    @given(st.integers(2, 10**6), st.integers(1, 400), FRAC_BITS)
+    @given(st.integers(2, 10**6), st.integers(1, 400))
     @run_settings(20)
-    def test_gappy_floor_powers(self, monkeypatch, b, length, frac_bits):
+    def test_gappy_floor_powers(self, monkeypatch, b, length):
         ns = [floor_root_power(c, 3, 4) for c in range(b, b + length)]
-        self.check(monkeypatch, ns, frac_bits)
+        self.check(monkeypatch, ns)
 
-    @given(mixed_runs(), FRAC_BITS)
+    @given(mixed_runs())
     @run_settings(40)
-    def test_mixed_and_kernel_sized_gaps(self, monkeypatch, ns, frac_bits):
-        self.check(monkeypatch, ns, frac_bits)
+    def test_mixed_and_kernel_sized_gaps(self, monkeypatch, ns):
+        self.check(monkeypatch, ns)
 
     @given(mixed_runs(), st.data())
     @run_settings(40)
     def test_interleaved_with_cached_entries(self, monkeypatch, ns, data):
         prefill = data.draw(st.lists(st.sampled_from(ns) | st.integers(1, 1 << 41)))
-        self.check(monkeypatch, ns, 32, prefill)
+        self.check(monkeypatch, ns, prefill)
 
     @pytest.mark.parametrize("guard_bits", [1, 2])
     def test_tiny_guard_forces_fallbacks(self, monkeypatch, kernel_calls, guard_bits):
         monkeypatch.setattr(arith, "_RUN_GUARD_BITS", guard_bits)
         ns = range(1000, 3000)
-        self.check(monkeypatch, ns, 32)
+        self.check(monkeypatch, ns)
         anchors = [m for m, w in kernel_calls if w == 33 + guard_bits]
         assert len(anchors) > len(ns) // 2
         # some anchors disagree too, and _log2_floor anchors wider
@@ -461,13 +460,13 @@ class TestLog2Run:
 
     def test_far_apart_runs_anchor_every_miss(self, monkeypatch, kernel_calls):
         ns = [3**k for k in range(1, 60)]
-        self.check(monkeypatch, ns, 32)
+        self.check(monkeypatch, ns)
         assert kernel_calls == [(n, 33 + 24) for n in ns]
 
     def test_cached_bounds_build_no_step_constants(self, monkeypatch, kernel_calls):
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         ns = range(1100, 1200)  # no power of two
-        lows = arith._log2_lows(ns, 32)
+        lows = arith._log2_lows(ns)
         calls = []
         monkeypatch.setattr(arith, "ln2_enclosure", lambda *args: calls.append(args))
         kernel_calls.clear()
@@ -493,8 +492,10 @@ class TestLnEnclosures:
         assert enc.lo <= ln2 + err and ln2 - err <= enc.hi
 
     def test_ln(self):
-        enc = ln_enclosure(10, 32)
+        enc = ln_enclosure(10)
         assert float(enc.lo) <= math.log(10) <= float(enc.hi)
+        # ln 2 stays at 32 bits, which the sample command's output bytes rest on
+        assert enc == log2_enclosure(10).mul_pos(ln2_enclosure(32))
 
 
 class TestPowEnclosure:

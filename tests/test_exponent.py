@@ -102,24 +102,25 @@ class TestWindows:
         assert (est.window_lo, est.window_hi) == (500, 1000)
 
 
-def reference_ratio(seq, n, bits=32):
+def reference_ratio(seq, n):
     """growth_ratio written out on Fraction enclosures of both logs."""
-    num = log2_enclosure(n, bits)
+    num = log2_enclosure(n)
     if seq.is_finite:
         d = seq.term(n)
         if d is INFINITY:
             return Enclosure.exact(0)
-        den = log2_enclosure(d, bits)
+        den = log2_enclosure(d)
     else:
-        den = seq.rule.log2_term(n, bits)
+        ((d_lo, d_hi, d_scale),) = seq.rule.log2_term_run(n, n)
+        den = Enclosure(F(d_lo, d_scale), F(d_hi, d_scale))
     lo = max(num.lo / den.hi, F(0))
     hi = min(num.hi / max(den.lo, num.lo), F(1))
     return Enclosure(lo, hi)
 
 
-def reference_window(seq, lo, hi, bits=32):
+def reference_window(seq, lo, hi):
     """Pointwise maxima over lo..hi; indices past finite digits give exact 0."""
-    ratios = [reference_ratio(seq, n, bits) for n in range(max(lo, 2), hi + 1)]
+    ratios = [reference_ratio(seq, n) for n in range(max(lo, 2), hi + 1)]
     return Enclosure(
         max((r.lo for r in ratios), default=F(0)),
         max((r.hi for r in ratios), default=F(0)),
@@ -132,18 +133,18 @@ class ZeroLowerLogIdentity(DigitRule):
     def term(self, k):
         return k
 
-    def log2_term_run(self, lo, hi, bits=32):
-        return [(0, up, den) for _, up, den in super().log2_term_run(lo, hi, bits)]
+    def log2_term_run(self, lo, hi):
+        return [(0, up, den) for _, up, den in super().log2_term_run(lo, hi)]
 
 
-class FinerLogIdentity(DigitRule):
-    """k -> k with log bounds one bit finer, often strictly inside log2 n's."""
+class DoubledScaleLogIdentity(DigitRule):
+    """k -> k with log bounds over 2 * LOG2_SCALE: the window must rescale them."""
 
     def term(self, k):
         return k
 
-    def log2_term_run(self, lo, hi, bits=32):
-        return super().log2_term_run(lo, hi, bits + 1)
+    def log2_term_run(self, lo, hi):
+        return [(2 * a, 2 * b, 2 * den) for a, b, den in super().log2_term_run(lo, hi)]
 
 
 REFERENCE_CASES = [
@@ -158,7 +159,7 @@ REFERENCE_CASES = [
     # d_n = n: the upper bound is clamped at 1, also when the log bounds are loose
     (PierceSeq.infinite(LinearRule(0)), 2, 100),
     (PierceSeq.infinite(ZeroLowerLogIdentity()), 2, 100),
-    (PierceSeq.infinite(FinerLogIdentity()), 2, 100),
+    (PierceSeq.infinite(DoubledScaleLogIdentity()), 2, 100),
     (PierceSeq.infinite(BitPerturbedRule(F(0), (0, 1, 1, 0, 1))), 2, 200),
     (PierceSeq.infinite(BitPerturbedRule(F(2, 3), (0, 1, 1, 0, 1, 0, 1))), 2, 300),
     (PierceSeq.infinite(ExplicitRule(lambda k: k * k + k, name="k^2+k")), 2, 300),
@@ -189,10 +190,10 @@ class TestReferenceWindow:
         indices = []
         ends = exponent._log2_ends
 
-        def recording_ends(ns, bits):  # the index batches are ranges, the digit ones are not
+        def recording_ends(ns):  # the index batches are ranges, the digit ones are not
             if isinstance(ns, range):
                 indices.extend(ns)
-            return ends(ns, bits)
+            return ends(ns)
 
         monkeypatch.setattr(exponent, "_log2_ends", recording_ends)
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
@@ -205,12 +206,12 @@ class TestReferenceWindow:
             assert growth_ratio(seq, n) == reference_ratio(seq, n)
 
 
-def per_index_window(prefix, lo, hi, bits=32):
+def per_index_window(prefix, lo, hi):
     """A finite window scanned index by index on log2_bounds, with the clamp at 1."""
     lows, highs = [F(0)], [F(0)]
     for n in range(max(lo, 2), min(hi, len(prefix)) + 1):
-        n_lo, n_hi = log2_bounds(n, bits)
-        d_lo, d_hi = log2_bounds(prefix[n - 1], bits)
+        n_lo, n_hi = log2_bounds(n)
+        d_lo, d_hi = log2_bounds(prefix[n - 1])
         lows.append(F(n_lo, d_hi))
         highs.append(F(1) if d_lo <= n_hi else F(n_hi, d_lo))
     return Enclosure(max(lows), max(highs))
@@ -249,10 +250,10 @@ class TestPrunedWindow:
         logged = []
         ends = exponent._log2_ends
 
-        def recording_ends(ns, bits):  # the index batches are ranges, the digit ones are not
+        def recording_ends(ns):  # the index batches are ranges, the digit ones are not
             if not isinstance(ns, range):
                 logged.extend(ns)
-            return ends(ns, bits)
+            return ends(ns)
 
         monkeypatch.setattr(exponent, "_log2_ends", recording_ends)
         report = sample_digit_statistics(4096, 20, 20260809)

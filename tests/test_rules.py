@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from piercelab import arith, rules
-from piercelab.arith import GuardExceededError, log2_enclosure
+from piercelab.arith import LOG2_SCALE, Enclosure, GuardExceededError, log2_enclosure
 from piercelab.exponent import reciprocal_power_sum
 from piercelab.pierce import validate_prefix
 from piercelab.rules import (
@@ -114,8 +114,9 @@ def test_terms_follow_the_family_formulas(case):
 def test_log2_term_certifies_the_term(case):
     rule, tail_materialises = case
     for k in indices(rule):
-        enc = rule.log2_term(k, 32)
-        ref = log2_enclosure(rule.term(k), 32)
+        ((lo, hi, den),) = rule.log2_term_run(k, k)
+        enc = Enclosure(F(lo, den), F(hi, den))
+        ref = log2_enclosure(rule.term(k))
         assert enc.lo <= ref.hi and ref.lo <= enc.hi, k  # both hold log2(term(k))
         if k <= len(prefix_of(rule)) or tail_materialises:
             assert enc == ref, k
@@ -159,6 +160,14 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
         (TowerRule((2,)), 10, 9),
         (LinearRule(0), 5, 1),
         (BitPerturbedRule(F(2, 3), PATTERN), 8, 7),
+        # n <= 0 digits: a negative end must not count from the prefix's end
+        (PowerFloorRule((2, 5, 11), F(1, 2)), 1, -1),
+        (PowerFloorRule((2, 5, 11), F(2, 3)), 1, 0),
+        (TowerRule((2, 5)), 1, -1),
+        (TowerRule((2, 5)), 1, 0),
+        (BitPerturbedRule(F(2, 3), PATTERN), 1, -1),
+        (LinearRule(3), 1, -1),
+        (ExplicitRule(lambda k: 3 * k * k + 1, name="3k^2+1"), 1, -1),
     ],
 )
 def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
@@ -166,6 +175,9 @@ def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
     expected = [rule.log2_term_run(k, k)[0] for k in range(lo, hi + 1)]
     monkeypatch.setattr(arith, "_LOG2_CACHE", {})
     assert rule.log2_term_run(lo, hi) == expected
+    assert list(rule.terms_run(lo, hi)) == [rule.term(k) for k in range(lo, hi + 1)]
+    if hi <= 0:
+        assert rule.terms(hi) == ()
 
 
 BOUND = rules._EXACT_LOG_BASE_BOUND
@@ -282,4 +294,4 @@ def test_tower_power_sums_converge():
 def test_explicit_rule_is_uncertified():
     rule = ExplicitRule(lambda k: 2**k, name="2^k")
     assert rule.power_sum_diverges(F(1, 2)) is None
-    assert rule.log2_term(5) == log2_enclosure(32)
+    assert rule.log2_term_run(5, 5) == [(5 * LOG2_SCALE, 5 * LOG2_SCALE, LOG2_SCALE)]

@@ -292,11 +292,16 @@ class TestLog2Enclosure:
         assert log2_bounds(n) == (K - 1, K)
         assert [w for _, w in kernel_calls] == [33 + g, 33 + 2 * g, 33 + 4 * g]
 
-    def test_bounds_scale_the_enclosure(self):
+    @pytest.mark.parametrize("frac_bits", [0, 8, 32])
+    def test_bounds_scale_the_enclosure(self, frac_bits):
+        # The enclosure is the bounds over LOG2_SCALE, and lo shifted down to
+        # the coarser scale 2 << frac_bits is that scale's floor of log2(n).
+        shift = arith.LOG2_SCALE_BITS - 1 - frac_bits
         for n in (2, 3, 1024, 1025, 3**40):
             lo, hi = log2_bounds(n)
             assert hi - lo == (0 if n & (n - 1) == 0 else 1)
             assert log2_enclosure(n) == Enclosure(F(lo, LOG2_SCALE), F(hi, LOG2_SCALE))
+            assert lo >> shift == decimal_log2_floor(n, frac_bits + 1)
 
     @pytest.mark.parametrize("n", [0, -1, F(3)])
     def test_bounds_refuse_non_positive_or_non_integer(self, n):

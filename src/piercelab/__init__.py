@@ -12,7 +12,6 @@ from .arith import (
     Enclosure,
     GuardExceededError,
     INFINITY,
-    RatInterval,
     UncertifiedRuleError,
     floor_reciprocal,
     floor_root_power,

@@ -2,10 +2,10 @@
 
 Provides arbitrary-precision rationals (``fractions.Fraction`` under the
 alias ``BigRational``), extended naturals with a single ``INFINITY``
-sentinel, rational intervals over the unit interval, general rational
-enclosures, and integer-only kernels for floors of reciprocals, roots,
-and binary logarithms.  Everything here is exact: no floating point is
-used anywhere, and every enclosure is certified by integer comparisons.
+sentinel, rational enclosures and their check against [0, 1], and
+integer-only kernels for floors of reciprocals, roots, and binary
+logarithms.  Everything here is exact: no floating point is used
+anywhere, and every enclosure is certified by integer comparisons.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ __all__ = [
     "ExtNat",
     "unit_reciprocal",
     "unit_rational",
+    "unit_interval",
     "floor_reciprocal",
     "integer_root",
     "floor_root_power",
     "ceil_root_power",
     "Enclosure",
-    "RatInterval",
     "LOG2_SCALE",
     "log2_bounds",
     "log2_enclosure",
@@ -135,6 +135,14 @@ def unit_rational(x) -> Fraction:
     return x
 
 
+def unit_interval(e: Enclosure) -> tuple[Fraction, Fraction]:
+    """The endpoints of e as Fractions, checked to lie within [0, 1]."""
+    lo, hi = Fraction(e.lo), Fraction(e.hi)
+    if not (0 <= lo and hi <= 1):
+        raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
+    return lo, hi
+
+
 def floor_reciprocal(x: Fraction) -> ExtNat:
     """floor(1/x) for x in (0, 1]; INFINITY for x = 0.
 
@@ -214,7 +222,7 @@ class Enclosure:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise DomainError(f"enclosure bounds out of order: [{self.lo}, {self.hi}]")
+            raise DomainError(f"interval [{self.lo}, {self.hi}] has its endpoints out of order")
 
     @classmethod
     def exact(cls, value) -> "Enclosure":
@@ -239,16 +247,6 @@ class Enclosure:
     def contains_interval(self, other: "Enclosure") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
 
-    def strictly_contains_interval(self, other: "Enclosure") -> bool:
-        return self.lo < other.lo and other.hi < self.hi
-
-    def scale(self, c) -> "Enclosure":
-        """Multiply by a non-negative rational scalar."""
-        c = Fraction(c)
-        if c < 0:
-            raise DomainError("scale expects a non-negative scalar")
-        return Enclosure(self.lo * c, self.hi * c)
-
     def mul_pos(self, other: "Enclosure") -> "Enclosure":
         """Interval product; both operands must be non-negative."""
         if self.lo < 0 or other.lo < 0:
@@ -262,19 +260,6 @@ class Enclosure:
         if self.lo < 0:
             raise DomainError("div_pos expects a non-negative dividend")
         return Enclosure(self.lo / other.hi, self.hi / other.lo)
-
-
-class RatInterval(Enclosure):
-    """An enclosure within the unit interval [0, 1], bounds coerced to Fraction."""
-
-    def __post_init__(self):
-        lo, hi = Fraction(self.lo), Fraction(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        if lo > hi:
-            raise DomainError(f"interval [{lo}, {hi}] has its endpoints out of order")
-        if not (0 <= lo and hi <= 1):
-            raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
 
 
 # The one scale of certified binary logs: lo <= LOG2_SCALE * log2(n) <= hi.

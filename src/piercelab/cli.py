@@ -30,7 +30,6 @@ from .arith import (
     DomainError,
     Enclosure,
     GuardExceededError,
-    RatInterval,
     rational_str as fmt_rational,
 )
 from .constructions import divergent_tail_rule, witness_in_interval
@@ -49,6 +48,7 @@ from .exponent import (
 from .pierce import digits_rational, shift_orbit, validate_prefix
 from .rules import BitPerturbedRule, LinearRule, PowerFloorRule, TowerRule
 from .space import (
+    DEFAULT_PRECISION_BITS,
     PierceSeq,
     dual_representation,
     expansion_value,
@@ -58,7 +58,6 @@ from .space import (
 __all__ = ["main", "run", "REPORT_SCHEMA"]
 
 ENV_PRECISION = "PIERCE_LAB_PRECISION_BITS"
-DEFAULT_PRECISION = 64
 
 USAGE = """usage: pierce-lab [--format json|csv] [--config FILE] COMMAND ...
 
@@ -115,11 +114,11 @@ def parse_rational(text: str) -> Fraction:
         raise DomainError(f"cannot parse rational {text!r}: {exc}") from exc
 
 
-def parse_interval(text: str) -> RatInterval:
+def parse_interval(text: str) -> Enclosure:
     parts = text.split(",")
     if len(parts) != 2:
         raise DomainError(f"interval must be 'lo,hi', got {text!r}")
-    return RatInterval(parse_rational(parts[0]), parse_rational(parts[1]))
+    return Enclosure(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
 def parse_prefix(text: Optional[str]) -> tuple[int, ...]:
@@ -447,7 +446,7 @@ def _resolve_precision(args) -> int:
                 raise DomainError(
                     f"bad config file {args.config}: precision_bits must be an integer"
                 )
-    bits = DEFAULT_PRECISION if bits is None else bits
+    bits = DEFAULT_PRECISION_BITS if bits is None else bits
     if bits < 0:
         raise DomainError(f"precision must be non-negative, got {bits} bits")
     return bits

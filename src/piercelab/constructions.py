@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import DomainError, RatInterval
+from .arith import DomainError, Enclosure
 from .pierce import validate_prefix
 from .rules import BitPerturbedRule, DigitRule, PowerFloorRule, TowerRule
 from .space import (
@@ -81,9 +81,9 @@ class Witness:
     """A symbolic rule with an exact enclosure of its value and a certificate."""
 
     rule: DigitRule
-    enclosure: RatInterval
+    enclosure: Enclosure
     certificate: Fraction
-    container: Optional[RatInterval] = None
+    container: Optional[Enclosure] = None
 
     def __post_init__(self):
         if self.container is not None and not self.container.contains_interval(
@@ -95,7 +95,7 @@ class Witness:
 
 
 def witness_in_interval(
-    interval: RatInterval, alpha: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS
+    interval: Enclosure, alpha: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> Witness:
     """A point with convergence exponent alpha inside a given interval.
 
@@ -130,7 +130,7 @@ def intermediate_value_witness(
     x, y = Fraction(x), Fraction(y)
     if not (0 <= x < y <= 1):
         raise DomainError("need 0 <= x < y <= 1")
-    witness = witness_in_interval(RatInterval(x, y), c, precision_bits)
+    witness = witness_in_interval(Enclosure(x, y), c, precision_bits)
     if not (x < witness.enclosure.lo and witness.enclosure.hi < y):
         raise AssertionError("witness enclosure touches the open interval boundary")
     return witness

@@ -21,16 +21,15 @@ from .arith import (
     DomainError,
     Enclosure,
     GuardExceededError,
-    RatInterval,
     _scaled_root,
     ceil_root_power,
     floor_root_power,
     ln_enclosure,
 )
 from .constructions import Witness, witness_in_interval
-from .exponent import exponent_window
+from .exponent import _half_window, exponent_window
 from .pierce import DigitStatus, safe_digits
-from .space import PierceSeq
+from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
 __all__ = [
     "CoverParams",
@@ -332,13 +331,13 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
     for index in range(count):
         rng = random.Random(f"{seed}:{index}:piercelab-mc")
         p = rng.getrandbits(bits)
-        enclosure = RatInterval(Fraction(p, denominator), Fraction(p + 1, denominator))
+        enclosure = Enclosure(Fraction(p, denominator), Fraction(p + 1, denominator))
         sd = safe_digits(enclosure, max_n=10**6)
         depth = len(sd.prefix)
         seq = PierceSeq.finite(sd.prefix)
-        window = exponent_window(seq, max(2, -(-depth // 2)), depth)
+        window = exponent_window(seq, *_half_window(depth))
         if depth >= 1:
-            log_ratio = ln_enclosure(sd.prefix[-1]).scale(Fraction(1, depth))
+            log_ratio = ln_enclosure(sd.prefix[-1]).mul_pos(Enclosure.exact(Fraction(1, depth)))
             log_ratios.append(log_ratio.midpoint)
         else:
             log_ratio = None
@@ -358,7 +357,7 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
 @dataclass(frozen=True)
 class GridCell:
     index: int
-    cell: RatInterval
+    cell: Enclosure
     witness: Witness
 
 
@@ -374,7 +373,7 @@ class GridReport:
 
 
 def grid_witness_sweep(
-    alpha: Fraction, depth: int, precision_bits: int = 64
+    alpha: Fraction, depth: int, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> GridReport:
     """One certified-exponent witness inside every dyadic cell of the grid.
 
@@ -390,7 +389,7 @@ def grid_witness_sweep(
     scale = 1 << depth
     cells: list[GridCell] = []
     for m in range(scale):
-        cell = RatInterval(Fraction(m, scale), Fraction(m + 1, scale))
+        cell = Enclosure(Fraction(m, scale), Fraction(m + 1, scale))
         witness = witness_in_interval(cell, alpha, precision_bits)
         cells.append(GridCell(m, cell, witness))
     return GridReport(alpha, depth, tuple(cells))

@@ -22,7 +22,6 @@ from .arith import (
     LOG2_SCALE,
     DomainError,
     Enclosure,
-    RatInterval,
     UncertifiedRuleError,
     _log2_ends,
     _scaled_root,
@@ -30,7 +29,7 @@ from .arith import (
 )
 from .pierce import DigitStatus, checked_digits, safe_digits
 from .rules import DigitRule
-from .space import PierceSeq
+from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
 __all__ = [
     "Verdict",
@@ -176,7 +175,7 @@ def estimate_exponent(seq: PierceSeq, n_max: int) -> ExponentEstimate:
     return ExponentEstimate(lo, hi, sup, certified=False, certificate=None)
 
 
-def estimate_point_exponent(x: RatInterval, n_max: int) -> ExponentEstimate:
+def estimate_point_exponent(x: Enclosure, n_max: int) -> ExponentEstimate:
     """Window diagnostic for a point given as a rational enclosure.
 
     Runs the safe digit extraction to at most n_max digits and scans the
@@ -253,7 +252,7 @@ def _term_bounds(d: int, p: int, q: int, shift: int) -> tuple[int, int, int, int
 
 
 def reciprocal_power_sum(
-    seq: PierceSeq, s: Fraction, n_terms: int, bits: int = 64
+    seq: PierceSeq, s: Fraction, n_terms: int, bits: int = DEFAULT_PRECISION_BITS
 ) -> PowerSumPartial:
     """Enclosure of sum_{k<=n_terms} 1/d_k**s.
 

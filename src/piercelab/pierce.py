@@ -24,7 +24,8 @@ from .arith import (
     DomainError,
     ExtNat,
     INFINITY,
-    RatInterval,
+    Enclosure,
+    unit_interval,
     unit_rational,
 )
 
@@ -104,8 +105,8 @@ class SafeDigits:
     status: DigitStatus
 
 
-def safe_digits(interval: RatInterval, max_n: int) -> SafeDigits:
-    """Extract digits valid for the whole rational enclosure.
+def safe_digits(interval: Enclosure, max_n: int) -> SafeDigits:
+    """Extract digits valid for the whole rational enclosure within [0, 1].
 
     The shift is affine decreasing on each digit cell, so the image of
     [lo, hi] under one step with digit d is exactly [1 - d*hi, 1 - d*lo];
@@ -115,9 +116,9 @@ def safe_digits(interval: RatInterval, max_n: int) -> SafeDigits:
     AMBIGUOUS, reaching max_n yields EXHAUSTED, and a point orbit hitting
     0 yields TERMINATED.
     """
+    lo, hi = unit_interval(interval)
     if max_n < 0:
         raise DomainError("max_n must be non-negative")
-    lo, hi = interval.lo, interval.hi
     q = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (q // lo.denominator)
     b = hi.numerator * (q // hi.denominator)

@@ -19,7 +19,8 @@ from .arith import (
     DomainError,
     ExtNat,
     INFINITY,
-    RatInterval,
+    Enclosure,
+    unit_interval,
     unit_reciprocal,
 )
 from .pierce import alternating_sums, checked_digits, digits_rational, validate_prefix
@@ -105,11 +106,11 @@ def expansion_value(
     seq: PierceSeq,
     precision_bits: int = DEFAULT_PRECISION_BITS,
     min_depth: int = 2,
-) -> Union[Fraction, RatInterval]:
+) -> Union[Fraction, Enclosure]:
     """Value of the alternating expansion of a Pierce sequence.
 
     Finite sequences evaluate to an exact rational (the empty prefix to
-    0).  Infinite sequences yield a RatInterval of width at most
+    0).  Infinite sequences yield an Enclosure of width at most
     2**-precision_bits whose endpoints are consecutive partial sums,
     each of depth >= min_depth; the true value always lies between
     consecutive partial sums because the terms strictly decrease.
@@ -132,7 +133,7 @@ def expansion_value(
         # bracket is exactly 1/P_k wide
         if k - 1 >= max(min_depth, 2) and p >= target:
             lo, hi = sorted((Fraction(*prev), Fraction(s, p)))
-            return RatInterval(lo, hi)
+            return Enclosure(lo, hi)
     raise AssertionError(f"the expansion bracket did not close by digit {depth}")
 
 
@@ -169,8 +170,8 @@ class FundamentalInterval:
     right: Fraction
     diameter: Fraction
 
-    def as_interval(self) -> RatInterval:
-        return RatInterval(self.left, self.right)
+    def as_interval(self) -> Enclosure:
+        return Enclosure(self.left, self.right)
 
 
 def _cell(s: int, p: int, d: int, n: int) -> tuple[Fraction, Fraction]:
@@ -223,8 +224,8 @@ def seq_distance(s: PierceSeq, t: PierceSeq, depth: int) -> Fraction:
     return total
 
 
-def locate_cylinder(interval: RatInterval) -> tuple[int, ...]:
-    """A digit prefix whose fundamental interval fits inside [lo, hi].
+def locate_cylinder(interval: Enclosure) -> tuple[int, ...]:
+    """A digit prefix whose fundamental interval fits inside [lo, hi] within [0, 1].
 
     Descends the chain of cells containing the midpoint, returning the
     shallowest one that fits.  When the midpoint's (finite, rational)
@@ -233,7 +234,7 @@ def locate_cylinder(interval: RatInterval) -> tuple[int, ...]:
     digit product), so the first admissible child index is computed
     directly rather than scanned.  Deterministic by construction.
     """
-    lo, hi = interval.lo, interval.hi
+    lo, hi = unit_interval(interval)
     if lo >= hi:
         raise DomainError("locate_cylinder requires an interval with interior")
     mid = (lo + hi) / 2

@@ -14,7 +14,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from piercelab.arith import RatInterval
 from piercelab.cli import run as cli_run
 from piercelab.constructions import (
     bit_perturbed_rule,

@@ -14,7 +14,6 @@ from piercelab.arith import (
     Enclosure,
     INFINITY,
     LOG2_SCALE,
-    RatInterval,
     ceil_root_power,
     floor_reciprocal,
     floor_root_power,
@@ -24,6 +23,7 @@ from piercelab.arith import (
     log2_bounds,
     log2_enclosure,
     pow_enclosure,
+    unit_interval,
     unit_reciprocal,
 )
 
@@ -192,29 +192,33 @@ class TestExtNat:
 
 class TestIntervals:
     def test_bounds_enforced(self):
-        with pytest.raises(DomainError):
-            RatInterval(F(1, 2), F(1, 3))
-        with pytest.raises(DomainError):
-            RatInterval(F(-1, 2), F(1, 3))
-        with pytest.raises(DomainError):
-            RatInterval.exact(F(3, 2))
-        assert isinstance(RatInterval.exact(F(1, 2)), RatInterval)
+        with pytest.raises(DomainError, match="endpoints out of order"):
+            Enclosure(F(1, 2), F(1, 3))
+        with pytest.raises(DomainError, match=r"not within \[0, 1\]"):
+            unit_interval(Enclosure(F(-1, 2), F(1, 3)))
+        with pytest.raises(DomainError, match=r"not within \[0, 1\]"):
+            unit_interval(Enclosure.exact(F(3, 2)))
+        assert unit_interval(Enclosure.exact(F(1, 2))) == (F(1, 2), F(1, 2))
+        assert unit_interval(Enclosure(F(0), F(1))) == (F(0), F(1))
+        lo, hi = unit_interval(Enclosure(0, 1))
+        assert type(lo) is F and type(hi) is F
 
     def test_containment(self):
-        outer = RatInterval(F(1, 4), F(3, 4))
-        inner = RatInterval(F(1, 3), F(1, 2))
+        outer = Enclosure(F(1, 4), F(3, 4))
+        inner = Enclosure(F(1, 3), F(1, 2))
         assert outer.contains_interval(inner)
-        assert outer.strictly_contains_interval(inner)
+        assert outer.contains_interval(outer)
         assert not inner.contains_interval(outer)
         assert F(1, 3) in inner
-        assert Enclosure(F(-1), F(2)).strictly_contains_interval(outer)
+        assert F(3, 4) not in inner
+        assert Enclosure(F(-1), F(2)).contains_interval(outer)
 
     def test_enclosure_arithmetic(self):
         a = Enclosure(F(1), F(2))
         b = Enclosure(F(3), F(4))
         assert a.mul_pos(b) == Enclosure(F(3), F(8))
         assert b.div_pos(a) == Enclosure(F(3, 2), F(4))
-        assert a.scale(F(1, 2)) == Enclosure(F(1, 2), F(1))
+        assert a.mul_pos(Enclosure.exact(F(1, 2))) == Enclosure(F(1, 2), F(1))
 
 
 class TestLog2Enclosure:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab.arith import DomainError, RatInterval
+from piercelab.arith import DomainError, Enclosure
 from piercelab.constructions import (
     bit_perturbed_rule,
     divergent_tail_rule,
@@ -17,10 +17,12 @@ from piercelab.exponent import (
     Verdict,
     certified_exponent,
     classify_divergence,
+    estimate_point_exponent,
     reciprocal_power_sum,
 )
+from piercelab.pierce import safe_digits
 from piercelab.rules import PowerFloorRule, TowerRule
-from piercelab.space import PierceSeq, fundamental_interval
+from piercelab.space import PierceSeq, fundamental_interval, locate_cylinder
 
 
 def inv_e_bracket(terms: int) -> tuple[F, F]:
@@ -114,22 +116,38 @@ class TestDivergentTail:
         assert partial.sum.lo > 3
 
 
+@pytest.mark.parametrize(
+    "consume",
+    [
+        lambda: safe_digits(Enclosure.exact(F(3, 2)), 5),
+        lambda: estimate_point_exponent(Enclosure(F(-1, 2), F(1, 3)), 5),
+        lambda: locate_cylinder(Enclosure(F(1, 2), F(3, 2))),
+        lambda: witness_in_interval(Enclosure(F(-1, 2), F(3, 2)), F(1, 2)),
+    ],
+    ids=["safe_digits", "estimate_point_exponent", "locate_cylinder", "witness_in_interval"],
+)
+def test_points_outside_the_unit_interval_are_refused(consume):
+    # every reader of points of [0, 1] checks its interval, whatever built it
+    with pytest.raises(DomainError, match=r"not within \[0, 1\]"):
+        consume()
+
+
 class TestWitnesses:
     def test_unit_interval_half(self):
-        w = witness_in_interval(RatInterval(F(0), F(1)), F(1, 2), 64)
+        w = witness_in_interval(Enclosure(F(0), F(1)), F(1, 2), 64)
         assert w.certificate == F(1, 2)
         assert w.rule.describe()["prefix"] == [2]
         cell = fundamental_interval((2,))
         assert cell.left <= w.enclosure.lo and w.enclosure.hi <= cell.right
 
     def test_identity_witness_hits_inv_e(self):
-        w = witness_in_interval(RatInterval(F(1, 3), F(1, 2)), F(1), 64)
+        w = witness_in_interval(Enclosure(F(1, 3), F(1, 2)), F(1), 64)
         lo, hi = inv_e_bracket(25)
         assert w.enclosure.lo <= hi and lo <= w.enclosure.hi
         assert w.enclosure.width <= F(1, 1 << 64)
 
     def test_tower_witness(self):
-        w = witness_in_interval(RatInterval(F(0), F(1)), F(0), 32)
+        w = witness_in_interval(Enclosure(F(0), F(1)), F(0), 32)
         assert w.certificate == 0
         assert isinstance(w.rule, TowerRule)
 
@@ -141,19 +159,19 @@ class TestWitnesses:
     @settings(max_examples=40, deadline=None)
     def test_containment(self, lo, width, alpha):
         hi = min(lo + width, F(1))
-        interval = RatInterval(lo, hi)
+        interval = Enclosure(lo, hi)
         w = witness_in_interval(interval, alpha, 48)
         assert interval.contains_interval(w.enclosure)
         assert w.certificate == alpha
 
     def test_degenerate_interval(self):
         with pytest.raises(DomainError):
-            witness_in_interval(RatInterval.exact(F(1, 2)), F(1, 2))
+            witness_in_interval(Enclosure.exact(F(1, 2)), F(1, 2))
 
     def test_certificate_must_match_rule(self):
         from piercelab.constructions import Witness
 
-        w = witness_in_interval(RatInterval(F(0), F(1)), F(1, 2))
+        w = witness_in_interval(Enclosure(F(0), F(1)), F(1, 2))
         with pytest.raises(DomainError):
             Witness(w.rule, w.enclosure, F(1, 3), w.container)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab.arith import DomainError, INFINITY, RatInterval
+from piercelab.arith import DomainError, Enclosure, INFINITY
 from piercelab.pierce import (
     DigitStatus,
     SafeDigits,
@@ -146,26 +146,26 @@ class TestSafeDigits:
     @given(safe_digit_endpoints, st.integers(0, 12))
     @settings(max_examples=300)
     def test_equals_the_two_division_restatement(self, ends, max_n):
-        interval = RatInterval(*ends)
+        interval = Enclosure(*ends)
         assert safe_digits(interval, max_n) == two_division_safe_digits(interval, max_n)
 
     def test_ambiguous_example(self):
-        res = safe_digits(RatInterval(F(2, 5), F(9, 20)), 5)
+        res = safe_digits(Enclosure(F(2, 5), F(9, 20)), 5)
         assert res.prefix == (2,)
         assert res.status is DigitStatus.AMBIGUOUS
 
     def test_point_terminates(self):
-        res = safe_digits(RatInterval.exact(F(1, 3)), 5)
+        res = safe_digits(Enclosure.exact(F(1, 3)), 5)
         assert res.prefix == (3,)
         assert res.status is DigitStatus.TERMINATED
 
     def test_full_interval(self):
-        res = safe_digits(RatInterval(F(0), F(1)), 5)
+        res = safe_digits(Enclosure(F(0), F(1)), 5)
         assert res.prefix == ()
         assert res.status is DigitStatus.AMBIGUOUS
 
     def test_exhausted(self):
-        res = safe_digits(RatInterval.exact(F(7, 10)), 2)
+        res = safe_digits(Enclosure.exact(F(7, 10)), 2)
         assert res.prefix == (1, 3)
         assert res.status is DigitStatus.EXHAUSTED
 
@@ -178,7 +178,7 @@ class TestSafeDigits:
     def test_soundness(self, lo, width, pick):
         # Any rational inside the enclosure extends the certified prefix.
         hi = min(lo + width, F(1))
-        res = safe_digits(RatInterval(lo, hi), 12)
+        res = safe_digits(Enclosure(lo, hi), 12)
         y = lo + pick * (hi - lo)
         digits = digits_rational(y)
         assert digits[: len(res.prefix)] == res.prefix
@@ -190,7 +190,7 @@ class TestSafeDigits:
         # digits; a proper interval yields the longest common prefix of
         # its endpoints' digits, in both cases cut at max_n.
         lo, hi = (x, x) if y is None else (min(x, y), max(x, y))
-        res = safe_digits(RatInterval(lo, hi), max_n)
+        res = safe_digits(Enclosure(lo, hi), max_n)
         a, b = digits_rational(lo), digits_rational(hi)
         if lo == hi:
             status = DigitStatus.TERMINATED if len(a) <= max_n else DigitStatus.EXHAUSTED

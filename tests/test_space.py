@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab.arith import INFINITY, DomainError, RatInterval
+from piercelab.arith import INFINITY, DomainError, Enclosure
 from piercelab.pierce import digits_rational
 from piercelab.rules import ExplicitRule, LinearRule, PowerFloorRule
 from piercelab.space import (
@@ -189,15 +189,15 @@ class TestSeqDistance:
 
 class TestLocateCylinder:
     def test_examples(self):
-        assert locate_cylinder(RatInterval(F(0), F(1))) == (2,)
-        assert locate_cylinder(RatInterval(F(1, 3), F(1, 2))) == (2,)
-        found = locate_cylinder(RatInterval(F(2, 5), F(1, 2)))
+        assert locate_cylinder(Enclosure(F(0), F(1))) == (2,)
+        assert locate_cylinder(Enclosure(F(1, 3), F(1, 2))) == (2,)
+        found = locate_cylinder(Enclosure(F(2, 5), F(1, 2)))
         cell = fundamental_interval(found)
         assert F(2, 5) <= cell.left and cell.right <= F(1, 2)
 
     def test_degenerate(self):
         with pytest.raises(DomainError):
-            locate_cylinder(RatInterval.exact(F(1, 2)))
+            locate_cylinder(Enclosure.exact(F(1, 2)))
 
     @given(
         st.fractions(min_value=0, max_value=F(99, 100), max_denominator=10**4),
@@ -206,7 +206,7 @@ class TestLocateCylinder:
     @settings(max_examples=80)
     def test_containment(self, lo, width):
         hi = min(lo + width, F(1))
-        prefix = locate_cylinder(RatInterval(lo, hi))
+        prefix = locate_cylinder(Enclosure(lo, hi))
         cell = fundamental_interval(prefix)
         assert lo <= cell.left and cell.right <= hi
         # the shallowest fitting cell of the midpoint's chain, else a child of its last cell
@@ -216,7 +216,7 @@ class TestLocateCylinder:
         assert (prefix == fits[0]) if fits else (prefix[:-1] == chain)
 
     def test_midpoint_chain_consistency(self):
-        iv = RatInterval(F(9, 10), F(1))
+        iv = Enclosure(F(9, 10), F(1))
         prefix = locate_cylinder(iv)
         mid = iv.midpoint
         assert digits_rational(mid)[: len(prefix)] == prefix or prefix[:-1] == digits_rational(mid)
@@ -227,7 +227,7 @@ class TestLocateCylinder:
         # scanned for
         for width_bits, mid in ((60, F(1, 2)), (80, F(2, 3)), (77, F(7, 10))):
             w = F(1, 1 << width_bits)
-            iv = RatInterval(mid - w, mid + w)
+            iv = Enclosure(mid - w, mid + w)
             prefix = locate_cylinder(iv)
             cell = fundamental_interval(prefix)
             assert iv.lo <= cell.left and cell.right <= iv.hi

@@ -7,6 +7,10 @@ each checkout, the parent first in even pairs and the change first in odd
 ones, so a drift of the machine's speed does not favour either side.
 `--workload all` runs the pairs of every workload in the parent's
 BENCHMARK.json in turn and prints one table per workload.
+Runs inherit the environment without PYTHONDONTWRITEBYTECODE, so each
+checkout keeps its bytecode cache and `setup_s` measures an import from
+cached bytecode, as perfbench/README.md describes, even from a shell that
+sets that variable.
 Each run writes its record to `.perfbench/` in its own checkout; the
 script reads both records of each pair and prints each side's `src/` line
 count and, for every end-to-end metric, the parent's and the change's
@@ -35,7 +39,8 @@ def run(checkout: str, workload: str, seed: int) -> dict:
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr[-2000:]}")
     path = os.path.join(checkout, ".perfbench", f"{workload}-seed{seed}-trace0.json")

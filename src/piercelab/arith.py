@@ -11,10 +11,9 @@ anywhere, and every enclosure is certified by integer comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
-from operator import is_
+from operator import attrgetter, is_
 from typing import Union
 
 __all__ = [
@@ -48,7 +47,7 @@ def rational_str(x: Fraction) -> str:
 
     Raises GuardExceededError past Python's int-to-str digit limit.
     """
-    x = Fraction(x)
+    x = x if type(x) is Fraction else Fraction(x)
     try:
         return f"{x.numerator}/{x.denominator}"
     except ValueError as exc:
@@ -136,8 +135,8 @@ def unit_rational(x) -> Fraction:
 
 
 def unit_interval(e: Enclosure) -> tuple[Fraction, Fraction]:
-    """The endpoints of e as Fractions, checked to lie within [0, 1]."""
-    lo, hi = Fraction(e.lo), Fraction(e.hi)
+    """The endpoints of e, checked to lie within [0, 1]."""
+    lo, hi = e.lo, e.hi
     if not (0 <= lo and hi <= 1):
         raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
     return lo, hi
@@ -213,16 +212,66 @@ def ceil_root_power(n: int, p: int, q: int) -> int:
     return r + 1
 
 
-@dataclass(frozen=True)
+def _frozen(self, name, value=None):
+    raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+
+def _record(cls):
+    """Make cls a frozen value type over its own annotated fields, in order.
+
+    A class attribute named like a field is its default.  Installs, where
+    the class writes none of its own, __init__ (which then calls any
+    __post_init__; that may normalise a field by object.__setattr__),
+    __eq__ and __hash__ over the fields, the repr Name(f=value, ...), and
+    a __setattr__ and __delattr__ that raise AttributeError.
+    """
+    fields = tuple(cls.__dict__.get("__annotations__", {}))
+    defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+    n, post_init = len(fields), hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != n:
+            if len(args) > n or not kwargs.keys() <= set(fields[len(args):]):
+                raise TypeError(f"{cls.__name__}() got unexpected arguments")
+            values = {**defaults, **dict(zip(fields, args)), **kwargs}
+            if len(values) < n:
+                raise TypeError(f"{cls.__name__}() missing {sorted(set(fields) - values.keys())}")
+            args = map(values.__getitem__, fields)
+        self.__dict__.update(zip(fields, args))
+        if post_init:
+            self.__post_init__()
+
+    key = attrgetter(*fields)
+
+    def __eq__(self, other):
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    methods = {"__init__": __init__, "__eq__": __eq__, "__hash__": lambda self: hash(key(self)),
+               "__repr__": __repr__, "__setattr__": _frozen, "__delattr__": _frozen}
+    for name in methods.keys() - cls.__dict__.keys():
+        setattr(cls, name, methods[name])
+    return cls
+
+
+@_record
 class Enclosure:
-    """A closed rational interval [lo, hi] certified to contain a real value."""
+    """A closed interval [lo, hi] of Fraction bounds certified to contain a real value."""
 
     lo: Fraction
     hi: Fraction
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise DomainError(f"interval [{self.lo}, {self.hi}] has its endpoints out of order")
+    def __init__(self, lo, hi):
+        lo = lo if type(lo) is Fraction else Fraction(lo)
+        hi = hi if type(hi) is Fraction else Fraction(hi)
+        if lo > hi:
+            raise DomainError(f"interval [{lo}, {hi}] has its endpoints out of order")
+        # Not self.__dict__: a materialised instance dict slows every later read.
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def exact(cls, value) -> "Enclosure":

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -487,6 +486,7 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
                 if args.format == "json":
                     text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
                 else:
+                    import csv  # imported here: only --format csv needs it
                     buf = io.StringIO()
                     csv.writer(buf, lineterminator="\n").writerows(
                         [line, path, value] for path, value in _flatten(envelope)

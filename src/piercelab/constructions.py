@@ -10,11 +10,10 @@ never a decimal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import DomainError, Enclosure
+from .arith import DomainError, Enclosure, _record
 from .pierce import validate_prefix
 from .rules import BitPerturbedRule, DigitRule, PowerFloorRule, TowerRule
 from .space import (
@@ -76,7 +75,7 @@ def divergent_tail_rule(prefix, s: Fraction, keep: int) -> DigitRule:
     return PowerFloorRule(prefix[:keep], s)
 
 
-@dataclass(frozen=True)
+@_record
 class Witness:
     """A symbolic rule with an exact enclosure of its value and a certificate."""
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional
@@ -21,6 +20,7 @@ from .arith import (
     DomainError,
     Enclosure,
     GuardExceededError,
+    _record,
     _scaled_root,
     ceil_root_power,
     floor_root_power,
@@ -54,7 +54,7 @@ GRID_DEPTH_GUARD = 12
 RNG_ALGORITHM = "mt19937/sha512-per-sample-streams"
 
 
-@dataclass(frozen=True)
+@_record
 class CoverParams:
     """Parameters of the covering construction.
 
@@ -111,7 +111,7 @@ def _digit_floor(params: CoverParams, j: int) -> int:
     return ceil_root_power(j, h.denominator, h.numerator)
 
 
-@dataclass(frozen=True)
+@_record
 class TupleEnumeration:
     count: int
     tuples: Optional[tuple[tuple[int, ...], ...]] = None
@@ -185,7 +185,7 @@ class CoverVerdict(Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@_record
 class CoverReport:
     """Ledger of the covering series: terms, ratios, partial sums, verdict."""
 
@@ -280,7 +280,7 @@ def refined_dimension_bound(alpha: Fraction, beta: Fraction, n_parts: int) -> Fr
     return best
 
 
-@dataclass(frozen=True)
+@_record
 class SampleRecord:
     index: int
     depth: int
@@ -289,7 +289,7 @@ class SampleRecord:
     window: Enclosure
 
 
-@dataclass(frozen=True)
+@_record
 class McReport:
     algorithm: str
     bits: int
@@ -354,14 +354,14 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
     )
 
 
-@dataclass(frozen=True)
+@_record
 class GridCell:
     index: int
     cell: Enclosure
     witness: Witness
 
 
-@dataclass(frozen=True)
+@_record
 class GridReport:
     alpha: Fraction
     depth: int

@@ -12,7 +12,6 @@ early indices would otherwise dominate every diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, repeat
@@ -24,6 +23,7 @@ from .arith import (
     Enclosure,
     UncertifiedRuleError,
     _log2_ends,
+    _record,
     _scaled_root,
     integer_root,
 )
@@ -136,7 +136,7 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     return Enclosure(Fraction(a, b), Fraction(c, d))
 
 
-@dataclass(frozen=True)
+@_record
 class ExponentEstimate:
     """Window diagnostic for the convergence exponent.
 
@@ -231,7 +231,7 @@ def classify_divergence(rule: DigitRule, s: Fraction) -> Verdict:
     return Verdict.DIVERGENT if diverges else Verdict.CONVERGENT
 
 
-@dataclass(frozen=True)
+@_record
 class PowerSumPartial:
     """Partial sum of reciprocal s-th digit powers, as a certified enclosure."""
 

@@ -15,7 +15,6 @@ Partial sums of the alternating series are likewise integer pairs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import islice
@@ -25,6 +24,7 @@ from .arith import (
     ExtNat,
     INFINITY,
     Enclosure,
+    _record,
     unit_interval,
     unit_rational,
 )
@@ -97,7 +97,7 @@ class DigitStatus(Enum):
     TERMINATED = "terminated"
 
 
-@dataclass(frozen=True)
+@_record
 class SafeDigits:
     """Digits certified to be shared by every point of an input enclosure."""
 

@@ -13,7 +13,6 @@ digit is built until it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat, starmap
 from operator import add
@@ -24,6 +23,7 @@ from .arith import (
     DomainError,
     GuardExceededError,
     _log2_ends,
+    _record,
     integer_root,
     log2_bounds,
     rational_str,
@@ -170,7 +170,7 @@ class _FloorPowerRule(DigitRule):
         return Fraction(s) <= self.certificate
 
 
-@dataclass(frozen=True)
+@_record
 class PowerFloorRule(_FloorPowerRule):
     """Continue a prefix with floor((base+i)**(1/alpha)), alpha in (0, 1].
 
@@ -198,7 +198,7 @@ class PowerFloorRule(_FloorPowerRule):
         }
 
 
-@dataclass(frozen=True)
+@_record
 class TowerRule(_FloorPowerRule):
     """Continue a prefix with (base+i)**(M+i); convergence exponent 0.
 
@@ -217,7 +217,7 @@ class TowerRule(_FloorPowerRule):
         return {"family": "tower", "prefix": list(self.prefix)}
 
 
-@dataclass(frozen=True)
+@_record
 class LinearRule(_FloorPowerRule):
     """The arithmetic rule k -> offset + k; convergence exponent 1."""
 
@@ -237,7 +237,7 @@ class LinearRule(_FloorPowerRule):
         return {"family": "linear", "offset": self.offset}
 
 
-@dataclass(frozen=True)
+@_record
 class BitPerturbedRule(_FloorPowerRule):
     """Digits floor((eps_k + 2k - 1)**(1/alpha)) driven by a 0/1 pattern.
 
@@ -274,7 +274,7 @@ class BitPerturbedRule(_FloorPowerRule):
         }
 
 
-@dataclass(frozen=True)
+@_record
 class ExplicitRule(DigitRule):
     """An uncertified rule given by an arbitrary term function.
 

@@ -10,7 +10,6 @@ rational enclosure bracketed by consecutive partial sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import pairwise
 from typing import Optional, Union
@@ -20,6 +19,7 @@ from .arith import (
     ExtNat,
     INFINITY,
     Enclosure,
+    _record,
     unit_interval,
     unit_reciprocal,
 )
@@ -42,26 +42,26 @@ __all__ = [
 DEFAULT_PRECISION_BITS = 64
 
 
-@dataclass(frozen=True)
+@_record
 class PierceSeq:
     """A point of the sequence space: finite prefix or infinite rule."""
 
     prefix: Optional[tuple[int, ...]] = None
     rule: Optional[DigitRule] = None
 
-    def __post_init__(self):
-        if (self.prefix is None) == (self.rule is None):
+    def __init__(self, prefix=None, rule=None):
+        if (prefix is None) == (rule is None):
             raise DomainError("a Pierce sequence is either a finite prefix or a rule")
-        if self.prefix is not None:
-            object.__setattr__(self, "prefix", validate_prefix(self.prefix))
+        object.__setattr__(self, "prefix", prefix if prefix is None else validate_prefix(prefix))
+        object.__setattr__(self, "rule", rule)
 
     @staticmethod
     def finite(digits) -> "PierceSeq":
-        return PierceSeq(prefix=tuple(digits))
+        return PierceSeq(digits)
 
     @staticmethod
     def infinite(rule: DigitRule) -> "PierceSeq":
-        return PierceSeq(rule=rule)
+        return PierceSeq(None, rule)
 
     @staticmethod
     def of_rational(x: Fraction) -> "PierceSeq":
@@ -161,7 +161,7 @@ def dual_representation(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return sigma, tau
 
 
-@dataclass(frozen=True)
+@_record
 class FundamentalInterval:
     """The interval of all points sharing a digit prefix, with exact diameter."""
 
@@ -200,7 +200,7 @@ def fundamental_interval(prefix) -> FundamentalInterval:
     s, p = _exact_sum(prefix)
     left, right = _cell(s, p, prefix[-1], len(prefix))
     diameter = right - left
-    assert diameter == Fraction(1, p * (prefix[-1] + 1))
+    assert (diameter.numerator, diameter.denominator) == (1, p * (prefix[-1] + 1))
     return FundamentalInterval(prefix, left, right, diameter)
 
 

@@ -1,6 +1,9 @@
 import decimal
 import functools
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import piercelab
 from piercelab import arith
 from piercelab.arith import (
     DomainError,
@@ -26,6 +30,9 @@ from piercelab.arith import (
     unit_interval,
     unit_reciprocal,
 )
+from piercelab.dimension import TupleEnumeration
+from piercelab.rules import LinearRule, PowerFloorRule
+from piercelab.space import FundamentalInterval, PierceSeq, fundamental_interval
 
 
 def log_ratio_bracket(n: int, m: int, denom: int) -> tuple[F, F]:
@@ -219,6 +226,84 @@ class TestIntervals:
         assert a.mul_pos(b) == Enclosure(F(3), F(8))
         assert b.div_pos(a) == Enclosure(F(3, 2), F(4))
         assert a.mul_pos(Enclosure.exact(F(1, 2))) == Enclosure(F(1, 2), F(1))
+
+    def test_enclosure_bounds_are_fractions(self):
+        mid = Enclosure(0.25, 0.5).midpoint
+        assert mid == F(3, 8) and type(mid) is F
+        e = Enclosure(2, 3)
+        assert type(e.lo) is F and type(e.hi) is F
+        assert e == Enclosure(F(2), F(3))
+
+
+class TestRecords:
+    """The frozen value types that arith._record builds."""
+
+    def test_equality_and_hash(self):
+        a, b = Enclosure(F(1, 3), F(1, 2)), Enclosure(F(1, 3), F(1, 2))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Enclosure(F(1, 3), F(2, 3))
+        assert PierceSeq.finite((2, 3)) == PierceSeq((2, 3)) != PierceSeq.finite((2, 4))
+        assert hash(LinearRule(2)) == hash(LinearRule(offset=2))
+
+    def test_other_types_are_never_equal(self):
+        cell = fundamental_interval((2,))
+        assert cell.as_interval() != cell and cell != cell.as_interval()
+
+        @arith._record
+        class Pair:
+            lo: F
+            hi: F
+
+        e = Enclosure(cell.left, cell.right)
+        assert Pair(cell.left, cell.right) != e and e != Pair(cell.left, cell.right)
+
+    def test_fields_are_frozen(self):
+        e = Enclosure(F(0), F(1))
+        with pytest.raises(AttributeError):
+            e.lo = F(1, 2)
+        with pytest.raises(AttributeError):
+            del e.hi
+        seq = PierceSeq.finite((2,))
+        with pytest.raises(AttributeError):
+            seq.prefix = (3,)
+        assert e.lo == 0 and seq.prefix == (2,)
+
+    def test_keywords_defaults_and_arity(self):
+        assert LinearRule() == LinearRule(0) == LinearRule(offset=0)
+        assert TupleEnumeration(3) == TupleEnumeration(count=3, tuples=None)
+        assert PierceSeq(prefix=(2,)) == PierceSeq((2,), None) == PierceSeq.finite([2])
+        assert PierceSeq(rule=LinearRule()).rule == LinearRule()
+        cell = fundamental_interval((2,))
+        assert FundamentalInterval((2,), diameter=cell.diameter, right=cell.right,
+                                   left=cell.left) == cell
+        with pytest.raises(TypeError, match="missing"):
+            FundamentalInterval((2,), F(1, 3))
+        for args, kwargs in [((1, 2), {}), ((), {"scale": 2}), ((1,), {"offset": 1})]:
+            with pytest.raises(TypeError, match="unexpected"):
+                LinearRule(*args, **kwargs)
+
+    def test_post_init_normalises(self):
+        seq = PierceSeq([2, 5])
+        assert seq.prefix == (2, 5) and type(seq.prefix) is tuple
+        assert PowerFloorRule([2], F(1, 2)).prefix == (2,)
+        with pytest.raises(DomainError, match="either a finite prefix or a rule"):
+            PierceSeq(None, None)
+
+    def test_repr(self):
+        assert repr(Enclosure(F(1, 3), F(1, 2))) == "Enclosure(lo=Fraction(1, 3), hi=Fraction(1, 2))"
+        assert repr(PierceSeq(rule=LinearRule())) == "PierceSeq(prefix=None, rule=LinearRule(offset=0))"
+
+    def test_import_loads_no_dataclasses(self):
+        code = (
+            "import sys; before = set(sys.modules); import piercelab, piercelab.cli; "
+            "print(*sorted(set(sys.modules) - before))"
+        )
+        src = os.path.dirname(os.path.dirname(piercelab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert "piercelab.cli" in out
+        assert not {"dataclasses", "inspect"} & set(out)
 
 
 class TestLog2Enclosure:

@@ -1,6 +1,7 @@
 """Compare two checkouts on one benchmark workload in alternating pairs.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload W --pairs N --seed S
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload readme --pairs N
 
 Pair i runs `perfbench/run.py --workload W --seed S+i --trace 0` once in
 each checkout, the parent first in even pairs and the change first in odd
@@ -20,16 +21,38 @@ digests differ, is flagged, and so is a metric whose median is worse than
 the parent's by more than its `bound` in BENCHMARK.json; the exit code is
 then 1.  Stdlib only; it only reads BENCHMARK.json and changes nothing
 under `perfbench/`.
+
+`--workload readme` instead runs each `pierce-lab` command of the parent's
+README "Command line" block as `python -m piercelab ...` in a fresh
+interpreter with PYTHONPATH set to the checkout's `src/` and without
+PIERCE_LAB_PRECISION_BITS, the parent first in even pairs and the change
+first in odd ones.  It prints, per command, each side's median and
+quartiles of wall time, the relative change of the median and the number
+of pairs the change won; a run that exits non-zero, or a pair whose two
+stdout SHA-256 digests differ, is flagged and the exit code is then 1.
+It checks no bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import shlex
 import statistics
 import subprocess
 import sys
+import time
+from pathlib import Path
+
+from readme_digests import readme_commands
+
+
+def child_env(**extra) -> dict:
+    """The caller's environment without PYTHONDONTWRITEBYTECODE, plus `extra`."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    return {**env, **extra}
 
 
 def run(checkout: str, workload: str, seed: int) -> dict:
@@ -39,8 +62,7 @@ def run(checkout: str, workload: str, seed: int) -> dict:
     """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
-    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=child_env(), capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: perfbench exited {proc.returncode}\n{proc.stderr[-2000:]}")
     path = os.path.join(checkout, ".perfbench", f"{workload}-seed{seed}-trace0.json")
@@ -107,15 +129,54 @@ def compare(args, metrics: dict, workload: str) -> list:
     return flagged
 
 
+def compare_readme(args) -> list:
+    """Time every README command in both checkouts, pair by pair; returns the flagged lines."""
+    commands = readme_commands(Path(args.parent) / "README.md")
+    times = {command: ([], []) for command in commands}
+    flagged = []
+    for i in range(args.pairs):
+        order = (0, 1) if i % 2 == 0 else (1, 0)
+        for command in commands:
+            digests = [None, None]
+            for side in order:
+                checkout = (args.parent, args.change)[side]
+                env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+                env.pop("PIERCE_LAB_PRECISION_BITS", None)
+                argv = [sys.executable, "-m", "piercelab", *shlex.split(command)[1:]]
+                start = time.perf_counter()
+                proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True)
+                times[command][side].append(time.perf_counter() - start)
+                digests[side] = hashlib.sha256(proc.stdout).hexdigest()
+                if proc.returncode != 0:
+                    flagged.append(f"pair {i}: {checkout} exited {proc.returncode}: {command}")
+            if digests[0] != digests[1]:
+                flagged.append(f"pair {i}: stdout digests differ: {command}")
+        print(f"pair {i}: {len(commands)} commands", file=sys.stderr, flush=True)
+
+    print(f"readme: {args.pairs} pairs of {len(commands)} commands, wall time in seconds")
+    print(f"{'parent q1/median/q3':>26s} {'change q1/median/q3':>26s} {'median':>8s} {'wins':>6s}"
+          "  command")
+    for command, (ps, cs) in times.items():
+        wins = sum(c < p for p, c in zip(ps, cs))
+        pq, cq = quartiles(ps), quartiles(cs)
+        print(f"{'/'.join(f'{v:.4f}' for v in pq):>26s} {'/'.join(f'{v:.4f}' for v in cq):>26s}"
+              f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{args.pairs}  {command}")
+    for msg in flagged:
+        print(f"FLAGGED readme {msg}")
+    return flagged
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True, help="a workload name, or all")
+    parser.add_argument("--workload", required=True, help="a workload name, all, or readme")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args()
 
+    if args.workload == "readme":
+        return 1 if compare_readme(args) else 0
     spec = benchmark_spec(args.parent)
     metrics = end_to_end(spec)
     if args.workload == "all":

@@ -58,19 +58,6 @@ __all__ = ["main", "run", "REPORT_SCHEMA"]
 
 ENV_PRECISION = "PIERCE_LAB_PRECISION_BITS"
 
-USAGE = """usage: pierce-lab [--format json|csv] [--config FILE] COMMAND ...
-
-commands:
-  expand     digit sequence, dual representation, and shift orbit of p/q
-  eval       expansion value and fundamental interval of a digit prefix
-  lambda     exponent window diagnostic and certificate for a digit rule
-  construct  certified-exponent witness inside an interval
-  divergent  divergent-tail rule and its reciprocal power sums
-  cover      covering-series term/ratio ledger and verdict
-  grid       witness sweep over all dyadic cells of a given depth
-  sample     seeded Monte Carlo digit statistics
-"""
-
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "pierce-lab report envelope",
@@ -120,7 +107,7 @@ def parse_interval(text: str) -> Enclosure:
     return Enclosure(parse_rational(parts[0]), parse_rational(parts[1]))
 
 
-def parse_prefix(text: Optional[str]) -> tuple[int, ...]:
+def parse_prefix(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
@@ -128,6 +115,29 @@ def parse_prefix(text: Optional[str]) -> tuple[int, ...]:
     except ValueError as exc:
         raise DomainError(f"cannot parse prefix {text!r}") from exc
     return validate_prefix(digits)
+
+
+def parse_pattern(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in text)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse pattern {text!r}") from exc
+
+
+def _integer(limit: Optional[int] = None, what: str = ""):
+    """Parse function of an integer flag; a value past `limit` is refused (exit 3)."""
+
+    def parse(text) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise DomainError(f"cannot parse integer {text!r}") from exc
+        if limit is not None and value > limit:
+            raise GuardExceededError(f"{what} {value} exceeds the guard {limit}")
+        return value
+
+    parse.limit = limit
+    return parse
 
 
 def _flatten(node, path=""):
@@ -141,48 +151,33 @@ def _flatten(node, path=""):
         yield path, json.dumps(node)
 
 
-# The family flags that each --rule reads; eval without a rule reads --prefix.
-_RULE_FLAGS = {
-    None: ("prefix",),
-    "power": ("prefix", "alpha"),
-    "tower": ("prefix",),
-    "linear": ("offset",),
-    "binary": ("alpha", "pattern"),
+# --rule family -> (flags it reads, flags it requires, constructor); eval
+# without a rule reads --prefix.
+_RULES = {
+    None: (("prefix",), (), None),
+    "power": (("prefix", "alpha"), ("alpha",), lambda a: PowerFloorRule(a.prefix or (), a.alpha)),
+    "tower": (("prefix",), (), lambda a: TowerRule(a.prefix or ())),
+    "linear": (("offset",), (), lambda a: LinearRule(a.offset or 0)),
+    "binary": (("alpha", "pattern"), ("alpha", "pattern"),
+               lambda a: BitPerturbedRule(a.alpha, a.pattern)),
 }
 
 
-def _check_rule_flags(args) -> None:
-    """Refuse a family flag of eval or lambda that the rule family ignores."""
+def _build_rule(args):
+    """The rule of eval's or lambda's --rule (None without one), refusing unread flags."""
+    reads, requires, build = _RULES[args.rule]
     for flag in ("prefix", "alpha", "pattern", "offset"):
-        if getattr(args, flag, None) is not None and flag not in _RULE_FLAGS[args.rule]:
+        if getattr(args, flag, None) is not None and flag not in reads:
             family = f"--rule {args.rule}" if args.rule else "no --rule"
             raise DomainError(f"{args.command} with {family} does not read --{flag}")
-
-
-def _build_rule(args, prefix: tuple[int, ...]):
-    family = args.rule
-    alpha = None if args.alpha is None else parse_rational(args.alpha)
-    if family == "power":
-        if alpha is None:
-            raise DomainError("--rule power requires --alpha")
-        return PowerFloorRule(prefix, alpha)
-    if family == "tower":
-        return TowerRule(prefix)
-    if family == "linear":
-        return LinearRule(args.offset or 0)
-    if family == "binary":
-        if alpha is None or args.pattern is None:
-            raise DomainError("--rule binary requires --alpha and --pattern")
-        try:
-            bits = tuple(int(c) for c in args.pattern)
-        except ValueError as exc:
-            raise DomainError(f"cannot parse pattern {args.pattern!r}") from exc
-        return BitPerturbedRule(alpha, bits)
-    raise DomainError(f"unknown rule family {family!r}")
+    if any(getattr(args, flag) is None for flag in requires):
+        flags = " and ".join(f"--{flag}" for flag in requires)
+        raise DomainError(f"--rule {args.rule} requires {flags}")
+    return build(args) if build else None
 
 
 def _cmd_expand(args, bits: int):
-    x = parse_rational(args.value)
+    x = args.value
     digits = digits_rational(x)
     tau = dual_representation(x)[1] if 0 < x < 1 else None
     orbit = shift_orbit(x, len(digits))
@@ -195,15 +190,14 @@ def _cmd_expand(args, bits: int):
 
 
 def _cmd_eval(args, bits: int):
-    _check_rule_flags(args)
-    prefix = parse_prefix(args.prefix)
+    rule = _build_rule(args)
+    prefix = args.prefix
     params = {"prefix": list(prefix), "bits": bits}
-    if args.rule:
-        rule = _build_rule(args, prefix)
+    if rule is not None:
         value = expansion_value(PierceSeq.infinite(rule), bits)
         results = {"rule": rule.describe(), "value": fmt_enclosure(value)}
         params["rule"] = args.rule
-        if args.alpha:
+        if args.alpha is not None:
             params["alpha"] = fmt_rational(rule.alpha)
     else:
         value = expansion_value(PierceSeq.finite(prefix), bits)
@@ -216,8 +210,7 @@ def _cmd_eval(args, bits: int):
 
 
 def _cmd_lambda(args, bits: int):
-    _check_rule_flags(args)
-    rule = _build_rule(args, parse_prefix(args.prefix))
+    rule = _build_rule(args)
     estimate = estimate_exponent(PierceSeq.infinite(rule), args.window)
     results = {
         "rule": rule.describe(),
@@ -232,8 +225,7 @@ def _cmd_lambda(args, bits: int):
 
 
 def _cmd_construct(args, bits: int):
-    interval = parse_interval(args.interval)
-    alpha = parse_rational(args.alpha)
+    interval, alpha = getattr(args, "in"), args.alpha  # "in" is a Python keyword
     witness = witness_in_interval(interval, alpha, bits)
     results = {
         "rule": witness.rule.describe(),
@@ -250,8 +242,7 @@ def _cmd_construct(args, bits: int):
 
 
 def _cmd_divergent(args, bits: int):
-    prefix = parse_prefix(args.prefix)
-    s = parse_rational(args.s)
+    prefix, s = args.prefix, args.s
     rule = divergent_tail_rule(prefix, s, args.j)
     seq = PierceSeq.infinite(rule)
     results = {
@@ -259,7 +250,7 @@ def _cmd_divergent(args, bits: int):
         "first_terms": list(rule.terms(12)),
         "verdict": classify_divergence(rule, s).value,
     }
-    if args.terms:
+    if args.terms is not None:
         partial = reciprocal_power_sum(seq, s, args.terms, bits)
         results["partial_sum"] = fmt_enclosure(partial.sum)
         results["n_terms"] = partial.n_terms
@@ -268,14 +259,8 @@ def _cmd_divergent(args, bits: int):
 
 
 def _cmd_cover(args, bits: int):
-    params_obj = CoverParams(
-        N=args.N,
-        alpha=parse_rational(args.alpha),
-        beta=parse_rational(args.beta),
-        epsilon=parse_rational(args.eps),
-        s=parse_rational(args.s),
-        k_max=args.kmax,
-    )
+    params_obj = CoverParams(N=args.N, alpha=args.alpha, beta=args.beta, epsilon=args.eps,
+                             s=args.s, k_max=args.kmax)
     report = covering_sum(params_obj, bits)
     results = {
         "threshold": fmt_rational(report.threshold),
@@ -297,9 +282,8 @@ def _cmd_cover(args, bits: int):
 
 
 def _cmd_grid(args, bits: int):
-    alpha = parse_rational(args.alpha)
-    report = grid_witness_sweep(alpha, args.depth, bits)
-    params = {"alpha": fmt_rational(alpha), "depth": args.depth, "bits": bits}
+    report = grid_witness_sweep(args.alpha, args.depth, bits)
+    params = {"alpha": fmt_rational(args.alpha), "depth": args.depth, "bits": bits}
     for cell in report.cells:
         results = {
             "kind": "cell",
@@ -340,16 +324,67 @@ def _cmd_sample(args, bits: int):
     yield params, summary
 
 
+REQUIRED = object()  # the default of a flag that must be given
+
+# The enclosure precision; the env variable and the config file pass its parse too.
+_PRECISION = ("--bits", _integer(4096, "precision bits"), None)
+
+# command -> (handler, USAGE summary, flags).  A flag is (name, parse, default),
+# positional without dashes; a tuple parse lists the accepted choices.
 _COMMANDS = {
-    "expand": _cmd_expand,
-    "eval": _cmd_eval,
-    "lambda": _cmd_lambda,
-    "construct": _cmd_construct,
-    "divergent": _cmd_divergent,
-    "cover": _cmd_cover,
-    "grid": _cmd_grid,
-    "sample": _cmd_sample,
+    "expand": (_cmd_expand, "digit sequence, dual representation, and shift orbit of p/q", (
+        ("value", parse_rational, REQUIRED),
+    )),
+    "eval": (_cmd_eval, "expansion value and fundamental interval of a digit prefix", (
+        ("--prefix", parse_prefix, REQUIRED),
+        ("--rule", ("power", "tower"), None),
+        ("--alpha", parse_rational, None),
+        _PRECISION,
+    )),
+    "lambda": (_cmd_lambda, "exponent window diagnostic and certificate for a digit rule", (
+        ("--rule", ("power", "tower", "linear", "binary"), REQUIRED),
+        ("--prefix", parse_prefix, None),
+        ("--alpha", parse_rational, None),
+        ("--pattern", parse_pattern, None),
+        ("--offset", _integer(), None),
+        ("--window", _integer(1_000_000, "window"), REQUIRED),
+    )),
+    "construct": (_cmd_construct, "certified-exponent witness inside an interval", (
+        ("--alpha", parse_rational, REQUIRED),
+        ("--in", parse_interval, REQUIRED),
+        _PRECISION,
+    )),
+    "divergent": (_cmd_divergent, "divergent-tail rule and its reciprocal power sums", (
+        ("--s", parse_rational, REQUIRED),
+        ("--prefix", parse_prefix, REQUIRED),
+        ("--j", _integer(), REQUIRED),
+        ("--terms", _integer(10_000, "terms"), None),
+        _PRECISION,
+    )),
+    "cover": (_cmd_cover, "covering-series term/ratio ledger and verdict", (
+        ("--alpha", parse_rational, REQUIRED),
+        ("--beta", parse_rational, REQUIRED),
+        ("--eps", parse_rational, REQUIRED),
+        ("--s", parse_rational, REQUIRED),
+        ("--kmax", _integer(), REQUIRED),
+        ("--N", _integer(), 1),
+        _PRECISION,
+    )),
+    "grid": (_cmd_grid, "witness sweep over all dyadic cells of a given depth", (
+        ("--alpha", parse_rational, REQUIRED),
+        ("--depth", _integer(), REQUIRED),
+        _PRECISION,
+    )),
+    "sample": (_cmd_sample, "seeded Monte Carlo digit statistics", (
+        ("--bits", _integer(65_536, "sample bits"), REQUIRED),
+        ("--count", _integer(5_000, "sample count"), REQUIRED),
+        ("--seed", _integer(), REQUIRED),
+    )),
 }
+
+USAGE = "usage: pierce-lab [--format json|csv] [--config FILE] COMMAND ...\n\ncommands:\n" + "".join(
+    f"  {name:<10} {summary}\n" for name, (_, summary, _) in _COMMANDS.items()
+)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -370,66 +405,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--config", default=None, help="JSON config file")
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("expand")
-    p.add_argument("value")
-
-    p = sub.add_parser("eval")
-    p.add_argument("--prefix", required=True)
-    p.add_argument("--rule", choices=("power", "tower"), default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--bits", type=int, default=None)
-
-    p = sub.add_parser("lambda")
-    p.add_argument("--rule", required=True, choices=("power", "tower", "linear", "binary"))
-    p.add_argument("--prefix", default=None)
-    p.add_argument("--alpha", default=None)
-    p.add_argument("--pattern", default=None)
-    p.add_argument("--offset", type=int, default=None)
-    p.add_argument("--window", type=int, required=True)
-
-    p = sub.add_parser("construct")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--in", dest="interval", required=True, help="lo,hi rationals")
-    p.add_argument("--bits", type=int, default=None)
-
-    p = sub.add_parser("divergent")
-    p.add_argument("--s", required=True)
-    p.add_argument("--prefix", required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--terms", type=int, default=None)
-    p.add_argument("--bits", type=int, default=None)
-
-    p = sub.add_parser("cover")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--s", required=True)
-    p.add_argument("--kmax", type=int, required=True)
-    p.add_argument("--N", type=int, default=1)
-    p.add_argument("--bits", type=int, default=None)
-
-    p = sub.add_parser("grid")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--bits", type=int, default=None)
-
-    p = sub.add_parser("sample")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-
+    for command, (_, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(command)
+        for name, parse, default in flags:
+            options = {"choices": parse} if isinstance(parse, tuple) else {}
+            if name.startswith("-"):  # argparse refuses these for a positional
+                options.update(required=default is REQUIRED, default=default)
+            p.add_argument(name, **options)
     return parser
 
 
-def _resolve_precision(args) -> int:
-    # sample's --bits is the draw width, not a precision
-    bits = None if args.command == "sample" else getattr(args, "bits", None)
+def _resolve_precision(args, flags) -> int:
+    """--bits where the command lists the precision entry, else the env, else --config."""
+    bits = args.bits if _PRECISION in flags else None
     env = os.environ.get(ENV_PRECISION)
     if bits is None and env is not None:
         try:
-            bits = int(env)
-        except ValueError as exc:
+            bits = _PRECISION[1](env)
+        except DomainError as exc:
             raise DomainError(f"bad {ENV_PRECISION}={env!r}") from exc
     if bits is None and args.config:
         try:
@@ -445,6 +438,7 @@ def _resolve_precision(args) -> int:
                 raise DomainError(
                     f"bad config file {args.config}: precision_bits must be an integer"
                 )
+            bits = _PRECISION[1](bits)
     bits = DEFAULT_PRECISION_BITS if bits is None else bits
     if bits < 0:
         raise DomainError(f"precision must be non-negative, got {bits} bits")
@@ -457,9 +451,7 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
         print(USAGE, file=stdout, end="")
         return 0
     if not any(a in _COMMANDS for a in argv):
-        attempted = next(
-            (a for a in argv if not a.startswith("-")), "(none)"
-        )
+        attempted = next((a for a in argv if not a.startswith("-")), "(none)")
         print(f"unknown subcommand: {attempted}", file=stderr)
         print(USAGE, file=stderr, end="")
         return 64
@@ -471,11 +463,18 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
     except argparse.ArgumentError as exc:
         print(f"usage error: {exc}", file=stderr)
         return 2
+    handler, _, flags = _COMMANDS[args.command]
     try:
-        bits = _resolve_precision(args)
+        # not argparse's type=, which would make a DomainError a usage error
+        for name, parse, _ in flags:
+            dest = name.lstrip("-")
+            value = getattr(args, dest)
+            if isinstance(value, str) and callable(parse):
+                setattr(args, dest, parse(value))
+        bits = _resolve_precision(args, flags)
         seed = getattr(args, "seed", None)
         provenance = {"version": __version__, "seed": seed, "precision_bits": bits}
-        for line, (params, results) in enumerate(_COMMANDS[args.command](args, bits)):
+        for line, (params, results) in enumerate(handler(args, bits)):
             envelope = {
                 "command": args.command,
                 "params": params,

@@ -2,12 +2,41 @@ import argparse
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from piercelab import rules
-from piercelab.cli import REPORT_SCHEMA, _build_parser, run
+from piercelab.cli import _COMMANDS, _PRECISION, REPORT_SCHEMA, _build_parser, run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The help text of `pierce-lab --help`, which the command table generates.
+USAGE = """usage: pierce-lab [--format json|csv] [--config FILE] COMMAND ...
+
+commands:
+  expand     digit sequence, dual representation, and shift orbit of p/q
+  eval       expansion value and fundamental interval of a digit prefix
+  lambda     exponent window diagnostic and certificate for a digit rule
+  construct  certified-exponent witness inside an interval
+  divergent  divergent-tail rule and its reciprocal power sums
+  cover      covering-series term/ratio ledger and verdict
+  grid       witness sweep over all dyadic cells of a given depth
+  sample     seeded Monte Carlo digit statistics
+"""
+
+# (command, flag) -> limit of each guarded table entry; the shared precision
+# entry is listed once, as (None, "--bits").
+GUARDS = {
+    (None if entry is _PRECISION else command, entry[0]): entry[1].limit
+    for command, (_, _, flags) in _COMMANDS.items()
+    for entry in flags
+    if getattr(entry[1], "limit", None) is not None
+}
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +125,14 @@ class TestDivergent:
         terms = res["first_terms"]
         assert all(a < b for a, b in zip(terms, terms[1:]))
 
+    def test_zero_terms_is_an_empty_sum(self):
+        code, out, _ = invoke(["divergent", "--s", "1/2", "--prefix", "2,9,16", "--j", "2",
+                               "--terms", "0"])
+        assert code == 0
+        (report,) = lines_of(out)
+        assert report["results"]["partial_sum"] == ["0/1", "0/1"]
+        assert report["results"]["n_terms"] == 0
+
 
 def assert_one_line_domain_error(code, out, err):
     assert code == 2 and out == ""
@@ -168,6 +205,9 @@ class TestMalformedInput:
               "--window", "10"], "lambda with --rule binary does not read --prefix"),
             (["eval", "--prefix", "2", "--alpha", "1/2"],
              "eval with no --rule does not read --alpha"),
+            (["eval", "--prefix", "2", "--rule", "power"], "--rule power requires --alpha"),
+            (["lambda", "--rule", "binary", "--alpha", "1/2", "--window", "10"],
+             "--rule binary requires --alpha and --pattern"),
         ],
     )
     def test_message_names_the_fault(self, argv, message):
@@ -241,6 +281,76 @@ class TestGuards:
         assert code == 3 and out == ""
         assert err.startswith("guard exceeded: digit") and err.count("\n") == 1
         assert str(rules.DIGIT_BITS_GUARD) in err
+
+    # A valid invocation of each command, cheap enough that only a guard stops it.
+    BASE = {
+        "expand": ["expand", "1/2"],
+        "eval": ["eval", "--prefix", "2", "--rule", "power", "--alpha", "1/2"],
+        "lambda": ["lambda", "--rule", "tower", "--window", "10"],
+        "construct": ["construct", "--alpha", "1/2", "--in", "1/3,1/2"],
+        "divergent": ["divergent", "--s", "1/2", "--prefix", "2,9,16", "--j", "2", "--terms", "9"],
+        "cover": ["cover", "--alpha", "1/2", "--beta", "1/2", "--eps", "1/10", "--s", "3",
+                  "--kmax", "20"],
+        "grid": ["grid", "--alpha", "1/2", "--depth", "2"],
+        "sample": ["sample", "--bits", "256", "--count", "1", "--seed", "1"],
+    }
+    PAST = ("next", "99999999999999999999")  # one past the limit, and far past it
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Replace every handler by one that fails: a guard must refuse first."""
+        def refuse(args, bits):
+            raise AssertionError("a guarded value reached its handler")
+
+        for name, (_, summary, flags) in list(_COMMANDS.items()):
+            monkeypatch.setitem(_COMMANDS, name, (refuse, summary, flags))
+
+    @staticmethod
+    def past(limit, kind):
+        return str(limit + 1) if kind == "next" else kind
+
+    def assert_refused(self, code, out, err, limit):
+        assert code == 3 and out == ""
+        assert err.startswith("guard exceeded") and err.count("\n") == 1
+        assert f"exceeds the guard {limit}" in err
+
+    @pytest.mark.parametrize("kind", PAST)
+    @pytest.mark.parametrize("command, flag", [key for key in GUARDS if key[0]])
+    def test_flag_guard(self, command, flag, kind, no_work):
+        limit = GUARDS[command, flag]
+        argv = self.BASE[command] + [flag, self.past(limit, kind)]
+        self.assert_refused(*invoke(argv), limit)
+
+    @pytest.mark.parametrize("kind", PAST)
+    @pytest.mark.parametrize(
+        "command", [c for c, (_, _, flags) in _COMMANDS.items() if _PRECISION in flags])
+    def test_precision_flag_guard(self, command, kind, no_work):
+        limit = GUARDS[None, "--bits"]
+        argv = self.BASE[command] + ["--bits", self.past(limit, kind)]
+        self.assert_refused(*invoke(argv), limit)
+
+    @pytest.mark.parametrize("kind", PAST)
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_precision_env_and_config_guard(self, command, kind, no_work, monkeypatch, tmp_path):
+        limit = GUARDS[None, "--bits"]
+        value = self.past(limit, kind)
+        self.assert_refused(*invoke(self.BASE[command], env_bits=value,
+                                    monkeypatch=monkeypatch), limit)
+        monkeypatch.delenv("PIERCE_LAB_PRECISION_BITS")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"precision_bits": {value}}}')
+        self.assert_refused(*invoke(["--config", str(cfg)] + self.BASE[command]), limit)
+
+    def test_readme_lists_each_guard(self):
+        text = README.read_text(encoding="utf-8")
+        note = text[text.index("- **Guards.**"):]
+        listed = {(command or None, flag): int(limit) for command, flag, limit
+                  in re.findall(r"`(?:([a-z]+) )?(--[a-z]+)` ([0-9]+)", note)}
+        assert listed == GUARDS
+        for command, (_, _, flags) in _COMMANDS.items():
+            for name, parse, _ in flags:  # the limit itself is accepted
+                if getattr(parse, "limit", None) is not None:
+                    assert parse(str(parse.limit)) == parse.limit
 
     def test_unknown_subcommand(self):
         code, _, err = invoke(["frobnicate", "--x", "1"])
@@ -348,13 +458,13 @@ class TestFormatsAndConfig:
         assert code == 2 and "config" in err
 
     def test_help_exits_zero(self):
-        code, out, _ = invoke(["--help"])
-        assert code == 0 and "usage" in out
+        assert invoke(["--help"]) == (0, USAGE, "")
 
-    def test_subcommand_help_goes_to_given_stdout(self, capsys):
-        code, out, err = invoke(["expand", "-h"])
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_subcommand_help_goes_to_given_stdout(self, command, capsys):
+        code, out, err = invoke([command, "-h"])
         assert code == 0 and err == ""
-        assert out.startswith("usage: pierce-lab expand")
+        assert out.startswith(f"usage: pierce-lab {command}")
         assert capsys.readouterr() == ("", "")
 
     def test_cover_report_fields(self):
@@ -406,3 +516,65 @@ class TestSharedParser:
         assert sorted({int(line) for line, _, _ in rows}) == [0, 1, 2, 3, 4]
         kinds = {int(line): json.loads(value) for line, key, value in rows if key == "results.kind"}
         assert kinds == {0: "cell", 1: "cell", 2: "cell", 3: "cell", 4: "summary"}
+
+
+RATIONALS = ("0", "1/4", "1/2", "3/4", "1")
+# Small valid values of each flag, by destination name; only precision and
+# sample's --bits share a name, and the table entry tells them apart.
+SMALL = {
+    "value": st.sampled_from(RATIONALS + ("7/10", "355/1130")),
+    "prefix": st.sampled_from(("2", "3,7", "2,9,16")),
+    "alpha": st.sampled_from(RATIONALS),
+    "beta": st.sampled_from(RATIONALS),
+    "eps": st.sampled_from(RATIONALS + ("1/10",)),
+    "s": st.sampled_from(RATIONALS + ("3",)),
+    "pattern": st.sampled_from(("0", "1", "01", "0110")),
+    "offset": st.integers(0, 3),
+    "window": st.integers(0, 2000),
+    "in": st.sampled_from(("1/3,1/2", "0,1", "1/4,3/4")),
+    "j": st.integers(0, 3),
+    "terms": st.integers(0, 200),
+    "kmax": st.integers(1, 40),
+    "N": st.integers(1, 3),
+    "depth": st.integers(0, 3),
+    "count": st.integers(0, 2),
+    "seed": st.integers(0, 2**32),
+    "bits": st.integers(256, 512),  # sample's draw width
+}
+MALFORMED = st.sampled_from(("x", "0.5", "1/0", "", "2,x", "1e3"))
+
+
+def flag_value(draw, parse, name):
+    """None (omitted), a malformed value, one past the guard, or a small valid value."""
+    kind = draw(st.sampled_from(("omit", "malformed", "past") + ("valid",) * 7))
+    limit = getattr(parse, "limit", None)
+    if kind == "omit":
+        return None
+    if kind == "malformed":
+        return draw(MALFORMED)
+    if kind == "past" and limit is not None:
+        return draw(st.sampled_from((str(limit + 1), "99999999999999999999")))
+    if isinstance(parse, tuple):
+        return draw(st.sampled_from(parse))
+    return str(draw(st.integers(0, 128) if parse is _PRECISION[1] else SMALL[name.lstrip("-")]))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    argv = draw(st.sampled_from(([], ["--format", "csv"]))) + [command]
+    for name, parse, _ in _COMMANDS[command][2]:
+        value = flag_value(draw, parse, name)
+        if value is not None:
+            argv += [name, value] if name.startswith("-") else [value]
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_argv_exits_cleanly(argv):
+    code, out, err = invoke(argv)
+    assert code in (0, 2, 3, 64), (argv, err)
+    if code:
+        assert out == "" and err.count("\n") == 1, (argv, err)

@@ -30,7 +30,10 @@ first in odd ones.  It prints, per command, each side's median and
 quartiles of wall time, the relative change of the median and the number
 of pairs the change won; a run that exits non-zero, or a pair whose two
 stdout SHA-256 digests differ, is flagged and the exit code is then 1.
-It checks no bound.
+It checks no bound.  After the pairs it runs the tier-1 suite,
+`python -m pytest -q --continue-on-collection-errors` with PYTHONPATH set
+to `src/`, once in each checkout and prints both wall times; a suite that
+exits non-zero is flagged.
 """
 
 from __future__ import annotations
@@ -161,6 +164,15 @@ def compare_readme(args) -> list:
         pq, cq = quartiles(ps), quartiles(cs)
         print(f"{'/'.join(f'{v:.4f}' for v in pq):>26s} {'/'.join(f'{v:.4f}' for v in cq):>26s}"
               f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{args.pairs}  {command}")
+    for side, checkout in (("parent", args.parent), ("change", args.change)):
+        env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+        argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+        start = time.perf_counter()
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
+        summary = (proc.stdout.strip().splitlines() or ["(no output)"])[-1]
+        print(f"tier-1 {side}: {time.perf_counter() - start:.2f} s wall, {summary}")
+        if proc.returncode != 0:
+            flagged.append(f"tier-1 in {checkout} exited {proc.returncode}")
     for msg in flagged:
         print(f"FLAGGED readme {msg}")
     return flagged

@@ -157,8 +157,9 @@ def floor_reciprocal(x: Fraction) -> ExtNat:
 def integer_root(m: int, p: int) -> int:
     """floor(m ** (1/p)) for m >= 0, p >= 1, by integer Newton iteration.
 
-    Roots wider than 128 bits start from the root of the top half at
-    doubling precision, so Newton begins with half the bits right.
+    An even degree halves through math.isqrt.  Odd roots wider than 128
+    bits start from the root of the top half at doubling precision, so
+    Newton begins with half the bits right.
     """
     if p < 1:
         raise DomainError("root degree must be >= 1")
@@ -166,8 +167,11 @@ def integer_root(m: int, p: int) -> int:
         raise DomainError("radicand must be non-negative")
     if p == 1 or m in (0, 1):
         return m
-    if p == 2:
-        return math.isqrt(m)
+    if p % 2 == 0:
+        # Both sides are the largest r with r**p <= m: r**p <= m gives the
+        # integer r**(p/2) <= sqrt(m), so r**(p/2) <= isqrt(m); (r+1)**p > m
+        # gives (r+1)**(p/2) > sqrt(m) >= isqrt(m).
+        return integer_root(math.isqrt(m), p // 2)
     if m.bit_length() <= p:
         # m < 2**p means the root is 1 (m >= 2 here).
         return 1
@@ -267,7 +271,8 @@ class Enclosure:
     def __init__(self, lo, hi):
         lo = lo if type(lo) is Fraction else Fraction(lo)
         hi = hi if type(hi) is Fraction else Fraction(hi)
-        if lo > hi:
+        # Cross-multiplied (denominators are positive): cheaper than Fraction's comparison.
+        if lo.numerator * hi.denominator > hi.numerator * lo.denominator:
             raise DomainError(f"interval [{lo}, {hi}] has its endpoints out of order")
         # Not self.__dict__: a materialised instance dict slows every later read.
         object.__setattr__(self, "lo", lo)
@@ -294,7 +299,9 @@ class Enclosure:
         return self.lo <= Fraction(value) <= self.hi
 
     def contains_interval(self, other: "Enclosure") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
+        a, b, c, d = self.lo, other.lo, other.hi, self.hi  # a <= b and c <= d, cross-multiplied
+        return (a.numerator * b.denominator <= b.numerator * a.denominator
+                and c.numerator * d.denominator <= d.numerator * c.denominator)
 
     def mul_pos(self, other: "Enclosure") -> "Enclosure":
         """Interval product; both operands must be non-negative."""

@@ -19,9 +19,8 @@ from .rules import BitPerturbedRule, DigitRule, PowerFloorRule, TowerRule
 from .space import (
     DEFAULT_PRECISION_BITS,
     PierceSeq,
+    _locate,
     expansion_value,
-    fundamental_interval,
-    locate_cylinder,
 )
 
 __all__ = [
@@ -104,12 +103,12 @@ def witness_in_interval(
     strictly inside the cell.  All containments are checked exactly.
     """
     alpha = Fraction(alpha)
-    prefix = locate_cylinder(interval)
+    prefix, left, right = _locate(interval)
     rule = prescribed_exponent_rule(prefix, alpha)
     enclosure = expansion_value(
         PierceSeq.infinite(rule), precision_bits, min_depth=len(prefix) + 2
     )
-    cell = fundamental_interval(prefix).as_interval()
+    cell = Enclosure(left, right)
     if not cell.contains_interval(enclosure):
         raise AssertionError("witness enclosure escaped its fundamental cell")
     if not interval.contains_interval(cell):

@@ -51,6 +51,9 @@ __all__ = [
 ENUMERATION_GUARD = 10**7
 COVER_KMAX_GUARD = 512
 GRID_DEPTH_GUARD = 12
+# count * bits**2 of one sample run; a sample's time grows about as bits**2
+# from 2**14 bits on, and no admitted run took over 2.4 s (near 5800 bits).
+SAMPLE_WORK_GUARD = 1 << 37
 RNG_ALGORITHM = "mt19937/sha512-per-sample-streams"
 
 
@@ -324,6 +327,9 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
         raise DomainError("need at least 256 sampling bits")
     if count < 1:
         raise DomainError("need at least one sample")
+    if (work := count * bits * bits) > SAMPLE_WORK_GUARD:
+        raise GuardExceededError(
+            f"sample count*bits^2 {work} exceeds the guard {SAMPLE_WORK_GUARD}")
     denominator = 1 << bits
     records: list[SampleRecord] = []
     log_ratios: list[Fraction] = []

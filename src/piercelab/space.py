@@ -10,6 +10,7 @@ rational enclosure bracketed by consecutive partial sums.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import pairwise
 from typing import Optional, Union
@@ -174,34 +175,28 @@ class FundamentalInterval:
         return Enclosure(self.left, self.right)
 
 
-def _cell(s: int, p: int, d: int, n: int) -> tuple[Fraction, Fraction]:
-    """(left, right) of the depth-n cell whose prefix sums to s/p and ends in d.
+def _cell(s: int, p: int, d: int, n: int) -> tuple[int, int]:
+    """(k, q): the depth-n cell whose prefix sums to s/p and ends in d is [k, k + 1] / q.
 
-    The bumped prefix (last digit d + 1) has the value
-    (s*(d+1) - (-1)^(n+1)) / (p*(d+1)): below s/p for odd n, above it for
-    even n.
+    q = p*(d+1).  The bumped prefix (last digit d + 1) has the value
+    (s*(d+1) - (-1)^(n+1)) / q: below s/p for odd n, above it for even n,
+    so k = s*(d+1) - 1 for odd n and s*(d+1) for even n.
     """
-    sign = 1 if n % 2 else -1
-    value, bumped = Fraction(s, p), Fraction(s * (d + 1) - sign, p * (d + 1))
-    return (bumped, value) if sign > 0 else (value, bumped)
+    return s * (d + 1) - (n & 1), p * (d + 1)
 
 
 def fundamental_interval(prefix) -> FundamentalInterval:
     """Exact endpoints and diameter of the cell of a non-empty prefix.
 
     The endpoints are the values of the prefix and of its last-digit
-    bump, both from the prefix's last partial sum; the diameter equals
-    (prod 1/d_j) / (d_n + 1), which is also asserted here as an internal
-    cross-check.
+    bump, both from the prefix's last partial sum; the diameter is their
+    distance 1/q = (prod 1/d_j) / (d_n + 1).
     """
     prefix = validate_prefix(prefix)
     if not prefix:
         raise DomainError("the empty prefix has no fundamental interval")
-    s, p = _exact_sum(prefix)
-    left, right = _cell(s, p, prefix[-1], len(prefix))
-    diameter = right - left
-    assert (diameter.numerator, diameter.denominator) == (1, p * (prefix[-1] + 1))
-    return FundamentalInterval(prefix, left, right, diameter)
+    k, q = _cell(*_exact_sum(prefix), prefix[-1], len(prefix))
+    return FundamentalInterval(prefix, Fraction(k, q), Fraction(k + 1, q), Fraction(1, q))
 
 
 def cylinder_contains(prefix, seq: PierceSeq) -> bool:
@@ -225,32 +220,39 @@ def seq_distance(s: PierceSeq, t: PierceSeq, depth: int) -> Fraction:
 
 
 def locate_cylinder(interval: Enclosure) -> tuple[int, ...]:
-    """A digit prefix whose fundamental interval fits inside [lo, hi] within [0, 1].
+    """A digit prefix whose fundamental interval fits inside [lo, hi] within [0, 1]."""
+    return _locate(interval)[0]
+
+
+def _locate(interval: Enclosure) -> tuple[tuple[int, ...], Fraction, Fraction]:
+    """(prefix, left, right): locate_cylinder's prefix and its cell's endpoints.
 
     Descends the chain of cells containing the midpoint, returning the
-    shallowest one that fits.  When the midpoint's (finite, rational)
-    digit chain is exhausted first, the children of the final cell
-    accumulate exactly at the midpoint with exact offsets 1/(P*m) (P the
-    digit product), so the first admissible child index is computed
-    directly rather than scanned.  Deterministic by construction.
+    shallowest one that fits; each cell [k, k + 1] / q (see _cell) is
+    tested on integers against lo = a/c and hi = b/c.  When the
+    midpoint's (finite, rational) digit chain is exhausted first, the
+    children of the final cell accumulate exactly at the midpoint with
+    exact offsets 1/(P*m) (P the digit product), so the first admissible
+    child index is computed directly rather than scanned.  Deterministic
+    by construction.
     """
     lo, hi = unit_interval(interval)
     if lo >= hi:
         raise DomainError("locate_cylinder requires an interval with interior")
+    c = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (c // lo.denominator), hi.numerator * (c // hi.denominator)
     mid = (lo + hi) / 2
     chain = digits_rational(mid)  # non-empty: mid > 0
     for depth, (d, (s, product)) in enumerate(zip(chain, alternating_sums(chain)), start=1):
-        left, right = _cell(s, product, d, depth)
-        if lo <= left and right <= hi:
-            return chain[:depth]
+        k, q = _cell(s, product, d, depth)
+        if a * q <= k * c and (k + 1) * c <= b * q:
+            return chain[:depth], Fraction(k, q), Fraction(k + 1, q)
     # mid equals the value of its full chain; children sit at
     # mid + (-1)^n / (P*m) and shrink toward mid, which is interior.
-    side = 1 if len(chain) % 2 == 0 else -1
-    gap = (hi - mid) if side > 0 else (mid - lo)
+    gap = hi - mid if len(chain) % 2 == 0 else mid - lo
     first = max(chain[-1] + 1, -(-gap.denominator // (product * gap.numerator)))
     for d in (first, first + 1):
-        candidate = chain + (d,)
-        cell = fundamental_interval(candidate)
+        cell = fundamental_interval(chain + (d,))
         if lo <= cell.left and cell.right <= hi:
-            return candidate
+            return cell.prefix, cell.left, cell.right
     raise AssertionError("child-cell jump failed to land inside the interval")

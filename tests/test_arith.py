@@ -114,6 +114,18 @@ class TestFloorReciprocal:
         assert d * x <= 1 < (d + 1) * x
 
 
+def root_by_bisection(m, p):
+    """Independent oracle: the largest r with r**p <= m, by bisection."""
+    lo, hi = 0, 1 << -(-m.bit_length() // p)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**p <= m:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 class TestRoots:
     def test_examples(self):
         assert floor_root_power(3, 1, 2) == 9
@@ -150,19 +162,43 @@ class TestRoots:
 
     def test_bisection_oracle(self):
         # Independent oracle for a handful of frozen cases.
-        def by_bisection(n, p, q):
-            target = n**q
-            lo, hi = 0, max(n, 2) ** q
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if mid**p <= target:
-                    lo = mid
-                else:
-                    hi = mid - 1
-            return lo
-
         for n, p, q in [(5, 2, 1), (10, 3, 2), (81, 4, 3), (2, 5, 7), (97, 3, 5)]:
-            assert floor_root_power(n, p, q) == by_bisection(n, p, q)
+            assert floor_root_power(n, p, q) == root_by_bisection(n**q, p)
+
+    @given(st.integers(1, 32), st.integers(1, 4096), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_even_degree_root(self, half, bits, data):
+        # Even degrees go through math.isqrt; exact powers and their
+        # predecessors sit on either side of a floor step.
+        p = 2 * half
+        m = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+        assert integer_root(m, p) == root_by_bisection(m, p)
+        r = data.draw(st.integers(2, max(2, 1 << bits // p)))
+        assert integer_root(r**p, p) == r == root_by_bisection(r**p, p)
+        assert integer_root(r**p - 1, p) == r - 1 == root_by_bisection(r**p - 1, p)
+
+    @pytest.mark.parametrize("p", range(2, 65, 2))
+    def test_even_degree_root_at_4096_bits(self, p):
+        r = (1 << 4096 // p) - 1 - p  # r**p just under 2**4096
+        for m in (r**p, r**p - 1, r**p + 1, (1 << 4096) - 1):
+            assert integer_root(m, p) == root_by_bisection(m, p)
+
+    def test_even_degrees_skip_newton(self, monkeypatch):
+        # Values alone cannot tell an isqrt halving from Newton at the full
+        # degree; the degrees Newton is called at can.
+        degrees = []
+        newton = arith._newton_root
+
+        def spy(m, p, x):
+            degrees.append(p)
+            return newton(m, p, x)
+
+        monkeypatch.setattr(arith, "_newton_root", spy)
+        m = (3 << 4000) + 12345
+        assert integer_root(m, 4) == root_by_bisection(m, 4)
+        assert degrees == []
+        assert integer_root(m, 6) == root_by_bisection(m, 6)
+        assert degrees and set(degrees) == {3}
 
 
 class TestBigRationalRoundTrips:
@@ -219,6 +255,37 @@ class TestIntervals:
         assert F(1, 3) in inner
         assert F(3, 4) not in inner
         assert Enclosure(F(-1), F(2)).contains_interval(outer)
+
+    def test_order_and_containment_across_denominators(self):
+        # Both are cross-multiplied: numerators alone order none of these.
+        with pytest.raises(DomainError, match=r"interval \[1/2, 2/5\] has its endpoints out"):
+            Enclosure(F(1, 2), F(2, 5))
+        with pytest.raises(DomainError, match=r"interval \[-1/4, -1/3\] has its endpoints out"):
+            Enclosure(F(-1, 4), F(-1, 3))
+        assert Enclosure(F(3, 5), F(2, 3)).width == F(1, 15)
+        assert Enclosure(F(-2, 3), F(-3, 5)).width == F(1, 15)
+        assert Enclosure(F(-7, 3), F(5, 2)).lo == F(-7, 3)
+        assert Enclosure(F(2, 6), F(1, 3)).is_exact  # equal ends
+        outer = Enclosure(F(-3, 5), F(2, 3))
+        assert outer.contains_interval(Enclosure(F(-3, 5), F(2, 3)))  # equal ends
+        assert outer.contains_interval(Enclosure(F(-4, 7), F(5, 8)))
+        assert not outer.contains_interval(Enclosure(F(-2, 3), F(1, 2)))  # lo escapes
+        assert not outer.contains_interval(Enclosure(F(1, 2), F(3, 4)))  # hi escapes
+        assert not Enclosure.exact(F(-1, 3)).contains_interval(Enclosure(F(-1, 2), F(-1, 3)))
+
+    @given(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=10**4), min_size=4,
+                 max_size=4),
+    )
+    def test_order_and_containment_match_fraction_order(self, ends):
+        a, b, c, d = ends
+        if a > b:
+            with pytest.raises(DomainError, match="endpoints out of order"):
+                Enclosure(a, b)
+            return
+        outer = Enclosure(a, b)
+        if c <= d:
+            assert outer.contains_interval(Enclosure(c, d)) == (a <= c and d <= b)
 
     def test_enclosure_arithmetic(self):
         a = Enclosure(F(1), F(2))

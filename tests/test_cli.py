@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from piercelab import rules
+from piercelab import dimension, rules
 from piercelab.cli import _COMMANDS, _PRECISION, REPORT_SCHEMA, _build_parser, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -341,12 +341,33 @@ class TestGuards:
         cfg.write_text(f'{{"precision_bits": {value}}}')
         self.assert_refused(*invoke(["--config", str(cfg)] + self.BASE[command]), limit)
 
+    def test_sample_work_guard(self, monkeypatch):
+        # --bits and --count each within their limits, their work past its guard
+        limit = dimension.SAMPLE_WORK_GUARD
+        count = limit // 65536**2
+        for argv_count in ("5000", str(count + 1)):
+            argv = ["sample", "--bits", "65536", "--count", argv_count, "--seed", "1"]
+            self.assert_refused(*invoke(argv), limit)
+
+        class Started(Exception):
+            pass
+
+        def started(*args, **kwargs):
+            raise Started
+
+        monkeypatch.setattr(dimension, "safe_digits", started)
+        with pytest.raises(Started):  # the limit itself is admitted
+            dimension.sample_digit_statistics(65536, count, 1)
+        with pytest.raises(Started):  # the README run and every benchmark draw
+            dimension.sample_digit_statistics(4096, 500, 1)
+
     def test_readme_lists_each_guard(self):
         text = README.read_text(encoding="utf-8")
         note = text[text.index("- **Guards.**"):]
         listed = {(command or None, flag): int(limit) for command, flag, limit
                   in re.findall(r"`(?:([a-z]+) )?(--[a-z]+)` ([0-9]+)", note)}
         assert listed == GUARDS
+        assert f"`--count` × `--bits`² {dimension.SAMPLE_WORK_GUARD}" in note
         for command, (_, _, flags) in _COMMANDS.items():
             for name, parse, _ in flags:  # the limit itself is accepted
                 if getattr(parse, "limit", None) is not None:

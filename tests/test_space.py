@@ -16,6 +16,7 @@ from piercelab.space import (
     cylinder_contains,
     dual_representation,
     expansion_value,
+    _locate,
     fundamental_interval,
     locate_cylinder,
     seq_distance,
@@ -187,7 +188,62 @@ class TestSeqDistance:
             )
 
 
+def fraction_locate(lo, hi):
+    """locate_cylinder's search restated on fundamental_interval's Fractions.
+
+    The oracle of _locate's integer comparisons: the shallowest cell of
+    the midpoint's digit chain inside [lo, hi], else the first of the two
+    jumped-to children of its last cell.
+    """
+    mid = (lo + hi) / 2
+    chain = digits_rational(mid)
+    for depth in range(1, len(chain) + 1):
+        cell = fundamental_interval(chain[:depth])
+        if lo <= cell.left and cell.right <= hi:
+            return cell.prefix
+    gap = hi - mid if len(chain) % 2 == 0 else mid - lo
+    first = max(chain[-1] + 1, -(-gap.denominator // (math.prod(chain) * gap.numerator)))
+    for d in (first, first + 1):
+        cell = fundamental_interval(chain + (d,))
+        if lo <= cell.left and cell.right <= hi:
+            return cell.prefix
+    raise AssertionError("no child fits")
+
+
+def ordered(pair):
+    return tuple(sorted(pair))
+
+
+rational_intervals = st.tuples(unit_fractions, unit_fractions).filter(
+    lambda ab: ab[0] != ab[1]).map(ordered)
+dyadic_intervals = st.integers(1, 160).flatmap(lambda bits: st.tuples(
+    st.integers(0, 1 << bits), st.integers(0, 1 << bits)).filter(lambda ab: ab[0] != ab[1]).map(
+    lambda ab: ordered((F(ab[0], 1 << bits), F(ab[1], 1 << bits)))))
+# a short rational midpoint and a tiny width: the chain runs out and a child is jumped to
+tiny_intervals = st.tuples(
+    st.fractions(min_value=F(1, 50), max_value=F(49, 50), max_denominator=50),
+    st.integers(20, 120),
+).map(lambda mw: (mw[0] - F(1, 1 << mw[1]), mw[0] + F(1, 1 << mw[1])))
+# exactly one cell: every endpoint comparison is an equality
+cell_intervals = prefixes.map(fundamental_interval).map(lambda c: (c.left, c.right))
+
+
 class TestLocateCylinder:
+    @given(st.one_of(rational_intervals, dyadic_intervals, tiny_intervals, cell_intervals))
+    @settings(max_examples=300, deadline=None)
+    def test_integer_search_matches_fraction_search(self, ends):
+        lo, hi = ends
+        prefix, left, right = _locate(Enclosure(lo, hi))
+        assert prefix == fraction_locate(lo, hi) == locate_cylinder(Enclosure(lo, hi))
+        cell = fundamental_interval(prefix)
+        assert (left, right) == (cell.left, cell.right)
+        assert lo <= left < right <= hi
+
+    @given(prefixes)
+    def test_a_cell_locates_itself(self, prefix):
+        cell = fundamental_interval(prefix)
+        assert _locate(cell.as_interval()) == (prefix, cell.left, cell.right)
+
     def test_examples(self):
         assert locate_cylinder(Enclosure(F(0), F(1))) == (2,)
         assert locate_cylinder(Enclosure(F(1, 3), F(1, 2))) == (2,)

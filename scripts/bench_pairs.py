@@ -15,8 +15,11 @@ sets that variable.
 Each run writes its record to `.perfbench/` in its own checkout; the
 script reads both records of each pair and prints each side's `src/` line
 count and, for every end-to-end metric, the parent's and the change's
-median and quartiles, the relative change of the median and the number
-of pairs the change won.  A pair whose run is not `correct`, or whose two
+median and quartiles, the relative change of the median, the number
+of pairs the change won and whether the change is resolved: its median
+differs from the parent's by more than the distance between the parent's
+quartiles.  An unresolved change is within the parent's own spread and
+says nothing either way.  A pair whose run is not `correct`, or whose two
 digests differ, is flagged, and so is a metric whose median is worse than
 the parent's by more than its `bound` in BENCHMARK.json; the exit code is
 then 1.  Stdlib only; it only reads BENCHMARK.json and changes nothing
@@ -27,8 +30,9 @@ README "Command line" block as `python -m piercelab ...` in a fresh
 interpreter with PYTHONPATH set to the checkout's `src/` and without
 PIERCE_LAB_PRECISION_BITS, the parent first in even pairs and the change
 first in odd ones.  It prints, per command, each side's median and
-quartiles of wall time, the relative change of the median and the number
-of pairs the change won; a run that exits non-zero, or a pair whose two
+quartiles of wall time, the relative change of the median, the number
+of pairs the change won and whether the change is resolved, as above; a
+run that exits non-zero, or a pair whose two
 stdout SHA-256 digests differ, is flagged and the exit code is then 1.
 It checks no bound.  After the pairs it runs the tier-1 suite,
 `python -m pytest -q --continue-on-collection-errors` with PYTHONPATH set
@@ -90,6 +94,11 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def resolution(pq: tuple, cq: tuple) -> str:
+    """Whether the medians of cq and pq differ by more than pq's interquartile distance."""
+    return "resolved" if abs(cq[1] - pq[1]) > pq[2] - pq[0] else "unresolved"
+
+
 def compare(args, metrics: dict, workload: str) -> list:
     """Run the pairs of one workload and print its table; returns the flagged lines."""
     values = {name: ([], []) for name in metrics}
@@ -116,14 +125,15 @@ def compare(args, metrics: dict, workload: str) -> list:
     print(f"{workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1},"
           f" src_lines {parent['src_lines']} -> {change['src_lines']}")
     print(f"{'metric':18s} {'parent q1/median/q3':>30s} {'change q1/median/q3':>30s}"
-          f" {'median':>8s} {'wins':>6s}")
+          f" {'median':>8s} {'wins':>6s}  resolution")
     for name, (ps, cs) in values.items():
         higher, bound = metrics[name]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(ps, cs))
         pq, cq = quartiles(ps), quartiles(cs)
         rel = (cq[1] - pq[1]) / pq[1]
         print(f"{name:18s} {'/'.join(f'{v:.4g}' for v in pq):>30s}"
-              f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {rel:>+8.2%} {wins:>3d}/{args.pairs}")
+              f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {rel:>+8.2%} {wins:>3d}/{args.pairs}"
+              f"  {resolution(pq, cq)}")
         if (-rel if higher else rel) > bound:
             flagged.append(f"{name}: median {rel:+.2%} is worse than its bound of {bound:.0%}")
     for msg in flagged:
@@ -158,12 +168,13 @@ def compare_readme(args) -> list:
 
     print(f"readme: {args.pairs} pairs of {len(commands)} commands, wall time in seconds")
     print(f"{'parent q1/median/q3':>26s} {'change q1/median/q3':>26s} {'median':>8s} {'wins':>6s}"
-          "  command")
+          f"  {'resolution':10s}  command")
     for command, (ps, cs) in times.items():
         wins = sum(c < p for p, c in zip(ps, cs))
         pq, cq = quartiles(ps), quartiles(cs)
         print(f"{'/'.join(f'{v:.4f}' for v in pq):>26s} {'/'.join(f'{v:.4f}' for v in cq):>26s}"
-              f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{args.pairs}  {command}")
+              f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{args.pairs}"
+              f"  {resolution(pq, cq):10s}  {command}")
     for side, checkout in (("parent", args.parent), ("change", args.change)):
         env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
         argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import total_ordering
 from itertools import compress, repeat
 from operator import attrgetter, is_
 from typing import Union
@@ -66,6 +67,7 @@ class UncertifiedRuleError(DomainError):
     """A certified quantity was requested for a rule with no analytic certificate."""
 
 
+@total_ordering
 class _InfinityType:
     """The extended-natural infinity.
 
@@ -94,21 +96,6 @@ class _InfinityType:
     def __lt__(self, other) -> bool:
         if isinstance(other, int) or other is self:
             return False
-        return NotImplemented
-
-    def __le__(self, other) -> bool:
-        return other is self
-
-    def __gt__(self, other) -> bool:
-        if isinstance(other, int):
-            return True
-        if other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other) -> bool:
-        if isinstance(other, int) or other is self:
-            return True
         return NotImplemented
 
 
@@ -390,7 +377,7 @@ def _log2_anchored(m: int, w: int, c_lo: int, c_hi: int) -> tuple[int, int]:
 def _log2_floor(n: int) -> int:
     """floor(LOG2_SCALE * log2(n)): anchors at 2g, 4g, ... guard bits until both ends agree.
 
-    g = _RUN_GUARD_BITS; _log2_lows calls it where an anchor at g disagreed.
+    g = _RUN_GUARD_BITS; _log2_ends calls it where an anchor at g disagreed.
     """
     g = 2 * _RUN_GUARD_BITS
     while True:
@@ -401,13 +388,14 @@ def _log2_floor(n: int) -> int:
         g *= 2
 
 
-def _log2_lows(ns) -> list[int]:
-    """[log2_bounds(n)[0] for n in ns], for an increasing run ns.
+def _log2_ends(ns) -> tuple[list[int], list[int]]:
+    """The lower and the upper ends of log2_bounds(n) for an increasing run ns.
 
-    The one reader and writer of `_LOG2_CACHE`: all hits are looked up
-    first, then only the misses are walked.  A miss at m steps an
-    integer bracket [acc_lo, acc_hi] of floor(2**w * log2) from the last
-    miss prev, w = LOG2_SCALE_BITS + g, by _log2_step.  Where both ends
+    The one place the upper end is written (lo at powers of two, else
+    lo + 1), and the one reader and writer of `_LOG2_CACHE`: all hits
+    are looked up first, then only the misses are walked.  A miss at m
+    steps an integer bracket [acc_lo, acc_hi] of floor(2**w * log2) from
+    the last miss prev, w = LOG2_SCALE_BITS + g, by _log2_step.  Where both ends
     agree on `>> g` that is the unique floor of LOG2_SCALE * log2 m.
     The first miss, a gap past prev/16 and a disagreeing step anchor
     the bracket at the power of two below m instead; an anchor that
@@ -415,34 +403,24 @@ def _log2_lows(ns) -> list[int]:
     constants are built once per batch, and only when it has a miss.
     """
     lows = list(map(_LOG2_CACHE.get, ns))
-    if None not in lows:
-        return lows
-    g = _RUN_GUARD_BITS
-    w = LOG2_SCALE_BITS + g
-    c_lo, c_hi = _log2_constants(w)
-    prev = acc_lo = acc_hi = 0
-    for i, m in compress(enumerate(ns), map(is_, lows, repeat(None))):
-        near = 0 < 16 * (m - prev) <= prev
-        if near:
-            acc_lo, acc_hi = _log2_step(acc_lo, acc_hi, prev, m, c_lo, c_hi)
-        if not near or acc_lo >> g != acc_hi >> g:
-            acc_lo, acc_hi = _log2_anchored(m, w, c_lo, c_hi)
-        lo = acc_lo >> g
-        if lo != acc_hi >> g:
-            lo = _log2_floor(m)
-        prev = m
-        if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
-            _LOG2_CACHE.clear()
-        _LOG2_CACHE[m] = lows[i] = lo
-    return lows
-
-
-def _log2_ends(ns) -> tuple[list[int], list[int]]:
-    """The lower and the upper ends of log2_bounds(n) for an increasing run ns.
-
-    The one place the upper end is written: lo at powers of two, else lo + 1.
-    """
-    lows = _log2_lows(ns)
+    if None in lows:
+        g = _RUN_GUARD_BITS
+        w = LOG2_SCALE_BITS + g
+        c_lo, c_hi = _log2_constants(w)
+        prev = acc_lo = acc_hi = 0
+        for i, m in compress(enumerate(ns), map(is_, lows, repeat(None))):
+            near = 0 < 16 * (m - prev) <= prev
+            if near:
+                acc_lo, acc_hi = _log2_step(acc_lo, acc_hi, prev, m, c_lo, c_hi)
+            if not near or acc_lo >> g != acc_hi >> g:
+                acc_lo, acc_hi = _log2_anchored(m, w, c_lo, c_hi)
+            lo = acc_lo >> g
+            if lo != acc_hi >> g:
+                lo = _log2_floor(m)
+            prev = m
+            if len(_LOG2_CACHE) >= _LOG2_CACHE_CAP:
+                _LOG2_CACHE.clear()
+            _LOG2_CACHE[m] = lows[i] = lo
     return lows, [lo + (n & (n - 1) != 0) for n, lo in zip(ns, lows)]
 
 

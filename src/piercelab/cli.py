@@ -81,10 +81,8 @@ REPORT_SCHEMA = {
 }
 
 
-def fmt_enclosure(e) -> list[str]:
-    if isinstance(e, Enclosure):
-        return [fmt_rational(e.lo), fmt_rational(e.hi)]
-    raise TypeError(f"not an enclosure: {e!r}")
+def fmt_enclosure(e: Enclosure) -> list[str]:
+    return [fmt_rational(e.lo), fmt_rational(e.hi)]
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -289,7 +287,7 @@ def _cmd_grid(args, bits: int):
             "kind": "cell",
             "index": cell.index,
             "cell": fmt_enclosure(cell.cell),
-            "prefix": list(cell.witness.rule.describe().get("prefix", [])),
+            "prefix": list(cell.witness.rule.prefix),
             "enclosure": fmt_enclosure(cell.witness.enclosure),
             "certificate": fmt_rational(cell.witness.certificate),
         }

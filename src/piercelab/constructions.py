@@ -11,7 +11,6 @@ never a decimal.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .arith import DomainError, Enclosure, _record
 from .pierce import validate_prefix
@@ -40,7 +39,6 @@ def prescribed_exponent_rule(prefix, alpha: Fraction) -> DigitRule:
     power-floor continuation.  The empty prefix is admitted as base 1,
     an extension of the cylinder-anchored construction.
     """
-    prefix = validate_prefix(prefix)
     alpha = Fraction(alpha)
     if not (0 <= alpha <= 1):
         raise DomainError(f"target exponent {alpha} outside [0, 1]")
@@ -81,12 +79,10 @@ class Witness:
     rule: DigitRule
     enclosure: Enclosure
     certificate: Fraction
-    container: Optional[Enclosure] = None
+    container: Enclosure
 
     def __post_init__(self):
-        if self.container is not None and not self.container.contains_interval(
-            self.enclosure
-        ):
+        if not self.container.contains_interval(self.enclosure):
             raise DomainError("witness enclosure escapes its requested container")
         if self.rule.certificate != self.certificate:
             raise DomainError("witness certificate disagrees with its rule")
@@ -113,7 +109,7 @@ def witness_in_interval(
         raise AssertionError("witness enclosure escaped its fundamental cell")
     if not interval.contains_interval(cell):
         raise AssertionError("located cell escaped the requested interval")
-    return Witness(rule, enclosure, alpha, container=interval)
+    return Witness(rule, enclosure, alpha, interval)
 
 
 def intermediate_value_witness(

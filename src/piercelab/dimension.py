@@ -387,10 +387,10 @@ def grid_witness_sweep(
     report carries the exact witness enclosure.  A constructive density
     check: at resolution 2**-depth the witnessed set meets every box.
     """
-    if depth < 1 or depth > GRID_DEPTH_GUARD:
-        raise GuardExceededError(
-            f"grid depth must lie in [1, {GRID_DEPTH_GUARD}]"
-        )
+    if depth < 1:
+        raise DomainError("grid depth must be at least 1")
+    if depth > GRID_DEPTH_GUARD:
+        raise GuardExceededError(f"grid depth must lie in [1, {GRID_DEPTH_GUARD}]")
     alpha = Fraction(alpha)
     scale = 1 << depth
     cells: list[GridCell] = []

@@ -187,7 +187,7 @@ def estimate_point_exponent(x: Enclosure, n_max: int) -> ExponentEstimate:
     n_eff = len(result.prefix)
     seq = PierceSeq.finite(result.prefix)
     lo, hi = _half_window(n_eff)
-    sup = exponent_window(seq, lo, hi) if n_eff >= 2 else Enclosure.exact(0)
+    sup = exponent_window(seq, lo, hi)
     # A terminated orbit proves the point rational; so does a point
     # enclosure by construction.  Rationals have exponent exactly 0
     # whatever the window diagnostic says.
@@ -225,10 +225,10 @@ def classify_divergence(rule: DigitRule, s: Fraction) -> Verdict:
     s = Fraction(s)
     if not (0 < s <= 1):
         raise DomainError("the power exponent must lie in (0, 1]")
-    diverges = rule.power_sum_diverges(s)
-    if diverges is None:
+    cert = rule.certificate
+    if cert is None:
         return Verdict.UNKNOWN
-    return Verdict.DIVERGENT if diverges else Verdict.CONVERGENT
+    return Verdict.DIVERGENT if s <= cert else Verdict.CONVERGENT
 
 
 @_record

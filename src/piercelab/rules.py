@@ -6,7 +6,8 @@ binary-log enclosure for that term without necessarily materialising it
 convergence-exponent certificate where one exists.  The four certified
 families share one shape: a checked prefix, then floor(b_k**(q_k/p_k))
 with q_k >= p_k, so they share one term, one log enclosure and one
-divergence argument.  Construction checks only the given prefix: the
+divergence argument; `exponent.classify_divergence` reads the verdict
+from `certificate` alone.  Construction checks only the given prefix: the
 tail increases strictly by proof (see `_FloorPowerRule`), so no tail
 digit is built until it is asked for.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat, starmap
-from operator import add
+from operator import add, attrgetter
 from typing import Callable, Optional
 
 from .arith import (
@@ -87,10 +88,6 @@ class DigitRule:
         terms = list(self.terms_run(lo, hi))
         return list(zip(*_log2_ends(terms), repeat(LOG2_SCALE)))
 
-    def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
-        """Whether sum 1/term(k)**s diverges; None when not certified."""
-        return None
-
     def terms(self, n: int) -> tuple[int, ...]:
         return tuple(self.terms_run(1, n))
 
@@ -121,6 +118,9 @@ class _FloorPowerRule(DigitRule):
     (2 after an empty prefix); the families that override `_bases` have
     no prefix.
     """
+
+    # TowerRule and LinearRule shadow this with a class constant.
+    certificate = property(attrgetter("alpha"))
 
     def term(self, k: int) -> int:
         return next(self.terms_run(k, k))
@@ -166,9 +166,6 @@ class _FloorPowerRule(DigitRule):
             for (n, p, q), a, b in zip(ops, *_log2_ends([n for n, _, _ in ops]))
         ]
 
-    def power_sum_diverges(self, s: Fraction) -> Optional[bool]:
-        return Fraction(s) <= self.certificate
-
 
 @_record
 class PowerFloorRule(_FloorPowerRule):
@@ -185,10 +182,6 @@ class PowerFloorRule(_FloorPowerRule):
     def __post_init__(self):
         object.__setattr__(self, "prefix", validate_prefix(self.prefix))
         object.__setattr__(self, "alpha", _check_alpha(self.alpha, allow_zero=False))
-
-    @property
-    def certificate(self) -> Fraction:
-        return self.alpha
 
     def describe(self) -> dict:
         return {
@@ -258,10 +251,6 @@ class BitPerturbedRule(_FloorPowerRule):
         if any(b not in (0, 1) for b in pattern):
             raise DomainError("perturbation pattern must consist of bits 0/1")
         object.__setattr__(self, "bits", pattern)
-
-    @property
-    def certificate(self) -> Fraction:
-        return self.alpha
 
     def _bases(self, lo: int, hi: int):
         return map(add, chain(self.bits[lo - 1:hi], repeat(0)), range(2 * lo - 1, 2 * hi, 2))

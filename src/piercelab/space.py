@@ -157,8 +157,9 @@ def dual_representation(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not (0 < x < 1):
         raise DomainError("dual representation requires x strictly inside (0, 1)")
     sigma = digits_rational(x)
+    # Strictly increasing: the last greedy digit of a rational exceeds the
+    # one before it by at least 2, and a one-digit x = 1/d_1 < 1 has d_1 >= 2.
     tau = sigma[:-1] + (sigma[-1] - 1, sigma[-1])
-    validate_prefix(tau)
     return sigma, tau
 
 
@@ -247,12 +248,13 @@ def _locate(interval: Enclosure) -> tuple[tuple[int, ...], Fraction, Fraction]:
         k, q = _cell(s, product, d, depth)
         if a * q <= k * c and (k + 1) * c <= b * q:
             return chain[:depth], Fraction(k, q), Fraction(k + 1, q)
-    # mid equals the value of its full chain; children sit at
-    # mid + (-1)^n / (P*m) and shrink toward mid, which is interior.
-    gap = hi - mid if len(chain) % 2 == 0 else mid - lo
+    # mid = s/P equals the value of its full chain; children sit at
+    # (s*m + (-1)^n) / (P*m) and shrink toward mid, which is interior.
+    n = len(chain)
+    gap = hi - mid if n % 2 == 0 else mid - lo
     first = max(chain[-1] + 1, -(-gap.denominator // (product * gap.numerator)))
     for d in (first, first + 1):
-        cell = fundamental_interval(chain + (d,))
-        if lo <= cell.left and cell.right <= hi:
-            return cell.prefix, cell.left, cell.right
+        k, q = _cell(s * d + (-1) ** n, product * d, d, n + 1)
+        if a * q <= k * c and (k + 1) * c <= b * q:
+            return chain + (d,), Fraction(k, q), Fraction(k + 1, q)
     raise AssertionError("child-cell jump failed to land inside the interval")

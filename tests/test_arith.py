@@ -1,6 +1,7 @@
 import decimal
 import functools
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -227,6 +228,23 @@ class TestExtNat:
         assert not (INFINITY < 3)
         assert INFINITY == INFINITY
         assert INFINITY != 5
+
+    def test_infinity_orders_against_ints_and_itself(self):
+        for n in (0, 3, 10**100):
+            assert (INFINITY < n, INFINITY <= n, INFINITY > n, INFINITY >= n) == (
+                False, False, True, True)
+            assert (n < INFINITY, n <= INFINITY, n > INFINITY, n >= INFINITY) == (
+                True, True, False, False)
+        assert (INFINITY < INFINITY, INFINITY <= INFINITY) == (False, True)
+        assert (INFINITY > INFINITY, INFINITY >= INFINITY) == (False, True)
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge])
+    def test_infinity_refuses_to_order_against_a_fraction(self, op):
+        # Only ints and INFINITY itself are ordered against INFINITY.
+        with pytest.raises(TypeError):
+            op(INFINITY, F(1))
+        with pytest.raises(TypeError):
+            op(F(1), INFINITY)
 
     def test_bad_digit(self):
         with pytest.raises(DomainError):
@@ -563,7 +581,7 @@ class TestLog2Wide:
 
 
 class TestLog2Run:
-    """_log2_lows along a run gives exactly the lower ends of log2_bounds, sharing its cache."""
+    """_log2_ends along a run gives exactly the lower ends of log2_bounds, sharing its cache."""
 
     @staticmethod
     def check(monkeypatch, ns, prefill=()):
@@ -571,7 +589,7 @@ class TestLog2Run:
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         for n in prefill:
             log2_bounds(n)
-        lows = arith._log2_lows(ns)
+        lows = arith._log2_ends(ns)[0]
         assert all(e is None or lo == e for lo, e in zip(lows, expected))
         assert all(arith._LOG2_CACHE[n] == lo for n, lo in zip(ns, lows))
 
@@ -614,7 +632,7 @@ class TestLog2Run:
 
     def test_default_guard_rarely_falls_back(self, monkeypatch, kernel_calls):
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
-        assert len(arith._log2_lows(range(50_000, 60_000))) == 10_000
+        assert len(arith._log2_ends(range(50_000, 60_000))[0]) == 10_000
         # the first n anchors the accumulator, and the rest step from it
         assert kernel_calls[0] == (50_000, 33 + 24)
         assert len(kernel_calls) <= 10
@@ -627,7 +645,7 @@ class TestLog2Run:
     def test_cached_bounds_build_no_step_constants(self, monkeypatch, kernel_calls):
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         ns = range(1100, 1200)  # no power of two
-        lows = arith._log2_lows(ns)
+        lows = arith._log2_ends(ns)[0]
         calls = []
         monkeypatch.setattr(arith, "ln2_enclosure", lambda *args: calls.append(args))
         kernel_calls.clear()

@@ -244,6 +244,12 @@ class TestGuards:
         assert code == 3
         assert "guard" in err
 
+    @pytest.mark.parametrize("depth", ["0", "-1"])
+    def test_grid_depth_below_one_exits_2(self, depth):
+        code, out, err = invoke(["grid", "--alpha", "1/2", "--depth", depth])
+        assert (code, out) == (2, "")
+        assert err == "domain error: grid depth must be at least 1\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -248,3 +248,8 @@ class TestGridSweep:
     def test_depth_guard(self):
         with pytest.raises(GuardExceededError):
             grid_witness_sweep(F(1, 2), 13)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_a_domain_error(self, depth):
+        with pytest.raises(DomainError, match="at least 1"):
+            grid_witness_sweep(F(1, 2), depth)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from piercelab import arith, rules
 from piercelab.arith import LOG2_SCALE, Enclosure, GuardExceededError, log2_enclosure
-from piercelab.exponent import reciprocal_power_sum
+from piercelab.exponent import Verdict, classify_divergence, reciprocal_power_sum
 from piercelab.pierce import validate_prefix
 from piercelab.rules import (
     BitPerturbedRule,
@@ -282,16 +282,17 @@ def test_power_sum_diverges_at_and_below_the_certificate(case):
     rule, _ = case
     cert = rule.certificate
     for s in S_GRID + ((cert,) if cert > 0 else ()):
-        assert rule.power_sum_diverges(s) is (cert > 0 and s <= cert), s
+        expected = Verdict.DIVERGENT if cert > 0 and s <= cert else Verdict.CONVERGENT
+        assert classify_divergence(rule, s) is expected, s
 
 
 def test_tower_power_sums_converge():
     for rule in (TowerRule((2,)), BitPerturbedRule(F(0), PATTERN)):
         assert rule.certificate == 0
-        assert not any(rule.power_sum_diverges(s) for s in S_GRID)
+        assert all(classify_divergence(rule, s) is Verdict.CONVERGENT for s in S_GRID)
 
 
 def test_explicit_rule_is_uncertified():
     rule = ExplicitRule(lambda k: 2**k, name="2^k")
-    assert rule.power_sum_diverges(F(1, 2)) is None
+    assert classify_divergence(rule, F(1, 2)) is Verdict.UNKNOWN
     assert rule.log2_term_run(5, 5) == [(5 * LOG2_SCALE, 5 * LOG2_SCALE, LOG2_SCALE)]

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piercelab.arith import INFINITY, DomainError, Enclosure
-from piercelab.pierce import digits_rational
+from piercelab import space
+from piercelab.pierce import digits_rational, validate_prefix
 from piercelab.rules import ExplicitRule, LinearRule, PowerFloorRule
 from piercelab.space import (
     PierceSeq,
@@ -85,6 +86,12 @@ class TestDualRepresentation:
         assert expansion_value(PierceSeq.finite(sigma)) == x
         assert expansion_value(PierceSeq.finite(tau)) == x
         assert all(a < b for a, b in zip(tau, tau[1:]))
+
+    @given(st.integers(2, 1 << 128).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))))
+    def test_tau_is_a_valid_prefix(self, x):
+        # dual_representation does not validate tau; this is the proof's check.
+        tau = dual_representation(x)[1]
+        assert validate_prefix(tau) == tau
 
 
 class TestFundamentalInterval:
@@ -243,6 +250,17 @@ class TestLocateCylinder:
     def test_a_cell_locates_itself(self, prefix):
         cell = fundamental_interval(prefix)
         assert _locate(cell.as_interval()) == (prefix, cell.left, cell.right)
+
+    def test_child_jump_builds_no_fundamental_interval(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(space, "fundamental_interval", lambda p: calls.append(p))
+        w = F(1, 1 << 40)
+        prefix, left, right = _locate(Enclosure(F(7, 10) - w, F(7, 10) + w))
+        monkeypatch.undo()
+        assert calls == []
+        assert prefix[:-1] == digits_rational(F(7, 10))  # a child of the chain's last cell
+        cell = fundamental_interval(prefix)
+        assert (left, right) == (cell.left, cell.right)
 
     def test_examples(self):
         assert locate_cylinder(Enclosure(F(0), F(1))) == (2,)

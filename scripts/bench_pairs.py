@@ -34,7 +34,14 @@ quartiles of wall time, the relative change of the median, the number
 of pairs the change won and whether the change is resolved, as above; a
 run that exits non-zero, or a pair whose two
 stdout SHA-256 digests differ, is flagged and the exit code is then 1.
-It checks no bound.  After the pairs it runs the tier-1 suite,
+It then times the same commands in process: each pair, in the same
+alternating order, runs one child interpreter per checkout that imports
+`piercelab.cli`, runs every command once through `cli.run` to warm up,
+and then times each command over IN_PROCESS_REPEATS calls of `cli.run`.
+A second table gives, per command, the mean time of one call in
+milliseconds, with the same columns; a child that exits non-zero is
+flagged.  Interpreter start and import, which dominate the wall times,
+are outside these timings.  It checks no bound.  After the pairs it runs the tier-1 suite,
 `python -m pytest -q --continue-on-collection-errors` with PYTHONPATH set
 to `src/`, once in each checkout and prints both wall times; a suite that
 exits non-zero is flagged.
@@ -54,6 +61,30 @@ import time
 from pathlib import Path
 
 from readme_digests import readme_commands
+
+# Timed calls of each README command per child interpreter, after one warm-up call.
+IN_PROCESS_REPEATS = 5
+
+# The child of the in-process timing: argv[1] is the JSON list of commands.
+_IN_PROCESS = f"""
+import io, json, shlex, sys, time
+from piercelab.cli import run
+
+def call(argv):
+    if run(argv, io.StringIO(), io.StringIO()) != 0:
+        sys.exit("exited non-zero: " + " ".join(argv))
+
+argvs = [shlex.split(command)[1:] for command in json.loads(sys.argv[1])]
+for argv in argvs:
+    call(argv)
+means = []
+for argv in argvs:
+    start = time.perf_counter()
+    for _ in range({IN_PROCESS_REPEATS}):
+        call(argv)
+    means.append((time.perf_counter() - start) * 1000 / {IN_PROCESS_REPEATS})
+print(json.dumps(means))
+"""
 
 
 def child_env(**extra) -> dict:
@@ -142,9 +173,29 @@ def compare(args, metrics: dict, workload: str) -> list:
     return flagged
 
 
+def checkout_env(checkout: str) -> dict:
+    """The child environment of a README command run from `checkout`'s sources."""
+    env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+    env.pop("PIERCE_LAB_PRECISION_BITS", None)
+    return env
+
+
+def print_times(times: dict, pairs: int) -> None:
+    """One row per command: each side's quartiles, the median's change, wins, resolution."""
+    print(f"{'parent q1/median/q3':>26s} {'change q1/median/q3':>26s} {'median':>8s} {'wins':>6s}"
+          f"  {'resolution':10s}  command")
+    for command, (ps, cs) in times.items():
+        wins = sum(c < p for p, c in zip(ps, cs))
+        pq, cq = quartiles(ps), quartiles(cs)
+        print(f"{'/'.join(f'{v:.4g}' for v in pq):>26s} {'/'.join(f'{v:.4g}' for v in cq):>26s}"
+              f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{pairs}"
+              f"  {resolution(pq, cq):10s}  {command}")
+
+
 def compare_readme(args) -> list:
     """Time every README command in both checkouts, pair by pair; returns the flagged lines."""
     commands = readme_commands(Path(args.parent) / "README.md")
+    checkouts = (args.parent, args.change)
     times = {command: ([], []) for command in commands}
     flagged = []
     for i in range(args.pairs):
@@ -152,29 +203,39 @@ def compare_readme(args) -> list:
         for command in commands:
             digests = [None, None]
             for side in order:
-                checkout = (args.parent, args.change)[side]
-                env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-                env.pop("PIERCE_LAB_PRECISION_BITS", None)
                 argv = [sys.executable, "-m", "piercelab", *shlex.split(command)[1:]]
                 start = time.perf_counter()
-                proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True)
+                proc = subprocess.run(argv, cwd=checkouts[side], env=checkout_env(checkouts[side]),
+                                      capture_output=True)
                 times[command][side].append(time.perf_counter() - start)
                 digests[side] = hashlib.sha256(proc.stdout).hexdigest()
                 if proc.returncode != 0:
-                    flagged.append(f"pair {i}: {checkout} exited {proc.returncode}: {command}")
+                    flagged.append(f"pair {i}: {checkouts[side]} exited {proc.returncode}: {command}")
             if digests[0] != digests[1]:
                 flagged.append(f"pair {i}: stdout digests differ: {command}")
         print(f"pair {i}: {len(commands)} commands", file=sys.stderr, flush=True)
 
     print(f"readme: {args.pairs} pairs of {len(commands)} commands, wall time in seconds")
-    print(f"{'parent q1/median/q3':>26s} {'change q1/median/q3':>26s} {'median':>8s} {'wins':>6s}"
-          f"  {'resolution':10s}  command")
-    for command, (ps, cs) in times.items():
-        wins = sum(c < p for p, c in zip(ps, cs))
-        pq, cq = quartiles(ps), quartiles(cs)
-        print(f"{'/'.join(f'{v:.4f}' for v in pq):>26s} {'/'.join(f'{v:.4f}' for v in cq):>26s}"
-              f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{args.pairs}"
-              f"  {resolution(pq, cq):10s}  {command}")
+    print_times(times, args.pairs)
+
+    in_process = {command: ([], []) for command in commands}
+    for i in range(args.pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            argv = [sys.executable, "-c", _IN_PROCESS, json.dumps(commands)]
+            proc = subprocess.run(argv, cwd=checkouts[side], env=checkout_env(checkouts[side]),
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                flagged.append(f"in-process pair {i}: {checkouts[side]} exited"
+                               f" {proc.returncode}: {proc.stderr.strip()[-200:]}")
+                continue
+            for command, mean in zip(commands, json.loads(proc.stdout)):
+                in_process[command][side].append(mean)
+        print(f"in-process pair {i}", file=sys.stderr, flush=True)
+    if all(ps and len(ps) == len(cs) for ps, cs in in_process.values()):
+        print(f"readme in process: {args.pairs} pairs, mean of {IN_PROCESS_REPEATS} warm"
+              " cli.run calls in milliseconds")
+        print_times(in_process, args.pairs)
+
     for side, checkout in (("parent", args.parent), ("change", args.change)):
         env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
         argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]

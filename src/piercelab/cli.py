@@ -45,7 +45,7 @@ from .exponent import (
     reciprocal_power_sum,
 )
 from .pierce import digits_rational, shift_orbit, validate_prefix
-from .rules import BitPerturbedRule, LinearRule, PowerFloorRule, TowerRule
+from .rules import BitPerturbedRule, LinearRule, PowerFloorRule
 from .space import (
     DEFAULT_PRECISION_BITS,
     PierceSeq,
@@ -154,7 +154,7 @@ def _flatten(node, path=""):
 _RULES = {
     None: (("prefix",), (), None),
     "power": (("prefix", "alpha"), ("alpha",), lambda a: PowerFloorRule(a.prefix or (), a.alpha)),
-    "tower": (("prefix",), (), lambda a: TowerRule(a.prefix or ())),
+    "tower": (("prefix",), (), lambda a: PowerFloorRule(a.prefix or (), 0)),
     "linear": (("offset",), (), lambda a: LinearRule(a.offset or 0)),
     "binary": (("alpha", "pattern"), ("alpha", "pattern"),
                lambda a: BitPerturbedRule(a.alpha, a.pattern)),

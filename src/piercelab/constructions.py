@@ -1,8 +1,8 @@
 """Certified witness factories.
 
 Builders for the explicit digit rules with prescribed convergence
-exponent (power-floor continuation, tower continuation, bit-perturbed
-injection family, divergent-tail family) and interval-localised
+exponent (power-floor continuation, whose exponent 0 is the tower
+continuation, and the divergent-tail family) and interval-localised
 witnesses: a rule plus an exact enclosure of its value, certified to lie
 inside a requested interval.  Exactness is the product: a witness is
 never a decimal.
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .arith import DomainError, Enclosure, _record
 from .pierce import validate_prefix
-from .rules import BitPerturbedRule, DigitRule, PowerFloorRule, TowerRule
+from .rules import DigitRule, PowerFloorRule, _check_alpha
 from .space import (
     DEFAULT_PRECISION_BITS,
     PierceSeq,
@@ -25,7 +25,6 @@ from .space import (
 __all__ = [
     "Witness",
     "prescribed_exponent_rule",
-    "bit_perturbed_rule",
     "divergent_tail_rule",
     "witness_in_interval",
     "intermediate_value_witness",
@@ -35,21 +34,11 @@ __all__ = [
 def prescribed_exponent_rule(prefix, alpha: Fraction) -> DigitRule:
     """A rule extending `prefix` whose convergence exponent is exactly alpha.
 
-    alpha = 0 selects the tower continuation, alpha in (0, 1] the
-    power-floor continuation.  The empty prefix is admitted as base 1,
-    an extension of the cylinder-anchored construction.
+    The power-floor continuation, alpha in [0, 1]; alpha = 0 is the
+    tower.  The empty prefix is admitted as base 1, an extension of the
+    cylinder-anchored construction.
     """
-    alpha = Fraction(alpha)
-    if not (0 <= alpha <= 1):
-        raise DomainError(f"target exponent {alpha} outside [0, 1]")
-    if alpha == 0:
-        return TowerRule(prefix)
     return PowerFloorRule(prefix, alpha)
-
-
-def bit_perturbed_rule(alpha: Fraction, bits) -> BitPerturbedRule:
-    """The injection family member for a 0/1 pattern; exponent alpha."""
-    return BitPerturbedRule(Fraction(alpha), tuple(bits))
 
 
 def divergent_tail_rule(prefix, s: Fraction, keep: int) -> DigitRule:
@@ -60,32 +49,30 @@ def divergent_tail_rule(prefix, s: Fraction, keep: int) -> DigitRule:
     the rules approach the original prefix as `keep` grows.
     """
     prefix = validate_prefix(prefix)
-    s = Fraction(s)
-    if not (0 < s <= 1):
-        raise DomainError("the divergence exponent must lie in (0, 1]")
     if keep < 0:
         raise DomainError(f"keep={keep} must be non-negative")
     if keep > len(prefix):
         raise DomainError(
             f"keep={keep} exceeds the available prefix length {len(prefix)}"
         )
-    return PowerFloorRule(prefix[:keep], s)
+    return PowerFloorRule(prefix[:keep], _check_alpha(s, allow_zero=False))
 
 
 @_record
 class Witness:
-    """A symbolic rule with an exact enclosure of its value and a certificate."""
+    """A symbolic rule with an exact enclosure of its value; the rule holds the certificate."""
 
     rule: DigitRule
     enclosure: Enclosure
-    certificate: Fraction
     container: Enclosure
 
     def __post_init__(self):
         if not self.container.contains_interval(self.enclosure):
             raise DomainError("witness enclosure escapes its requested container")
-        if self.rule.certificate != self.certificate:
-            raise DomainError("witness certificate disagrees with its rule")
+
+    @property
+    def certificate(self) -> Fraction:
+        return self.rule.certificate
 
 
 def witness_in_interval(
@@ -98,7 +85,6 @@ def witness_in_interval(
     partial sums of depth at least prefix+2, which keeps the enclosure
     strictly inside the cell.  All containments are checked exactly.
     """
-    alpha = Fraction(alpha)
     prefix, left, right = _locate(interval)
     rule = prescribed_exponent_rule(prefix, alpha)
     enclosure = expansion_value(
@@ -109,7 +95,7 @@ def witness_in_interval(
         raise AssertionError("witness enclosure escaped its fundamental cell")
     if not interval.contains_interval(cell):
         raise AssertionError("located cell escaped the requested interval")
-    return Witness(rule, enclosure, alpha, interval)
+    return Witness(rule, enclosure, interval)
 
 
 def intermediate_value_witness(

@@ -138,9 +138,7 @@ def enumerate_digit_tuples(
     increase.  Counting is a DP over (position, value); the optional
     listing is produced by the same recursion used as a test oracle.
     """
-    if k < params.N:
-        raise DomainError("k must be at least N")
-    bound = binomial_tuple_bound(params, k)
+    bound = binomial_tuple_bound(params, k)  # refuses k < N
     if bound > ENUMERATION_GUARD:
         raise GuardExceededError(
             f"predicted count {bound} exceeds the enumeration guard {ENUMERATION_GUARD}"

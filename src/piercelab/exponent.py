@@ -28,7 +28,7 @@ from .arith import (
     integer_root,
 )
 from .pierce import DigitStatus, checked_digits, safe_digits
-from .rules import DigitRule
+from .rules import DigitRule, _check_alpha
 from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
 __all__ = [
@@ -141,21 +141,20 @@ class ExponentEstimate:
     """Window diagnostic for the convergence exponent.
 
     `sup` encloses the exact maximum growth ratio over the window.
-    `certified` is set only when an analytic certificate applies
+    `certificate` is set only when an analytic certificate applies
     (terminated rational orbits); window data never certifies a limsup.
     """
 
     window_lo: int
     window_hi: int
     sup: Enclosure
-    certified: bool
-    certificate: Optional[Fraction]
+    certificate: Optional[Fraction] = None
     certified_depth: Optional[int] = None
     status: Optional[DigitStatus] = None
 
-    def __post_init__(self):
-        if self.certified and self.certificate is None:
-            raise DomainError("a certified estimate must carry its certificate")
+    @property
+    def certified(self) -> bool:
+        return self.certificate is not None
 
     @property
     def sup_value(self) -> Fraction:
@@ -172,7 +171,7 @@ def estimate_exponent(seq: PierceSeq, n_max: int) -> ExponentEstimate:
         raise DomainError("n_max must be at least 2")
     lo, hi = _half_window(n_max)
     sup = exponent_window(seq, lo, hi)
-    return ExponentEstimate(lo, hi, sup, certified=False, certificate=None)
+    return ExponentEstimate(lo, hi, sup)
 
 
 def estimate_point_exponent(x: Enclosure, n_max: int) -> ExponentEstimate:
@@ -196,7 +195,6 @@ def estimate_point_exponent(x: Enclosure, n_max: int) -> ExponentEstimate:
         lo,
         hi,
         sup,
-        certified=rational,
         certificate=Fraction(0) if rational else None,
         certified_depth=n_eff,
         status=result.status,
@@ -222,9 +220,7 @@ def classify_divergence(rule: DigitRule, s: Fraction) -> Verdict:
     series, above it (and at every s for exponent 0) it converges by a
     p-series bound.  Uncertified rules yield UNKNOWN, never a guess.
     """
-    s = Fraction(s)
-    if not (0 < s <= 1):
-        raise DomainError("the power exponent must lie in (0, 1]")
+    s = _check_alpha(s, allow_zero=False)
     cert = rule.certificate
     if cert is None:
         return Verdict.UNKNOWN
@@ -262,9 +258,7 @@ def reciprocal_power_sum(
     long slowly divergent sums stay cheap.  Once a term drops below the
     resolution the certified tail bound closes the sum early.
     """
-    s = Fraction(s)
-    if not (0 < s <= 1):
-        raise DomainError("the power exponent must lie in (0, 1]")
+    s = _check_alpha(s, allow_zero=False)
     if n_terms < 0:
         raise DomainError("n_terms must be non-negative")
     p, q = s.numerator, s.denominator
@@ -284,9 +278,10 @@ def reciprocal_power_sum(
         digits = checked_digits(seq.rule.terms_run(1, n_terms))
     for k, d in enumerate(digits, start=1):
         # Term below resolution: close with a certified tail bound
-        # (terms decrease, so each of the remaining ones is no larger).
+        # (terms decrease, so each of the remaining ones is no larger;
+        # a finite prefix has only the digits it holds).
         if d.bit_length() * p > tiny_bits * q + p:
-            remaining = n_terms - k + 1
+            remaining = (len(digits) if seq.is_finite else n_terms) - k + 1
             if int_mode:
                 ihi += remaining << (shift - tiny_bits)
             else:

@@ -3,13 +3,15 @@
 Each family defines its k-th term analytically, knows a certified
 binary-log enclosure for that term without necessarily materialising it
 (tower terms get astronomically large), and carries its analytic
-convergence-exponent certificate where one exists.  The four certified
-families share one shape: a checked prefix, then floor(b_k**(q_k/p_k))
+convergence-exponent certificate where one exists.  The three certified
+classes share one shape: a checked prefix, then floor(b_k**(q_k/p_k))
 with q_k >= p_k, so they share one term, one log enclosure and one
 divergence argument; `exponent.classify_divergence` reads the verdict
-from `certificate` alone.  Construction checks only the given prefix: the
-tail increases strictly by proof (see `_FloorPowerRule`), so no tail
-digit is built until it is asked for.
+from `certificate` alone.  They describe four families: power-floor,
+tower (power-floor at alpha = 0), linear and bit-perturbed.  The one
+range check of an exponent is `_check_alpha`.  Construction checks only
+the given prefix: the tail increases strictly by proof (see
+`_FloorPowerRule`), so no tail digit is built until it is asked for.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from .arith import (
     integer_root,
     log2_bounds,
     rational_str,
+    unit_rational,
 )
 from .pierce import validate_prefix
 
 __all__ = [
     "DigitRule",
     "PowerFloorRule",
-    "TowerRule",
     "LinearRule",
     "BitPerturbedRule",
     "ExplicitRule",
@@ -61,11 +63,11 @@ def _floor_power(b: int, p: int, q: int) -> int:
     return integer_root(b**q, p)
 
 
-def _check_alpha(alpha: Fraction, allow_zero: bool) -> Fraction:
-    alpha = Fraction(alpha)
-    low_ok = alpha > 0 or (allow_zero and alpha == 0)
-    if not (low_ok and alpha <= 1):
-        raise DomainError(f"exponent parameter {alpha} outside the admissible range")
+def _check_alpha(alpha, allow_zero: bool) -> Fraction:
+    """The one test of an exponent's range: [0, 1], or (0, 1] without allow_zero."""
+    alpha = unit_rational(alpha)
+    if not (alpha or allow_zero):
+        raise DomainError(f"value {alpha} lies outside (0, 1]")
     return alpha
 
 
@@ -119,7 +121,7 @@ class _FloorPowerRule(DigitRule):
     no prefix.
     """
 
-    # TowerRule and LinearRule shadow this with a class constant.
+    # LinearRule shadows this with a class constant.
     certificate = property(attrgetter("alpha"))
 
     def term(self, k: int) -> int:
@@ -169,11 +171,12 @@ class _FloorPowerRule(DigitRule):
 
 @_record
 class PowerFloorRule(_FloorPowerRule):
-    """Continue a prefix with floor((base+i)**(1/alpha)), alpha in (0, 1].
+    """Continue a prefix with floor((base+i)**(1/alpha)), alpha in [0, 1].
 
     An empty prefix is treated as base 1, so the tail starts at
     floor(2**(1/alpha)).  The generated sequence has convergence
-    exponent exactly alpha.
+    exponent exactly alpha.  alpha = 0 is the tower (base+i)**(M+i), M
+    the prefix length: after the empty prefix 2**1, 3**2, 4**3, ...
     """
 
     prefix: tuple[int, ...]
@@ -181,33 +184,16 @@ class PowerFloorRule(_FloorPowerRule):
 
     def __post_init__(self):
         object.__setattr__(self, "prefix", validate_prefix(self.prefix))
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha, allow_zero=False))
+        object.__setattr__(self, "alpha", _check_alpha(self.alpha, allow_zero=True))
 
     def describe(self) -> dict:
+        if not self.alpha:
+            return {"family": "tower", "prefix": list(self.prefix)}
         return {
             "family": "power_floor",
             "prefix": list(self.prefix),
             "alpha": rational_str(self.alpha),
         }
-
-
-@_record
-class TowerRule(_FloorPowerRule):
-    """Continue a prefix with (base+i)**(M+i); convergence exponent 0.
-
-    M is the prefix length; the empty prefix uses base 1, so the tail
-    runs 2**1, 3**2, 4**3, ...
-    """
-
-    prefix: tuple[int, ...]
-
-    certificate = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", validate_prefix(self.prefix))
-
-    def describe(self) -> dict:
-        return {"family": "tower", "prefix": list(self.prefix)}
 
 
 @_record
@@ -273,8 +259,6 @@ class ExplicitRule(DigitRule):
 
     fn: Callable[[int], int]
     name: str = "explicit"
-
-    certificate = None
 
     def __post_init__(self):
         validate_prefix(self.terms(16))

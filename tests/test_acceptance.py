@@ -16,7 +16,6 @@ import pytest
 
 from piercelab.cli import run as cli_run
 from piercelab.constructions import (
-    bit_perturbed_rule,
     divergent_tail_rule,
     prescribed_exponent_rule,
 )
@@ -36,6 +35,7 @@ from piercelab.exponent import (
     reciprocal_power_sum,
 )
 from piercelab.pierce import digits_rational, shift_orbit
+from piercelab.rules import BitPerturbedRule
 from piercelab.space import (
     PierceSeq,
     dual_representation,
@@ -142,7 +142,7 @@ def test_injection_family():
         seen = set()
         for m in range(1 << 16):
             bits = tuple((m >> j) & 1 for j in range(16))
-            rule = bit_perturbed_rule(F(1, 2), bits)
+            rule = BitPerturbedRule(F(1, 2), bits)
             assert rule.certificate == F(1, 2)
             seen.add(rule.terms(16))
         assert len(seen) == 1 << 16

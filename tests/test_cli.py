@@ -107,6 +107,42 @@ class TestLambdaCommand:
         assert report["results"]["window"] == [250, 500]
         assert report["results"]["window_certifies"] is False
 
+    def test_power_at_zero_is_the_tower(self):
+        window = ["--prefix", "2", "--window", "50"]
+        code, out, _ = invoke(["lambda", "--rule", "power", "--alpha", "0"] + window)
+        assert code == 0
+        code, tower, _ = invoke(["lambda", "--rule", "tower"] + window)
+        assert code == 0
+        ((power,), (tower,)) = lines_of(out), lines_of(tower)
+        assert power["results"] == tower["results"]
+        assert power["results"]["rule"] == {"family": "tower", "prefix": [2]}
+
+
+# argv reading an exponent, with {} for it -> whether exponent 0 is admitted
+EXPONENT_ARGV = [
+    (["eval", "--prefix", "2", "--rule", "power", "--alpha", "{}"], True),
+    (["lambda", "--rule", "power", "--prefix", "2", "--alpha", "{}", "--window", "10"], True),
+    (["lambda", "--rule", "binary", "--alpha", "{}", "--pattern", "01", "--window", "10"], True),
+    (["construct", "--alpha", "{}", "--in", "0,1"], True),
+    (["grid", "--alpha", "{}", "--depth", "1"], True),
+    (["divergent", "--s", "{}", "--prefix", "2", "--j", "1"], False),
+]
+
+
+@pytest.mark.parametrize("argv, allow_zero", EXPONENT_ARGV,
+                         ids=[" ".join(argv[:3]) for argv, _ in EXPONENT_ARGV])
+def test_exponent_range_message(argv, allow_zero):
+    for bad in ("-1", "3/2"):
+        code, out, err = invoke([a.format(bad) for a in argv])
+        assert_one_line_domain_error(code, out, err)
+        assert f"value {bad} lies outside [0, 1]" in err
+    code, out, err = invoke([a.format(0) for a in argv])
+    if allow_zero:
+        assert code == 0
+    else:
+        assert_one_line_domain_error(code, out, err)
+        assert "value 0 lies outside (0, 1]" in err
+
 
 class TestDivergent:
     def test_readme_invocation(self):

@@ -34,7 +34,6 @@ from piercelab.rules import (
     ExplicitRule,
     LinearRule,
     PowerFloorRule,
-    TowerRule,
 )
 from piercelab.space import PierceSeq, SIGMA_ZERO
 
@@ -65,7 +64,7 @@ class TestGrowthRatio:
     def test_range(self, n):
         for seq in (
             PierceSeq.infinite(SQUARES),
-            PierceSeq.infinite(TowerRule((2,))),
+            PierceSeq.infinite(PowerFloorRule((2,), 0)),
             PierceSeq.finite(tuple(range(2, 40, 3))),
         ):
             enc = growth_ratio(seq, n)
@@ -153,7 +152,7 @@ REFERENCE_CASES = [
     (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300),
     # p == 1: exact scaling, with q == 1 and with q == k
     (PierceSeq.infinite(PowerFloorRule((3,), F(1))), 2, 300),
-    (PierceSeq.infinite(TowerRule((2,))), 2, 200),
+    (PierceSeq.infinite(PowerFloorRule((2,), 0)), 2, 200),
     (PierceSeq.infinite(LinearRule(3)), 2, 300),
     # d_n = n: the upper bound is clamped at 1, also when the log bounds are loose
     (PierceSeq.infinite(LinearRule(0)), 2, 100),
@@ -310,7 +309,7 @@ class TestPointEstimates:
 class TestCertificates:
     def test_families(self):
         assert certified_exponent(PowerFloorRule((2,), F(1, 2))) == F(1, 2)
-        assert certified_exponent(TowerRule((2,))) == 0
+        assert certified_exponent(PowerFloorRule((2,), 0)) == 0
         assert certified_exponent(BitPerturbedRule(F(1), (1, 0, 1))) == 1
         assert certified_exponent(LinearRule(3)) == 1
 
@@ -329,7 +328,7 @@ class TestClassifyDivergence:
     def test_boundary_cases(self):
         assert classify_divergence(SQUARES, F(1, 2)) is Verdict.DIVERGENT
         assert classify_divergence(SQUARES, F(3, 4)) is Verdict.CONVERGENT
-        assert classify_divergence(TowerRule(()), F(1, 2)) is Verdict.CONVERGENT
+        assert classify_divergence(PowerFloorRule((), 0), F(1, 2)) is Verdict.CONVERGENT
         assert classify_divergence(LinearRule(0), F(1)) is Verdict.DIVERGENT
         assert classify_divergence(POWERS_OF_TWO, F(1, 2)) is Verdict.UNKNOWN
 
@@ -371,9 +370,19 @@ class TestPowerSums:
         assert partial.verdict is Verdict.DIVERGENT
 
     def test_tower_tail_closes_early(self):
-        partial = reciprocal_power_sum(PierceSeq.infinite(TowerRule(())), F(1, 2), 10**6)
+        partial = reciprocal_power_sum(PierceSeq.infinite(PowerFloorRule((), 0)), F(1, 2), 10**6)
         assert partial.sum.hi < 2
         assert partial.sum.width < F(1, 1 << 40)
+
+    def test_finite_tail_bound_counts_only_the_prefix_digits(self):
+        # the tail bound closes at 2**100 with the one digit left, not with
+        # every index up to n_terms: asking for more terms than the prefix
+        # holds must not widen the sum
+        seq = PierceSeq.finite((2, 2**100))
+        short = reciprocal_power_sum(seq, F(1), 2)
+        long = reciprocal_power_sum(seq, F(1), 10**6)
+        assert long.sum == short.sum == Enclosure(F(1, 2), F(1, 2) + F(1, 1 << 72))
+        assert long.n_terms == 10**6
 
     def test_irrational_terms_enclosed(self):
         # digits 2, 3, 4, ...: sum of 1/sqrt(d) has irrational terms
@@ -445,8 +454,8 @@ ACCEPTANCE_S = (F(1, 4), F(1, 2), F(3, 4), F(1))
         for alpha in ACCEPTANCE_S for s in ACCEPTANCE_S for j in (1, 5) for n_terms in (3, 300)
     ] + [
         # closed by the tail bound: after the switch to integers, and before it
-        (TowerRule(()), F(1), 10**6, 64),
-        (TowerRule(()), F(1), 10**6, 16),
+        (PowerFloorRule((), 0), F(1), 10**6, 64),
+        (PowerFloorRule((), 0), F(1), 10**6, 16),
         (PowerFloorRule((), F(2, 31)), F(1, 2), 10**6, 64),
         (LinearRule(1), F(1, 2), 1, 64),
     ],

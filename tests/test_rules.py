@@ -5,7 +5,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from piercelab import arith, rules
-from piercelab.arith import LOG2_SCALE, Enclosure, GuardExceededError, log2_enclosure
+from piercelab.arith import LOG2_SCALE, DomainError, Enclosure, GuardExceededError, log2_enclosure
+from piercelab.constructions import divergent_tail_rule
 from piercelab.exponent import Verdict, classify_divergence, reciprocal_power_sum
 from piercelab.pierce import validate_prefix
 from piercelab.rules import (
@@ -13,7 +14,6 @@ from piercelab.rules import (
     ExplicitRule,
     LinearRule,
     PowerFloorRule,
-    TowerRule,
 )
 from piercelab.space import PierceSeq, expansion_value
 
@@ -24,7 +24,7 @@ CASES = {
     "power-1/2": (PowerFloorRule((2,), F(1, 2)), False),  # p == 1: scaled log2(b)
     "power-2/3-small": (PowerFloorRule((2,), F(2, 3)), True),  # exact floor
     "power-2/3-large": (PowerFloorRule((2**18,), F(2, 3)), False),  # 3/b slack
-    "tower": (TowerRule((2,)), False),
+    "tower": (PowerFloorRule((2,), 0), False),
     "linear": (LinearRule(3), True),
     "binary-2/3": (BitPerturbedRule(F(2, 3), PATTERN), True),
     "binary-0": (BitPerturbedRule(F(0), PATTERN), False),
@@ -60,7 +60,7 @@ PREFIXES = st.lists(st.integers(1, 200), max_size=5, unique=True).map(lambda ds:
 ALPHAS = st.integers(1, 8).flatmap(lambda q: st.integers(1, q).map(lambda p: F(p, q)))  # >= 1/8
 DRAWN_RULES = st.one_of(
     st.builds(PowerFloorRule, PREFIXES, ALPHAS),
-    st.builds(TowerRule, PREFIXES),
+    st.builds(PowerFloorRule, PREFIXES, st.just(F(0))),
     st.builds(LinearRule, st.integers(0, 10)),
     st.builds(
         BitPerturbedRule,
@@ -85,7 +85,7 @@ def test_construction_takes_no_root(monkeypatch):
     calls = []
     monkeypatch.setattr(rules, "integer_root", lambda m, p: calls.append((m, p)))
     PowerFloorRule((2,), F(2, 347001))
-    TowerRule((2,))
+    PowerFloorRule((2,), 0)
     BitPerturbedRule(F(2, 3), (0, 1, 1))
     assert calls == []
 
@@ -148,7 +148,7 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
         (PowerFloorRule((2, 5, 11), F(1, 2)), 1, 40),
         (PowerFloorRule((2, 5, 11), F(2, 3)), 2, 40),
         (PowerFloorRule((2**18,), F(2, 3)), 1, 40),
-        (TowerRule((2, 9)), 1, 40),
+        (PowerFloorRule((2, 9), 0), 1, 40),
         (LinearRule(3), 1, 40),
         # windows across the end of the perturbation pattern
         (BitPerturbedRule(F(2, 3), PATTERN), 1, 40),
@@ -157,14 +157,14 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
         (BitPerturbedRule(F(1, 2), (1,) * 20), 5, 60),
         # empty windows
         (PowerFloorRule((2, 5, 11), F(1, 2)), 3, 2),
-        (TowerRule((2,)), 10, 9),
+        (PowerFloorRule((2,), 0), 10, 9),
         (LinearRule(0), 5, 1),
         (BitPerturbedRule(F(2, 3), PATTERN), 8, 7),
         # n <= 0 digits: a negative end must not count from the prefix's end
         (PowerFloorRule((2, 5, 11), F(1, 2)), 1, -1),
         (PowerFloorRule((2, 5, 11), F(2, 3)), 1, 0),
-        (TowerRule((2, 5)), 1, -1),
-        (TowerRule((2, 5)), 1, 0),
+        (PowerFloorRule((2, 5), 0), 1, -1),
+        (PowerFloorRule((2, 5), 0), 1, 0),
         (BitPerturbedRule(F(2, 3), PATTERN), 1, -1),
         (LinearRule(3), 1, -1),
         (ExplicitRule(lambda k: 3 * k * k + 1, name="3k^2+1"), 1, -1),
@@ -247,7 +247,7 @@ def built(monkeypatch):
 
 def test_power_sum_builds_no_tower_term_past_the_tail_cut(built):
     # 19**18 > 2**73 is the first term below the resolution at 64 bits
-    reciprocal_power_sum(PierceSeq.infinite(TowerRule(())), F(1), 10**6)
+    reciprocal_power_sum(PierceSeq.infinite(PowerFloorRule((), 0)), F(1), 10**6)
     assert built == [(k + 1, 1, k) for k in range(1, 19)]
 
 
@@ -287,9 +287,44 @@ def test_power_sum_diverges_at_and_below_the_certificate(case):
 
 
 def test_tower_power_sums_converge():
-    for rule in (TowerRule((2,)), BitPerturbedRule(F(0), PATTERN)):
+    for rule in (PowerFloorRule((2,), 0), BitPerturbedRule(F(0), PATTERN)):
         assert rule.certificate == 0
         assert all(classify_divergence(rule, s) is Verdict.CONVERGENT for s in S_GRID)
+
+
+@pytest.mark.parametrize("prefix", [(), (2,), (3, 7)])
+def test_power_floor_at_zero_is_the_tower(prefix):
+    rule = PowerFloorRule(prefix, 0)
+    shift = (prefix[-1] if prefix else 1) - len(prefix)
+    tower = prefix + tuple((k + shift) ** k for k in range(len(prefix) + 1, 9))
+    assert rule.terms(8) == tower
+    assert rule.describe() == {"family": "tower", "prefix": list(prefix)}
+    assert rule.certificate == 0
+
+
+# caller of _check_alpha -> whether it admits exponent 0
+ALPHA_READERS = {
+    "PowerFloorRule": (lambda a: PowerFloorRule((2,), a), True),
+    "BitPerturbedRule": (lambda a: BitPerturbedRule(a, (0, 1)), True),
+    "classify_divergence": (lambda s: classify_divergence(LinearRule(), s), False),
+    "reciprocal_power_sum": (lambda s: reciprocal_power_sum(PierceSeq.infinite(LinearRule()), s, 5),
+                             False),
+    "divergent_tail_rule": (lambda s: divergent_tail_rule((2,), s, 1), False),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(ALPHA_READERS))
+def test_every_exponent_reader_shares_one_range_check(reader):
+    call, allow_zero = ALPHA_READERS[reader]
+    for bad in (F(-1), F(3, 2)):
+        with pytest.raises(DomainError, match=rf"^value {bad} lies outside \[0, 1\]$"):
+            call(bad)
+    if allow_zero:
+        call(F(0))
+    else:
+        with pytest.raises(DomainError, match=r"^value 0 lies outside \(0, 1\]$"):
+            call(F(0))
+    call(F(1))
 
 
 def test_explicit_rule_is_uncertified():

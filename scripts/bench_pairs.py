@@ -27,21 +27,23 @@ under `perfbench/`.
 
 `--workload readme` instead runs each `pierce-lab` command of the parent's
 README "Command line" block as `python -m piercelab ...` in a fresh
-interpreter with PYTHONPATH set to the checkout's `src/` and without
-PIERCE_LAB_PRECISION_BITS, the parent first in even pairs and the change
-first in odd ones.  It prints, per command, each side's median and
-quartiles of wall time, the relative change of the median, the number
-of pairs the change won and whether the change is resolved, as above; a
-run that exits non-zero, or a pair whose two
-stdout SHA-256 digests differ, is flagged and the exit code is then 1.
-It then times the same commands in process: each pair, in the same
-alternating order, runs one child interpreter per checkout that imports
-`piercelab.cli`, runs every command once through `cli.run` to warm up,
-and then times each command over IN_PROCESS_REPEATS calls of `cli.run`.
-A second table gives, per command, the mean time of one call in
-milliseconds, with the same columns; a child that exits non-zero is
-flagged.  Interpreter start and import, which dominate the wall times,
-are outside these timings.  It checks no bound.  After the pairs it runs the tier-1 suite,
+interpreter with PYTHONPATH set to the checkout's `src/`, the parent
+first in even pairs and the change first in odd ones.  It prints, per
+command, each side's median and quartiles of wall time, the relative
+change of the median, the number of pairs the change won and whether
+the change is resolved, as above; a run that exits non-zero, or a pair
+whose two stdout SHA-256 digests differ, is flagged and the exit code
+is then 1.  It then times the same commands in process: each pair, in
+the same alternating order, runs one child interpreter per checkout that
+imports `piercelab.cli`, runs every command once through `cli.run` to
+warm up, and then times each command over IN_PROCESS_REPEATS calls of
+`cli.run`.  Before every call, the warm-up included, the child clears
+`arith`'s log caches outside the timed span, so each call pays its cold
+logs as a fresh `pierce-lab` process does.  A second table gives, per
+command, the mean time of one call in milliseconds, with the same
+columns; a child that exits non-zero is flagged.  Interpreter start and
+import, which dominate the wall times, are outside these timings.  It
+checks no bound.  After the pairs it runs the tier-1 suite,
 `python -m pytest -q --continue-on-collection-errors` with PYTHONPATH set
 to `src/`, once in each checkout and prints both wall times; a suite that
 exits non-zero is flagged.
@@ -68,22 +70,24 @@ IN_PROCESS_REPEATS = 5
 # The child of the in-process timing: argv[1] is the JSON list of commands.
 _IN_PROCESS = f"""
 import io, json, shlex, sys, time
+from piercelab import arith
 from piercelab.cli import run
 
 def call(argv):
-    if run(argv, io.StringIO(), io.StringIO()) != 0:
+    arith._LOG2_CACHE.clear()
+    arith._LN2_CACHE.clear()
+    start = time.perf_counter()
+    code = run(argv, io.StringIO(), io.StringIO())
+    elapsed = time.perf_counter() - start
+    if code != 0:
         sys.exit("exited non-zero: " + " ".join(argv))
+    return elapsed
 
 argvs = [shlex.split(command)[1:] for command in json.loads(sys.argv[1])]
 for argv in argvs:
     call(argv)
-means = []
-for argv in argvs:
-    start = time.perf_counter()
-    for _ in range({IN_PROCESS_REPEATS}):
-        call(argv)
-    means.append((time.perf_counter() - start) * 1000 / {IN_PROCESS_REPEATS})
-print(json.dumps(means))
+print(json.dumps([sum(call(argv) for _ in range({IN_PROCESS_REPEATS}))
+                  * 1000 / {IN_PROCESS_REPEATS} for argv in argvs]))
 """
 
 
@@ -175,9 +179,7 @@ def compare(args, metrics: dict, workload: str) -> list:
 
 def checkout_env(checkout: str) -> dict:
     """The child environment of a README command run from `checkout`'s sources."""
-    env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
-    env.pop("PIERCE_LAB_PRECISION_BITS", None)
-    return env
+    return child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
 
 
 def print_times(times: dict, pairs: int) -> None:
@@ -232,12 +234,12 @@ def compare_readme(args) -> list:
                 in_process[command][side].append(mean)
         print(f"in-process pair {i}", file=sys.stderr, flush=True)
     if all(ps and len(ps) == len(cs) for ps, cs in in_process.values()):
-        print(f"readme in process: {args.pairs} pairs, mean of {IN_PROCESS_REPEATS} warm"
-              " cli.run calls in milliseconds")
+        print(f"readme in process: {args.pairs} pairs, mean of {IN_PROCESS_REPEATS}"
+              " cli.run calls with cold log caches, in milliseconds")
         print_times(in_process, args.pairs)
 
     for side, checkout in (("parent", args.parent), ("change", args.change)):
-        env = child_env(PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"))
+        env = checkout_env(checkout)
         argv = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
         start = time.perf_counter()
         proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)

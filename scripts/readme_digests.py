@@ -2,10 +2,11 @@
 
 Reads the `pierce-lab` lines of the README's "Command line" block, runs
 each as `python -m piercelab ...` against this checkout's `src/`, once as
-written and once with `--format csv`, and prints one `sha256  command`
-line per run.  Exits 1 if any run exits non-zero.  The committed lines
-live in `tests/readme_digests.txt`, which a tier-1 test recomputes in
-process; after a planned output change, `--write` rewrites that file:
+written and once with `--format csv`, in the caller's environment, and
+prints one `sha256  command` line per run.  Exits 1 if any run exits
+non-zero.  The committed lines live in `tests/readme_digests.txt`, which
+a tier-1 test recomputes in process; after a planned output change,
+`--write` rewrites that file:
 
     python3 scripts/readme_digests.py           # print the digests
     python3 scripts/readme_digests.py --write   # and rewrite the fixture
@@ -57,7 +58,6 @@ def main(argv=None) -> int:
                         help="also rewrite tests/readme_digests.txt")
     args = parser.parse_args(argv)
     env = dict(os.environ)
-    env.pop("PIERCE_LAB_PRECISION_BITS", None)  # run at each command's own precision
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     failed = 0

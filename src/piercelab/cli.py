@@ -18,7 +18,6 @@ import contextlib
 import functools
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -55,8 +54,6 @@ from .space import (
 )
 
 __all__ = ["main", "run", "REPORT_SCHEMA"]
-
-ENV_PRECISION = "PIERCE_LAB_PRECISION_BITS"
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -324,8 +321,8 @@ def _cmd_sample(args, bits: int):
 
 REQUIRED = object()  # the default of a flag that must be given
 
-# The enclosure precision; the env variable and the config file pass its parse too.
-_PRECISION = ("--bits", _integer(4096, "precision bits"), None)
+# The enclosure precision; a command without this entry reports the default.
+_PRECISION = ("--bits", _integer(4096, "precision bits"), DEFAULT_PRECISION_BITS)
 
 # command -> (handler, USAGE summary, flags).  A flag is (name, parse, default),
 # positional without dashes; a tuple parse lists the accepted choices.
@@ -380,7 +377,7 @@ _COMMANDS = {
     )),
 }
 
-USAGE = "usage: pierce-lab [--format json|csv] [--config FILE] COMMAND ...\n\ncommands:\n" + "".join(
+USAGE = "usage: pierce-lab [--format json|csv] COMMAND ...\n\ncommands:\n" + "".join(
     f"  {name:<10} {summary}\n" for name, (_, summary, _) in _COMMANDS.items()
 )
 
@@ -401,7 +398,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="pierce-lab", add_help=True)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
-    parser.add_argument("--config", default=None, help="JSON config file")
     sub = parser.add_subparsers(dest="command")
     for command, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(command)
@@ -411,36 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 options.update(required=default is REQUIRED, default=default)
             p.add_argument(name, **options)
     return parser
-
-
-def _resolve_precision(args, flags) -> int:
-    """--bits where the command lists the precision entry, else the env, else --config."""
-    bits = args.bits if _PRECISION in flags else None
-    env = os.environ.get(ENV_PRECISION)
-    if bits is None and env is not None:
-        try:
-            bits = _PRECISION[1](env)
-        except DomainError as exc:
-            raise DomainError(f"bad {ENV_PRECISION}={env!r}") from exc
-    if bits is None and args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                config = json.load(fh)
-        except ValueError as exc:  # malformed JSON or text
-            raise DomainError(f"bad config file {args.config}: {exc}") from exc
-        if not isinstance(config, dict):
-            raise DomainError(f"bad config file {args.config}: expected a JSON object")
-        if "precision_bits" in config:
-            bits = config["precision_bits"]
-            if type(bits) is not int:  # a JSON bool is an int subclass here
-                raise DomainError(
-                    f"bad config file {args.config}: precision_bits must be an integer"
-                )
-            bits = _PRECISION[1](bits)
-    bits = DEFAULT_PRECISION_BITS if bits is None else bits
-    if bits < 0:
-        raise DomainError(f"precision must be non-negative, got {bits} bits")
-    return bits
 
 
 def run(argv, stdout: TextIO, stderr: TextIO) -> int:
@@ -469,7 +435,9 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
             value = getattr(args, dest)
             if isinstance(value, str) and callable(parse):
                 setattr(args, dest, parse(value))
-        bits = _resolve_precision(args, flags)
+        bits = args.bits if _PRECISION in flags else DEFAULT_PRECISION_BITS
+        if bits < 0:
+            raise DomainError(f"precision must be non-negative, got {bits} bits")
         seed = getattr(args, "seed", None)
         provenance = {"version": __version__, "seed": seed, "precision_bits": bits}
         for line, (params, results) in enumerate(handler(args, bits)):

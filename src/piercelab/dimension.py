@@ -29,6 +29,7 @@ from .arith import (
 from .constructions import Witness, witness_in_interval
 from .exponent import _half_window, exponent_window
 from .pierce import DigitStatus, safe_digits
+from .rules import _check_alpha
 from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
 __all__ = [
@@ -75,10 +76,12 @@ class CoverParams:
     k_max: int
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "epsilon", "s"):
+        for name in ("alpha", "beta"):
+            object.__setattr__(self, name, _check_alpha(getattr(self, name), allow_zero=False))
+        for name in ("epsilon", "s"):
             object.__setattr__(self, name, Fraction(getattr(self, name)))
-        if not (0 < self.alpha <= self.beta <= 1):
-            raise DomainError("need 0 < alpha <= beta <= 1")
+        if self.alpha > self.beta:
+            raise DomainError("need alpha <= beta")
         if not (0 < self.epsilon < self.alpha):
             raise DomainError("need 0 < epsilon < alpha")
         if self.s <= 0:
@@ -269,9 +272,9 @@ def refined_dimension_bound(alpha: Fraction, beta: Fraction, n_parts: int) -> Fr
     attained at the first piece and decreases to 1 - alpha as the
     partition refines.
     """
-    alpha, beta = Fraction(alpha), Fraction(beta)
-    if not (0 < alpha <= beta):
-        raise DomainError("need 0 < alpha <= beta")
+    alpha, beta = _check_alpha(alpha, allow_zero=False), _check_alpha(beta, allow_zero=False)
+    if alpha > beta:
+        raise DomainError("need alpha <= beta")
     if n_parts < 1:
         raise DomainError("need at least one partition piece")
     delta = (beta - alpha) / n_parts

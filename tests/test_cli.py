@@ -16,7 +16,7 @@ from piercelab.cli import _COMMANDS, _PRECISION, REPORT_SCHEMA, _build_parser, r
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # The help text of `pierce-lab --help`, which the command table generates.
-USAGE = """usage: pierce-lab [--format json|csv] [--config FILE] COMMAND ...
+USAGE = """usage: pierce-lab [--format json|csv] COMMAND ...
 
 commands:
   expand     digit sequence, dual representation, and shift orbit of p/q
@@ -39,16 +39,12 @@ GUARDS = {
 }
 
 
-@pytest.fixture(autouse=True)
-def no_env_precision(monkeypatch):
-    """Tests set their own precision; the caller's shell must not leak in."""
-    monkeypatch.delenv("PIERCE_LAB_PRECISION_BITS", raising=False)
+# Earlier versions read the precision from this variable; tests set it to check that nothing does.
+ENV_PRECISION = "PIERCE_LAB_PRECISION_BITS"
 
 
-def invoke(argv, env_bits=None, monkeypatch=None):
+def invoke(argv):
     out, err = io.StringIO(), io.StringIO()
-    if env_bits is not None:
-        monkeypatch.setenv("PIERCE_LAB_PRECISION_BITS", str(env_bits))
     code = run(argv, out, err)
     return code, out.getvalue(), err.getvalue()
 
@@ -253,20 +249,14 @@ class TestMalformedInput:
 
     def test_negative_env_precision(self, monkeypatch):
         argv = ["construct", "--alpha", "1/2", "--in", "1/3,1/2"]
-        assert_one_line_domain_error(*invoke(argv, env_bits=-1, monkeypatch=monkeypatch))
+        expected = invoke(argv)
+        monkeypatch.setenv(ENV_PRECISION, "-1")
+        assert invoke(argv) == expected and expected[0] == 0
 
-    def test_negative_config_precision(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"precision_bits": -1}')
-        assert_one_line_domain_error(*invoke(["--config", str(cfg), "eval", "--prefix", "2"]))
-
-    @pytest.mark.parametrize(
-        "text", ['[{"precision_bits": 40}]', '{"precision_bits": 1.7}', '{"precision_bits": true}']
-    )
-    def test_malformed_config(self, text, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(text)
-        assert_one_line_domain_error(*invoke(["--config", str(cfg), "eval", "--prefix", "2"]))
+    def test_empty_env_precision(self, monkeypatch):
+        monkeypatch.setenv(ENV_PRECISION, "")
+        code, out, err = invoke(["expand", "1/2"])
+        assert (code, err) == (0, "") and lines_of(out)[0]["results"]["digits"] == [2]
 
     @pytest.mark.parametrize("flag", [["--pattern", "01"], ["--offset", "3"]])
     def test_eval_has_no_rule_only_flags(self, flag):
@@ -373,15 +363,17 @@ class TestGuards:
 
     @pytest.mark.parametrize("kind", PAST)
     @pytest.mark.parametrize("command", list(_COMMANDS))
-    def test_precision_env_and_config_guard(self, command, kind, no_work, monkeypatch, tmp_path):
-        limit = GUARDS[None, "--bits"]
-        value = self.past(limit, kind)
-        self.assert_refused(*invoke(self.BASE[command], env_bits=value,
-                                    monkeypatch=monkeypatch), limit)
-        monkeypatch.delenv("PIERCE_LAB_PRECISION_BITS")
+    def test_precision_env_and_config_guard(self, command, kind, monkeypatch, tmp_path):
+        # --bits is the one source of precision: a value past its guard in the
+        # variable changes nothing, and a config file is refused unread.
+        value = self.past(GUARDS[None, "--bits"], kind)
+        expected = invoke(self.BASE[command])
+        monkeypatch.setenv(ENV_PRECISION, value)
+        assert invoke(self.BASE[command]) == expected and expected[0] == 0
         cfg = tmp_path / "cfg.json"
         cfg.write_text(f'{{"precision_bits": {value}}}')
-        self.assert_refused(*invoke(["--config", str(cfg)] + self.BASE[command]), limit)
+        code, out, err = invoke(["--config", str(cfg)] + self.BASE[command])
+        assert (code, out) == (2, "") and err.startswith("usage error") and err.count("\n") == 1
 
     def test_sample_work_guard(self, monkeypatch):
         # --bits and --count each within their limits, their work past its guard
@@ -494,31 +486,31 @@ class TestFormatsAndConfig:
         assert "results.digits[0]" in keys
 
     def test_env_precision(self, monkeypatch):
-        _, out, _ = invoke(
-            ["eval", "--prefix", "2"], env_bits=24, monkeypatch=monkeypatch
-        )
+        monkeypatch.setenv(ENV_PRECISION, "24")
+        _, out, _ = invoke(["eval", "--prefix", "2"])
         (report,) = lines_of(out)
-        assert report["provenance"]["precision_bits"] == 24
+        assert report["provenance"]["precision_bits"] == 64
 
     def test_flag_overrides_env(self, monkeypatch):
-        _, out, _ = invoke(
-            ["eval", "--prefix", "2", "--bits", "16"], env_bits=24, monkeypatch=monkeypatch
-        )
+        monkeypatch.setenv(ENV_PRECISION, "24")
+        _, out, _ = invoke(["eval", "--prefix", "2", "--bits", "16"])
         (report,) = lines_of(out)
         assert report["provenance"]["precision_bits"] == 16
 
-    def test_config_file(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
+    def test_config_is_a_usage_error(self, tmp_path):
+        cfg = tmp_path / "f.json"
         cfg.write_text('{"precision_bits": 40}')
-        _, out, _ = invoke(["--config", str(cfg), "eval", "--prefix", "2"])
-        (report,) = lines_of(out)
-        assert report["provenance"]["precision_bits"] == 40
+        code, out, err = invoke(["--config", str(cfg), "eval", "--prefix", "2"])
+        assert (code, out) == (2, "") and err.startswith("usage error") and err.count("\n") == 1
 
-    def test_bad_config_is_domain_error(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("not json")
-        code, _, err = invoke(["--config", str(cfg), "eval", "--prefix", "2"])
-        assert code == 2 and "config" in err
+    def test_closed_stdout_is_one_line_error(self):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        err = io.StringIO()
+        code = run(["grid", "--alpha", "1/2", "--depth", "2"], ClosedPipe(), err)
+        assert code == 2 and err.getvalue() == "error: [Errno 32] Broken pipe\n"
 
     def test_help_exits_zero(self):
         assert invoke(["--help"]) == (0, USAGE, "")
@@ -542,14 +534,12 @@ class TestFormatsAndConfig:
 
 
 class TestSharedParser:
-    def test_earlier_runs_leave_no_state(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"precision_bits": 40}')
+    def test_earlier_runs_leave_no_state(self):
         plain = ["eval", "--prefix", "2"]
         _build_parser.cache_clear()
         assert invoke(["expand"])[0] == 2  # usage error
         assert invoke(["expand", "3/2"])[0] == 2  # domain error
-        assert invoke(["--config", str(cfg), *plain])[0] == 0
+        assert invoke([*plain, "--bits", "40"])[0] == 0
         assert invoke([*plain, "--bits", "8"])[0] == 0
         after = invoke(plain)
         _build_parser.cache_clear()

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,6 +31,19 @@ class TestCoverParams:
             CoverParams(N=1, alpha=F(1, 2), beta=F(1, 2), epsilon=F(1, 2), s=F(1), k_max=5)
         with pytest.raises(DomainError):
             CoverParams(N=6, alpha=F(1, 2), beta=F(1, 2), epsilon=F(1, 10), s=F(1), k_max=5)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [
+            (F(2), F(3), "value 2 lies outside [0, 1]"),
+            (F(1, 2), F(3), "value 3 lies outside [0, 1]"),
+            (F(0), F(1, 2), "value 0 lies outside (0, 1]"),
+            (F(3, 4), F(1, 2), "need alpha <= beta"),
+        ],
+    )
+    def test_exponent_band_messages(self, alpha, beta, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            CoverParams(N=1, alpha=alpha, beta=beta, epsilon=F(1, 10), s=F(1), k_max=5)
 
     def test_derived_exponents(self):
         p = CoverParams(N=2, s=F(1), k_max=10, **UNIT_PAIR)
@@ -198,6 +212,14 @@ class TestRefinedBound:
 
     def test_hundred_pieces(self):
         assert refined_dimension_bound(F(1, 2), F(1), 100) == F(101, 200)
+
+    @pytest.mark.parametrize(
+        "alpha, beta", [(F(2), F(3)), (F(1, 2), F(3)), (F(0), F(1, 2)), (F(3, 4), F(1, 2))]
+    )
+    def test_exponents_outside_the_band_are_refused(self, alpha, beta):
+        # past 1 the formula gives bounds outside [0, 1], such as -9/8 for (2, 3, 4)
+        with pytest.raises(DomainError):
+            refined_dimension_bound(alpha, beta, 4)
 
     @given(st.integers(1, 200), st.integers(1, 200))
     @settings(max_examples=40)

@@ -41,7 +41,8 @@ def test_fixture_lists_every_readme_command():
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_stdout_digest(command, monkeypatch):
-    monkeypatch.delenv("PIERCE_LAB_PRECISION_BITS", raising=False)
+    # each command runs at its own --bits precision; the variable is not read
+    monkeypatch.setenv("PIERCE_LAB_PRECISION_BITS", "8")
     out, err = io.StringIO(), io.StringIO()
     assert run(shlex.split(command)[1:], out, err) == 0, err.getvalue()
     assert readme_digests.digest_line(out.getvalue().encode(), command) == committed()[command]

@@ -1,0 +1,123 @@
+"""Mutation gate for the certified kernels: each listed mutant must fail its tests.
+
+    python3 scripts/mutants.py [NAME ...]
+
+`MUTANTS` lists, per mutant, a file, a snippet that occurs in it exactly
+once, the snippet's replacement and the pytest selection that must fail
+on it.  The script copies the working tree's tracked files (a `git stash
+create` commit, or HEAD when nothing changed) with `git archive` into a
+temporary directory, once per mutant, applies that mutant alone and runs
+its selection there with `-x`, PYTHONPATH set to the copy's `src/`.
+Before the mutants it runs every selection once on an unmutated copy; a
+selection that fails there makes the gate meaningless, and the script
+exits 2.  It prints one line per mutant, `killed` or `survived`, and
+exits 1 if any mutant without a written `equivalent` reason survived; a
+mutant listed with such a reason is expected to survive and is reported
+as `equivalent`.  Names given on the command line run those mutants
+only.  Stdlib only, and slow enough to stay out of tier-1.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from io import BytesIO
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+MONOTONE = "tests/test_exponent.py::TestMonotoneTails"
+CHUNKED = "tests/test_exponent.py::TestReferenceWindow::test_chunked_window_equals_reference"
+FLOOR_RUN = "tests/test_rules.py"
+
+# name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
+MUTANTS = {
+    "ceiling-numerator": (
+        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - q", "return n_lo + 1, d_lo - q",
+        [MONOTONE], None),
+    "ceiling-denominator": (
+        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - q", "return n_lo + 2, d_lo",
+        [MONOTONE], None),
+    "constant-q-shift-0": (
+        "src/piercelab/exponent.py", "(shift >= 1 if q else first >= 3)",
+        "(shift >= 0 if q else first >= 3)", [CHUNKED], None),
+    "tower-from-2": (
+        "src/piercelab/exponent.py", "(shift >= 1 if q else first >= 3)",
+        "(shift >= 1 if q else first >= 2)", [CHUNKED], None),
+    "tower-top-down": (
+        "src/piercelab/exponent.py",
+        "_runs(first, hi, 8, q > 0)):",
+        "_runs(first, hi, 8, True)):",
+        [CHUNKED, MONOTONE], None),
+    "walk-tangent-plus-1": (
+        "src/piercelab/rules.py", "x += q * x * (b - b0) // (p * b0)",
+        "x += q * x * (b - b0) // (p * b0) + 1", [FLOOR_RUN], None),
+    "walk-without-guard": (
+        "src/piercelab/rules.py", "        if guarded:\n", "        if False:\n",
+        [FLOOR_RUN], None),
+}
+
+
+def snapshot() -> str:
+    """The commit whose tree is copied: the working tree's tracked state."""
+    out = subprocess.run(["git", "stash", "create"], cwd=REPO, capture_output=True,
+                         text=True, check=True).stdout.strip()
+    return out or "HEAD"
+
+
+def copy_tree(rev: str, dest: str) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=REPO, capture_output=True,
+                             check=True).stdout
+    with tarfile.open(fileobj=BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_tests(tree: str, selection: list) -> int:
+    env = {**os.environ, "PYTHONPATH": os.path.join(tree, "src")}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *selection]
+    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+
+
+def mutate(tree: str, path: str, old: str, new: str) -> None:
+    target = Path(tree, path)
+    text = target.read_text(encoding="utf-8")
+    if text.count(old) != 1:
+        sys.exit(f"{path}: snippet occurs {text.count(old)} times, not once: {old!r}")
+    target.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def main(names: list) -> int:
+    unknown = set(names) - set(MUTANTS)
+    if unknown:
+        sys.exit(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = {name: MUTANTS[name] for name in names or MUTANTS}
+    rev = snapshot()
+    with tempfile.TemporaryDirectory() as tree:
+        copy_tree(rev, tree)
+        for selection in {tuple(entry[3]) for entry in chosen.values()}:
+            if run_tests(tree, list(selection)) != 0:
+                print(f"unmutated tree fails {' '.join(selection)}")
+                return 2
+    survivors = 0
+    for name, (path, old, new, selection, reason) in chosen.items():
+        with tempfile.TemporaryDirectory() as tree:
+            copy_tree(rev, tree)
+            mutate(tree, path, old, new)
+            killed = run_tests(tree, selection) != 0
+        if killed:
+            verdict = "killed"
+        elif reason:
+            verdict = f"equivalent: {reason}"
+        else:
+            verdict = "survived"
+            survivors += 1
+        print(f"{name:<24} {verdict}", flush=True)
+    print(f"{len(chosen)} mutants, {survivors} surviving")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -1,11 +1,10 @@
 """Exact numeric substrate shared by the whole package.
 
-Provides arbitrary-precision rationals (``fractions.Fraction`` under the
-alias ``BigRational``), extended naturals with a single ``INFINITY``
-sentinel, rational enclosures and their check against [0, 1], and
-integer-only kernels for floors of reciprocals, roots, and binary
-logarithms.  Everything here is exact: no floating point is used
-anywhere, and every enclosure is certified by integer comparisons.
+Provides extended naturals with a single ``INFINITY`` sentinel, rational
+enclosures and their check against [0, 1], and integer-only kernels for
+floors of reciprocals, roots, and binary logarithms.  Everything here is
+exact: no floating point is used anywhere, and every enclosure is
+certified by integer comparisons.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from operator import attrgetter, is_
 from typing import Union
 
 __all__ = [
-    "BigRational",
     "DomainError",
     "GuardExceededError",
     "UncertifiedRuleError",
@@ -39,8 +37,6 @@ __all__ = [
     "ln_enclosure",
     "pow_enclosure",
 ]
-
-BigRational = Fraction
 
 
 def rational_str(x: Fraction) -> str:

@@ -395,9 +395,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @functools.cache  # built on first use, so importing the module stays cheap
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands: bool = True) -> argparse.ArgumentParser:
+    """The pierce-lab parser; without commands, its top-level options alone."""
     parser = _ArgumentParser(prog="pierce-lab", add_help=True)
     parser.add_argument("--format", choices=("json", "csv"), default="json")
+    if not commands:
+        return parser
     sub = parser.add_subparsers(dest="command")
     for command, (_, _, flags) in _COMMANDS.items():
         p = sub.add_parser(command)
@@ -414,13 +417,18 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
     if argv and argv[0] in ("-h", "--help"):
         print(USAGE, file=stdout, end="")
         return 0
-    if not any(a in _COMMANDS for a in argv):
+    command = next((i for i, a in enumerate(argv) if a in _COMMANDS), None)
+    if command is None:
         attempted = next((a for a in argv if not a.startswith("-")), "(none)")
         print(f"unknown subcommand: {attempted}", file=stderr)
         print(USAGE, file=stderr, end="")
         return 64
     try:
         with contextlib.redirect_stdout(stdout):  # argparse prints help to sys.stdout
+            # read alone, an unknown option's value is not taken for the command
+            stray = command and _build_parser(commands=False).parse_known_args(argv[:command])[1]
+            if stray:
+                raise argparse.ArgumentError(None, f"unrecognized arguments: {' '.join(stray)}")
             args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Optional
 
 from .arith import (
@@ -91,6 +91,33 @@ def _unpruned(lows: list, highs: list, digits, a: int, b: int) -> list:
     return [list(compress(xs, keep)) for xs in (lows, highs, digits)]
 
 
+def _tail_ceiling(n_lo: int, d_lo: int, q: int) -> tuple[int, int]:
+    """num/den above both ratio bounds of every unscanned index of a monotone tail.
+
+    n_lo and d_lo = q*A are the lower log ends of the frontier k and of its
+    term floor(b**q), b = k + c.  At S = LOG2_SCALE both bounds of k are at
+    most G(k)/q < (n_lo + 2)/(q*(A - 1)), G(x) = (S*log2 x + 1)/(S*log2(x + c) - 1).
+    For constant q, c >= 1 and x + c <= 2**32, G increases, which bounds the
+    indices below k: G' has the sign of x*(B - A' - 2) + c*(B - 1), A' = S*log2 x,
+    B = S*log2(x + c), and B - A' >= S*c/((x + c)*ln 2) >= 2.  For the tower
+    (q = k), G(x)/x decreases from x = 3 (log2 3 > 1/ln 2): the indices above k.
+    """
+    return n_lo + 2, d_lo - q
+
+
+def _runs(first: int, last: int, size: int, down: bool = False):
+    """Index runs over first..last of size, 2*size, ... up to _WINDOW_CHUNK; from last if down."""
+    while first <= last:
+        size = min(size, _WINDOW_CHUNK)
+        if down:
+            yield range(max(first, last - size + 1), last + 1)
+            last -= size
+        else:
+            yield range(first, min(first + size, last + 1))
+            first += size
+        size *= 2
+
+
 def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     """Certified enclosure of max growth_ratio over indices lo..hi.
 
@@ -100,29 +127,36 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     Both logs come from batches along each chunk of the window, the
     indices and the digits being increasing.  Over a finite prefix only
     the digits that survive a bit-length prune (`_unpruned`) take
-    certified logs.
+    certified logs.  A monotone rule tail is read from the end that holds
+    its maximum until `_tail_ceiling` bounds the rest below both maxima.
     """
     lo = max(lo, 2)
     scale = LOG2_SCALE
     if seq.is_finite:
         hi = min(hi, seq.depth)
+    # The monotone tail past the prefix of length m (m = hi: none) starts at
+    # `first` if the window reaches it and _tail_ceiling's conditions hold.
+    m, shift, q = (None if seq.is_finite else seq.rule._monotone_tail()) or (hi, 0, 0)
+    first = max(lo, m + 1)
+    if first > hi or hi + shift > 1 << 32 or not (shift >= 1 if q else first >= 3):
+        first = hi + 1
     # Running maxima a/b and c/d of the ratio's lower and upper bounds,
     # from n_lo/scale <= log2 n <= n_hi/scale and d_lo/d_scale <= log2 d_n
     # <= d_hi/d_scale.  Where log d_n's lower bound is at most log n's
     # upper bound, d_n >= n caps the ratio at n_hi/n_lo >= 1, so that
     # tightening is the clamp at 1.
     a, b, c, d = 0, 1, 0, 1
-    for start in range(lo, hi + 1, _WINDOW_CHUNK):
-        end = min(start + _WINDOW_CHUNK, hi + 1)
+    for run in chain(_runs(lo, first - 1, _WINDOW_CHUNK), _runs(first, hi, 8, q > 0)):
+        start, end = run.start, run.stop
         if seq.is_finite:
-            ends = _log2_ends(range(start, end))
+            ends = _log2_ends(run)
             *ends, digits = _unpruned(*ends, seq.prefix[start - 1:end - 1], a, b)
             dens = zip(*_log2_ends(digits), repeat(scale))
         else:
             # Terms of an infinite rule are never INFINITY; asking the rule
             # for log bounds avoids materialising tower-sized digits.
             dens = seq.rule.log2_term_run(start, end - 1)
-            ends = _log2_ends(range(start, end))
+            ends = _log2_ends(run)
         for n_lo, n_hi, (d_lo, d_hi, d_scale) in zip(*ends, dens):
             if d_scale != scale:
                 n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
@@ -133,6 +167,11 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
                 c = d = 1
             elif n_hi * d > c * d_lo:
                 c, d = n_hi, d_lo
+        if start >= first:  # the unscanned indices lie past k, the run's end next to them
+            i = 0 if q else -1
+            num, den = _tail_ceiling(ends[0][i], dens[i][0], q or end - 1)
+            if num * b < a * den:  # below a/b <= min(1, c/d) none clamps or moves a maximum
+                break
     return Enclosure(Fraction(a, b), Fraction(c, d))
 
 

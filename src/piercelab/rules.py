@@ -63,6 +63,38 @@ def _floor_power(b: int, p: int, q: int) -> int:
     return integer_root(b**q, p)
 
 
+def _floor_run(bases, p: int, q: int):
+    """(floor(b**(q/p)), 1, 1) for increasing bases b < 2**18, else (b, p, q); p > 1.
+
+    For odd p, the tangent of the convex b**(q/p) at the last base b0, floor F,
+    gives the lower bound F + floor(q*F*(b - b0)/(p*b0)) of the next floor; at
+    most 4 unit steps reach it, or else integer_root.  Even p halves through
+    math.isqrt.  Bases of at most 18 bits reach the digit guard only if q*18 >
+    p*DIGIT_BITS_GUARD; such a rule takes _floor_power, guard included, for each.
+    """
+    guarded = q * 18 > p * DIGIT_BITS_GUARD
+    x = b0 = 0
+    for b in bases:
+        if b >= _EXACT_LOG_BASE_BOUND:
+            yield b, p, q
+            continue
+        if guarded:
+            x = _floor_power(b, p, q)
+        elif x and p & 1:
+            n = b**q
+            x += q * x * (b - b0) // (p * b0)
+            last = x + 4
+            while (x + 1) ** p <= n:
+                if x == last:
+                    x = integer_root(n, p)
+                    break
+                x += 1
+        else:
+            x = integer_root(b**q, p)
+        b0 = b
+        yield x, 1, 1
+
+
 def _check_alpha(alpha, allow_zero: bool) -> Fraction:
     """The one test of an exponent's range: [0, 1], or (0, 1] without allow_zero."""
     alpha = unit_rational(alpha)
@@ -95,6 +127,10 @@ class DigitRule:
 
     def describe(self) -> dict:
         raise NotImplementedError
+
+    def _monotone_tail(self) -> Optional[tuple[int, int, int]]:
+        """(M, c, q) if every term k > M is floor((k + c)**q), or (k + c)**k at q = 0; else None."""
+        return None
 
     def _require_index(self, k: int) -> None:
         if k < 1:
@@ -135,6 +171,13 @@ class _FloorPowerRule(DigitRule):
         shift = (self.prefix[-1] if self.prefix else 1) - len(self.prefix)
         return range(lo + shift, hi + shift + 1)
 
+    def _monotone_tail(self) -> Optional[tuple[int, int, int]]:
+        alpha = self.certificate
+        if alpha.numerator > 1:
+            return None
+        # the bases are b_k = k + c, so b_0 = c
+        return len(self.prefix), self._bases(0, 0)[0], alpha.denominator if alpha else 0
+
     def _operands(self, lo: int, hi: int):
         """Lazy (n, p, q) for k = lo..hi with term(k) = floor(n**(q/p)), n >= 2**18 if p > 1.
 
@@ -152,9 +195,7 @@ class _FloorPowerRule(DigitRule):
         elif alpha.numerator == 1:  # b_k**q
             tail = zip(bases, repeat(1), repeat(alpha.denominator))
         else:
-            p, q = alpha.numerator, alpha.denominator
-            tail = ((_floor_power(b, p, q), 1, 1) if b < _EXACT_LOG_BASE_BOUND else (b, p, q)
-                    for b in bases)
+            tail = _floor_run(bases, alpha.numerator, alpha.denominator)
         return chain(prefix, tail)
 
     def log2_term_run(self, lo: int, hi: int) -> list:
@@ -237,6 +278,9 @@ class BitPerturbedRule(_FloorPowerRule):
         if any(b not in (0, 1) for b in pattern):
             raise DomainError("perturbation pattern must consist of bits 0/1")
         object.__setattr__(self, "bits", pattern)
+
+    # b_k = 2k - 1 + eps_k is no k + c
+    _monotone_tail = DigitRule._monotone_tail
 
     def _bases(self, lo: int, hi: int):
         return map(add, chain(self.bits[lo - 1:hi], repeat(0)), range(2 * lo - 1, 2 * hi, 2))

@@ -202,22 +202,6 @@ class TestRoots:
         assert degrees and set(degrees) == {3}
 
 
-class TestBigRationalRoundTrips:
-    @given(
-        st.fractions(max_denominator=10**6),
-        st.fractions(max_denominator=10**6),
-    )
-    def test_add_sub(self, a, b):
-        assert (a + b) - b == a
-
-    @given(
-        st.fractions(max_denominator=10**6),
-        st.fractions(max_denominator=10**6).filter(lambda b: b != 0),
-    )
-    def test_mul_div(self, a, b):
-        assert (a * b) / b == a
-
-
 class TestExtNat:
     def test_infinity_reciprocal(self):
         assert unit_reciprocal(INFINITY) == 0

@@ -498,10 +498,13 @@ class TestFormatsAndConfig:
         assert report["provenance"]["precision_bits"] == 16
 
     def test_config_is_a_usage_error(self, tmp_path):
+        # named as an unknown option before the command too, where its value
+        # must not be taken for the command
         cfg = tmp_path / "f.json"
         cfg.write_text('{"precision_bits": 40}')
-        code, out, err = invoke(["--config", str(cfg), "eval", "--prefix", "2"])
-        assert (code, out) == (2, "") and err.startswith("usage error") and err.count("\n") == 1
+        command = ["eval", "--prefix", "2"]
+        for argv in (["--config", str(cfg)] + command, command + ["--config", str(cfg)]):
+            assert invoke(argv) == (2, "", f"usage error: unrecognized arguments: --config {cfg}\n")
 
     def test_closed_stdout_is_one_line_error(self):
         class ClosedPipe(io.StringIO):

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal as D
 from fractions import Fraction as F
 from unittest import mock
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piercelab import arith, exponent
+from piercelab import arith, exponent, rules
 from piercelab.arith import (
     INFINITY,
     DomainError,
@@ -145,43 +147,69 @@ class DoubledScaleLogIdentity(DigitRule):
         return [(2 * a, 2 * b, 2 * den) for a, b, den in super().log2_term_run(lo, hi)]
 
 
-REFERENCE_CASES = [
+# (seq, lo, hi, where exponent_window starts reading a monotone rule tail:
+# "hi", down from the window's end, "tail", up from the tail's first index,
+# or None, every index in order)
+REFERENCE_SCANS = [
     # prefix digits, then materialised floors of small bases
-    (PierceSeq.infinite(PowerFloorRule((2, 5, 11), F(1, 2))), 2, 300),
+    (PierceSeq.infinite(PowerFloorRule((2, 5, 11), F(1, 2))), 2, 300, "hi"),
     # bases from 2**18 up: the 3/b slack bound, nothing materialised
-    (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300),
-    # p == 1: exact scaling, with q == 1 and with q == k
-    (PierceSeq.infinite(PowerFloorRule((3,), F(1))), 2, 300),
-    (PierceSeq.infinite(PowerFloorRule((2,), 0)), 2, 200),
-    (PierceSeq.infinite(LinearRule(3)), 2, 300),
+    (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300, None),
+    # p == 1: exact scaling, with q == 1 and with q == k (the tower from index 3 on)
+    (PierceSeq.infinite(PowerFloorRule((3,), F(1))), 2, 300, "hi"),
+    (PierceSeq.infinite(PowerFloorRule((2,), 0)), 2, 200, None),
+    (PierceSeq.infinite(LinearRule(3)), 2, 300, "hi"),
     # d_n = n: the upper bound is clamped at 1, also when the log bounds are loose
-    (PierceSeq.infinite(LinearRule(0)), 2, 100),
-    (PierceSeq.infinite(ZeroLowerLogIdentity()), 2, 100),
-    (PierceSeq.infinite(DoubledScaleLogIdentity()), 2, 100),
-    (PierceSeq.infinite(BitPerturbedRule(F(0), (0, 1, 1, 0, 1))), 2, 200),
-    (PierceSeq.infinite(BitPerturbedRule(F(2, 3), (0, 1, 1, 0, 1, 0, 1))), 2, 300),
-    (PierceSeq.infinite(ExplicitRule(lambda k: k * k + k, name="k^2+k")), 2, 300),
+    (PierceSeq.infinite(LinearRule(0)), 2, 100, None),
+    (PierceSeq.infinite(ZeroLowerLogIdentity()), 2, 100, None),
+    (PierceSeq.infinite(DoubledScaleLogIdentity()), 2, 100, None),
+    (PierceSeq.infinite(BitPerturbedRule(F(0), (0, 1, 1, 0, 1))), 2, 200, None),
+    (PierceSeq.infinite(BitPerturbedRule(F(2, 3), (0, 1, 1, 0, 1, 0, 1))), 2, 300, None),
+    (PierceSeq.infinite(ExplicitRule(lambda k: k * k + k, name="k^2+k")), 2, 300, None),
     # windows that run past the finite digits, partly and wholly
-    (PierceSeq.finite(tuple(k**3 for k in range(1, 40))), 10, 100),
-    (PierceSeq.finite((2, 5, 11)), 5, 20),
+    (PierceSeq.finite(tuple(k**3 for k in range(1, 40))), 10, 100, None),
+    (PierceSeq.finite((2, 5, 11)), 5, 20, None),
 ]
+REFERENCE_CASES = [scan[:3] for scan in REFERENCE_SCANS]
 
 # log2 16 = 4 is a whole bit below its bit length, 5: only the
 # coarse bound 4 keeps index 3 (ratio 0.396) against index 2's 0.356
 POWER_OF_TWO_CASE = (PierceSeq.finite((1, 7, 16)), 2, 3)
 
+# the scan order's edges, after the cases above
+TAIL_SCANS = [
+    (PierceSeq.infinite(PowerFloorRule((), F(1, 3))), 2, 300, "hi"),
+    # b_k = k: no monotone bound for constant q
+    (PierceSeq.infinite(PowerFloorRule((1,), F(1, 2))), 2, 300, None),
+    (PierceSeq.infinite(PowerFloorRule((2,), 0)), 3, 200, "tail"),
+    (PierceSeq.infinite(PowerFloorRule((1, 2), 0)), 2, 200, "tail"),
+    # a window inside the prefix
+    (PierceSeq.infinite(PowerFloorRule((2, 5, 11, 20, 30), F(1, 2))), 2, 4, None),
+    # bases past 2**32: G need not increase
+    (PierceSeq.infinite(LinearRule(3)), 2**32 - 8, 2**32 - 1, None),
+    (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 0, 1, 0, 1))), 2, 300, None),
+]
+TAIL_CASES = [scan[:3] for scan in TAIL_SCANS]
+
+CHUNKED_SCANS = (
+    REFERENCE_SCANS
+    + [(PierceSeq.finite(tuple(3 * k * k + 1 for k in range(1, 60))), 2, 70, None),
+       (*POWER_OF_TWO_CASE, None)]
+    + TAIL_SCANS
+)
+
 
 class TestReferenceWindow:
-    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES + [POWER_OF_TWO_CASE])
+    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES + [POWER_OF_TWO_CASE] + TAIL_CASES)
     def test_window_equals_reference(self, seq, lo, hi):
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
 
     @pytest.mark.parametrize(
-        "seq, lo, hi",
-        REFERENCE_CASES
-        + [(PierceSeq.finite(tuple(3 * k * k + 1 for k in range(1, 60))), 2, 70), POWER_OF_TWO_CASE],
+        "seq, lo, hi, end",
+        CHUNKED_SCANS,
+        ids=[f"seq{i}-{lo}-{hi}" for i, (_, lo, hi, _) in enumerate(CHUNKED_SCANS)],
     )
-    def test_chunked_window_equals_reference(self, seq, lo, hi, monkeypatch):
+    def test_chunked_window_equals_reference(self, seq, lo, hi, end, monkeypatch):
         # Chunks of 7 put chunk seams inside every window, the finite
         # prefix's end included.
         monkeypatch.setattr(exponent, "_WINDOW_CHUNK", 7)
@@ -196,9 +224,20 @@ class TestReferenceWindow:
         monkeypatch.setattr(exponent, "_log2_ends", recording_ends)
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
         top = min(hi, seq.depth) if seq.is_finite else hi
-        assert indices == list(range(max(lo, 2), top + 1))
+        window = list(range(max(lo, 2), top + 1))
+        if end is None:
+            assert indices == window
+            return
+        # the prefix in order, then one contiguous run of the tail from the
+        # end that holds its maximum, stopped short of the other end
+        head = [n for n in window if n <= len(seq.rule.prefix)]
+        tail = indices[len(head):]
+        assert indices[:len(head)] == head
+        assert sorted(tail) == list(range(min(tail), max(tail) + 1))
+        assert (max(tail) == hi) if end == "hi" else (min(tail) == window[len(head)])
+        assert len(tail) < len(window) - len(head)
 
-    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES + [POWER_OF_TWO_CASE])
+    @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES + [POWER_OF_TWO_CASE] + TAIL_CASES)
     def test_growth_ratio_equals_reference(self, seq, lo, hi):
         for n in range(max(lo, 2), hi + 1):
             assert growth_ratio(seq, n) == reference_ratio(seq, n)
@@ -259,9 +298,81 @@ class TestPrunedWindow:
         assert window > 500 and 5 * len(logged) < window
 
 
+@st.composite
+def monotone_windows(draw):
+    """(rule, lo, hi) over tails of floor((k + c)**q) and (k + c)**k, c = 0 and c >= 1."""
+    kind = draw(st.sampled_from(["prefix", "identity-prefix", "linear"]))
+    if kind == "linear":
+        rule = LinearRule(draw(st.integers(0, 10)))
+    else:
+        if kind == "prefix":  # c = d_M - M >= 1, or 1 after an empty prefix
+            prefix = draw(st.lists(st.integers(2, 300), max_size=5, unique=True))
+        else:  # 1, 2, ..., M: c = 0
+            prefix = range(1, draw(st.integers(1, 6)) + 1)
+        alpha = draw(st.sampled_from([F(0), F(1)]) | st.integers(2, 9).map(lambda q: F(1, q)))
+        rule = PowerFloorRule(tuple(sorted(prefix)), alpha)
+    hi = draw(st.integers(0, 10**6) | st.integers(0, len(rule.prefix) + 300))
+    return rule, draw(st.integers(max(0, hi - 600), hi + 2)), hi
+
+
+class TestMonotoneTails:
+    @given(monotone_windows(), st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_reference(self, window, chunk):
+        # windows of at most 600 indices keep the per-index reference cheap
+        rule, lo, hi = window
+        seq = PierceSeq.infinite(rule)
+        with mock.patch.object(exponent, "_WINDOW_CHUNK", chunk):
+            assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
+
+    @given(st.integers(2, 1 << 32), st.integers(0, 100), st.integers(0, 64))
+    @settings(max_examples=200)
+    def test_ceiling_exceeds_the_bound_function(self, k, c, q):
+        # G(x) = (S log2 x + 1)/(S log2(x + c) - 1) at 50 digits; q = 0 is the tower, q_k = k
+        k = min(k, (1 << 32) - c)
+        q_k = q or k
+        num, den = exponent._tail_ceiling(log2_bounds(k)[0], q_k * log2_bounds(k + c)[0], q_k)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
+
+            def g(x):
+                return (scale * D(x).ln() / ln2 + 1) / (scale * D(x + c).ln() / ln2 - 1)
+
+            assert D(num) / D(den) > g(k) / q_k
+            # the monotonicity the scan order rests on
+            if q and c >= 1:
+                assert g(k - 1) <= g(k)
+            elif not q and k >= 3:
+                assert g(k + 1) / (k + 1) <= g(k) / k
+
+    @pytest.mark.parametrize(
+        "rule, top",  # top: the 1000 indices at the end that holds the maximum
+        [
+            (PowerFloorRule((2,), F(1, 2)), (999_001, 10**6)),
+            (PowerFloorRule((2,), 0), (5 * 10**5, 500_999)),
+        ],
+    )
+    def test_half_million_indices_read_few_logs(self, rule, top, monkeypatch):
+        seq = PierceSeq.infinite(rule)
+        expected = reference_window(seq, *top)
+        read = []
+        ends = arith._log2_ends
+
+        def counting_ends(ns):
+            read.append(len(ns))
+            return ends(ns)
+
+        for module in (exponent, rules):
+            monkeypatch.setattr(module, "_log2_ends", counting_ends)
+        assert exponent_window(seq, 5 * 10**5, 10**6) == expected
+        assert sum(read) <= 1024
+
+
 class TestLogCache:
     def test_capped_cache_keeps_the_window(self, monkeypatch):
-        seq = PierceSeq.infinite(PowerFloorRule((2,), F(1, 2)))
+        # b_k = k: no monotone bound, so every index of the window is read
+        seq = PierceSeq.infinite(PowerFloorRule((1,), F(1, 2)))
         monkeypatch.setattr(arith, "_LOG2_CACHE", {})
         expected = exponent_window(seq, 50, 400)
         sizes = []

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,6 +24,7 @@ PATTERN = (0, 1, 1, 0, 1, 0, 1)
 CASES = {
     "power-1/2": (PowerFloorRule((2,), F(1, 2)), False),  # p == 1: scaled log2(b)
     "power-2/3-small": (PowerFloorRule((2,), F(2, 3)), True),  # exact floor
+    "power-3/5-small": (PowerFloorRule((2,), F(3, 5)), True),  # exact floor, walked
     "power-2/3-large": (PowerFloorRule((2**18,), F(2, 3)), False),  # 3/b slack
     "tower": (PowerFloorRule((2,), 0), False),
     "linear": (LinearRule(3), True),
@@ -216,6 +218,67 @@ def test_operands_floor_the_small_bases(window):
     assert list(rule._operands(lo, hi)) == expected
 
 
+def floors(bases, p, q):
+    """What _floor_run yields, one _floor_power at a time."""
+    return [(rules._floor_power(b, p, q), 1, 1) if b < BOUND else (b, p, q) for b in bases]
+
+
+DEGREES = st.sampled_from([2, 3, 4, 5, 7, 9])
+
+
+@given(
+    DEGREES.flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 12 * p))),
+    st.integers(2, BOUND + 40) | st.integers(BOUND - 80, BOUND),
+    st.lists(st.integers(1, 3), max_size=80),
+)
+@settings(max_examples=150, deadline=None)
+def test_floor_run_equals_the_floors(pq, start, gaps):
+    # gaps of 1 to 3 as in the bit-perturbed bases, across the 2**18 seam
+    p, q = pq
+    bases = list(accumulate(gaps, initial=start))
+    assert list(rules._floor_run(bases, p, q)) == floors(bases, p, q)
+
+
+@pytest.mark.parametrize(
+    "bases, p, q, walked",
+    [
+        # b**(4/3) along consecutive bases: one root, then the tangent walk
+        (range(1000, 2000), 3, 4, True),
+        # b**(11/5) bends more as b grows: past some base 4 unit steps no
+        # longer reach the floor, and the walk falls back
+        (range(2, 400), 5, 11, False),
+    ],
+)
+def test_floor_run_walks_and_falls_back(monkeypatch, bases, p, q, walked):
+    expected = floors(bases, p, q)
+    roots = []
+    integer_root = rules.integer_root
+    monkeypatch.setattr(rules, "integer_root", lambda m, p: roots.append(m) or integer_root(m, p))
+    assert list(rules._floor_run(bases, p, q)) == expected
+    if walked:
+        assert roots == [bases[0] ** q]
+    else:
+        assert 1 < len(roots) < len(bases)
+
+
+@pytest.mark.parametrize("p, q", [(3, 200), (2, 130)])
+def test_floor_run_refuses_at_the_guarded_base(monkeypatch, p, q):
+    # a 1000-bit guard refuses these floors part-way: from b = 32768 (p = 3), 42785 (p = 2)
+    monkeypatch.setattr(rules, "DIGIT_BITS_GUARD", 1000)
+    bases = range(20_000, 70_000, 7)
+    expected = []
+    for b in bases:
+        try:
+            expected.append(floors([b], p, q)[0])
+        except GuardExceededError:
+            break
+    assert len(expected) < len(bases)
+    run = rules._floor_run(bases, p, q)
+    assert [next(run) for _ in expected] == expected
+    with pytest.raises(GuardExceededError):
+        next(run)
+
+
 @pytest.mark.parametrize("b, p", [(2, 1), (3, 1), (3, 2), (7, 3), (2**18 + 3, 5)])
 @pytest.mark.parametrize("guard", [1000, 4099])
 def test_digit_size_guard_refuses_exactly_past_the_bound(b, p, guard, monkeypatch):
@@ -232,16 +295,33 @@ def test_digit_size_guard_refuses_exactly_past_the_bound(b, p, guard, monkeypatc
 
 @pytest.fixture
 def built(monkeypatch):
-    """The (b, p, q) of every digit floor(b**(q/p)) built; past 100 the test fails."""
+    """The (b, p, q) of every digit floor(b**(q/p)) built; past 100 the test fails.
+
+    A floor run builds the floor of each base below 2**18 as it reads the base.
+    """
     calls = []
     floor_power = rules._floor_power
+    floor_run = rules._floor_run
 
-    def spy(b, p, q):
+    def record(b, p, q):
         calls.append((b, p, q))
         assert len(calls) <= 100, "digits built past the ones read"
+
+    def spy(b, p, q):
+        record(b, p, q)
         return floor_power(b, p, q)
 
+    def run_spy(bases, p, q):
+        def read():
+            for b in bases:
+                if b < BOUND:
+                    record(b, p, q)
+                yield b
+
+        return floor_run(read(), p, q)
+
     monkeypatch.setattr(rules, "_floor_power", spy)
+    monkeypatch.setattr(rules, "_floor_run", run_spy)
     return calls
 
 

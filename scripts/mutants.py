@@ -31,25 +31,42 @@ REPO = Path(__file__).resolve().parent.parent
 
 MONOTONE = "tests/test_exponent.py::TestMonotoneTails"
 CHUNKED = "tests/test_exponent.py::TestReferenceWindow::test_chunked_window_equals_reference"
+PRUNED = "tests/test_exponent.py::TestPrunedWindow"
 FLOOR_RUN = "tests/test_rules.py"
+ARITH = "tests/test_arith.py"
+SPACE = "tests/test_space.py"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
     "ceiling-numerator": (
-        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - q", "return n_lo + 1, d_lo - q",
+        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - sigma",
+        "return n_lo + 1, d_lo - sigma", [MONOTONE], None),
+    "ceiling-without-sigma": (
+        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - sigma", "return n_lo + 2, d_lo",
         [MONOTONE], None),
-    "ceiling-denominator": (
-        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - q", "return n_lo + 2, d_lo",
+    "increase-unchecked": (
+        "src/piercelab/exponent.py",
+        "if p > 1 and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):", "if False:",
         [MONOTONE], None),
+    "slack-without-floor-term": (
+        "src/piercelab/exponent.py",
+        "sigma = 1 - (-_log2_constants(LOG2_SCALE_BITS - 1)[1] // (seq.rule.term(first) - 1))",
+        "sigma = 1", [MONOTONE], None),
+    "slack-from-last-base": (
+        "src/piercelab/exponent.py", "seq.rule.term(first)", "seq.rule.term(hi)",
+        [MONOTONE], None),
+    "slack-past-2**18": (
+        "src/piercelab/exponent.py", "top = _EXACT_LOG_BASE_BOUND if p > 1 else 1 << 32",
+        "top = 1 << 32", [CHUNKED, MONOTONE], None),
     "constant-q-shift-0": (
-        "src/piercelab/exponent.py", "(shift >= 1 if q else first >= 3)",
-        "(shift >= 0 if q else first >= 3)", [CHUNKED], None),
+        "src/piercelab/exponent.py", "(shift >= 1 if p else first >= 3)",
+        "(shift >= 0 if p else first >= 3)", [CHUNKED], None),
     "tower-from-2": (
-        "src/piercelab/exponent.py", "(shift >= 1 if q else first >= 3)",
-        "(shift >= 1 if q else first >= 2)", [CHUNKED], None),
+        "src/piercelab/exponent.py", "(shift >= 1 if p else first >= 3)",
+        "(shift >= 1 if p else first >= 2)", [CHUNKED], None),
     "tower-top-down": (
         "src/piercelab/exponent.py",
-        "_runs(first, hi, 8, q > 0)):",
+        "_runs(first, hi, 8, p > 0)):",
         "_runs(first, hi, 8, True)):",
         [CHUNKED, MONOTONE], None),
     "walk-tangent-plus-1": (
@@ -58,6 +75,29 @@ MUTANTS = {
     "walk-without-guard": (
         "src/piercelab/rules.py", "        if guarded:\n", "        if False:\n",
         [FLOOR_RUN], None),
+    "log2-step-without-tail": (
+        "src/piercelab/arith.py", "return acc_lo, acc_hi + 2", "return acc_lo, acc_hi",
+        [ARITH], None),
+    "log2-step-tail-1": (
+        "src/piercelab/arith.py", "return acc_lo, acc_hi + 2", "return acc_lo, acc_hi + 1",
+        [ARITH],
+        "every input within the step's contract, at any width w < 1200 and at the wider "
+        "_log2_floor anchors 1569 and 3105, still has its floor bracketed with + 1 (the "
+        "proof and decimal check of the log-run change in CHANGES.md); + 2 holds for every "
+        "w without reading the digits of 1/ln 2"),
+    "anchor-cap": (
+        "src/piercelab/arith.py", "((e + s + 1) << w) - 1)", "(e + s + 1) << w)",
+        [ARITH], None),
+    "doubling-root-start": (
+        "src/piercelab/arith.py", "integer_root(m >> p * s, p) + 1 << s",
+        "integer_root(m >> p * s, p) << s", [ARITH], None),
+    "prune-bit-length-minus-1": (
+        "src/piercelab/exponent.py", "t * (top - LOG2_SCALE)", "t * top", [PRUNED], None),
+    "locate-cell-left-end": (
+        "src/piercelab/space.py",
+        "k, q = _cell(s, product, d, depth)\n        if a * q <= k * c",
+        "k, q = _cell(s, product, d, depth)\n        if a * q < k * c",
+        [SPACE], None),
 }
 
 

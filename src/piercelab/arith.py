@@ -39,14 +39,24 @@ __all__ = [
 ]
 
 
+MAX_DIGITS = 4300  # no integer of more decimal digits is printed or parsed
+# The least integer of MAX_DIGITS + 1 digits.  Comparing with it converts
+# nothing: CPython compares two ints by their size in machine digits, and
+# compares digit by digit only at equal size.
+TEN_TO_MAX_DIGITS = 10**MAX_DIGITS
+
+
 def rational_str(x: Fraction) -> str:
     """Canonical exact string "p/q" (always with the denominator).
 
-    Raises GuardExceededError past Python's int-to-str digit limit.
+    Raises GuardExceededError past MAX_DIGITS digits.
     """
     x = x if type(x) is Fraction else Fraction(x)
-    try:
-        return f"{x.numerator}/{x.denominator}"
+    n, d = x.numerator, x.denominator
+    try:  # a host process may set the interpreter's own limit lower
+        if abs(n) >= TEN_TO_MAX_DIGITS or d >= TEN_TO_MAX_DIGITS:
+            raise ValueError(f"more than {MAX_DIGITS} digits")
+        return f"{n}/{d}"
     except ValueError as exc:
         raise GuardExceededError(f"rational too long to print: {exc}") from exc
 

@@ -25,6 +25,8 @@ from typing import Optional, TextIO
 
 from . import __version__
 from .arith import (
+    MAX_DIGITS,
+    TEN_TO_MAX_DIGITS,
     DomainError,
     Enclosure,
     GuardExceededError,
@@ -82,6 +84,13 @@ def fmt_enclosure(e: Enclosure) -> list[str]:
     return [fmt_rational(e.lo), fmt_rational(e.hi)]
 
 
+def _parse_int(text: str) -> int:
+    """int(text), refused (ValueError) for a numeral of more than MAX_DIGITS digits."""
+    if len(text) > MAX_DIGITS and sum(map(str.isdecimal, text)) > MAX_DIGITS:
+        raise ValueError(f"a numeral of more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
@@ -90,7 +99,7 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text.strip()):
         raise DomainError(f"cannot parse rational {text!r}: expected n or p/q")
     try:
-        return Fraction(text)
+        return Fraction(*map(_parse_int, text.split("/")))
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"cannot parse rational {text!r}: {exc}") from exc
 
@@ -106,7 +115,7 @@ def parse_prefix(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        digits = tuple(int(p) for p in text.split(","))
+        digits = tuple(map(_parse_int, text.split(",")))
     except ValueError as exc:
         raise DomainError(f"cannot parse prefix {text!r}") from exc
     return validate_prefix(digits)
@@ -124,7 +133,7 @@ def _integer(limit: Optional[int] = None, what: str = ""):
 
     def parse(text) -> int:
         try:
-            value = int(text)
+            value = _parse_int(text)
         except ValueError as exc:
             raise DomainError(f"cannot parse integer {text!r}") from exc
         if limit is not None and value > limit:
@@ -240,9 +249,12 @@ def _cmd_divergent(args, bits: int):
     prefix, s = args.prefix, args.s
     rule = divergent_tail_rule(prefix, s, args.j)
     seq = PierceSeq.infinite(rule)
+    first_terms = rule.terms(12)  # increasing: the one report integer no input or guard bounds
+    if first_terms[-1] >= TEN_TO_MAX_DIGITS:
+        raise GuardExceededError(f"report number too long to print: more than {MAX_DIGITS} digits")
     results = {
         "rule": rule.describe(),
-        "first_terms": list(rule.terms(12)),
+        "first_terms": list(first_terms),
         "verdict": classify_divergence(rule, s).value,
     }
     if args.terms is not None:
@@ -455,7 +467,7 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
                 "results": results,
                 "provenance": provenance,
             }
-            try:  # both formats refuse an integer past Python's int-to-str digit limit
+            try:  # a host process may set the interpreter's own digit limit lower
                 if args.format == "json":
                     text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
                 else:
@@ -481,6 +493,7 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    getattr(sys, "set_int_max_str_digits", lambda n: None)(0)  # MAX_DIGITS decides alone
     if argv is None:
         argv = sys.argv[1:]
     return run(argv, sys.stdout, sys.stderr)

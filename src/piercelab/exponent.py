@@ -19,16 +19,18 @@ from typing import Optional
 
 from .arith import (
     LOG2_SCALE,
+    LOG2_SCALE_BITS,
     DomainError,
     Enclosure,
     UncertifiedRuleError,
+    _log2_constants,
     _log2_ends,
     _record,
     _scaled_root,
     integer_root,
 )
 from .pierce import DigitStatus, checked_digits, safe_digits
-from .rules import DigitRule, _check_alpha
+from .rules import _EXACT_LOG_BASE_BOUND, DigitRule, _check_alpha
 from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
 __all__ = [
@@ -91,18 +93,24 @@ def _unpruned(lows: list, highs: list, digits, a: int, b: int) -> list:
     return [list(compress(xs, keep)) for xs in (lows, highs, digits)]
 
 
-def _tail_ceiling(n_lo: int, d_lo: int, q: int) -> tuple[int, int]:
-    """num/den above both ratio bounds of every unscanned index of a monotone tail.
+def _tail_ceiling(k: int, c: int, p: int, q: int, sigma: int, n_lo: int, d_lo: int):
+    """num/den above both ratio bounds of each unscanned index of a monotone tail, or 1/0.
 
-    n_lo and d_lo = q*A are the lower log ends of the frontier k and of its
-    term floor(b**q), b = k + c.  At S = LOG2_SCALE both bounds of k are at
-    most G(k)/q < (n_lo + 2)/(q*(A - 1)), G(x) = (S*log2 x + 1)/(S*log2(x + c) - 1).
-    For constant q, c >= 1 and x + c <= 2**32, G increases, which bounds the
-    indices below k: G' has the sign of x*(B - A' - 2) + c*(B - 1), A' = S*log2 x,
-    B = S*log2(x + c), and B - A' >= S*c/((x + c)*ln 2) >= 2.  For the tower
-    (q = k), G(x)/x decreases from x = 3 (log2 3 > 1/ln 2): the indices above k.
+    The tail is floor((x + c)**r), r = q/p (p = 0: the tower); n_lo and d_lo are
+    the lower log ends of k and its term, within 1 of S*log2 at S = LOG2_SCALE.
+    sigma bounds S*r*log2(x + c) - d_lo(x) on the window: q at p = 1, else
+    1 + ceil(S/((F - 1)*ln 2)) from the floor F of the first base, as a floor
+    of u >= F loses -log2(1 - 1/u) <= 1/((u - 1)*ln 2).  So both bounds of x are
+    at most H(x) = (S*log2 x + 1)/(r*S*log2(x + c) - sigma), and H(k) < num/den if den > 0.
+    If q*(S*c - (k + c)) >= p*sigma*(k + c), H increases up to k: H' has the sign
+    of r*x*(B - A - 1) + c*(r*B - sigma) - sigma*x, A = S*log2 x, B = S*log2(x + c),
+    B - A > S*c/(k + c) for x <= k, and so sigma <= r*(S*c/(k + c) - 1) < r*S <= r*B.
+    The scan's c >= 1 and bases below 2**32 imply it at p = 1.  The tower (sigma = r = k)
+    has H decreasing from x = 3 (log2 3 > 1/ln 2): the indices above k.
     """
-    return n_lo + 2, d_lo - q
+    if p > 1 and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):
+        return 1, 0
+    return n_lo + 2, d_lo - sigma
 
 
 def _runs(first: int, last: int, size: int, down: bool = False):
@@ -127,26 +135,32 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     Both logs come from batches along each chunk of the window, the
     indices and the digits being increasing.  Over a finite prefix only
     the digits that survive a bit-length prune (`_unpruned`) take
-    certified logs.  A monotone rule tail is read from the end that holds
-    its maximum until `_tail_ceiling` bounds the rest below both maxima.
+    certified logs.  A monotone rule tail is read from its maximum's end until
+    `_tail_ceiling`, with the slack of any floors, bounds the rest below both maxima.
     """
     lo = max(lo, 2)
     scale = LOG2_SCALE
     if seq.is_finite:
         hi = min(hi, seq.depth)
     # The monotone tail past the prefix of length m (m = hi: none) starts at
-    # `first` if the window reaches it and _tail_ceiling's conditions hold.
-    m, shift, q = (None if seq.is_finite else seq.rule._monotone_tail()) or (hi, 0, 0)
+    # `first` if the window reaches it and _tail_ceiling's conditions hold
+    # (p > 1: floors of bases from 2**18 up have logs on another scale).
+    m, shift, alpha = (None if seq.is_finite else seq.rule._monotone_tail()) or (hi, 0, 0)
+    p, q = alpha.numerator, alpha.denominator
     first = max(lo, m + 1)
-    if first > hi or hi + shift > 1 << 32 or not (shift >= 1 if q else first >= 3):
+    top = _EXACT_LOG_BASE_BOUND if p > 1 else 1 << 32
+    sigma = q * p  # q, or 0 for the tower, whose sigma is k
+    if first > hi or hi + shift >= top or not (shift >= 1 if p else first >= 3):
         first = hi + 1
+    elif p > 1:  # an integer above S/ln 2 over F - 1
+        sigma = 1 - (-_log2_constants(LOG2_SCALE_BITS - 1)[1] // (seq.rule.term(first) - 1))
     # Running maxima a/b and c/d of the ratio's lower and upper bounds,
     # from n_lo/scale <= log2 n <= n_hi/scale and d_lo/d_scale <= log2 d_n
     # <= d_hi/d_scale.  Where log d_n's lower bound is at most log n's
     # upper bound, d_n >= n caps the ratio at n_hi/n_lo >= 1, so that
     # tightening is the clamp at 1.
     a, b, c, d = 0, 1, 0, 1
-    for run in chain(_runs(lo, first - 1, _WINDOW_CHUNK), _runs(first, hi, 8, q > 0)):
+    for run in chain(_runs(lo, first - 1, _WINDOW_CHUNK), _runs(first, hi, 8, p > 0)):
         start, end = run.start, run.stop
         if seq.is_finite:
             ends = _log2_ends(run)
@@ -168,8 +182,9 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
             elif n_hi * d > c * d_lo:
                 c, d = n_hi, d_lo
         if start >= first:  # the unscanned indices lie past k, the run's end next to them
-            i = 0 if q else -1
-            num, den = _tail_ceiling(ends[0][i], dens[i][0], q or end - 1)
+            k = start if p else end - 1
+            i = k - start
+            num, den = _tail_ceiling(k, shift, p, q, sigma or k, ends[0][i], dens[i][0])
             if num * b < a * den:  # below a/b <= min(1, c/d) none clamps or moves a maximum
                 break
     return Enclosure(Fraction(a, b), Fraction(c, d))

@@ -128,8 +128,8 @@ class DigitRule:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def _monotone_tail(self) -> Optional[tuple[int, int, int]]:
-        """(M, c, q) if every term k > M is floor((k + c)**q), or (k + c)**k at q = 0; else None."""
+    def _monotone_tail(self) -> Optional[tuple[int, int, Fraction]]:
+        """(M, c, alpha) if each term k > M is floor((k + c)**(1/alpha)), or (k + c)**k at 0."""
         return None
 
     def _require_index(self, k: int) -> None:
@@ -171,12 +171,13 @@ class _FloorPowerRule(DigitRule):
         shift = (self.prefix[-1] if self.prefix else 1) - len(self.prefix)
         return range(lo + shift, hi + shift + 1)
 
-    def _monotone_tail(self) -> Optional[tuple[int, int, int]]:
+    def _monotone_tail(self) -> Optional[tuple[int, int, Fraction]]:
         alpha = self.certificate
-        if alpha.numerator > 1:
+        # floors that can pass the digit guard keep the in-order scan and its first refusal
+        if alpha.numerator > 1 and alpha.denominator * 18 > alpha.numerator * DIGIT_BITS_GUARD:
             return None
         # the bases are b_k = k + c, so b_0 = c
-        return len(self.prefix), self._bases(0, 0)[0], alpha.denominator if alpha else 0
+        return len(self.prefix), self._bases(0, 0)[0], alpha
 
     def _operands(self, lo: int, hi: int):
         """Lazy (n, p, q) for k = lo..hi with term(k) = floor(n**(q/p)), n >= 2**18 if p > 1.

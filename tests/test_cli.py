@@ -2,7 +2,11 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -10,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from piercelab import dimension, rules
+import piercelab
+from piercelab import arith, dimension, rules
 from piercelab.cli import _COMMANDS, _PRECISION, REPORT_SCHEMA, _build_parser, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -290,6 +295,54 @@ class TestGuards:
         code, out, err = invoke(argv)
         assert code == 3 and out == ""
         assert err.startswith("guard exceeded") and err.count("\n") == 1
+
+    def test_digit_limit_is_exact(self):
+        assert arith.TEN_TO_MAX_DIGITS == 10**4300 and len(str(10**4300 - 1)) == 4300
+        for n, too_long in [(10**4300 - 1, False), (10**4300, True), (1 - 10**4300, False)]:
+            x = Fraction(n, 7)
+            if too_long:
+                with pytest.raises(arith.GuardExceededError):
+                    arith.rational_str(x)
+            else:
+                assert arith.rational_str(x) == f"{n}/7"
+        # floor(10**4300) is the third term: one digit too many
+        code, out, err = invoke(["divergent", "--s", "1/4300", "--prefix", "8", "--j", "1"])
+        assert (code, out) == (3, "")
+        assert err == "guard exceeded: report number too long to print: more than 4300 digits\n"
+        # a 4300-digit numeral parses, one more digit does not
+        assert invoke(["expand", "1/1" + "0" * 4299])[0] == 0
+        code, out, err = invoke(["expand", "1/1" + "0" * 4300])
+        assert (code, out) == (2, "")
+        assert err.endswith(": a numeral of more than 4300 digits\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+    def test_lower_interpreter_limit_in_process_is_a_guard(self):
+        # a host process that calls run() with a limit below MAX_DIGITS: one line, exit 3
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            code, out, err = invoke(["divergent", "--s", "1/2000", "--prefix", "2", "--j", "1"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (3, "")
+        assert err.startswith("guard exceeded: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["divergent", "--s", "1/9000", "--prefix", "2", "--j", "1"], 3),
+        (["expand", "1/1" + "0" * 5000], 2),
+    ])
+    def test_interpreter_digit_limit_decides_nothing(self, argv, code):
+        src = os.path.dirname(os.path.dirname(piercelab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+        runs = []
+        for digits in (None, "0", "100000", "1000"):
+            setting = {} if digits is None else {"PYTHONINTMAXSTRDIGITS": digits}
+            proc = subprocess.run([sys.executable, "-m", "piercelab", *argv], capture_output=True,
+                                  env={**env, **setting, "PYTHONPATH": path})
+            runs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert runs[0][:2] == (code, b"") and runs[0][2].count(b"\n") == 1
+        assert runs == [runs[0]] * 4
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from piercelab import arith, exponent, rules
@@ -14,6 +14,7 @@ from piercelab.arith import (
     DomainError,
     Enclosure,
     UncertifiedRuleError,
+    integer_root,
     log2_bounds,
     log2_enclosure,
 )
@@ -188,6 +189,11 @@ TAIL_SCANS = [
     # bases past 2**32: G need not increase
     (PierceSeq.infinite(LinearRule(3)), 2**32 - 8, 2**32 - 1, None),
     (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 0, 1, 0, 1))), 2, 300, None),
+    # p > 1: floors below 2**18 carry the slack; c = 0 and bases reaching 2**18 in order
+    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2, 300, "hi"),
+    (PierceSeq.infinite(PowerFloorRule((2,), F(3, 4))), 500, 1000, "hi"),
+    (PierceSeq.infinite(PowerFloorRule((1,), F(3, 4))), 2, 300, None),
+    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 100, 2**18, None),
 ]
 TAIL_CASES = [scan[:3] for scan in TAIL_SCANS]
 
@@ -300,7 +306,8 @@ class TestPrunedWindow:
 
 @st.composite
 def monotone_windows(draw):
-    """(rule, lo, hi) over tails of floor((k + c)**q) and (k + c)**k, c = 0 and c >= 1."""
+    """(rule, lo, hi) over tails of floor((k + c)**(q/p)) and (k + c)**k, c = 0 and c >= 1,
+    p = 1..7: windows from small indices on, and across the 2**18 seam of the bases."""
     kind = draw(st.sampled_from(["prefix", "identity-prefix", "linear"]))
     if kind == "linear":
         rule = LinearRule(draw(st.integers(0, 10)))
@@ -309,15 +316,22 @@ def monotone_windows(draw):
             prefix = draw(st.lists(st.integers(2, 300), max_size=5, unique=True))
         else:  # 1, 2, ..., M: c = 0
             prefix = range(1, draw(st.integers(1, 6)) + 1)
-        alpha = draw(st.sampled_from([F(0), F(1)]) | st.integers(2, 9).map(lambda q: F(1, q)))
+        alpha = draw(st.sampled_from([F(0), F(1)]) | st.integers(2, 9).map(lambda q: F(1, q))
+                     | st.tuples(st.integers(2, 7), st.integers(1, 21)).map(
+                         lambda t: F(t[0], t[0] + t[1])))
         rule = PowerFloorRule(tuple(sorted(prefix)), alpha)
-    hi = draw(st.integers(0, 10**6) | st.integers(0, len(rule.prefix) + 300))
+    seam = (1 << 18) - rule._bases(0, 0)[0]
+    hi = draw(st.integers(0, 10**6) | st.integers(0, len(rule.prefix) + 300)
+              | st.integers(seam - 300, seam + 300))
     return rule, draw(st.integers(max(0, hi - 600), hi + 2)), hi
 
 
 class TestMonotoneTails:
     @given(monotone_windows(), st.integers(1, 40))
-    @settings(max_examples=80, deadline=None)
+    @example((PowerFloorRule((2,), F(4, 5)), 404, 474), 4096)
+    @example((PowerFloorRule((), F(4, 5)), 14348, 14469), 4096)
+    @example((PowerFloorRule((3, 7), F(7, 8)), 35879, 35978), 4096)
+    @settings(max_examples=140, deadline=None)
     def test_equals_the_reference(self, window, chunk):
         # windows of at most 600 indices keep the per-index reference cheap
         rule, lo, hi = window
@@ -331,7 +345,8 @@ class TestMonotoneTails:
         # G(x) = (S log2 x + 1)/(S log2(x + c) - 1) at 50 digits; q = 0 is the tower, q_k = k
         k = min(k, (1 << 32) - c)
         q_k = q or k
-        num, den = exponent._tail_ceiling(log2_bounds(k)[0], q_k * log2_bounds(k + c)[0], q_k)
+        num, den = exponent._tail_ceiling(
+            k, c, 1 if q else 0, q or 1, q_k, log2_bounds(k)[0], q_k * log2_bounds(k + c)[0])
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
@@ -345,6 +360,79 @@ class TestMonotoneTails:
                 assert g(k - 1) <= g(k)
             elif not q and k >= 3:
                 assert g(k + 1) / (k + 1) <= g(k) / k
+
+    @given(st.integers(2, 7), st.integers(1, 21), st.integers(0, 300),
+           st.integers(2, 3000), st.integers(0, 1 << 18))
+    @example(3, 1, 1, 2, 998)  # the slack of F = 4 makes H fall near 1000: refused
+    @example(3, 1, 100, 2, 498)  # a ceiling without the slack lies below H(k)
+    @settings(max_examples=200)
+    def test_slack_ceiling_exceeds_h_where_h_increases(self, p, dq, c, first, span):
+        # H(x) = (S log2 x + 1)/(r S log2(x + c) - sigma), r = q/p, at 50 digits, with
+        # sigma = 1 + ceil(S/((F - 1) ln 2)) from the floor F of the first base
+        q = p + dq
+        assume(math.gcd(p, q) == 1)
+        k = min(first + span, (1 << 18) - 1 - c)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
+            floor = integer_root((first + c) ** q, p)
+            sigma = 1 + int((scale / ((floor - 1) * ln2)).to_integral_value(decimal.ROUND_CEILING))
+            num, den = exponent._tail_ceiling(
+                k, c, p, q, sigma, log2_bounds(k)[0],
+                log2_bounds(integer_root((k + c) ** q, p))[0])
+            if den == 0:  # refused: H need not increase up to k
+                return
+            r = D(q) / D(p)
+
+            def h(x):
+                return (scale * D(x).ln() / ln2 + 1) / (r * scale * D(x + c).ln() / ln2 - sigma)
+
+            assert D(num) / D(den) > h(k)
+            if k > first:
+                assert h(k - 1) <= h(k)
+
+    @pytest.mark.parametrize("prefix, alpha, lo, hi", [
+        ((2,), F(3, 4), 2, 300),
+        ((3, 7), F(5, 7), 40, 1500),
+        ((), F(2, 3), 19001, 20000),
+    ])
+    def test_slack_covers_every_floor_of_the_window(self, prefix, alpha, lo, hi, monkeypatch):
+        # sigma >= S r log2(x + c) - d_lo(x) for every tail index x of the window
+        sigmas = set()
+        ceiling = exponent._tail_ceiling
+
+        def recording_ceiling(k, c, p, q, sigma, n_lo, d_lo):
+            sigmas.add(sigma)
+            return ceiling(k, c, p, q, sigma, n_lo, d_lo)
+
+        monkeypatch.setattr(exponent, "_tail_ceiling", recording_ceiling)
+        rule = PowerFloorRule(prefix, alpha)
+        exponent_window(PierceSeq.infinite(rule), lo, hi)
+        (sigma,) = sigmas
+        c, r = rule._bases(0, 0)[0], D(alpha.denominator) / D(alpha.numerator)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
+            for x in range(max(lo, len(prefix) + 1), hi + 1):
+                lost = r * scale * D(x + c).ln() / ln2 - log2_bounds(rule.term(x))[0]
+                assert lost <= sigma
+
+    @pytest.mark.parametrize("prefix", [(3, 7), (2,)])
+    def test_three_quarter_windows_read_few_logs(self, prefix, monkeypatch):
+        # the exponent-scan blocks of alpha = 3/4, c = 5 and c = 1
+        seq = PierceSeq.infinite(PowerFloorRule(prefix, F(3, 4)))
+        expected = reference_window(seq, 19001, 20000)
+        read = []
+        ends = arith._log2_ends
+
+        def counting_ends(ns):
+            read.append(len(ns))
+            return ends(ns)
+
+        for module in (exponent, rules):
+            monkeypatch.setattr(module, "_log2_ends", counting_ends)
+        assert exponent_window(seq, 19001, 20000) == expected
+        assert sum(read) <= 500  # index and floor logs of at most 250 indices
 
     @pytest.mark.parametrize(
         "rule, top",  # top: the 1000 indices at the end that holds the maximum

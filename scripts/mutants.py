@@ -35,6 +35,7 @@ PRUNED = "tests/test_exponent.py::TestPrunedWindow"
 FLOOR_RUN = "tests/test_rules.py"
 ARITH = "tests/test_arith.py"
 SPACE = "tests/test_space.py"
+LEDGER = "tests/test_dimension.py::TestReferenceLedger"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
@@ -98,6 +99,14 @@ MUTANTS = {
         "k, q = _cell(s, product, d, depth)\n        if a * q <= k * c",
         "k, q = _cell(s, product, d, depth)\n        if a * q < k * c",
         [SPACE], None),
+    "outward-lower-ceiling": (
+        "src/piercelab/dimension.py", "Enclosure(Fraction((a << bits) // b, scale)",
+        "Enclosure(Fraction(-(-(a << bits) // b), scale)", [LEDGER], None),
+    "outward-upper-floor": (
+        "src/piercelab/dimension.py", "Fraction(-((-c << bits) // d), scale))",
+        "Fraction((c << bits) // d, scale))", [LEDGER], None),
+    "ledger-guard-1": (
+        "src/piercelab/dimension.py", "guard = bits + 32", "guard = bits + 1", [LEDGER], None),
 }
 
 

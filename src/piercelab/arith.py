@@ -27,8 +27,6 @@ __all__ = [
     "unit_interval",
     "floor_reciprocal",
     "integer_root",
-    "floor_root_power",
-    "ceil_root_power",
     "Enclosure",
     "LOG2_SCALE",
     "log2_bounds",
@@ -189,24 +187,6 @@ def _newton_root(m: int, p: int, x: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def floor_root_power(n: int, p: int, q: int) -> int:
-    """Exact floor(n ** (q/p)) for naturals n, p, q >= 1.
-
-    Computed as the integer p-th root of n**q; no floating point.
-    """
-    if n < 1 or p < 1 or q < 1:
-        raise DomainError("floor_root_power requires n, p, q >= 1")
-    return integer_root(n**q, p)
-
-
-def ceil_root_power(n: int, p: int, q: int) -> int:
-    """Exact ceil(n ** (q/p)) for naturals n, p, q >= 1."""
-    r = floor_root_power(n, p, q)
-    if r**p == n**q:
-        return r
-    return r + 1
 
 
 def _frozen(self, name, value=None):

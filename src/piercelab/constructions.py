@@ -27,7 +27,6 @@ __all__ = [
     "prescribed_exponent_rule",
     "divergent_tail_rule",
     "witness_in_interval",
-    "intermediate_value_witness",
 ]
 
 
@@ -97,20 +96,3 @@ def witness_in_interval(
         raise AssertionError("located cell escaped the requested interval")
     return Witness(rule, enclosure, interval)
 
-
-def intermediate_value_witness(
-    x: Fraction, y: Fraction, c: Fraction, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> Witness:
-    """A witness with exponent c strictly between x and y.
-
-    The enclosure endpoints are partial sums two levels beyond the
-    located prefix; such sums never coincide with a cell endpoint, so
-    the witness sits strictly inside (x, y).
-    """
-    x, y = Fraction(x), Fraction(y)
-    if not (0 <= x < y <= 1):
-        raise DomainError("need 0 <= x < y <= 1")
-    witness = witness_in_interval(Enclosure(x, y), c, precision_bits)
-    if not (x < witness.enclosure.lo and witness.enclosure.hi < y):
-        raise AssertionError("witness enclosure touches the open interval boundary")
-    return witness

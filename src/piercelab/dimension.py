@@ -22,8 +22,7 @@ from .arith import (
     GuardExceededError,
     _record,
     _scaled_root,
-    ceil_root_power,
-    floor_root_power,
+    integer_root,
     ln_enclosure,
 )
 from .constructions import Witness, witness_in_interval
@@ -107,14 +106,15 @@ class CoverParams:
 
 def _last_digit_cap(params: CoverParams, k: int) -> int:
     g = params.upper_exponent
-    return floor_root_power(k, g.denominator, g.numerator)
+    return integer_root(k**g.numerator, g.denominator)
 
 
 def _digit_floor(params: CoverParams, j: int) -> int:
     if j < params.N:
         return 1
     h = params.lower_exponent
-    return ceil_root_power(j, h.denominator, h.numerator)
+    r, exact = _scaled_root(j**h.numerator, h.denominator, 0)
+    return r + (not exact)
 
 
 @_record

@@ -38,7 +38,6 @@ __all__ = [
     "digits_rational",
     "safe_digits",
     "alternating_sums",
-    "partial_sums",
     "shift_orbit",
 ]
 
@@ -153,18 +152,6 @@ def alternating_sums(digits):
     for d in digits:
         s, p, sign = s * d + sign, p * d, -sign
         yield s, p
-
-
-def partial_sums(prefix) -> list[Fraction]:
-    """Alternating partial sums s_k = sum_{j<=k} (-1)^{j+1} / (d_1 ... d_j).
-
-    Consecutive sums bracket the expansion's value (alternating series
-    with strictly decreasing terms).
-    """
-    prefix = validate_prefix(prefix)
-    if not prefix:
-        raise DomainError("partial sums of an empty prefix are undefined")
-    return [Fraction(s, p) for s, p in alternating_sums(prefix)]
 
 
 def shift_orbit(x: Fraction, n: int) -> list[Fraction]:

@@ -33,7 +33,6 @@ __all__ = [
     "FundamentalInterval",
     "expansion_value",
     "dual_representation",
-    "bump_last",
     "fundamental_interval",
     "cylinder_contains",
     "seq_distance",
@@ -63,10 +62,6 @@ class PierceSeq:
     @staticmethod
     def infinite(rule: DigitRule) -> "PierceSeq":
         return PierceSeq(None, rule)
-
-    @staticmethod
-    def of_rational(x: Fraction) -> "PierceSeq":
-        return PierceSeq.finite(digits_rational(x))
 
     @property
     def is_finite(self) -> bool:
@@ -138,14 +133,6 @@ def expansion_value(
     raise AssertionError(f"the expansion bracket did not close by digit {depth}")
 
 
-def bump_last(prefix) -> tuple[int, ...]:
-    """Replace the last digit d_n by d_n + 1 (the sibling prefix)."""
-    prefix = validate_prefix(prefix)
-    if not prefix:
-        raise DomainError("cannot bump the empty prefix")
-    return prefix[:-1] + (prefix[-1] + 1,)
-
-
 def dual_representation(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The two sequence preimages of a rational x in (0, 1).
 
@@ -171,9 +158,6 @@ class FundamentalInterval:
     left: Fraction
     right: Fraction
     diameter: Fraction
-
-    def as_interval(self) -> Enclosure:
-        return Enclosure(self.left, self.right)
 
 
 def _cell(s: int, p: int, d: int, n: int) -> tuple[int, int]:
@@ -239,7 +223,7 @@ def _locate(interval: Enclosure) -> tuple[tuple[int, ...], Fraction, Fraction]:
     """
     lo, hi = unit_interval(interval)
     if lo >= hi:
-        raise DomainError("locate_cylinder requires an interval with interior")
+        raise DomainError(f"interval [{lo}, {hi}] has no interior")
     c = math.lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (c // lo.denominator), hi.numerator * (c // hi.denominator)
     mid = (lo + hi) / 2

@@ -245,6 +245,7 @@ class TestMalformedInput:
             (["eval", "--prefix", "2", "--rule", "power"], "--rule power requires --alpha"),
             (["lambda", "--rule", "binary", "--alpha", "1/2", "--window", "10"],
              "--rule binary requires --alpha and --pattern"),
+            (["construct", "--alpha", "1/2", "--in", "1/2,1/2"], "interval [1/2, 1/2] has no interior"),
         ],
     )
     def test_message_names_the_fault(self, argv, message):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from piercelab.arith import DomainError, Enclosure
 from piercelab.constructions import (
     divergent_tail_rule,
-    intermediate_value_witness,
     prescribed_exponent_rule,
     witness_in_interval,
 )
@@ -169,24 +168,23 @@ class TestWitnesses:
 
 
 class TestIntermediateValueWitness:
+    """witness_in_interval's enclosure lies strictly inside (x, y): its ends are
+    partial sums of depth at least prefix + 2, which never meet a cell end."""
+
     def test_half_on_unit(self):
-        w = intermediate_value_witness(F(0), F(1), F(1, 2))
+        w = witness_in_interval(Enclosure(F(0), F(1)), F(1, 2))
         assert w.certificate == F(1, 2)
         assert 0 < w.enclosure.lo and w.enclosure.hi < 1
 
     def test_tower_strictly_inside(self):
-        w = intermediate_value_witness(F(1, 3), F(1, 2), F(0))
+        w = witness_in_interval(Enclosure(F(1, 3), F(1, 2)), F(0))
         assert F(1, 3) < w.enclosure.lo and w.enclosure.hi < F(1, 2)
         assert w.rule.describe()["family"] == "tower"
 
     def test_endpoint_exponents_accepted(self):
         for c in (F(0), F(1)):
-            w = intermediate_value_witness(F(1, 5), F(2, 5), c)
+            w = witness_in_interval(Enclosure(F(1, 5), F(2, 5)), c)
             assert F(1, 5) < w.enclosure.lo and w.enclosure.hi < F(2, 5)
-
-    def test_bad_interval(self):
-        with pytest.raises(DomainError):
-            intermediate_value_witness(F(1, 2), F(1, 2), F(1, 2))
 
     def test_huge_digit_cells_stay_strictly_inside(self):
         # With digits this large the width target is met immediately, so
@@ -197,5 +195,5 @@ class TestIntermediateValueWitness:
             d = (1 << shift) + 3
             x, y = F(1, d + 1), F(1, d)
             for c in (F(1), F(1, 2), F(0)):
-                w = intermediate_value_witness(x, y, c, 64)
+                w = witness_in_interval(Enclosure(x, y), c, 64)
                 assert x < w.enclosure.lo and w.enclosure.hi < y

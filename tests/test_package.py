@@ -1,9 +1,37 @@
 import importlib
+import re
 import types
+from pathlib import Path
 
 import piercelab
 
 MODULES = ("arith", "pierce", "rules", "space", "exponent", "constructions", "dimension")
+ROOT = Path(__file__).resolve().parent.parent
+
+# Public names that no other module of src/, no README line and no perfbench
+# script uses, each with the reason it stays public.
+KEPT = {
+    "ln2_enclosure": "the certified ln 2 under every log enclosure",
+    "SafeDigits": "return type of safe_digits",
+    "SIGMA_ZERO": "the all-infinite sequence, the empty prefix",
+    "FundamentalInterval": "return type of fundamental_interval",
+    "cylinder_contains": "membership in the paper's cylinder sets",
+    "seq_distance": "the paper's metric",
+    "Verdict": "return type of classify_divergence",
+    "ExponentEstimate": "return type of exponent_window and estimate_exponent",
+    "PowerSumPartial": "return type of reciprocal_power_sum",
+    "estimate_point_exponent": "λ at a point given as an enclosure",
+    "CoverVerdict": "verdict type of covering_sum",
+    "CoverReport": "return type of covering_sum",
+    "TupleEnumeration": "return type of enumerate_digit_tuples",
+    "enumerate_digit_tuples": "the exact count that binomial_tuple_bound bounds",
+    "binomial_tuple_bound": "the paper's count of digit tuples under the cap",
+    "refined_dimension_bound": "the paper's dimension bound over a refined partition",
+    "SampleRecord": "record type of sample_digit_statistics",
+    "McReport": "return type of sample_digit_statistics",
+    "GridCell": "record type of grid_witness_sweep",
+    "GridReport": "return type of grid_witness_sweep",
+}
 
 
 def test_top_level_names_are_the_module_lists():
@@ -18,3 +46,17 @@ def test_top_level_names_are_the_module_lists():
     for module in modules:
         for name in module.__all__:
             assert getattr(piercelab, name) is getattr(module, name), name
+
+
+def test_every_public_name_without_a_user_has_a_reason():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "piercelab").glob("*.py")}
+    outside = [(ROOT / "README.md").read_text()]
+    outside += [path.read_text() for path in (ROOT / "perfbench").glob("*.py")]
+    unused = set()
+    for module in MODULES:
+        texts = outside + [text for stem, text in sources.items() if stem != module]
+        for name in importlib.import_module(f"piercelab.{module}").__all__:
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(text) for text in texts):
+                unused.add(name)
+    assert unused == set(KEPT)

@@ -92,25 +92,30 @@ def test_construction_takes_no_root(monkeypatch):
     assert calls == []
 
 
-def reference_term(rule, k):
-    """The k-th digit written out from the family docstrings."""
+def is_floor_power(x, b, p, q):
+    """Whether x = floor(b**(q/p)), by the bracketing x**p <= b**q < (x+1)**p."""
+    return x**p <= b**q < (x + 1) ** p
+
+
+def follows_family_formula(rule, k, d):
+    """Whether d is the k-th digit written out from the family docstrings."""
     prefix = prefix_of(rule)
     if k <= len(prefix):
-        return prefix[k - 1]
+        return d == prefix[k - 1]
     if isinstance(rule, LinearRule):
-        return rule.offset + k
+        return d == rule.offset + k
     if isinstance(rule, BitPerturbedRule):
         b = (rule.bits[k - 1] if k <= len(rule.bits) else 0) + 2 * k - 1
     else:
         b = (prefix[-1] if prefix else 1) + k - len(prefix)
     alpha = rule.certificate
-    return b**k if alpha == 0 else arith.floor_root_power(b, alpha.numerator, alpha.denominator)
+    return d == b**k if alpha == 0 else is_floor_power(d, b, alpha.numerator, alpha.denominator)
 
 
 def test_terms_follow_the_family_formulas(case):
     rule, _ = case
     for k in indices(rule):
-        assert rule.term(k) == reference_term(rule, k), k
+        assert follows_family_formula(rule, k, rule.term(k)), k
 
 
 def test_log2_term_certifies_the_term(case):
@@ -208,14 +213,15 @@ def test_operands_floor_the_small_bases(window):
     alpha = rule.certificate
     p, q = alpha.numerator, alpha.denominator
     prefix = prefix_of(rule)
-    expected = []
-    for k in range(lo, hi + 1):
+    for k, (x, *exponents) in zip(range(lo, hi + 1), rule._operands(lo, hi), strict=True):
         if k <= len(prefix):
-            expected.append((prefix[k - 1], 1, 1))
+            assert (x, *exponents) == (prefix[k - 1], 1, 1)
             continue
         (b,) = rule._bases(k, k)
-        expected.append((arith.floor_root_power(b, p, q), 1, 1) if b < BOUND else (b, p, q))
-    assert list(rule._operands(lo, hi)) == expected
+        if b < BOUND:
+            assert exponents == [1, 1] and is_floor_power(x, b, p, q)
+        else:
+            assert (x, *exponents) == (b, p, q)
 
 
 def floors(bases, p, q):
@@ -288,7 +294,7 @@ def test_digit_size_guard_refuses_exactly_past_the_bound(b, p, guard, monkeypatc
     q = 1
     while ((b ** (q + 1)).bit_length() - 1) // p + 1 <= guard:
         q += 1
-    assert rules._floor_power(b, p, q) == arith.floor_root_power(b, p, q)
+    assert is_floor_power(rules._floor_power(b, p, q), b, p, q)
     with pytest.raises(GuardExceededError):
         rules._floor_power(b, p, q + 1)
 

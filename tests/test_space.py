@@ -13,7 +13,6 @@ from piercelab.rules import ExplicitRule, LinearRule, PowerFloorRule
 from piercelab.space import (
     PierceSeq,
     SIGMA_ZERO,
-    bump_last,
     cylinder_contains,
     dual_representation,
     expansion_value,
@@ -65,7 +64,7 @@ class TestExpansionValue:
 
     @given(unit_fractions)
     def test_digit_map_section(self, x):
-        assert expansion_value(PierceSeq.of_rational(x)) == x
+        assert expansion_value(PierceSeq.finite(digits_rational(x))) == x
 
 
 class TestDualRepresentation:
@@ -111,7 +110,7 @@ class TestFundamentalInterval:
             product /= d
         assert cell.diameter == product / (prefix[-1] + 1)
         a = expansion_value(PierceSeq.finite(prefix))
-        b = expansion_value(PierceSeq.finite(bump_last(prefix)))
+        b = expansion_value(PierceSeq.finite(prefix[:-1] + (prefix[-1] + 1,)))
         assert cell.diameter == abs(a - b)
 
     @given(prefixes, st.integers(1, 30))
@@ -249,7 +248,7 @@ class TestLocateCylinder:
     @given(prefixes)
     def test_a_cell_locates_itself(self, prefix):
         cell = fundamental_interval(prefix)
-        assert _locate(cell.as_interval()) == (prefix, cell.left, cell.right)
+        assert _locate(Enclosure(cell.left, cell.right)) == (prefix, cell.left, cell.right)
 
     def test_child_jump_builds_no_fundamental_interval(self, monkeypatch):
         calls = []

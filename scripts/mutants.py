@@ -32,6 +32,7 @@ REPO = Path(__file__).resolve().parent.parent
 MONOTONE = "tests/test_exponent.py::TestMonotoneTails"
 CHUNKED = "tests/test_exponent.py::TestReferenceWindow::test_chunked_window_equals_reference"
 PRUNED = "tests/test_exponent.py::TestPrunedWindow"
+TAILS = "tests/test_exponent.py::TestTailWindows"
 FLOOR_RUN = "tests/test_rules.py"
 ARITH = "tests/test_arith.py"
 SPACE = "tests/test_space.py"
@@ -51,8 +52,7 @@ MUTANTS = {
         [MONOTONE], None),
     "slack-without-floor-term": (
         "src/piercelab/exponent.py",
-        "sigma = 1 - (-_log2_constants(LOG2_SCALE_BITS - 1)[1] // (seq.rule.term(first) - 1))",
-        "sigma = 1", [MONOTONE], None),
+        "sigma = 1 - (-K // (seq.rule.term(first) - 1))", "sigma = 1", [MONOTONE], None),
     "slack-from-last-base": (
         "src/piercelab/exponent.py", "seq.rule.term(first)", "seq.rule.term(hi)",
         [MONOTONE], None),
@@ -93,7 +93,31 @@ MUTANTS = {
         "src/piercelab/arith.py", "integer_root(m >> p * s, p) + 1 << s",
         "integer_root(m >> p * s, p) << s", [ARITH], None),
     "prune-bit-length-minus-1": (
-        "src/piercelab/exponent.py", "t * (top - LOG2_SCALE)", "t * top", [PRUNED], None),
+        "src/piercelab/exponent.py", "tops, [l - 1 for l in tops], a * scale, b)",
+        "tops, tops, a * scale, b)",
+        [PRUNED], None),
+    "prune-strict": (
+        "src/piercelab/exponent.py", "n_hi * u >= t * bottom", "n_hi * u > t * bottom",
+        [PRUNED, MONOTONE, TAILS],
+        "an index kept only by the tie n_hi/bottom == t/u has both ratios at most t/u, which "
+        "is at most the window's lower maximum, reached by the kept index t/u came from or "
+        "by a/b; so dropping it moves neither maximum (nor the clamp: t/u >= 1 means some "
+        "kept index is clamped already)"),
+    "bracket-without-slack": (
+        "src/piercelab/exponent.py", "bottoms = [q * x - p * (1 - (-K // (f - 1))) for",
+        "bottoms = [q * x for", [MONOTONE], None),
+    "bracket-slack-without-1": (
+        "src/piercelab/exponent.py", "p * (1 - (-K // (f - 1)))", "p * (-(-K // (f - 1)))",
+        [MONOTONE], None),
+    "bracket-top-without-p": (
+        "src/piercelab/exponent.py", "tops = [q * y + p for y in base_hi]",
+        "tops = [q * y for y in base_hi]", [MONOTONE], None),
+    "frontier-from-base-hi": (
+        "src/piercelab/exponent.py", "d_lo = q * base_lo[i] // p", "d_lo = q * base_hi[i] // p",
+        [MONOTONE], None),
+    "base-slice-off-by-one": (
+        "src/piercelab/exponent.py", "lows[-n:], highs[-n:]", "lows[-n - 1:-1], highs[-n - 1:-1]",
+        [CHUNKED, MONOTONE, TAILS], None),
     "locate-cell-left-end": (
         "src/piercelab/space.py",
         "k, q = _cell(s, product, d, depth)\n        if a * q <= k * c",

@@ -71,37 +71,36 @@ def growth_ratio(seq: PierceSeq, n: int) -> Enclosure:
 _WINDOW_CHUNK = 1 << 12
 
 
-def _unpruned(lows: list, highs: list, digits, a: int, b: int) -> list:
-    """The index log ends and digits of a finite chunk that can hold a window maximum.
+def _unpruned(lows: list, highs: list, values, tops: list, bottoms: list, a: int, b: int) -> list:
+    """The index log ends and values of a run that can hold a window maximum.
 
-    At S = LOG2_SCALE a digit of l bits has S*(l-1) <= d_lo <= d_hi <= S*l,
-    from its bit length alone.  The best coarse lower ratio t/u = n_lo/(S*l),
-    seeded with the running lower maximum a/b of earlier chunks, is at most
-    the window's lower maximum.  An index whose coarse upper ratio
-    n_hi/(S*(l-1)) lies strictly below t/u has both of its ratios below
-    both window maxima, so it can be neither.  A clamped index
-    (d_lo <= n_hi) has a coarse upper ratio of at least 1 >= t/u and is
-    kept, and so is the index t/u came from.  Digits of a window are at
-    least its indices >= 2, so l >= 2.
+    Value j has bottoms[j] <= w*log2 v_j <= tops[j] at a scale w, against the
+    index ends n_lo <= S*log2 n <= n_hi at S = LOG2_SCALE; a/b is the running
+    lower maximum times S/w, as every ratio below.  The best coarse lower ratio
+    t/u = n_lo/top, seeded with a/b, is at most the window's lower maximum.  An
+    index whose coarse upper ratio n_hi/bottom lies strictly below t/u has both
+    of its ratios below both window maxima, so it can be neither.  A clamped
+    index (d_lo <= n_hi) has a coarse upper ratio of at least 1 >= t/u and is
+    kept, and so is the index t/u came from.
     """
-    tops = [LOG2_SCALE * d.bit_length() for d in digits]
     t, u = a, b
     for n_lo, top in zip(lows, tops):
         if n_lo * u > t * top:
             t, u = n_lo, top
-    keep = [n_hi * u >= t * (top - LOG2_SCALE) for n_hi, top in zip(highs, tops)]
-    return [list(compress(xs, keep)) for xs in (lows, highs, digits)]
+    keep = [n_hi * u >= t * bottom for n_hi, bottom in zip(highs, bottoms)]
+    return [list(compress(xs, keep)) for xs in (lows, highs, values)]
 
 
 def _tail_ceiling(k: int, c: int, p: int, q: int, sigma: int, n_lo: int, d_lo: int):
     """num/den above both ratio bounds of each unscanned index of a monotone tail, or 1/0.
 
-    The tail is floor((x + c)**r), r = q/p (p = 0: the tower); n_lo and d_lo are
-    the lower log ends of k and its term, within 1 of S*log2 at S = LOG2_SCALE.
-    sigma bounds S*r*log2(x + c) - d_lo(x) on the window: q at p = 1, else
-    1 + ceil(S/((F - 1)*ln 2)) from the floor F of the first base, as a floor
-    of u >= F loses -log2(1 - 1/u) <= 1/((u - 1)*ln 2).  So both bounds of x are
-    at most H(x) = (S*log2 x + 1)/(r*S*log2(x + c) - sigma), and H(k) < num/den if den > 0.
+    The tail is floor((x + c)**r), r = q/p (p = 0: the tower); n_lo is the lower log
+    end of k and d_lo <= S*r*log2(k + c) at S = LOG2_SCALE: floor(q*B_lo/p), B_lo the
+    lower log end of the base (k*B_lo for the tower).  sigma bounds S*r*log2(x + c)
+    less the term's lower log end on the window: q at p = 1, else sigma_k of the
+    first base's floor F (see exponent_window).  So both bounds of x are at most
+    H(x) = (S*log2 x + 1)/(r*S*log2(x + c) - sigma), and H(k) < num/den if den > 0;
+    the floor's own lower end in place of d_lo would take its loss off twice.
     If q*(S*c - (k + c)) >= p*sigma*(k + c), H increases up to k: H' has the sign
     of r*x*(B - A - 1) + c*(r*B - sigma) - sigma*x, A = S*log2 x, B = S*log2(x + c),
     B - A > S*c/(k + c) for x <= k, and so sigma <= r*(S*c/(k + c) - 1) < r*S <= r*B.
@@ -136,7 +135,14 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     indices and the digits being increasing.  Over a finite prefix only
     the digits that survive a bit-length prune (`_unpruned`) take
     certified logs.  A monotone rule tail is read from its maximum's end until
-    `_tail_ceiling`, with the slack of any floors, bounds the rest below both maxima.
+    `_tail_ceiling`, with the slack of any floors, bounds the rest below both maxima,
+    each run of indices k in one log batch with its bases b = k + c.  Its term logs
+    are q*B at p = 1 and k*B for the tower, B the log of b.  A floor F = floor(b**r)
+    of p > 1 takes its own log only if `_unpruned` keeps it on the bracket
+    [q*B_lo - p*sigma_k, q*B_hi + p] at scale p*S, sigma_k = 1 + ceil(K/(F - 1)),
+    K >= S/ln 2: F > u*(1 - 1/u), u = b**r, loses at most 1/((F - 1)*ln 2) bits, so
+    its certified ends d_lo, d_hi at scale S have p*d_lo > p*S*log2 F - p >= q*B_lo -
+    p*sigma_k and p*d_hi <= p*S*log2 F + p <= q*B_hi + p (b = 253927, r = 4/3 needs the + p).
     """
     lo = max(lo, 2)
     scale = LOG2_SCALE
@@ -152,8 +158,9 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     sigma = q * p  # q, or 0 for the tower, whose sigma is k
     if first > hi or hi + shift >= top or not (shift >= 1 if p else first >= 3):
         first = hi + 1
-    elif p > 1:  # an integer above S/ln 2 over F - 1
-        sigma = 1 - (-_log2_constants(LOG2_SCALE_BITS - 1)[1] // (seq.rule.term(first) - 1))
+    elif p > 1:  # sigma_k of the window's largest floor loss, F_k at k = first
+        K = _log2_constants(LOG2_SCALE_BITS - 1)[1]
+        sigma = 1 - (-K // (seq.rule.term(first) - 1))
     # Running maxima a/b and c/d of the ratio's lower and upper bounds,
     # from n_lo/scale <= log2 n <= n_hi/scale and d_lo/d_scale <= log2 d_n
     # <= d_hi/d_scale.  Where log d_n's lower bound is at most log n's
@@ -162,15 +169,31 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     a, b, c, d = 0, 1, 0, 1
     for run in chain(_runs(lo, first - 1, _WINDOW_CHUNK), _runs(first, hi, 8, p > 0)):
         start, end = run.start, run.stop
-        if seq.is_finite:
+        n = end - start
+        if start < first:
             ends = _log2_ends(run)
-            *ends, digits = _unpruned(*ends, seq.prefix[start - 1:end - 1], a, b)
-            dens = zip(*_log2_ends(digits), repeat(scale))
-        else:
+        else:  # the n indices, then the n bases: the last n entries
+            lows, highs = _log2_ends(range(start, end + shift) if shift <= n
+                                     else [*run, *range(start + shift, end + shift)])
+            ends, base_lo, base_hi = (lows[:n], highs[:n]), lows[-n:], highs[-n:]
+        if seq.is_finite:  # at scale 1: a digit of l bits has a log in [l - 1, l]
+            values = seq.prefix[start - 1:end - 1]
+            tops = list(map(int.bit_length, values))
+            *ends, values = _unpruned(*ends, values, tops, [l - 1 for l in tops], a * scale, b)
+        elif start < first:
             # Terms of an infinite rule are never INFINITY; asking the rule
             # for log bounds avoids materialising tower-sized digits.
             dens = seq.rule.log2_term_run(start, end - 1)
-            ends = _log2_ends(run)
+        elif p > 1:  # the floors' brackets at scale p*S
+            values = [f for f, _, _ in seq.rule._operands(start, end - 1)]
+            tops = [q * y + p for y in base_hi]
+            bottoms = [q * x - p * (1 - (-K // (f - 1))) for x, f in zip(base_lo, values)]
+            *ends, values = _unpruned(*ends, values, tops, bottoms, a, p * b)
+        else:  # q*B, or k*B for the tower
+            muls = repeat(q) if p else run
+            dens = [(e * x, e * y, scale) for e, x, y in zip(muls, base_lo, base_hi)]
+        if seq.is_finite or p > 1 and start >= first:
+            dens = zip(*_log2_ends(values), repeat(scale))
         for n_lo, n_hi, (d_lo, d_hi, d_scale) in zip(*ends, dens):
             if d_scale != scale:
                 n_lo, n_hi = n_lo * d_scale, n_hi * d_scale
@@ -184,7 +207,8 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
         if start >= first:  # the unscanned indices lie past k, the run's end next to them
             k = start if p else end - 1
             i = k - start
-            num, den = _tail_ceiling(k, shift, p, q, sigma or k, ends[0][i], dens[i][0])
+            d_lo = q * base_lo[i] // p if p else k * base_lo[i]
+            num, den = _tail_ceiling(k, shift, p, q, sigma or k, lows[i], d_lo)
             if num * b < a * den:  # below a/b <= min(1, c/d) none clamps or moves a maximum
                 break
     return Enclosure(Fraction(a, b), Fraction(c, d))

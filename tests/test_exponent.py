@@ -219,26 +219,39 @@ class TestReferenceWindow:
         # Chunks of 7 put chunk seams inside every window, the finite
         # prefix's end included.
         monkeypatch.setattr(exponent, "_WINDOW_CHUNK", 7)
-        indices = []
+        batches = []
         ends = exponent._log2_ends
 
-        def recording_ends(ns):  # the index batches are ranges, the digit ones are not
-            if isinstance(ns, range):
-                indices.extend(ns)
+        def recording_ends(ns):
+            batches.append((isinstance(ns, range), list(ns)))
             return ends(ns)
 
         monkeypatch.setattr(exponent, "_log2_ends", recording_ends)
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
         top = min(hi, seq.depth) if seq.is_finite else hi
         window = list(range(max(lo, 2), top + 1))
-        if end is None:
-            assert indices == window
+        if end is None:  # the index batches are ranges, the digit ones are not
+            assert [n for is_range, ns in batches if is_range for n in ns] == window
             return
         # the prefix in order, then one contiguous run of the tail from the
         # end that holds its maximum, stopped short of the other end
         head = [n for n in window if n <= len(seq.rule.prefix)]
-        tail = indices[len(head):]
-        assert indices[:len(head)] == head
+        indices = []
+        while len(indices) < len(head):
+            indices += batches.pop(0)[1]
+        assert indices == head
+        # each tail run reads its indices and their bases n + c in one batch,
+        # and at p > 1 then the logs of some of its floors
+        c, p = seq.rule._bases(0, 0)[0], seq.rule.certificate.numerator
+        tail = []
+        while batches:
+            ns = batches.pop(0)[1]
+            n = len(ns) - c if 2 * c <= len(ns) else len(ns) // 2
+            run, bases = ns[:n], [k + c for k in ns[:n]]
+            assert ns == sorted({*run, *bases}) and ns[-n:] == bases
+            if p > 1:  # then the logs of the floors that can hold a maximum
+                assert set(batches.pop(0)[1]) <= set(seq.rule.terms_run(run[0], run[-1]))
+            tail += run
         assert sorted(tail) == list(range(min(tail), max(tail) + 1))
         assert (max(tail) == hi) if end == "hi" else (min(tail) == window[len(head)])
         assert len(tail) < len(window) - len(head)
@@ -378,8 +391,7 @@ class TestMonotoneTails:
             floor = integer_root((first + c) ** q, p)
             sigma = 1 + int((scale / ((floor - 1) * ln2)).to_integral_value(decimal.ROUND_CEILING))
             num, den = exponent._tail_ceiling(
-                k, c, p, q, sigma, log2_bounds(k)[0],
-                log2_bounds(integer_root((k + c) ** q, p))[0])
+                k, c, p, q, sigma, log2_bounds(k)[0], q * log2_bounds(k + c)[0] // p)
             if den == 0:  # refused: H need not increase up to k
                 return
             r = D(q) / D(p)
@@ -397,12 +409,14 @@ class TestMonotoneTails:
         ((), F(2, 3), 19001, 20000),
     ])
     def test_slack_covers_every_floor_of_the_window(self, prefix, alpha, lo, hi, monkeypatch):
-        # sigma >= S r log2(x + c) - d_lo(x) for every tail index x of the window
-        sigmas = set()
+        # sigma >= S r log2(x + c) - d_lo(x) for every tail index x of the window,
+        # and each ceiling's d_lo(k) <= S r log2(k + c)
+        sigmas, frontiers = set(), []
         ceiling = exponent._tail_ceiling
 
         def recording_ceiling(k, c, p, q, sigma, n_lo, d_lo):
             sigmas.add(sigma)
+            frontiers.append((k, d_lo))
             return ceiling(k, c, p, q, sigma, n_lo, d_lo)
 
         monkeypatch.setattr(exponent, "_tail_ceiling", recording_ceiling)
@@ -416,23 +430,52 @@ class TestMonotoneTails:
             for x in range(max(lo, len(prefix) + 1), hi + 1):
                 lost = r * scale * D(x + c).ln() / ln2 - log2_bounds(rule.term(x))[0]
                 assert lost <= sigma
+            assert all(d_lo <= r * scale * D(k + c).ln() / ln2 for k, d_lo in frontiers)
+
+    @pytest.mark.parametrize("alpha, b", [
+        (F(4, 5), 257756),  # loses its full slack to within 3 units at scale p*S, p = 4
+        (F(3, 4), 253927),  # p*d_hi = q*B_hi + 2
+        (F(3, 4), 20000),
+        (F(5, 7), 1500),
+    ])
+    def test_brackets_hold_every_floor(self, alpha, b, monkeypatch):
+        # q*B_lo - p*sigma_k <= p*d_lo and p*d_hi <= q*B_hi + p for every floor of
+        # a p > 1 tail run, b = k + 1 the base of the window's last index k
+        p, q = alpha.numerator, alpha.denominator
+        brackets = []
+        unpruned = exponent._unpruned
+
+        def recording_unpruned(lows, highs, values, tops, bottoms, a, b):
+            brackets.extend(zip(values, bottoms, tops))
+            return unpruned(lows, highs, values, tops, bottoms, a, b)
+
+        monkeypatch.setattr(exponent, "_unpruned", recording_unpruned)
+        seq = PierceSeq.infinite(PowerFloorRule((2,), alpha))
+        assert exponent_window(seq, b - 1000, b - 1) == reference_window(seq, b - 1000, b - 1)
+        assert integer_root(b**q, p) in {floor for floor, _, _ in brackets}
+        for floor, bottom, top in brackets:
+            d_lo, d_hi = log2_bounds(floor)
+            assert bottom <= p * d_lo and p * d_hi <= top
 
     @pytest.mark.parametrize("prefix", [(3, 7), (2,)])
     def test_three_quarter_windows_read_few_logs(self, prefix, monkeypatch):
-        # the exponent-scan blocks of alpha = 3/4, c = 5 and c = 1
+        # the exponent-scan blocks of alpha = 3/4, c = 5 and c = 1: the logs of
+        # indices and bases (at most 20000 + c), and of floors (above 500 000)
+        index_logs, floor_logs = {(3, 7): (40, 16), (2,): (130, 40)}[prefix]
         seq = PierceSeq.infinite(PowerFloorRule(prefix, F(3, 4)))
         expected = reference_window(seq, 19001, 20000)
         read = []
         ends = arith._log2_ends
 
         def counting_ends(ns):
-            read.append(len(ns))
+            read.extend(ns)
             return ends(ns)
 
         for module in (exponent, rules):
             monkeypatch.setattr(module, "_log2_ends", counting_ends)
         assert exponent_window(seq, 19001, 20000) == expected
-        assert sum(read) <= 500  # index and floor logs of at most 250 indices
+        small = sum(n <= 20000 + seq.rule._bases(0, 0)[0] for n in read)
+        assert small <= index_logs and len(read) - small <= floor_logs
 
     @pytest.mark.parametrize(
         "rule, top",  # top: the 1000 indices at the end that holds the maximum
@@ -455,6 +498,27 @@ class TestMonotoneTails:
             monkeypatch.setattr(module, "_log2_ends", counting_ends)
         assert exponent_window(seq, 5 * 10**5, 10**6) == expected
         assert sum(read) <= 1024
+
+
+@st.composite
+def tail_windows(draw):
+    """(rule, lo, hi) over monotone tails at c = 1..40, the first run's 8 indices
+    below and above c: alpha in {2/3, 3/4, 5/7, 4/5}, 1/q, the tower, linear rules."""
+    c = draw(st.integers(1, 40))
+    alpha = draw(st.sampled_from([F(2, 3), F(3, 4), F(5, 7), F(4, 5), F(0)])
+                 | st.integers(1, 9).map(lambda q: F(1, q)))
+    rule = draw(st.sampled_from([PowerFloorRule((c + 1,), alpha), LinearRule(c)]))
+    hi = draw(st.integers(2, 400) | st.integers(2, 2 * 10**5))
+    return rule, draw(st.integers(max(0, hi - 500), hi)), hi
+
+
+class TestTailWindows:
+    @given(tail_windows())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_reference(self, window):
+        rule, lo, hi = window
+        seq = PierceSeq.infinite(rule)
+        assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
 
 
 class TestLogCache:

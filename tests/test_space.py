@@ -62,9 +62,14 @@ class TestExpansionValue:
         with pytest.raises(DomainError):
             expansion_value(PierceSeq.infinite(sneaky), 64)
 
-    @given(unit_fractions)
-    def test_digit_map_section(self, x):
-        assert expansion_value(PierceSeq.finite(digits_rational(x))) == x
+    @given(st.lists(st.integers(1, 50), max_size=12), st.integers(2, 50))
+    def test_digit_map_section(self, steps, last_step):
+        # the converse of test_pierce's round trip: every greedy-admissible tuple
+        # (increasing, its last digit at least the previous one + 2) is the
+        # digit tuple of its own value
+        digits = list(itertools.accumulate(steps))
+        d = (*digits, (digits[-1] if digits else 0) + last_step)
+        assert digits_rational(expansion_value(PierceSeq.finite(d))) == d
 
 
 class TestDualRepresentation:

@@ -48,8 +48,11 @@ MUTANTS = {
         [MONOTONE], None),
     "increase-unchecked": (
         "src/piercelab/exponent.py",
-        "if p > 1 and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):", "if False:",
+        "if p and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):", "if False:",
         [MONOTONE], None),
+    "ceiling-unchecked-at-p-1": (
+        "src/piercelab/exponent.py", "if p and q * (LOG2_SCALE * c",
+        "if p > 1 and q * (LOG2_SCALE * c", [MONOTONE], None),
     "slack-without-floor-term": (
         "src/piercelab/exponent.py",
         "sigma = 1 - (-K // (seq.rule.term(first) - 1))", "sigma = 1", [MONOTONE], None),
@@ -57,8 +60,8 @@ MUTANTS = {
         "src/piercelab/exponent.py", "seq.rule.term(first)", "seq.rule.term(hi)",
         [MONOTONE], None),
     "slack-past-2**18": (
-        "src/piercelab/exponent.py", "top = _EXACT_LOG_BASE_BOUND if p > 1 else 1 << 32",
-        "top = 1 << 32", [CHUNKED, MONOTONE], None),
+        "src/piercelab/exponent.py", "p > 1 and hi + shift >= _EXACT_LOG_BASE_BOUND",
+        "p > 1 and hi + shift >= 1 << 32", [CHUNKED, MONOTONE], None),
     "constant-q-shift-0": (
         "src/piercelab/exponent.py", "(shift >= 1 if p else first >= 3)",
         "(shift >= 0 if p else first >= 3)", [CHUNKED], None),
@@ -89,6 +92,10 @@ MUTANTS = {
     "anchor-cap": (
         "src/piercelab/arith.py", "((e + s + 1) << w) - 1)", "(e + s + 1) << w)",
         [ARITH], None),
+    "root-plain-start": (
+        "src/piercelab/arith.py", "    s = -(-m.bit_length() // p) // 2\n",
+        "    bits = -(-m.bit_length() // p)\n    if bits <= 128:\n"
+        "        return _newton_root(m, p, 1 << bits)\n    s = bits // 2\n", [ARITH], None),
     "doubling-root-start": (
         "src/piercelab/arith.py", "integer_root(m >> p * s, p) + 1 << s",
         "integer_root(m >> p * s, p) << s", [ARITH], None),

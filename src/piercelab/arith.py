@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import total_ordering
+from functools import cache, total_ordering
 from itertools import compress, repeat
 from operator import attrgetter, is_
 from typing import Union
@@ -148,9 +148,9 @@ def floor_reciprocal(x: Fraction) -> ExtNat:
 def integer_root(m: int, p: int) -> int:
     """floor(m ** (1/p)) for m >= 0, p >= 1, by integer Newton iteration.
 
-    An even degree halves through math.isqrt.  Odd roots wider than 128
-    bits start from the root of the top half at doubling precision, so
-    Newton begins with half the bits right.
+    An even degree halves through math.isqrt.  An odd root starts from the
+    root of the top half at doubling precision, so Newton begins with half
+    the bits right and its step count does not grow with p.
     """
     if p < 1:
         raise DomainError("root degree must be >= 1")
@@ -166,12 +166,9 @@ def integer_root(m: int, p: int) -> int:
     if m.bit_length() <= p:
         # m < 2**p means the root is 1 (m >= 2 here).
         return 1
-    bits = -(-m.bit_length() // p)
-    if bits <= 128:
-        return _newton_root(m, p, 1 << bits)  # 2**ceil(bits/p) >= m**(1/p)
-    # floor(m**(1/p) / 2**s) is the root of m >> p*s, so one more,
-    # shifted back, is above m**(1/p).
-    s = bits // 2
+    # With s half the root's bits, floor(m**(1/p) / 2**s) is the root of
+    # m >> p*s, so one more, shifted back, is above m**(1/p).
+    s = -(-m.bit_length() // p) // 2
     return _newton_root(m, p, integer_root(m >> p * s, p) + 1 << s)
 
 
@@ -416,23 +413,16 @@ def log2_enclosure(n: int) -> Enclosure:
     return Enclosure(Fraction(lo, LOG2_SCALE), Fraction(hi, LOG2_SCALE))
 
 
-_LN2_CACHE: dict[int, Enclosure] = {}
-
-
+@cache
 def ln2_enclosure(frac_bits: int = 64) -> Enclosure:
     """Certified enclosure of ln 2 from the exact series sum 1/(k 2^k)."""
-    hit = _LN2_CACHE.get(frac_bits)
-    if hit is not None:
-        return hit
     terms = frac_bits + 8
     # Over the common denominator lcm(1..terms) * 2**terms: one gcd, not one per term.
     lcm = math.lcm(*range(1, terms + 1))
     s = Fraction(sum(lcm // k << terms - k for k in range(1, terms + 1)), lcm << terms)
     # Tail sum_{k>K} 1/(k 2^k) < 2^-K / (K+1).
     tail = Fraction(1, (terms + 1) << terms)
-    enc = Enclosure(s, s + tail)
-    _LN2_CACHE[frac_bits] = enc
-    return enc
+    return Enclosure(s, s + tail)
 
 
 def ln_enclosure(n: int) -> Enclosure:

@@ -104,10 +104,10 @@ def _tail_ceiling(k: int, c: int, p: int, q: int, sigma: int, n_lo: int, d_lo: i
     If q*(S*c - (k + c)) >= p*sigma*(k + c), H increases up to k: H' has the sign
     of r*x*(B - A - 1) + c*(r*B - sigma) - sigma*x, A = S*log2 x, B = S*log2(x + c),
     B - A > S*c/(k + c) for x <= k, and so sigma <= r*(S*c/(k + c) - 1) < r*S <= r*B.
-    The scan's c >= 1 and bases below 2**32 imply it at p = 1.  The tower (sigma = r = k)
-    has H decreasing from x = 3 (log2 3 > 1/ln 2): the indices above k.
+    At p = 1 it reads S*c >= 2*(k + c).  The tower (sigma = r = k) has H decreasing
+    from x = 3 (log2 3 > 1/ln 2): the indices above k, with no condition.
     """
-    if p > 1 and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):
+    if p and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):
         return 1, 0
     return n_lo + 2, d_lo - sigma
 
@@ -149,14 +149,14 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     if seq.is_finite:
         hi = min(hi, seq.depth)
     # The monotone tail past the prefix of length m (m = hi: none) starts at
-    # `first` if the window reaches it and _tail_ceiling's conditions hold
+    # `first` if the window reaches it and _tail_ceiling's conditions can hold
     # (p > 1: floors of bases from 2**18 up have logs on another scale).
     m, shift, alpha = (None if seq.is_finite else seq.rule._monotone_tail()) or (hi, 0, 0)
     p, q = alpha.numerator, alpha.denominator
     first = max(lo, m + 1)
-    top = _EXACT_LOG_BASE_BOUND if p > 1 else 1 << 32
     sigma = q * p  # q, or 0 for the tower, whose sigma is k
-    if first > hi or hi + shift >= top or not (shift >= 1 if p else first >= 3):
+    if (first > hi or p > 1 and hi + shift >= _EXACT_LOG_BASE_BOUND
+            or not (shift >= 1 if p else first >= 3)):
         first = hi + 1
     elif p > 1:  # sigma_k of the window's largest floor loss, F_k at k = first
         K = _log2_constants(LOG2_SCALE_BITS - 1)[1]

@@ -153,8 +153,8 @@ class TestRoots:
     @given(st.integers(3, 99), st.integers(10**3, 10**4), st.data())
     @settings(max_examples=80, deadline=None)
     def test_wide_integer_root(self, p, bits, data):
-        # Roots past 128 bits start at doubling precision; exact powers
-        # and their predecessors sit on either side of a floor step.
+        # Wide radicands recurse through several doubling starts; exact
+        # powers and their predecessors sit on either side of a floor step.
         r = data.draw(st.integers(2, 1 << -(-bits // p)))
         m = data.draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
         assert integer_root(r**p, p) == r
@@ -201,6 +201,30 @@ class TestRoots:
         assert degrees == []
         assert integer_root(m, 6) == root_by_bisection(m, 6)
         assert degrees and set(degrees) == {3}
+
+    def test_high_degree_root_takes_few_newton_steps(self, monkeypatch):
+        # From about twice the root a step shrinks x only by (p - 1)/p: 1388
+        # steps at degree 1999.  The doubling start needs 48, over 7 calls.
+        steps = []
+
+        def counting_newton(m, p, x):
+            while True:
+                steps.append(p)
+                y = ((p - 1) * x + m // x ** (p - 1)) // p
+                if y >= x:
+                    return x
+                x = y
+
+        monkeypatch.setattr(arith, "_newton_root", counting_newton)
+        m = 3**126127  # 199 907 bits
+        r = integer_root(m, 1999)
+        assert r**1999 <= m < (r + 1) ** 1999
+        assert len(steps) <= 100
+
+    @pytest.mark.parametrize("m, p", [(8, 0), (8, -3), (-8, 3), (-1, 1)])
+    def test_refusals(self, m, p):
+        with pytest.raises(DomainError):
+            integer_root(m, p)
 
 
 class TestExtNat:

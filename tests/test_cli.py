@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import os
@@ -688,3 +689,33 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert code in (0, 2, 3, 64), (argv, err)
     if code:
         assert out == "" and err.count("\n") == 1, (argv, err)
+
+
+# Exponent denominators become odd root degrees: up to 4003 in cover at
+# eps = 1/4001, and 1/s = 2001 in divergent.
+@given(st.integers(1, 2000).map(lambda i: ["cover", "--alpha", "1/2", "--beta", "1/2",
+                                           "--eps", f"1/{2 * i + 1}", "--s", "3"])
+       | st.integers(1, 10**6).map(lambda q: ["divergent", "--s", f"1/{q}", "--prefix", "2",
+                                               "--j", "1"]),
+       st.integers(0, 10))
+@settings(max_examples=40, deadline=2000)
+def test_fuzzed_root_degrees_finish_within_the_deadline(argv, n):
+    argv += ["--kmax", str(1 + n % 3)] if argv[0] == "cover" else ["--terms", str(n)]
+    code, _, err = invoke(argv)
+    assert code in (0, 3), (argv, err)
+
+
+# stdout SHA-256 of commands whose roots have degrees up to 4003 and 2001
+ROOT_DEGREE_DIGESTS = {
+    "cover --alpha 1/2 --beta 1/2 --eps 1/4001 --s 3 --kmax 3":
+        "03311581bbeb94ec3da2475531477ee3f8595453f4c841489bc54f8b6fd786d8",
+    "divergent --s 1/2001 --prefix 2 --j 1 --terms 10":
+        "031749809ca9c1f3317e3d52c0e8502840f869c4dae2969a609e35781feaf335",
+}
+
+
+@pytest.mark.parametrize("command", ROOT_DEGREE_DIGESTS)
+def test_high_degree_root_commands_print_pinned_bytes(command):
+    code, out, _ = invoke(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOT_DEGREE_DIGESTS[command]

@@ -150,7 +150,7 @@ class DoubledScaleLogIdentity(DigitRule):
 
 # (seq, lo, hi, where exponent_window starts reading a monotone rule tail:
 # "hi", down from the window's end, "tail", up from the tail's first index,
-# or None, every index in order)
+# "all", from the window's end without a stop, or None, every index in order)
 REFERENCE_SCANS = [
     # prefix digits, then materialised floors of small bases
     (PierceSeq.infinite(PowerFloorRule((2, 5, 11), F(1, 2))), 2, 300, "hi"),
@@ -186,14 +186,17 @@ TAIL_SCANS = [
     (PierceSeq.infinite(PowerFloorRule((1, 2), 0)), 2, 200, "tail"),
     # a window inside the prefix
     (PierceSeq.infinite(PowerFloorRule((2, 5, 11, 20, 30), F(1, 2))), 2, 4, None),
-    # bases past 2**32: G need not increase
-    (PierceSeq.infinite(LinearRule(3)), 2**32 - 8, 2**32 - 1, None),
+    # bases near 2**32 at p = 1: the ratio's trend lies below the logs' resolution
+    (PierceSeq.infinite(LinearRule(3)), 2**32 - 8, 2**32 - 1, "all"),
     (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 0, 1, 0, 1))), 2, 300, None),
     # p > 1: floors below 2**18 carry the slack; c = 0 and bases reaching 2**18 in order
     (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2, 300, "hi"),
     (PierceSeq.infinite(PowerFloorRule((2,), F(3, 4))), 500, 1000, "hi"),
     (PierceSeq.infinite(PowerFloorRule((1,), F(3, 4))), 2, 300, None),
     (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 100, 2**18, None),
+    # bases past 2**32 at p = 1: c = 2**32 stops short; c = 1 fails S*c >= 2*(k + c)
+    (PierceSeq.infinite(LinearRule(2**32)), 2**32, 2**32 + 300, "hi"),
+    (PierceSeq.infinite(LinearRule(1)), 2**32 + 10, 2**32 + 40, "all"),
 ]
 TAIL_CASES = [scan[:3] for scan in TAIL_SCANS]
 
@@ -253,8 +256,9 @@ class TestReferenceWindow:
                 assert set(batches.pop(0)[1]) <= set(seq.rule.terms_run(run[0], run[-1]))
             tail += run
         assert sorted(tail) == list(range(min(tail), max(tail) + 1))
-        assert (max(tail) == hi) if end == "hi" else (min(tail) == window[len(head)])
-        assert len(tail) < len(window) - len(head)
+        assert (min(tail) == window[len(head)]) if end == "tail" else (max(tail) == hi)
+        assert (len(tail) == len(window) - len(head)) if end == "all" else (
+            len(tail) < len(window) - len(head))
 
     @pytest.mark.parametrize("seq, lo, hi", REFERENCE_CASES + [POWER_OF_TWO_CASE] + TAIL_CASES)
     def test_growth_ratio_equals_reference(self, seq, lo, hi):
@@ -352,14 +356,18 @@ class TestMonotoneTails:
         with mock.patch.object(exponent, "_WINDOW_CHUNK", chunk):
             assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
 
-    @given(st.integers(2, 1 << 32), st.integers(0, 100), st.integers(0, 64))
+    @given(st.integers(2, 1 << 40) | st.integers((1 << 32) - 300, (1 << 32) + 300),
+           st.integers(0, 100), st.integers(0, 64))
     @settings(max_examples=200)
     def test_ceiling_exceeds_the_bound_function(self, k, c, q):
         # G(x) = (S log2 x + 1)/(S log2(x + c) - 1) at 50 digits; q = 0 is the tower, q_k = k
-        k = min(k, (1 << 32) - c)
         q_k = q or k
         num, den = exponent._tail_ceiling(
             k, c, 1 if q else 0, q or 1, q_k, log2_bounds(k)[0], q_k * log2_bounds(k + c)[0])
+        # at p = 1 (sigma = q) the increase condition reads S*c >= 2*(k + c); the tower has none
+        assert (den == 0) == (q > 0 and arith.LOG2_SCALE * c < 2 * (k + c))
+        if den == 0:
+            return
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
@@ -369,9 +377,9 @@ class TestMonotoneTails:
 
             assert D(num) / D(den) > g(k) / q_k
             # the monotonicity the scan order rests on
-            if q and c >= 1:
+            if q:
                 assert g(k - 1) <= g(k)
-            elif not q and k >= 3:
+            elif k >= 3:
                 assert g(k + 1) / (k + 1) <= g(k) / k
 
     @given(st.integers(2, 7), st.integers(1, 21), st.integers(0, 300),

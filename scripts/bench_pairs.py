@@ -25,6 +25,15 @@ the parent's by more than its `bound` in BENCHMARK.json; the exit code is
 then 1.  Stdlib only; it only reads BENCHMARK.json and changes nothing
 under `perfbench/`.
 
+`--json PATH` also writes the tables to PATH: per workload and metric,
+each side's quartiles, the relative change of the median, the pairs the
+change won, `resolved` and `flagged`; with each checkout's sha (and
+whether its tracked files differ from it), the `src/` line counts, the
+seeds, and the nproc and Python version of the runs, which use this
+script's interpreter.  `bench_file_problems` is the check
+of such a file's keys that the tier-1 suite runs on every committed
+`BENCH_*.json`.
+
 `--workload readme` instead runs each `pierce-lab` command of the parent's
 README "Command line" block as `python -m piercelab ...` in a fresh
 interpreter with PYTHONPATH set to the checkout's `src/`, the parent
@@ -55,6 +64,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shlex
 import statistics
 import subprocess
@@ -137,9 +147,11 @@ def resolution(pq: tuple, cq: tuple) -> str:
     return "resolved" if abs(cq[1] - pq[1]) > pq[2] - pq[0] else "unresolved"
 
 
-def compare(args, metrics: dict, workload: str) -> list:
-    """Run the pairs of one workload and print its table; returns the flagged lines."""
+def compare(args, metrics: dict, workload: str) -> tuple[list, dict]:
+    """Run the pairs of one workload and print its table; returns the flagged lines
+    and the table as the `workloads` entry of a `--json` file."""
     values = {name: ([], []) for name in metrics}
+    table = {}
     flagged = []
     for i in range(args.pairs):
         seed = args.seed + i
@@ -172,12 +184,52 @@ def compare(args, metrics: dict, workload: str) -> list:
         print(f"{name:18s} {'/'.join(f'{v:.4g}' for v in pq):>30s}"
               f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {rel:>+8.2%} {wins:>3d}/{args.pairs}"
               f"  {resolution(pq, cq)}")
-        if (-rel if higher else rel) > bound:
+        worse = (-rel if higher else rel) > bound
+        if worse:
             flagged.append(f"{name}: median {rel:+.2%} is worse than its bound of {bound:.0%}")
+        table[name] = {"parent": dict(zip(QUARTILE_KEYS, pq)), "change": dict(zip(QUARTILE_KEYS, cq)),
+                       "relative_change": rel, "wins": wins,
+                       "resolved": resolution(pq, cq) == "resolved", "flagged": worse}
     for msg in flagged:
         print(f"FLAGGED {workload} {msg}")
     sys.stdout.flush()
-    return flagged
+    return flagged, {"src_lines": {"parent": parent["src_lines"], "change": change["src_lines"]},
+                     "flagged": flagged, "metrics": table}
+
+
+FILE_KEYS = ("parent", "change", "pairs", "seeds", "nproc", "python", "workloads")
+QUARTILE_KEYS = ("q1", "median", "q3")
+ROW_KEYS = ("parent", "change", "relative_change", "wins", "resolved", "flagged")
+
+
+def bench_file_problems(data: dict, metric_names) -> list:
+    """What a `--json` file lacks, as messages: keys, and any of `metric_names` per workload."""
+    problems = [f"file: no {key!r}" for key in FILE_KEYS if key not in data]
+    problems += [f"{side}: no {key!r}" for side in ("parent", "change")
+                 for key in ("sha", "dirty") if key not in data.get(side, {})]
+    for workload, entry in data.get("workloads", {}).items():
+        problems += [f"{workload}: no {key!r}" for key in ("src_lines", "flagged", "metrics")
+                     if key not in entry]
+        for name in metric_names:
+            row = entry.get("metrics", {}).get(name)
+            if row is None:
+                problems.append(f"{workload}: no metric {name!r}")
+                continue
+            problems += [f"{workload} {name}: no {key!r}" for key in ROW_KEYS if key not in row]
+            problems += [f"{workload} {name} {side}: no {key!r}" for side in ("parent", "change")
+                         for key in QUARTILE_KEYS if key not in row.get(side, {})]
+    return problems + ([] if data.get("workloads") else ["file: no workload"])
+
+
+def checkout_sha(checkout: str) -> dict:
+    """The HEAD sha of a git checkout, and whether its tracked files differ from it."""
+    def git(*argv):
+        proc = subprocess.run(["git", "-C", checkout, *argv], capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    sha = git("rev-parse", "HEAD")
+    return {"sha": sha or "unknown",
+            "dirty": bool(git("status", "--porcelain", "--untracked-files=no")) if sha else None}
 
 
 def checkout_env(checkout: str) -> dict:
@@ -262,9 +314,12 @@ def main() -> int:
     parser.add_argument("--workload", required=True, help="a workload name, all, or readme")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--json", metavar="PATH", help="also write the tables to PATH")
     args = parser.parse_args()
 
     if args.workload == "readme":
+        if args.json:
+            parser.error("--json needs a benchmark workload")
         return 1 if compare_readme(args) else 0
     spec = benchmark_spec(args.parent)
     metrics = end_to_end(spec)
@@ -272,7 +327,21 @@ def main() -> int:
         workloads = [w["name"] for w in spec["workloads"]]
     else:
         workloads = [args.workload]
-    flagged = [msg for workload in workloads for msg in compare(args, metrics, workload)]
+    tables = {workload: compare(args, metrics, workload) for workload in workloads}
+    flagged = [msg for msgs, _ in tables.values() for msg in msgs]
+    if args.json:
+        data = {
+            "parent": checkout_sha(args.parent), "change": checkout_sha(args.change),
+            "pairs": args.pairs, "seeds": list(range(args.seed, args.seed + args.pairs)),
+            "nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+            "workloads": {workload: table for workload, (_, table) in tables.items()},
+        }
+        problems = bench_file_problems(data, metrics)
+        if problems:
+            sys.exit(f"--json: {'; '.join(problems)}")
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, indent=1)
+            fh.write("\n")
     return 1 if flagged else 0
 
 

@@ -8,9 +8,11 @@ Under each interpreter PY (a path, or a name on PATH) it runs
 --seed 5 --seconds 2` for each workload W of BENCHMARK.json and reads the
 `digest` of the run record that run writes to `.perfbench/`.  A session's
 digest depends on its seed and session index alone, so every interpreter
-must give the same digest.  Prints one line per check and exits 1 on any
-difference from the fixture or between interpreters, or on a run that
-fails.  Runs one process at a time.  Stdlib only.
+must give the same digest.  An interpreter that cannot start, or that
+exits non-zero on `-c pass`, is reported as not run and takes no check.
+Prints one line per check and exits 1 on any difference from the fixture
+or between interpreters, or on a run that fails; else 3 if an interpreter
+did not run.  Runs one process at a time.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ ROOT = Path(__file__).resolve().parent.parent
 FIXTURE = ROOT / "tests" / "readme_digests.txt"
 SEED = 5
 SECONDS = 2
+DID_NOT_RUN = 3  # the exit code when no check differs but an interpreter did not run
+
+
+def starts(python: str) -> bool:
+    """Whether `python -c pass` runs and exits 0."""
+    try:
+        return subprocess.run([python, "-c", "pass"], capture_output=True).returncode == 0
+    except OSError:
+        return False
 
 
 def readme_lines(python: str) -> list[str] | None:
@@ -50,9 +61,13 @@ def main(pythons: list[str]) -> int:
     expected = FIXTURE.read_text(encoding="utf-8").splitlines()
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
-    faults = 0
+    faults = not_run = 0
     digests: dict[str, set] = {w: set() for w in workloads}
     for python in pythons:
+        if not starts(python):
+            not_run += 1
+            print(f"{python}: did not run", flush=True)
+            continue
         lines = readme_lines(python)
         same = lines == expected
         faults += not same
@@ -67,8 +82,8 @@ def main(pythons: list[str]) -> int:
         if len(seen) > 1:
             faults += 1
             print(f"{workload}: digests differ between interpreters")
-    print(f"{len(pythons)} interpreters, {faults} differences")
-    return 1 if faults else 0
+    print(f"{len(pythons)} interpreters, {not_run} did not run, {faults} differences")
+    return 1 if faults else DID_NOT_RUN if not_run else 0
 
 
 if __name__ == "__main__":

@@ -41,18 +41,24 @@ LEDGER = "tests/test_dimension.py::TestReferenceLedger"
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
     "ceiling-numerator": (
-        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - sigma",
-        "return n_lo + 1, d_lo - sigma", [MONOTONE], None),
+        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - (sigma_k or sigma)",
+        "return n_lo + 1, d_lo - (sigma_k or sigma)", [MONOTONE], None),
     "ceiling-without-sigma": (
-        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - sigma", "return n_lo + 2, d_lo",
-        [MONOTONE], None),
+        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - (sigma_k or sigma)",
+        "return n_lo + 2, d_lo", [MONOTONE], None),
     "increase-unchecked": (
         "src/piercelab/exponent.py",
-        "if p and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):", "if False:",
+        "if (p and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c)", "if (False",
         [MONOTONE], None),
     "ceiling-unchecked-at-p-1": (
-        "src/piercelab/exponent.py", "if p and q * (LOG2_SCALE * c",
-        "if p > 1 and q * (LOG2_SCALE * c", [MONOTONE], None),
+        "src/piercelab/exponent.py", "if (p and q * (LOG2_SCALE * c",
+        "if (p > 1 and q * (LOG2_SCALE * c", [MONOTONE], None),
+    "falling-slack-increase-unchecked": (
+        "src/piercelab/exponent.py", "\n            or p > 1 and LOG2_SCALE * c < 2 * k * sigma)",
+        ")", [MONOTONE], None),
+    "falling-slack-without-1": (
+        "src/piercelab/exponent.py", "sigma_k = 1 - (-K // (values[0] - 1))",
+        "sigma_k = -(-K // (values[0] - 1))", [MONOTONE], None),
     "slack-without-floor-term": (
         "src/piercelab/exponent.py",
         "sigma = 1 - (-K // (seq.rule.term(first) - 1))", "sigma = 1", [MONOTONE], None),
@@ -111,10 +117,13 @@ MUTANTS = {
         "by a/b; so dropping it moves neither maximum (nor the clamp: t/u >= 1 means some "
         "kept index is clamped already)"),
     "bracket-without-slack": (
-        "src/piercelab/exponent.py", "bottoms = [q * x - p * (1 - (-K // (f - 1))) for",
-        "bottoms = [q * x for", [MONOTONE], None),
+        "src/piercelab/exponent.py", "bottoms = [q * x - p + 1 + K + -K * b**q // f**p",
+        "bottoms = [q * x", [MONOTONE], None),
     "bracket-slack-without-1": (
-        "src/piercelab/exponent.py", "p * (1 - (-K // (f - 1)))", "p * (-(-K // (f - 1)))",
+        "src/piercelab/exponent.py", "bottoms = [q * x - p + 1", "bottoms = [q * x + 1",
+        [MONOTONE], None),
+    "remainder-bracket-floor": (
+        "src/piercelab/exponent.py", "K + -K * b**q // f**p", "K - K * b**q // f**p",
         [MONOTONE], None),
     "bracket-top-without-p": (
         "src/piercelab/exponent.py", "tops = [q * y + p for y in base_hi]",

@@ -91,25 +91,33 @@ def _unpruned(lows: list, highs: list, values, tops: list, bottoms: list, a: int
     return [list(compress(xs, keep)) for xs in (lows, highs, values)]
 
 
-def _tail_ceiling(k: int, c: int, p: int, q: int, sigma: int, n_lo: int, d_lo: int):
+def _tail_ceiling(k: int, c: int, p: int, q: int, sigma: int, n_lo: int, d_lo: int,
+                  sigma_k: int = 0):
     """num/den above both ratio bounds of each unscanned index of a monotone tail, or 1/0.
 
     The tail is floor((x + c)**r), r = q/p (p = 0: the tower); n_lo is the lower log
     end of k and d_lo <= S*r*log2(k + c) at S = LOG2_SCALE: floor(q*B_lo/p), B_lo the
-    lower log end of the base (k*B_lo for the tower).  sigma bounds S*r*log2(x + c)
-    less the term's lower log end on the window: q at p = 1, else sigma_k of the
-    first base's floor F (see exponent_window).  So both bounds of x are at most
-    H(x) = (S*log2 x + 1)/(r*S*log2(x + c) - sigma), and H(k) < num/den if den > 0;
-    the floor's own lower end in place of d_lo would take its loss off twice.
-    If q*(S*c - (k + c)) >= p*sigma*(k + c), H increases up to k: H' has the sign
-    of r*x*(B - A - 1) + c*(r*B - sigma) - sigma*x, A = S*log2 x, B = S*log2(x + c),
-    B - A > S*c/(k + c) for x <= k, and so sigma <= r*(S*c/(k + c) - 1) < r*S <= r*B.
-    At p = 1 it reads S*c >= 2*(k + c).  The tower (sigma = r = k) has H decreasing
-    from x = 3 (log2 3 > 1/ln 2): the indices above k, with no condition.
+    lower log end of the base (k*B_lo for the tower).  Both bounds of x are at most
+    H(x) = (S*log2 x + 1)/(r*S*log2(x + c) - s(x)), s(x) at least S*r*log2(x + c) less
+    the term's lower log end: q at p = 1, k for the tower, and 1 + K/(u - 1) at p > 1,
+    u = (x + c)**r, K >= S/ln 2 (F > u - 1 loses under K/(u - 1), its log end under 1).
+    H(k) < num/den if den > 0: sigma_k = 1 + ceil(K/(F_k - 1)) >= s(k), F_k the floor
+    of k (sigma at p <= 1); the floor's own lower end in place of d_lo would take its
+    loss off twice.  sigma >= s(x) for x <= k: at p > 1 it is sigma_F of the window's
+    first floor, where s, which falls, is largest (see exponent_window).  H' has the
+    sign of r*x*(B - A - 1) - s*x + c*(r*B - s) - x*(A + 1)*(x + c)*|s'|*ln 2/S, A =
+    S*log2 x, B = S*log2(x + c).  If q*(S*c - (k + c)) >= p*sigma*(k + c), r*(B - A - 1)
+    >= sigma >= s for x <= k, as B - A > S*c/(k + c): the first two terms are >= 0, and
+    r*B - s >= r*(A + 1).  At p > 1 the last term is x*(A + 1)*r*K*ln 2*u/(S*(u - 1)**2)
+    <= r*(A + 1)*2*k*sigma/S, as ln 2 < 1, K/(u - 1) < sigma and u/(u - 1) <= 2: at
+    most c*r*(A + 1) <= c*(r*B - s) if S*c >= 2*k*sigma.  So H increases up to k.  At p = 1 the first
+    condition reads S*c >= 2*(k + c).  The tower (sigma = r = k) has H decreasing from
+    x = 3 (log2 3 > 1/ln 2): the indices above k, with no condition.
     """
-    if p and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c):
+    if (p and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c)
+            or p > 1 and LOG2_SCALE * c < 2 * k * sigma):
         return 1, 0
-    return n_lo + 2, d_lo - sigma
+    return n_lo + 2, d_lo - (sigma_k or sigma)
 
 
 def _runs(first: int, last: int, size: int, down: bool = False):
@@ -139,10 +147,11 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     each run of indices k in one log batch with its bases b = k + c.  Its term logs
     are q*B at p = 1 and k*B for the tower, B the log of b.  A floor F = floor(b**r)
     of p > 1 takes its own log only if `_unpruned` keeps it on the bracket
-    [q*B_lo - p*sigma_k, q*B_hi + p] at scale p*S, sigma_k = 1 + ceil(K/(F - 1)),
-    K >= S/ln 2: F > u*(1 - 1/u), u = b**r, loses at most 1/((F - 1)*ln 2) bits, so
-    its certified ends d_lo, d_hi at scale S have p*d_lo > p*S*log2 F - p >= q*B_lo -
-    p*sigma_k and p*d_hi <= p*S*log2 F + p <= q*B_hi + p (b = 253927, r = 4/3 needs the + p).
+    [q*B_lo - p + 1 - ceil(K*R/F**p), q*B_hi + p] at scale p*S, R = b**q - F**p, K >=
+    S/ln 2: p*S*log2 F = q*S*log2 b - S*log2(1 + R/F**p) >= q*B_lo - K*R/F**p, so its
+    certified ends d_lo, d_hi at scale S have p*d_lo > p*S*log2 F - p >= q*B_lo - p -
+    K*R/F**p >= bottom - 1, so the integer p*d_lo >= bottom, and p*d_hi <= p*S*log2 F +
+    p <= q*B_hi + p (b = 253927, r = 4/3 needs the + p).
     """
     lo = max(lo, 2)
     scale = LOG2_SCALE
@@ -154,11 +163,11 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     m, shift, alpha = (None if seq.is_finite else seq.rule._monotone_tail()) or (hi, 0, 0)
     p, q = alpha.numerator, alpha.denominator
     first = max(lo, m + 1)
-    sigma = q * p  # q, or 0 for the tower, whose sigma is k
+    sigma, sigma_k = q * p, 0  # q, or 0 for the tower, whose sigma is k
     if (first > hi or p > 1 and hi + shift >= _EXACT_LOG_BASE_BOUND
             or not (shift >= 1 if p else first >= 3)):
         first = hi + 1
-    elif p > 1:  # sigma_k of the window's largest floor loss, F_k at k = first
+    elif p > 1:  # sigma_F of the window's first floor, for _tail_ceiling's increase
         K = _log2_constants(LOG2_SCALE_BITS - 1)[1]
         sigma = 1 - (-K // (seq.rule.term(first) - 1))
     # Running maxima a/b and c/d of the ratio's lower and upper bounds,
@@ -186,8 +195,10 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
             dens = seq.rule.log2_term_run(start, end - 1)
         elif p > 1:  # the floors' brackets at scale p*S
             values = [f for f, _, _ in seq.rule._operands(start, end - 1)]
+            sigma_k = 1 - (-K // (values[0] - 1))
             tops = [q * y + p for y in base_hi]
-            bottoms = [q * x - p * (1 - (-K // (f - 1))) for x, f in zip(base_lo, values)]
+            bottoms = [q * x - p + 1 + K + -K * b**q // f**p  # K - ceil(K*b**q/f**p)
+                       for x, b, f in zip(base_lo, range(start + shift, end + shift), values)]
             *ends, values = _unpruned(*ends, values, tops, bottoms, a, p * b)
         else:  # q*B, or k*B for the tower
             muls = repeat(q) if p else run
@@ -208,7 +219,7 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
             k = start if p else end - 1
             i = k - start
             d_lo = q * base_lo[i] // p if p else k * base_lo[i]
-            num, den = _tail_ceiling(k, shift, p, q, sigma or k, lows[i], d_lo)
+            num, den = _tail_ceiling(k, shift, p, q, sigma or k, lows[i], d_lo, sigma_k)
             if num * b < a * den:  # below a/b <= min(1, c/d) none clamps or moves a maximum
                 break
     return Enclosure(Fraction(a, b), Fraction(c, d))

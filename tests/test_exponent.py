@@ -386,30 +386,60 @@ class TestMonotoneTails:
            st.integers(2, 3000), st.integers(0, 1 << 18))
     @example(3, 1, 1, 2, 998)  # the slack of F = 4 makes H fall near 1000: refused
     @example(3, 1, 100, 2, 498)  # a ceiling without the slack lies below H(k)
+    @example(3, 1, 1, 19001, 999)  # an exponent-scan block at c = 1
+    @example(2, 1, 1, 200, 1800)  # only the term of the slope s' refuses
     @settings(max_examples=200)
     def test_slack_ceiling_exceeds_h_where_h_increases(self, p, dq, c, first, span):
-        # H(x) = (S log2 x + 1)/(r S log2(x + c) - sigma), r = q/p, at 50 digits, with
-        # sigma = 1 + ceil(S/((F - 1) ln 2)) from the floor F of the first base
+        # H(x) = (S log2 x + 1)/(r S log2(x + c) - s(x)), r = q/p, at 50 digits, with the
+        # falling slack s(x) = 1 + S/((u - 1) ln 2), u = (x + c)**r; the window's sigma comes
+        # from the floor F of the first base and the frontier's sigma_k from F_k
         q = p + dq
         assume(math.gcd(p, q) == 1)
         k = min(first + span, (1 << 18) - 1 - c)
         with decimal.localcontext() as ctx:
             ctx.prec = 50
-            scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
-            floor = integer_root((first + c) ** q, p)
-            sigma = 1 + int((scale / ((floor - 1) * ln2)).to_integral_value(decimal.ROUND_CEILING))
+            scale, ln2, r = D(arith.LOG2_SCALE), D(2).ln(), D(q) / D(p)
+
+            def slack(floor):
+                return 1 + int((scale / ((floor - 1) * ln2)).to_integral_value(decimal.ROUND_CEILING))
+
+            sigma, sigma_k = (slack(integer_root((x + c) ** q, p)) for x in (first, k))
             num, den = exponent._tail_ceiling(
-                k, c, p, q, sigma, log2_bounds(k)[0], q * log2_bounds(k + c)[0] // p)
-            if den == 0:  # refused: H need not increase up to k
+                k, c, p, q, sigma, log2_bounds(k)[0], q * log2_bounds(k + c)[0] // p, sigma_k)
+            # refused exactly where the increase condition fails: the term H has for a slack
+            # s up to k, and the term of the slope s'
+            increases = (q * (arith.LOG2_SCALE * c - k - c) >= p * sigma * (k + c)
+                         and arith.LOG2_SCALE * c >= 2 * k * sigma)
+            assert (den != 0) == increases
+            if den == 0:
                 return
-            r = D(q) / D(p)
 
             def h(x):
-                return (scale * D(x).ln() / ln2 + 1) / (r * scale * D(x + c).ln() / ln2 - sigma)
+                u = (D(x + c).ln() * r).exp()
+                falling = 1 + scale / ((u - 1) * ln2)
+                return (scale * D(x).ln() / ln2 + 1) / (r * scale * D(x + c).ln() / ln2 - falling)
 
             assert D(num) / D(den) > h(k)
-            if k > first:
-                assert h(k - 1) <= h(k)
+            for x in {first + 1, (first + k) // 2, k}:
+                if first < x <= k:
+                    assert h(x - 1) <= h(x)
+
+    @given(st.integers(2, 7), st.integers(1, 21), st.integers(1, 300), st.integers(2, 1 << 18))
+    @settings(max_examples=200)
+    def test_falling_slack_exceeds_every_floor_loss(self, p, dq, c, x):
+        # s(x) = 1 + S/((u - 1) ln 2), u = (x + c)**r, at 50 digits: at least S r log2(x + c)
+        # less the floor's lower log end, and at most 1 + ceil(K/(F - 1)) of its floor F
+        q = p + dq
+        assume(math.gcd(p, q) == 1 and x + c < 1 << 18)
+        floor = integer_root((x + c) ** q, p)
+        K = arith._log2_constants(arith.LOG2_SCALE_BITS - 1)[1]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            scale, ln2, r = D(arith.LOG2_SCALE), D(2).ln(), D(q) / D(p)
+            u = (D(x + c).ln() * r).exp()
+            falling = 1 + scale / ((u - 1) * ln2)
+            assert r * scale * D(x + c).ln() / ln2 - log2_bounds(floor)[0] <= falling
+            assert falling <= 1 - (-K // (floor - 1))
 
     @pytest.mark.parametrize("prefix, alpha, lo, hi", [
         ((2,), F(3, 4), 2, 300),
@@ -417,38 +447,44 @@ class TestMonotoneTails:
         ((), F(2, 3), 19001, 20000),
     ])
     def test_slack_covers_every_floor_of_the_window(self, prefix, alpha, lo, hi, monkeypatch):
-        # sigma >= S r log2(x + c) - d_lo(x) for every tail index x of the window,
-        # and each ceiling's d_lo(k) <= S r log2(k + c)
+        # sigma >= S r log2(x + c) - d_lo(x) for every tail index x of the window; at each
+        # frontier k, d_lo(k) <= S r log2(k + c) and sigma_k >= s(k), the falling slack
+        # that bounds the loss of every x >= k
         sigmas, frontiers = set(), []
         ceiling = exponent._tail_ceiling
 
-        def recording_ceiling(k, c, p, q, sigma, n_lo, d_lo):
+        def recording_ceiling(k, c, p, q, sigma, n_lo, d_lo, sigma_k):
             sigmas.add(sigma)
-            frontiers.append((k, d_lo))
-            return ceiling(k, c, p, q, sigma, n_lo, d_lo)
+            frontiers.append((k, d_lo, sigma_k))
+            return ceiling(k, c, p, q, sigma, n_lo, d_lo, sigma_k)
 
         monkeypatch.setattr(exponent, "_tail_ceiling", recording_ceiling)
         rule = PowerFloorRule(prefix, alpha)
         exponent_window(PierceSeq.infinite(rule), lo, hi)
         (sigma,) = sigmas
         c, r = rule._bases(0, 0)[0], D(alpha.denominator) / D(alpha.numerator)
+        assert frontiers
         with decimal.localcontext() as ctx:
             ctx.prec = 50
             scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
             for x in range(max(lo, len(prefix) + 1), hi + 1):
                 lost = r * scale * D(x + c).ln() / ln2 - log2_bounds(rule.term(x))[0]
                 assert lost <= sigma
-            assert all(d_lo <= r * scale * D(k + c).ln() / ln2 for k, d_lo in frontiers)
+            for k, d_lo, sigma_k in frontiers:
+                assert d_lo <= r * scale * D(k + c).ln() / ln2
+                assert sigma_k >= 1 + scale / (((D(k + c).ln() * r).exp() - 1) * ln2)
 
     @pytest.mark.parametrize("alpha, b", [
-        (F(4, 5), 257756),  # loses its full slack to within 3 units at scale p*S, p = 4
+        (F(4, 5), 257756),  # the bracket's bottom lies 1 unit below p*d_lo
         (F(3, 4), 253927),  # p*d_hi = q*B_hi + 2
         (F(3, 4), 20000),
         (F(5, 7), 1500),
+        (F(3, 4), 727),  # the bracket's bottom is p*d_lo
     ])
     def test_brackets_hold_every_floor(self, alpha, b, monkeypatch):
-        # q*B_lo - p*sigma_k <= p*d_lo and p*d_hi <= q*B_hi + p for every floor of
-        # a p > 1 tail run, b = k + 1 the base of the window's last index k
+        # q*B_lo - p + 1 - ceil(K*R/F**p) <= p*d_lo, R = b**q - F**p, and p*d_hi <=
+        # q*B_hi + p for every floor F of a p > 1 tail run, b = k + 1 the base of the
+        # window's last index k
         p, q = alpha.numerator, alpha.denominator
         brackets = []
         unpruned = exponent._unpruned
@@ -467,11 +503,13 @@ class TestMonotoneTails:
 
     @pytest.mark.parametrize("prefix", [(3, 7), (2,)])
     def test_three_quarter_windows_read_few_logs(self, prefix, monkeypatch):
-        # the exponent-scan blocks of alpha = 3/4, c = 5 and c = 1: the logs of
-        # indices and bases (at most 20000 + c), and of floors (above 500 000)
-        index_logs, floor_logs = {(3, 7): (40, 16), (2,): (130, 40)}[prefix]
+        # the exponent-scan blocks of alpha = 3/4, c = 5 and c = 1: per window, the
+        # logs of indices and bases (at most hi + c), and of floors (above hi + c)
+        limits = {
+            (3, 7): {(19001, 20000): (36, 10), (1001, 2000): (16, 10)},
+            (2,): {(19001, 20000): (62, 10), (1001, 2000): (28, 11)},
+        }[prefix]
         seq = PierceSeq.infinite(PowerFloorRule(prefix, F(3, 4)))
-        expected = reference_window(seq, 19001, 20000)
         read = []
         ends = arith._log2_ends
 
@@ -479,11 +517,15 @@ class TestMonotoneTails:
             read.extend(ns)
             return ends(ns)
 
-        for module in (exponent, rules):
-            monkeypatch.setattr(module, "_log2_ends", counting_ends)
-        assert exponent_window(seq, 19001, 20000) == expected
-        small = sum(n <= 20000 + seq.rule._bases(0, 0)[0] for n in read)
-        assert small <= index_logs and len(read) - small <= floor_logs
+        for (lo, hi), (index_logs, floor_logs) in limits.items():
+            expected = reference_window(seq, lo, hi)
+            read.clear()
+            with monkeypatch.context() as patch:
+                for module in (exponent, rules):
+                    patch.setattr(module, "_log2_ends", counting_ends)
+                assert exponent_window(seq, lo, hi) == expected
+            small = sum(n <= hi + seq.rule._bases(0, 0)[0] for n in read)
+            assert small <= index_logs and len(read) - small <= floor_logs
 
     @pytest.mark.parametrize(
         "rule, top",  # top: the 1000 indices at the end that holds the maximum
@@ -511,13 +553,15 @@ class TestMonotoneTails:
 @st.composite
 def tail_windows(draw):
     """(rule, lo, hi) over monotone tails at c = 1..40, the first run's 8 indices
-    below and above c: alpha in {2/3, 3/4, 5/7, 4/5}, 1/q, the tower, linear rules."""
+    below and above c: alpha in {2/3, 3/4, 5/7, 4/5}, 1/q, the tower, linear rules;
+    windows of 1-8 indices among them, and windows that end where the bases reach 2**18."""
     c = draw(st.integers(1, 40))
     alpha = draw(st.sampled_from([F(2, 3), F(3, 4), F(5, 7), F(4, 5), F(0)])
                  | st.integers(1, 9).map(lambda q: F(1, q)))
     rule = draw(st.sampled_from([PowerFloorRule((c + 1,), alpha), LinearRule(c)]))
-    hi = draw(st.integers(2, 400) | st.integers(2, 2 * 10**5))
-    return rule, draw(st.integers(max(0, hi - 500), hi)), hi
+    seam = (1 << 18) - c
+    hi = draw(st.integers(2, 400) | st.integers(2, 2 * 10**5) | st.integers(seam - 300, seam + 2))
+    return rule, max(0, hi - draw(st.integers(0, 7) | st.integers(0, 500))), hi
 
 
 class TestTailWindows:

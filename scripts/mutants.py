@@ -33,7 +33,7 @@ MONOTONE = "tests/test_exponent.py::TestMonotoneTails"
 CHUNKED = "tests/test_exponent.py::TestReferenceWindow::test_chunked_window_equals_reference"
 PRUNED = "tests/test_exponent.py::TestPrunedWindow"
 TAILS = "tests/test_exponent.py::TestTailWindows"
-FLOOR_RUN = "tests/test_rules.py"
+RULES = "tests/test_rules.py"
 ARITH = "tests/test_arith.py"
 SPACE = "tests/test_space.py"
 LEDGER = "tests/test_dimension.py::TestReferenceLedger"
@@ -79,12 +79,9 @@ MUTANTS = {
         "_runs(first, hi, 8, p > 0)):",
         "_runs(first, hi, 8, True)):",
         [CHUNKED, MONOTONE], None),
-    "walk-tangent-plus-1": (
-        "src/piercelab/rules.py", "x += q * x * (b - b0) // (p * b0)",
-        "x += q * x * (b - b0) // (p * b0) + 1", [FLOOR_RUN], None),
-    "walk-without-guard": (
-        "src/piercelab/rules.py", "        if guarded:\n", "        if False:\n",
-        [FLOOR_RUN], None),
+    "operands-without-guard": (
+        "src/piercelab/rules.py", "(_floor_power(b, p, q), 1, 1)",
+        "(integer_root(b**q, p), 1, 1)", [RULES], None),
     "log2-step-without-tail": (
         "src/piercelab/arith.py", "return acc_lo, acc_hi + 2", "return acc_lo, acc_hi",
         [ARITH], None),
@@ -105,6 +102,15 @@ MUTANTS = {
     "doubling-root-start": (
         "src/piercelab/arith.py", "integer_root(m >> p * s, p) + 1 << s",
         "integer_root(m >> p * s, p) << s", [ARITH], None),
+    "float-start-without-down-step": (
+        "src/piercelab/arith.py", "        while x**p > m:\n            x -= 1\n", "",
+        [ARITH], None),
+    "float-start-without-up-step": (
+        "src/piercelab/arith.py", "        while (x + 1) ** p <= m:\n            x += 1\n", "",
+        [ARITH], None),
+    "narrow-root-by-newton": (
+        "src/piercelab/arith.py", "_FLOAT_ROOT_BITS = 48", "_FLOAT_ROOT_BITS = 0",
+        [ARITH], None),
     "prune-bit-length-minus-1": (
         "src/piercelab/exponent.py", "tops, [l - 1 for l in tops], a * scale, b)",
         "tops, tops, a * scale, b)",

@@ -3,8 +3,9 @@
 Provides extended naturals with a single ``INFINITY`` sentinel, rational
 enclosures and their check against [0, 1], and integer-only kernels for
 floors of reciprocals, roots, and binary logarithms.  Everything here is
-exact: no floating point is used anywhere, and every enclosure is
-certified by integer comparisons.
+exact: every enclosure is certified by integer comparisons, and the one
+float, where `integer_root` starts a narrow odd root, only sets where
+integer steps to the exact floor begin.
 """
 
 from __future__ import annotations
@@ -145,12 +146,20 @@ def floor_reciprocal(x: Fraction) -> ExtNat:
     return x.denominator // x.numerator
 
 
-def integer_root(m: int, p: int) -> int:
-    """floor(m ** (1/p)) for m >= 0, p >= 1, by integer Newton iteration.
+# A double's 53-bit mantissa puts a float root below 2**48 within a few
+# units of the floor, so the integer steps in integer_root stay few.
+_FLOAT_ROOT_BITS = 48
 
-    An even degree halves through math.isqrt.  An odd root starts from the
-    root of the top half at doubling precision, so Newton begins with half
-    the bits right and its step count does not grow with p.
+
+def integer_root(m: int, p: int) -> int:
+    """floor(m ** (1/p)) for m >= 0, p >= 1, certified on integers.
+
+    An even degree halves through math.isqrt.  An odd root below 2**48
+    starts from the float 2 ** (log2(m) / p), which unit steps down and
+    then up make the floor: the float sets where they start, not where
+    they stop.  A wider odd root starts from the root of the top half at
+    doubling precision, so Newton begins with half the bits right and its
+    step count does not grow with p.
     """
     if p < 1:
         raise DomainError("root degree must be >= 1")
@@ -166,6 +175,13 @@ def integer_root(m: int, p: int) -> int:
     if m.bit_length() <= p:
         # m < 2**p means the root is 1 (m >= 2 here).
         return 1
+    if m.bit_length() <= _FLOAT_ROOT_BITS * p:
+        x = int(2.0 ** (math.log2(m) / p))
+        while x**p > m:
+            x -= 1
+        while (x + 1) ** p <= m:
+            x += 1
+        return x
     # With s half the root's bits, floor(m**(1/p) / 2**s) is the root of
     # m >> p*s, so one more, shifted back, is above m**(1/p).
     s = -(-m.bit_length() // p) // 2

@@ -63,38 +63,6 @@ def _floor_power(b: int, p: int, q: int) -> int:
     return integer_root(b**q, p)
 
 
-def _floor_run(bases, p: int, q: int):
-    """(floor(b**(q/p)), 1, 1) for increasing bases b < 2**18, else (b, p, q); p > 1.
-
-    For odd p, the tangent of the convex b**(q/p) at the last base b0, floor F,
-    gives the lower bound F + floor(q*F*(b - b0)/(p*b0)) of the next floor; at
-    most 4 unit steps reach it, or else integer_root.  Even p halves through
-    math.isqrt.  Bases of at most 18 bits reach the digit guard only if q*18 >
-    p*DIGIT_BITS_GUARD; such a rule takes _floor_power, guard included, for each.
-    """
-    guarded = q * 18 > p * DIGIT_BITS_GUARD
-    x = b0 = 0
-    for b in bases:
-        if b >= _EXACT_LOG_BASE_BOUND:
-            yield b, p, q
-            continue
-        if guarded:
-            x = _floor_power(b, p, q)
-        elif x and p & 1:
-            n = b**q
-            x += q * x * (b - b0) // (p * b0)
-            last = x + 4
-            while (x + 1) ** p <= n:
-                if x == last:
-                    x = integer_root(n, p)
-                    break
-                x += 1
-        else:
-            x = integer_root(b**q, p)
-        b0 = b
-        yield x, 1, 1
-
-
 def _check_alpha(alpha, allow_zero: bool) -> Fraction:
     """The one test of an exponent's range: [0, 1], or (0, 1] without allow_zero."""
     alpha = unit_rational(alpha)
@@ -195,8 +163,10 @@ class _FloorPowerRule(DigitRule):
             tail = zip(bases, repeat(1), range(lo, hi + 1))
         elif alpha.numerator == 1:  # b_k**q
             tail = zip(bases, repeat(1), repeat(alpha.denominator))
-        else:
-            tail = _floor_run(bases, alpha.numerator, alpha.denominator)
+        else:  # the floors of small bases, each through the guard
+            p, q = alpha.numerator, alpha.denominator
+            tail = ((_floor_power(b, p, q), 1, 1) if b < _EXACT_LOG_BASE_BOUND else (b, p, q)
+                    for b in bases)
         return chain(prefix, tail)
 
     def log2_term_run(self, lo: int, hi: int) -> list:

@@ -235,7 +235,7 @@ def _locate(interval: Enclosure) -> tuple[tuple[int, ...], Fraction, Fraction]:
     # mid = s/P equals the value of its full chain; children sit at
     # (s*m + (-1)^n) / (P*m) and shrink toward mid, which is interior.
     n = len(chain)
-    gap = hi - mid if n % 2 == 0 else mid - lo
+    gap = hi - mid  # equals mid - lo: the room on either side of mid
     first = max(chain[-1] + 1, -(-gap.denominator // (product * gap.numerator)))
     for d in (first, first + 1):
         k, q = _cell(s * d + (-1) ** n, product * d, d, n + 1)

@@ -221,6 +221,25 @@ class TestRoots:
         assert r**1999 <= m < (r + 1) ** 1999
         assert len(steps) <= 100
 
+    def test_narrow_odd_root_runs_no_newton_step(self, monkeypatch):
+        # An odd root below 2**48 comes from its float start and unit steps
+        # at any degree: here an 18-bit root of degree 16001.
+        def no_newton(m, p, x):
+            raise AssertionError("Newton step on a narrow root")
+
+        monkeypatch.setattr(arith, "_newton_root", no_newton)
+        m = 3 ** (11 * 16001) + 12345
+        assert integer_root(m, 16001) == root_by_bisection(m, 16001) == 3**11
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 9, 11, 13, 101, 1001])
+    @pytest.mark.parametrize("offset", [-3, -2, -1, 0, 1, 2])
+    def test_odd_roots_at_the_float_bound(self, p, offset):
+        # r**p - 1 below 2**(48*p) takes the float start, and r**p from
+        # 2**48 on takes Newton; either side of each floor step.
+        r = (1 << 48) + offset
+        assert integer_root(r**p, p) == r
+        assert integer_root(r**p - 1, p) == r - 1
+
     @pytest.mark.parametrize("m, p", [(8, 0), (8, -3), (-8, 3), (-1, 1)])
     def test_refusals(self, m, p):
         with pytest.raises(DomainError):

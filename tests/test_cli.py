@@ -705,8 +705,10 @@ def test_fuzzed_root_degrees_finish_within_the_deadline(argv, n):
     assert code in (0, 3), (argv, err)
 
 
-# stdout SHA-256 of commands whose roots have degrees up to 4003 and 2001
+# stdout SHA-256 of commands whose roots have degrees up to 16003, 4003 and 2001
 ROOT_DEGREE_DIGESTS = {
+    "cover --alpha 1/2 --beta 1/2 --eps 1/16001 --s 3 --kmax 3":
+        "50ad934796920dc4577792edd256a0e238ecc484e2e0c012e9d786d7bbddd2e2",
     "cover --alpha 1/2 --beta 1/2 --eps 1/4001 --s 3 --kmax 3":
         "03311581bbeb94ec3da2475531477ee3f8595453f4c841489bc54f8b6fd786d8",
     "divergent --s 1/2001 --prefix 2 --j 1 --terms 10":

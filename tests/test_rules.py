@@ -1,5 +1,6 @@
+import math
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import repeat
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +25,7 @@ PATTERN = (0, 1, 1, 0, 1, 0, 1)
 CASES = {
     "power-1/2": (PowerFloorRule((2,), F(1, 2)), False),  # p == 1: scaled log2(b)
     "power-2/3-small": (PowerFloorRule((2,), F(2, 3)), True),  # exact floor
-    "power-3/5-small": (PowerFloorRule((2,), F(3, 5)), True),  # exact floor, walked
+    "power-3/5-small": (PowerFloorRule((2,), F(3, 5)), True),  # exact floor, odd root
     "power-2/3-large": (PowerFloorRule((2**18,), F(2, 3)), False),  # 3/b slack
     "tower": (PowerFloorRule((2,), 0), False),
     "linear": (LinearRule(3), True),
@@ -224,65 +225,43 @@ def test_operands_floor_the_small_bases(window):
             assert (x, *exponents) == (b, p, q)
 
 
-def floors(bases, p, q):
-    """What _floor_run yields, one _floor_power at a time."""
-    return [(rules._floor_power(b, p, q), 1, 1) if b < BOUND else (b, p, q) for b in bases]
-
-
 DEGREES = st.sampled_from([2, 3, 4, 5, 7, 9])
 
 
 @given(
-    DEGREES.flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 12 * p))),
-    st.integers(2, BOUND + 40) | st.integers(BOUND - 80, BOUND),
-    st.lists(st.integers(1, 3), max_size=80),
+    DEGREES.flatmap(lambda p: st.tuples(st.just(p), st.integers(p + 1, 12 * p)))
+    .filter(lambda pq: math.gcd(*pq) == 1),
+    st.integers(1, BOUND // 2 + 20) | st.integers(BOUND // 2 - 40, BOUND // 2),
+    st.lists(st.integers(0, 1), max_size=80),
 )
 @settings(max_examples=150, deadline=None)
-def test_floor_run_equals_the_floors(pq, start, gaps):
-    # gaps of 1 to 3 as in the bit-perturbed bases, across the 2**18 seam
+def test_operands_and_terms_run_equal_the_floors(pq, lo, bits):
+    # bit-perturbed bases step by 1 to 3, across the 2**18 seam
     p, q = pq
-    bases = list(accumulate(gaps, initial=start))
-    assert list(rules._floor_run(bases, p, q)) == floors(bases, p, q)
+    rule = BitPerturbedRule(F(p, q), (0,) * (lo - 1) + tuple(bits))
+    hi = lo + len(bits)
+    bases = list(rule._bases(lo, hi))
+    for b, (x, *exponents) in zip(bases, rule._operands(lo, hi), strict=True):
+        if b < BOUND:
+            assert exponents == [1, 1] and is_floor_power(x, b, p, q)
+        else:
+            assert (x, *exponents) == (b, p, q)
+    terms = list(rule.terms_run(lo, hi))
+    assert len(terms) == len(bases)
+    assert all(map(is_floor_power, terms, bases, repeat(p), repeat(q)))
 
 
-@pytest.mark.parametrize(
-    "bases, p, q, walked",
-    [
-        # b**(4/3) along consecutive bases: one root, then the tangent walk
-        (range(1000, 2000), 3, 4, True),
-        # b**(11/5) bends more as b grows: past some base 4 unit steps no
-        # longer reach the floor, and the walk falls back
-        (range(2, 400), 5, 11, False),
-    ],
-)
-def test_floor_run_walks_and_falls_back(monkeypatch, bases, p, q, walked):
-    expected = floors(bases, p, q)
-    roots = []
-    integer_root = rules.integer_root
-    monkeypatch.setattr(rules, "integer_root", lambda m, p: roots.append(m) or integer_root(m, p))
-    assert list(rules._floor_run(bases, p, q)) == expected
-    if walked:
-        assert roots == [bases[0] ** q]
-    else:
-        assert 1 < len(roots) < len(bases)
-
-
-@pytest.mark.parametrize("p, q", [(3, 200), (2, 130)])
-def test_floor_run_refuses_at_the_guarded_base(monkeypatch, p, q):
-    # a 1000-bit guard refuses these floors part-way: from b = 32768 (p = 3), 42785 (p = 2)
+@pytest.mark.parametrize("p, q, first_refused", [(3, 200, 32768), (2, 131, 39435)])
+def test_operands_refuse_at_the_guarded_base(monkeypatch, p, q, first_refused):
+    # a 1000-bit guard refuses these floors part-way through the small bases
     monkeypatch.setattr(rules, "DIGIT_BITS_GUARD", 1000)
-    bases = range(20_000, 70_000, 7)
-    expected = []
-    for b in bases:
-        try:
-            expected.append(floors([b], p, q)[0])
-        except GuardExceededError:
-            break
-    assert len(expected) < len(bases)
-    run = rules._floor_run(bases, p, q)
-    assert [next(run) for _ in expected] == expected
+    rule = PowerFloorRule((first_refused - 41,), F(p, q))  # base k + first_refused - 42
+    operands = rule._operands(2, 80)
+    for b in range(first_refused - 40, first_refused):
+        x, *exponents = next(operands)
+        assert exponents == [1, 1] and is_floor_power(x, b, p, q)
     with pytest.raises(GuardExceededError):
-        next(run)
+        next(operands)
 
 
 @pytest.mark.parametrize("b, p", [(2, 1), (3, 1), (3, 2), (7, 3), (2**18 + 3, 5)])
@@ -303,31 +282,17 @@ def test_digit_size_guard_refuses_exactly_past_the_bound(b, p, guard, monkeypatc
 def built(monkeypatch):
     """The (b, p, q) of every digit floor(b**(q/p)) built; past 100 the test fails.
 
-    A floor run builds the floor of each base below 2**18 as it reads the base.
+    The operands build the floor of each base below 2**18 as they read the base.
     """
     calls = []
     floor_power = rules._floor_power
-    floor_run = rules._floor_run
-
-    def record(b, p, q):
-        calls.append((b, p, q))
-        assert len(calls) <= 100, "digits built past the ones read"
 
     def spy(b, p, q):
-        record(b, p, q)
+        calls.append((b, p, q))
+        assert len(calls) <= 100, "digits built past the ones read"
         return floor_power(b, p, q)
 
-    def run_spy(bases, p, q):
-        def read():
-            for b in bases:
-                if b < BOUND:
-                    record(b, p, q)
-                yield b
-
-        return floor_run(read(), p, q)
-
     monkeypatch.setattr(rules, "_floor_power", spy)
-    monkeypatch.setattr(rules, "_floor_run", run_spy)
     return calls
 
 

@@ -37,6 +37,9 @@ RULES = "tests/test_rules.py"
 ARITH = "tests/test_arith.py"
 SPACE = "tests/test_space.py"
 LEDGER = "tests/test_dimension.py::TestReferenceLedger"
+UNIT = "tests/test_arith.py::TestUnitRational"
+PREFIX = "tests/test_pierce.py::TestValidatePrefix"
+ORBIT = "tests/test_pierce.py::TestReferenceOrbit"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
@@ -153,6 +156,15 @@ MUTANTS = {
         "Fraction((c << bits) // d, scale))", [LEDGER], None),
     "ledger-guard-1": (
         "src/piercelab/dimension.py", "guard = bits + 32", "guard = bits + 1", [LEDGER], None),
+    "unit-rational-open-top": (
+        "src/piercelab/arith.py", "0 <= x.numerator <= x.denominator",
+        "0 <= x.numerator < x.denominator", [UNIT], None),
+    "prefix-fast-path-zero": (
+        "src/piercelab/pierce.py", "all(map(lt, (0, *d), d))", "all(map(lt, (-1, *d), d))",
+        [PREFIX], None),
+    "orbit-pad-off-by-one": (
+        "src/piercelab/pierce.py", "[Fraction(0)] * (n - len(orbit))",
+        "[Fraction(0)] * (n - len(orbit) + 1)", [ORBIT], None),
 }
 
 

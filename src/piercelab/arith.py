@@ -119,9 +119,10 @@ def unit_reciprocal(d: ExtNat) -> Fraction:
 
 
 def unit_rational(x) -> Fraction:
-    """x as a Fraction, checked to lie in [0, 1]."""
-    x = Fraction(x)
-    if not (0 <= x <= 1):
+    """x as a Fraction (a Fraction itself, not a copy), checked to lie in [0, 1]."""
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    if not 0 <= x.numerator <= x.denominator:
         raise DomainError(f"value {x} lies outside [0, 1]")
     return x
 

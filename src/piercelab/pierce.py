@@ -4,6 +4,8 @@ A single greedy step maps x to (d, t) with d = floor(1/x) and
 t = 1 - d*x.  For x = p/q it keeps the denominator fixed:
 T(p/q) = 1 - (q//p)*p/q = (q mod p)/q, so the digits of a rational are
 d_k = q // p_k with p_{k+1} = q - d_k*p_k, computed on integers alone.
+One plain loop, _orbit, runs these steps and lists the digits and
+numerators; digits_rational, digit_step and shift_orbit all read them.
 The numerators strictly decrease, so the strictly increasing digit
 sequence of x terminates at 0 exactly when x is rational.  The interval
 variant runs the same step on both endpoints over a common denominator
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from operator import lt
 
 from .arith import (
     DomainError,
@@ -56,16 +58,22 @@ def checked_digits(digits):
 
 def validate_prefix(digits) -> tuple[int, ...]:
     """Check a finite digit prefix: positive integers, strictly increasing."""
-    return tuple(checked_digits(digits))
+    d = tuple(digits)
+    if set(map(type, d)) <= {int} and all(map(lt, (0, *d), d)):  # plain ints rising from 1
+        return d
+    return tuple(checked_digits(d))
 
 
-def _orbit(x: Fraction):
-    """Yield (d_k, p_k) for x = p_0/q, where T^k(x) = p_k/q; stops at 0."""
+def _orbit(x: Fraction, n: int) -> tuple[list[int], list[int]]:
+    """([d_1..d_k], [p_1..p_k]) with T^j(x) = p_j/q for x = p_0/q: k = n, or less at p_k = 0."""
     p, q = x.numerator, x.denominator
-    while p:
-        d = q // p
-        p = q - d * p
-        yield d, p
+    digits, rests = [], []
+    while p and n:
+        d, p = divmod(q, p)
+        digits.append(d)
+        rests.append(p)
+        n -= 1
+    return digits, rests
 
 
 def digit_step(x: Fraction) -> tuple[ExtNat, Fraction]:
@@ -76,8 +84,8 @@ def digit_step(x: Fraction) -> tuple[ExtNat, Fraction]:
     terminates on rationals.
     """
     x = unit_rational(x)
-    d, p = next(_orbit(x), (INFINITY, 0))
-    return d, Fraction(p, x.denominator)
+    digits, rests = _orbit(x, 1)
+    return (digits[0], Fraction(rests[0], x.denominator)) if digits else (INFINITY, Fraction(0))
 
 
 def digits_rational(x: Fraction) -> tuple[int, ...]:
@@ -85,9 +93,10 @@ def digits_rational(x: Fraction) -> tuple[int, ...]:
 
     Every remainder keeps the denominator q, so the digits are q // p_k
     with p_{k+1} = q mod p_k < p_k: no gcd is taken at any step, and the
-    loop ends after at most p steps.
+    one orbit loop ends after at most p steps.
     """
-    return tuple(d for d, _ in _orbit(unit_rational(x)))
+    x = unit_rational(x)
+    return tuple(_orbit(x, x.numerator)[0])
 
 
 class DigitStatus(Enum):
@@ -155,9 +164,9 @@ def alternating_sums(digits):
 
 
 def shift_orbit(x: Fraction, n: int) -> list[Fraction]:
-    """[T(x), T^2(x), ..., T^n(x)] exactly; 0 is a fixed point."""
+    """[T(x), T^2(x), ..., T^n(x)] exactly from the orbit loop, padded with its fixed point 0."""
     x = unit_rational(x)
     if n < 0:
         raise DomainError("orbit length must be non-negative")
-    orbit = [Fraction(p, x.denominator) for _, p in islice(_orbit(x), n)]
+    orbit = [Fraction(p, x.denominator) for p in _orbit(x, n)[1]]
     return orbit + [Fraction(0)] * (n - len(orbit))

@@ -92,9 +92,9 @@ SIGMA_ZERO = PierceSeq.finite(())
 
 def _exact_sum(digits) -> tuple[int, int]:
     """(S_n, P_n) of a finite digit sequence: value S_n / P_n, digit product P_n."""
-    s, p = 0, 1
-    for s, p in alternating_sums(digits):
-        pass
+    s, p, sign = 0, 1, 1
+    for d in digits:  # alternating_sums' step, without its generator
+        s, p, sign = s * d + sign, p * d, -sign
     return s, p
 
 
@@ -141,7 +141,7 @@ def dual_representation(x: Fraction) -> tuple[tuple[int, ...], tuple[int, ...]]:
     evaluate back to x exactly.
     """
     x = Fraction(x)
-    if not (0 < x < 1):
+    if not 0 < x.numerator < x.denominator:
         raise DomainError("dual representation requires x strictly inside (0, 1)")
     sigma = digits_rational(x)
     # Strictly increasing: the last greedy digit of a rational exceeds the

@@ -28,6 +28,7 @@ from piercelab.arith import (
     log2_enclosure,
     pow_enclosure,
     unit_interval,
+    unit_rational,
     unit_reciprocal,
 )
 from piercelab.dimension import TupleEnumeration
@@ -112,6 +113,44 @@ class TestFloorReciprocal:
         # d <= 1/x < d + 1, checked exactly
         d = floor_reciprocal(x)
         assert d * x <= 1 < (d + 1) * x
+
+
+class TestUnitRational:
+    @pytest.mark.parametrize("x, value", [
+        (F(0), F(0)), (F(1), F(1)), (F(7, 10), F(7, 10)), (0, F(0)), (1, F(1)), (True, F(1)),
+        ("1/3", F(1, 3)), ("0.25", F(1, 4)), ("1", F(1)), (0.5, F(1, 2)), (1.0, F(1)),
+        (Decimal("0.125"), F(1, 8)),
+    ])
+    def test_values(self, x, value):
+        got = unit_rational(x)
+        assert got == value and type(got) is F
+        if type(x) is F:
+            assert got is x  # a Fraction is checked, not copied
+
+    @pytest.mark.parametrize("x, shown", [
+        (F(-1, 2), "-1/2"), (F(3, 2), "3/2"), (F(-1, 10**30), f"-1/{10**30}"),
+        (F(10**30 + 1, 10**30), f"{10**30 + 1}/{10**30}"), (-1, "-1"), (2, "2"),
+        ("5/4", "5/4"), ("-1/7", "-1/7"), (1.5, "3/2"), (-0.25, "-1/4"),
+    ])
+    def test_refusals_on_either_side(self, x, shown):
+        with pytest.raises(DomainError) as caught:
+            unit_rational(x)
+        assert str(caught.value) == f"value {shown} lies outside [0, 1]"
+
+    def test_fraction_subclass_becomes_a_fraction(self):
+        class Sub(F):
+            pass
+
+        got = unit_rational(Sub(1, 3))
+        assert got == F(1, 3) and type(got) is F
+
+    @given(st.fractions(max_denominator=10**12))
+    def test_integer_check_equals_the_comparison(self, x):
+        if 0 <= x <= 1:
+            assert unit_rational(x) is x
+        else:
+            with pytest.raises(DomainError, match="lies outside"):
+                unit_rational(x)
 
 
 def root_by_bisection(m, p):

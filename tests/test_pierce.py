@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,10 +11,12 @@ from piercelab.pierce import (
     DigitStatus,
     SafeDigits,
     alternating_sums,
+    checked_digits,
     digit_step,
     digits_rational,
     safe_digits,
     shift_orbit,
+    validate_prefix,
 )
 from piercelab.space import PierceSeq, expansion_value
 
@@ -201,3 +204,104 @@ class TestSafeDigits:
             assert res == SafeDigits(a[:max_n], DigitStatus.EXHAUSTED)
         else:
             assert res == SafeDigits(a[:c], DigitStatus.AMBIGUOUS)
+
+
+def reference_step(x: F) -> tuple[int, F]:
+    """(floor(1/x), T(x)) for x in (0, 1], from the definition T(x) = 1 - floor(1/x)*x."""
+    d = math.floor(1 / x)
+    return d, 1 - d * x
+
+
+def reference_digits(x: F) -> tuple[int, ...]:
+    digits = []
+    while x:
+        d, x = reference_step(x)
+        digits.append(d)
+    return tuple(digits)
+
+
+def reference_orbit(x: F, n: int) -> list[F]:
+    """[T(x), ..., T^n(x)], with T(0) = 0."""
+    orbit = []
+    for _ in range(n):
+        x = reference_step(x)[1] if x else x
+        orbit.append(x)
+    return orbit
+
+
+# wide denominators as well as small ones, 0 and 1 included
+orbit_points = st.one_of(
+    unit_fractions,
+    st.integers(1, 1 << 128).flatmap(lambda q: st.integers(0, q).map(lambda p: F(p, q))),
+    st.sampled_from([F(0), F(1)]),
+)
+
+
+class TestReferenceOrbit:
+    """The integer orbit loop against Fraction stepping from the definition."""
+
+    @given(orbit_points)
+    def test_digits_rational(self, x):
+        assert digits_rational(x) == reference_digits(x)
+
+    @given(orbit_points)
+    def test_digit_step(self, x):
+        assert digit_step(x) == (reference_step(x) if x else (INFINITY, F(0)))
+
+    @given(orbit_points, st.integers(0, 4), st.booleans())
+    def test_shift_orbit(self, x, extra, past_end):
+        # n = 0 and n within the orbit, or n up to 4 past its termination
+        n = len(digits_rational(x)) + extra if past_end else extra
+        assert shift_orbit(x, n) == reference_orbit(x, n)
+
+    def test_shift_orbit_edges(self):
+        assert shift_orbit(F(0), 0) == shift_orbit(F(1), 0) == []
+        assert shift_orbit(F(0), 2) == [F(0), F(0)]
+        assert shift_orbit(F(1), 3) == [F(0), F(0), F(0)]
+        assert digit_step(F(1)) == (1, F(0))
+
+
+BAD_PREFIXES = {
+    (0,): "digit 0 at index 1 is not a positive integer",
+    (-3,): "digit -3 at index 1 is not a positive integer",
+    (2, 2): "strict increase fails at index 2: 2 -> 2",
+    (3, 1): "strict increase fails at index 2: 3 -> 1",
+    (1.0,): "digit 1.0 at index 1 is not a positive integer",
+    ("3",): "digit '3' at index 1 is not a positive integer",
+    (1, 0): "digit 0 at index 2 is not a positive integer",
+    (2, 5, 5): "strict increase fails at index 3: 5 -> 5",
+}
+
+
+class TestValidatePrefix:
+    @pytest.mark.parametrize("bad", BAD_PREFIXES, ids=repr)
+    def test_refusals_keep_their_message(self, bad):
+        # the same words from the eager check, given a tuple, a list or an
+        # iterator, and from the lazy one
+        for prefix in (bad, list(bad), iter(bad)):
+            with pytest.raises(DomainError) as caught:
+                validate_prefix(prefix)
+            assert str(caught.value) == BAD_PREFIXES[bad]
+        with pytest.raises(DomainError) as caught:
+            tuple(checked_digits(bad))
+        assert str(caught.value) == BAD_PREFIXES[bad]
+
+    def test_int_subclasses_pass(self):
+        class Digit(int):
+            pass
+
+        assert validate_prefix((True, 2)) == (True, 2)
+        assert type(validate_prefix((True, 2))[0]) is bool
+        assert validate_prefix([Digit(3), Digit(5)]) == (3, 5)
+        assert validate_prefix(iter([1, 2])) == (1, 2)
+        assert validate_prefix(()) == ()
+
+    @given(st.lists(st.integers(-3, 40), max_size=8))
+    def test_agrees_with_the_lazy_check(self, raw):
+        try:
+            expected = tuple(checked_digits(raw))
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                validate_prefix(raw)
+        else:
+            assert validate_prefix(raw) == expected

@@ -72,6 +72,63 @@ class TestExpansionValue:
         assert digits_rational(expansion_value(PierceSeq.finite(d))) == d
 
 
+def reference_value(digits) -> F:
+    """sum_k (-1)^(k+1) / (d_1 ... d_k), term by term in Fraction."""
+    total, product = F(0), 1
+    for k, d in enumerate(digits):
+        product *= d
+        total += F((-1) ** k, product)
+    return total
+
+
+def reference_digits(x: F) -> tuple[int, ...]:
+    """The greedy digits from the definition: d = floor(1/x), x -> 1 - d*x, until 0."""
+    digits = []
+    while x:
+        digits.append(math.floor(1 / x))
+        x = 1 - digits[-1] * x
+    return tuple(digits)
+
+
+wide_prefixes = st.lists(st.integers(1, 1 << 64), min_size=1, max_size=40, unique=True).map(
+    lambda xs: tuple(sorted(xs))
+)
+open_points = st.one_of(
+    unit_fractions.filter(lambda x: 0 < x < 1),
+    st.integers(2, 1 << 128).flatmap(lambda q: st.integers(1, q - 1).map(lambda p: F(p, q))),
+)
+
+
+class TestReferenceEvaluation:
+    """The integer loops of space against Fraction sums from the definition."""
+
+    @given(st.one_of(prefixes, wide_prefixes, st.just(())))
+    def test_expansion_value(self, prefix):
+        assert expansion_value(PierceSeq.finite(prefix)) == reference_value(prefix)
+
+    @given(open_points)
+    def test_dual_representation(self, x):
+        sigma = reference_digits(x)
+        assert dual_representation(x) == (sigma, sigma[:-1] + (sigma[-1] - 1, sigma[-1]))
+
+    @given(st.one_of(prefixes, wide_prefixes))
+    def test_fundamental_interval_endpoints(self, prefix):
+        own = reference_value(prefix)
+        bumped = reference_value(prefix[:-1] + (prefix[-1] + 1,))
+        cell = fundamental_interval(prefix)
+        assert (cell.left, cell.right) == (min(own, bumped), max(own, bumped))
+        assert cell.diameter == abs(own - bumped)
+        assert cell.prefix == prefix
+
+    def test_dual_representation_refusals(self):
+        for bad in (F(0), F(1), 0, 1, 2, F(-1, 2), F(3, 2), "-1/2", 1.5):
+            with pytest.raises(DomainError) as caught:
+                dual_representation(bad)
+            assert str(caught.value) == "dual representation requires x strictly inside (0, 1)"
+        assert dual_representation("7/10") == ((1, 3, 10), (1, 3, 9, 10))
+        assert dual_representation(0.5) == ((2,), (1, 2))
+
+
 class TestDualRepresentation:
     def test_examples(self):
         assert dual_representation(F(1, 2)) == ((2,), (1, 2))

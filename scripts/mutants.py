@@ -85,6 +85,9 @@ MUTANTS = {
     "operands-without-guard": (
         "src/piercelab/rules.py", "(_floor_power(b, p, q), 1, 1)",
         "(integer_root(b**q, p), 1, 1)", [RULES], None),
+    "seam-base": (
+        "src/piercelab/rules.py", "else 1) - len(self.prefix)\n",
+        "else 1) - len(self.prefix) - 1\n", [RULES], None),
     "log2-step-without-tail": (
         "src/piercelab/arith.py", "return acc_lo, acc_hi + 2", "return acc_lo, acc_hi",
         [ARITH], None),

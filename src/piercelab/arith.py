@@ -20,7 +20,6 @@ from typing import Union
 __all__ = [
     "DomainError",
     "GuardExceededError",
-    "UncertifiedRuleError",
     "INFINITY",
     "ExtNat",
     "unit_reciprocal",
@@ -66,10 +65,6 @@ class DomainError(ValueError):
 
 class GuardExceededError(RuntimeError):
     """A desk-scale guard (enumeration size, depth, ...) would be exceeded."""
-
-
-class UncertifiedRuleError(DomainError):
-    """A certified quantity was requested for a rule with no analytic certificate."""
 
 
 @total_ordering

@@ -40,7 +40,6 @@ from .dimension import (
     sample_digit_statistics,
 )
 from .exponent import (
-    certified_exponent,
     classify_divergence,
     estimate_exponent,
     reciprocal_power_sum,
@@ -222,7 +221,7 @@ def _cmd_lambda(args, bits: int):
         "sup": fmt_enclosure(estimate.sup),
         "sup_value": fmt_rational(estimate.sup_value),
         "window_certifies": estimate.certified,
-        "certificate": fmt_rational(certified_exponent(rule)),
+        "certificate": fmt_rational(rule.certificate),
     }
     params = {"rule": args.rule, "window": args.window}
     yield params, results

@@ -1,13 +1,15 @@
 """Convergence-exponent machinery: growth ratios, window estimates,
-analytic certificates, and partial sums of reciprocal digit powers.
+divergence verdicts, and partial sums of reciprocal digit powers.
 
 The exponent of a digit sequence is the limsup of log n / log d_n. A
 finite window can only ever diagnose that limsup, never certify it, so
 window scans return certified enclosures of the window maximum (computed
-with exact log enclosures) and certificates come exclusively from the
-analytic rule families.  Window scans look at the upper half
-[ceil(n/2), n] of the index range: the limsup is a tail quantity and
-early indices would otherwise dominate every diagnostic.
+with exact log enclosures).  Certificates come from analysis alone:
+every rule carries its family's exponent as `DigitRule.certificate`,
+which `classify_divergence` reads, and a rational point has exponent 0.
+Window scans look at the upper half [ceil(n/2), n] of the index range:
+the limsup is a tail quantity and early indices would otherwise
+dominate every diagnostic.
 """
 
 from __future__ import annotations
@@ -22,14 +24,13 @@ from .arith import (
     LOG2_SCALE_BITS,
     DomainError,
     Enclosure,
-    UncertifiedRuleError,
     _log2_constants,
     _log2_ends,
     _record,
     _scaled_root,
     integer_root,
 )
-from .pierce import DigitStatus, checked_digits, safe_digits
+from .pierce import DigitStatus, safe_digits
 from .rules import _EXACT_LOG_BASE_BOUND, DigitRule, _check_alpha
 from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
@@ -41,7 +42,6 @@ __all__ = [
     "exponent_window",
     "estimate_exponent",
     "estimate_point_exponent",
-    "certified_exponent",
     "reciprocal_power_sum",
     "classify_divergence",
 ]
@@ -52,7 +52,6 @@ _ZERO = Fraction(0)
 class Verdict(Enum):
     DIVERGENT = "divergent"
     CONVERGENT = "convergent"
-    UNKNOWN = "unknown"
 
 
 def growth_ratio(seq: PierceSeq, n: int) -> Enclosure:
@@ -290,30 +289,17 @@ def estimate_point_exponent(x: Enclosure, n_max: int) -> ExponentEstimate:
     )
 
 
-def certified_exponent(rule: DigitRule) -> Fraction:
-    """The analytic convergence exponent of a certified rule family."""
-    cert = rule.certificate
-    if cert is None:
-        raise UncertifiedRuleError(
-            f"rule {rule.describe()} carries no analytic exponent certificate"
-        )
-    return cert
-
-
 def classify_divergence(rule: DigitRule, s: Fraction) -> Verdict:
     """Whether sum 1/d_k**s diverges along a rule, for s in (0, 1].
 
-    Decided once for all certified families, which share the tail
-    floor(b_k**(q_k/p_k)): up to and including a positive certified
-    exponent the sum diverges by comparison with a shifted harmonic
-    series, above it (and at every s for exponent 0) it converges by a
-    p-series bound.  Uncertified rules yield UNKNOWN, never a guess.
+    Decided once for every rule, as each shares the tail
+    floor(b_k**(q_k/p_k)) of `DigitRule` and carries its certificate:
+    up to and including a positive certificate the sum diverges by
+    comparison with a shifted harmonic series, above it (and at every s
+    for certificate 0) it converges by a p-series bound.
     """
     s = _check_alpha(s, allow_zero=False)
-    cert = rule.certificate
-    if cert is None:
-        return Verdict.UNKNOWN
-    return Verdict.DIVERGENT if s <= cert else Verdict.CONVERGENT
+    return Verdict.DIVERGENT if s <= rule.certificate else Verdict.CONVERGENT
 
 
 @_record
@@ -360,11 +346,11 @@ def reciprocal_power_sum(
     ilo = ihi = 0
     # Strict increase of the digits is what makes the tail bound below
     # sound: a prefix is checked when its sequence is built, and rule
-    # terms are checked here rather than trusted.
+    # terms increase by the proof in the `DigitRule` docstring.
     if seq.is_finite:
         digits = seq.prefix[:n_terms]
     else:
-        digits = checked_digits(seq.rule.terms_run(1, n_terms))
+        digits = seq.rule.terms_run(1, n_terms)
     for k, d in enumerate(digits, start=1):
         # Term below resolution: close with a certified tail bound
         # (terms decrease, so each of the remaining ones is no larger;

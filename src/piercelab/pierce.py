@@ -34,7 +34,6 @@ from .arith import (
 __all__ = [
     "DigitStatus",
     "SafeDigits",
-    "checked_digits",
     "validate_prefix",
     "digit_step",
     "digits_rational",
@@ -44,24 +43,20 @@ __all__ = [
 ]
 
 
-def checked_digits(digits):
-    """Yield the digits, checking each is a positive integer above the last."""
-    last = 0
-    for k, d in enumerate(digits, start=1):
-        if not isinstance(d, int) or d < 1:
-            raise DomainError(f"digit {d!r} at index {k} is not a positive integer")
-        if d <= last:
-            raise DomainError(f"strict increase fails at index {k}: {last} -> {d}")
-        last = d
-        yield d
-
-
 def validate_prefix(digits) -> tuple[int, ...]:
     """Check a finite digit prefix: positive integers, strictly increasing."""
     d = tuple(digits)
     if set(map(type, d)) <= {int} and all(map(lt, (0, *d), d)):  # plain ints rising from 1
         return d
-    return tuple(checked_digits(d))
+    # int subclasses, or a refusal that names the first digit at fault
+    last = 0
+    for k, x in enumerate(d, start=1):
+        if not isinstance(x, int) or x < 1:
+            raise DomainError(f"digit {x!r} at index {k} is not a positive integer")
+        if x <= last:
+            raise DomainError(f"strict increase fails at index {k}: {last} -> {x}")
+        last = x
+    return d
 
 
 def _orbit(x: Fraction, n: int) -> tuple[list[int], list[int]]:

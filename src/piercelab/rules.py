@@ -1,17 +1,18 @@
 """Symbolic generators for infinite strictly increasing digit sequences.
 
-Each family defines its k-th term analytically, knows a certified
-binary-log enclosure for that term without necessarily materialising it
-(tower terms get astronomically large), and carries its analytic
-convergence-exponent certificate where one exists.  The three certified
-classes share one shape: a checked prefix, then floor(b_k**(q_k/p_k))
-with q_k >= p_k, so they share one term, one log enclosure and one
-divergence argument; `exponent.classify_divergence` reads the verdict
-from `certificate` alone.  They describe four families: power-floor,
-tower (power-floor at alpha = 0), linear and bit-perturbed.  The one
-range check of an exponent is `_check_alpha`.  Construction checks only
-the given prefix: the tail increases strictly by proof (see
-`_FloorPowerRule`), so no tail digit is built until it is asked for.
+The paper builds its sequences from four families: power-floor, tower
+(power-floor at alpha = 0), linear and bit-perturbed.  Each defines its
+k-th term analytically, knows a certified binary-log enclosure for that
+term without necessarily materialising it (tower terms get
+astronomically large), and carries its analytic convergence exponent
+as `certificate`.  All four share one rule base, `DigitRule`: a checked
+prefix, then floor(b_k**(q_k/p_k)) with q_k >= p_k, so they share one
+term, one log enclosure and one divergence argument;
+`exponent.classify_divergence` reads the verdict from `certificate`
+alone.  The one range check of an exponent is `_check_alpha`.
+Construction checks only the given prefix: the tail increases strictly
+by proof (see `DigitRule`), so no tail digit is built until it is asked
+for, and no reader checks it again.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat, starmap
 from operator import add, attrgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from .arith import (
     LOG2_SCALE,
@@ -39,7 +40,6 @@ __all__ = [
     "PowerFloorRule",
     "LinearRule",
     "BitPerturbedRule",
-    "ExplicitRule",
 ]
 
 # Bases below this bound take the exact-value path in log enclosures;
@@ -72,49 +72,15 @@ def _check_alpha(alpha, allow_zero: bool) -> Fraction:
 
 
 class DigitRule:
-    """Base interface: an analytic rule for a strictly increasing digit sequence."""
-
-    #: analytic convergence exponent, or None when no certificate exists
-    certificate: Optional[Fraction] = None
-
-    def term(self, k: int) -> int:
-        """Exact k-th digit (1-indexed)."""
-        raise NotImplementedError
-
-    def terms_run(self, lo: int, hi: int):
-        """Iterator over term(k) for k = lo..hi, each digit built only when read."""
-        return map(self.term, range(lo, hi + 1))
-
-    def log2_term_run(self, lo: int, hi: int) -> list:
-        """Integers with lo/den <= log2(term(k)) <= hi/den for k = lo..hi: one log batch."""
-        terms = list(self.terms_run(lo, hi))
-        return list(zip(*_log2_ends(terms), repeat(LOG2_SCALE)))
-
-    def terms(self, n: int) -> tuple[int, ...]:
-        return tuple(self.terms_run(1, n))
-
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-    def _monotone_tail(self) -> Optional[tuple[int, int, Fraction]]:
-        """(M, c, alpha) if each term k > M is floor((k + c)**(1/alpha)), or (k + c)**k at 0."""
-        return None
-
-    def _require_index(self, k: int) -> None:
-        if k < 1:
-            raise DomainError("digit indices are 1-based")
-
-
-class _FloorPowerRule(DigitRule):
     """A checked prefix, then the tail floor(b_k**(q_k/p_k)) with q_k >= p_k.
 
-    Subclasses provide `prefix` and, unless b_k runs on from the last
-    prefix digit, `_bases(lo, hi)`.  With certificate alpha > 0 the tail
-    is floor(b_k**(1/alpha)) with b_k <= c + 2k, so at s <= alpha every tail
-    term satisfies term**s <= b_k: a shifted harmonic minorant, and the
-    power sum diverges.  Above alpha it converges by a p-series bound.
-    Certificate 0 means the power q_k = k grows with k, so the terms
-    dominate 2**k and every positive power sum converges.
+    Subclasses provide `prefix`, `describe` and, unless b_k runs on from
+    the last prefix digit, `_bases(lo, hi)`.  With certificate alpha > 0
+    the tail is floor(b_k**(1/alpha)) with b_k <= c + 2k, so at s <= alpha
+    every tail term satisfies term**s <= b_k: a shifted harmonic minorant,
+    and the power sum diverges.  Above alpha it converges by a p-series
+    bound.  Certificate 0 means the power q_k = k grows with k, so the
+    terms dominate 2**k and every positive power sum converges.
 
     Construction checks only the prefix; the tail increases strictly.
     Its bases b_k >= 1 increase with k, and for q/p >= 1 the bound
@@ -125,14 +91,19 @@ class _FloorPowerRule(DigitRule):
     no prefix.
     """
 
-    # LinearRule shadows this with a class constant.
+    # The analytic convergence exponent; LinearRule shadows it with a class constant.
     certificate = property(attrgetter("alpha"))
 
     def term(self, k: int) -> int:
+        """Exact k-th digit (1-indexed)."""
         return next(self.terms_run(k, k))
 
     def terms_run(self, lo: int, hi: int):
+        """Iterator over term(k) for k = lo..hi, each digit built only when read."""
         return starmap(_floor_power, self._operands(lo, hi))
+
+    def terms(self, n: int) -> tuple[int, ...]:
+        return tuple(self.terms_run(1, n))
 
     def _bases(self, lo: int, hi: int):
         """The tail bases b_k for k = lo..hi."""
@@ -140,6 +111,7 @@ class _FloorPowerRule(DigitRule):
         return range(lo + shift, hi + shift + 1)
 
     def _monotone_tail(self) -> Optional[tuple[int, int, Fraction]]:
+        """(M, c, alpha) if each term k > M is floor((k + c)**(1/alpha)), or (k + c)**k at 0."""
         alpha = self.certificate
         # floors that can pass the digit guard keep the in-order scan and its first refusal
         if alpha.numerator > 1 and alpha.denominator * 18 > alpha.numerator * DIGIT_BITS_GUARD:
@@ -153,7 +125,8 @@ class _FloorPowerRule(DigitRule):
         The one place a term is written: prefix digits and the floors of
         small bases come as (d, 1, 1).
         """
-        self._require_index(lo)
+        if lo < 1:
+            raise DomainError("digit indices are 1-based")
         # max(hi, 0): a negative hi must not count from the prefix's end
         prefix = zip(self.prefix[lo - 1:max(hi, 0)], repeat(1), repeat(1))
         lo = max(lo, len(self.prefix) + 1)
@@ -170,9 +143,9 @@ class _FloorPowerRule(DigitRule):
         return chain(prefix, tail)
 
     def log2_term_run(self, lo: int, hi: int) -> list:
-        # One log batch over the operands.  Scaling is exact when p == 1.
-        # Otherwise n = b >= 2**18, and with u = b**(q/p) >= b the floor
-        # loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
+        """Integers with lo/den <= log2(term(k)) <= hi/den for k = lo..hi: one log batch."""
+        # Scaling is exact when p == 1.  Otherwise n = b >= 2**18, and with
+        # u = b**(q/p) >= b the floor loses at most -log2(1 - 1/u) <= 3/u <= 3/b bits.
         ops = list(self._operands(lo, hi))
         return [
             (q * a, q * b, LOG2_SCALE) if p == 1
@@ -182,7 +155,7 @@ class _FloorPowerRule(DigitRule):
 
 
 @_record
-class PowerFloorRule(_FloorPowerRule):
+class PowerFloorRule(DigitRule):
     """Continue a prefix with floor((base+i)**(1/alpha)), alpha in [0, 1].
 
     An empty prefix is treated as base 1, so the tail starts at
@@ -209,7 +182,7 @@ class PowerFloorRule(_FloorPowerRule):
 
 
 @_record
-class LinearRule(_FloorPowerRule):
+class LinearRule(DigitRule):
     """The arithmetic rule k -> offset + k; convergence exponent 1."""
 
     offset: int = 0
@@ -229,7 +202,7 @@ class LinearRule(_FloorPowerRule):
 
 
 @_record
-class BitPerturbedRule(_FloorPowerRule):
+class BitPerturbedRule(DigitRule):
     """Digits floor((eps_k + 2k - 1)**(1/alpha)) driven by a 0/1 pattern.
 
     Distinct bit patterns give distinct sequences, all with convergence
@@ -250,8 +223,9 @@ class BitPerturbedRule(_FloorPowerRule):
             raise DomainError("perturbation pattern must consist of bits 0/1")
         object.__setattr__(self, "bits", pattern)
 
-    # b_k = 2k - 1 + eps_k is no k + c
-    _monotone_tail = DigitRule._monotone_tail
+    def _monotone_tail(self) -> None:
+        """None: b_k = 2k - 1 + eps_k is no k + c."""
+        return None
 
     def _bases(self, lo: int, hi: int):
         return map(add, chain(self.bits[lo - 1:hi], repeat(0)), range(2 * lo - 1, 2 * hi, 2))
@@ -263,27 +237,3 @@ class BitPerturbedRule(_FloorPowerRule):
             "bits": "".join(str(b) for b in self.bits),
         }
 
-
-@_record
-class ExplicitRule(DigitRule):
-    """An uncertified rule given by an arbitrary term function.
-
-    Useful for experiments (k -> 2**k, ...); certified operations refuse
-    it rather than guessing.
-    """
-
-    fn: Callable[[int], int]
-    name: str = "explicit"
-
-    def __post_init__(self):
-        validate_prefix(self.terms(16))
-
-    def term(self, k: int) -> int:
-        self._require_index(k)
-        t = self.fn(k)
-        if not isinstance(t, int) or t < 1:
-            raise DomainError(f"rule produced non-digit {t!r} at index {k}")
-        return t
-
-    def describe(self) -> dict:
-        return {"family": "explicit", "name": self.name}

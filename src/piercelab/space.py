@@ -24,7 +24,7 @@ from .arith import (
     unit_interval,
     unit_reciprocal,
 )
-from .pierce import alternating_sums, checked_digits, digits_rational, validate_prefix
+from .pierce import alternating_sums, digits_rational, validate_prefix
 from .rules import DigitRule
 
 __all__ = [
@@ -119,10 +119,11 @@ def expansion_value(
     target = 1 << precision_bits
     # The loop returns by index `depth`: strictly increasing digits have
     # d_j >= j, so P_k >= k! >= 2**(k-1) >= target from k = precision_bits + 1,
-    # and k - 1 >= max(min_depth, 2) from k = max(min_depth + 1, 3).  The
+    # and k - 1 >= max(min_depth, 2) from k = max(min_depth + 1, 3).  Rule
+    # terms increase by the proof in the `DigitRule` docstring, and the
     # stream is lazy, so no digit past the last one read is built.
     depth = max(min_depth + 1, 3, precision_bits + 1)
-    sums = alternating_sums(checked_digits(seq.rule.terms_run(1, depth)))
+    sums = alternating_sums(seq.rule.terms_run(1, depth))
     for k, (prev, (s, p)) in enumerate(pairwise(sums), start=2):
         # prev is the depth-(k-1) sum: both bracket endpoints must
         # reach min_depth before an enclosure may be returned; the

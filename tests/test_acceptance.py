@@ -30,7 +30,6 @@ from piercelab.dimension import (
     sample_digit_statistics,
 )
 from piercelab.exponent import (
-    certified_exponent,
     estimate_exponent,
     reciprocal_power_sum,
 )
@@ -129,7 +128,7 @@ def test_exponent_certification():
         for prefix in ((), (2,), (3, 7)):
             for alpha in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)):
                 rule = prescribed_exponent_rule(prefix, alpha)
-                assert certified_exponent(rule) == alpha
+                assert rule.certificate == alpha
                 est = estimate_exponent(PierceSeq.infinite(rule), 10**5)
                 tolerance = F(1, 100) if alpha == 0 else F(2, 100)
                 assert est.sup.hi <= alpha + tolerance, (prefix, alpha)

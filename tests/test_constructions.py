@@ -13,7 +13,6 @@ from piercelab.constructions import (
 )
 from piercelab.exponent import (
     Verdict,
-    certified_exponent,
     classify_divergence,
     estimate_point_exponent,
     reciprocal_power_sum,
@@ -63,7 +62,7 @@ class TestPrescribedExponentRule:
     def test_certificate_and_increase(self, alpha, raw):
         prefix = tuple(sorted(raw))
         rule = prescribed_exponent_rule(prefix, alpha)
-        assert certified_exponent(rule) == alpha
+        assert rule.certificate == alpha
         ts = rule.terms(40)
         assert all(a < b for a, b in zip(ts, ts[1:]))
 
@@ -77,7 +76,7 @@ class TestBitPerturbedFamily:
     def test_zero_alpha_variant(self):
         rule = BitPerturbedRule(F(0), (1, 0))
         assert rule.terms(3) == (2, 9, 125)  # (1+1)^1, (0+3)^2, (0+5)^3
-        assert certified_exponent(rule) == 0
+        assert rule.certificate == 0
 
     def test_injective_in_patterns(self):
         patterns = [tuple((m >> j) & 1 for j in range(8)) for m in range(256)]

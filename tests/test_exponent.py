@@ -13,14 +13,12 @@ from piercelab.arith import (
     INFINITY,
     DomainError,
     Enclosure,
-    UncertifiedRuleError,
     integer_root,
     log2_bounds,
     log2_enclosure,
 )
 from piercelab.exponent import (
     Verdict,
-    certified_exponent,
     classify_divergence,
     estimate_exponent,
     estimate_point_exponent,
@@ -33,15 +31,13 @@ from piercelab.dimension import sample_digit_statistics
 from piercelab.pierce import DigitStatus
 from piercelab.rules import (
     BitPerturbedRule,
-    DigitRule,
-    ExplicitRule,
     LinearRule,
     PowerFloorRule,
 )
 from piercelab.space import PierceSeq, SIGMA_ZERO
 
 SQUARES = PowerFloorRule((1,), F(1, 2))  # 1, 4, 9, 16, ...
-POWERS_OF_TWO = ExplicitRule(lambda k: 2**k, name="2^k")
+POWERS_OF_TWO = PierceSeq.finite(tuple(2**k for k in range(1, 2**12 + 1)))
 
 
 class TestGrowthRatio:
@@ -76,8 +72,7 @@ class TestGrowthRatio:
 
 class TestWindows:
     def test_window_grows_monotonically(self):
-        seq = PierceSeq.infinite(POWERS_OF_TWO)
-        sups = [exponent_window(seq, 2, hi).hi for hi in (4, 8, 16, 64)]
+        sups = [exponent_window(POWERS_OF_TWO, 2, hi).hi for hi in (4, 8, 16, 64)]
         assert all(a <= b for a, b in zip(sups, sups[1:]))
 
     def test_sigma_zero(self):
@@ -86,11 +81,10 @@ class TestWindows:
         assert not est.certified
 
     def test_geometric_rule_decays(self):
-        seq = PierceSeq.infinite(POWERS_OF_TWO)
-        est = estimate_exponent(seq, 2**10)
+        est = estimate_exponent(POWERS_OF_TWO, 2**10)
         assert est.sup.hi <= F(16, 100)
         # decreasing trend across window sizes; the true exponent is 0
-        sups = [estimate_exponent(seq, 2**e).sup.hi for e in (8, 10, 12)]
+        sups = [estimate_exponent(POWERS_OF_TWO, 2**e).sup.hi for e in (8, 10, 12)]
         assert sups[0] > sups[1] > sups[2]
 
     def test_squares_window_pins_half(self):
@@ -128,21 +122,15 @@ def reference_window(seq, lo, hi):
     )
 
 
-class ZeroLowerLogIdentity(DigitRule):
+class ZeroLowerLogIdentity(LinearRule):
     """k -> k with log bounds [0, hi]: only d_n >= n keeps the ratio finite."""
-
-    def term(self, k):
-        return k
 
     def log2_term_run(self, lo, hi):
         return [(0, up, den) for _, up, den in super().log2_term_run(lo, hi)]
 
 
-class DoubledScaleLogIdentity(DigitRule):
+class DoubledScaleLogIdentity(LinearRule):
     """k -> k with log bounds over 2 * LOG2_SCALE: the window must rescale them."""
-
-    def term(self, k):
-        return k
 
     def log2_term_run(self, lo, hi):
         return [(2 * a, 2 * b, 2 * den) for a, b, den in super().log2_term_run(lo, hi)]
@@ -166,7 +154,7 @@ REFERENCE_SCANS = [
     (PierceSeq.infinite(DoubledScaleLogIdentity()), 2, 100, None),
     (PierceSeq.infinite(BitPerturbedRule(F(0), (0, 1, 1, 0, 1))), 2, 200, None),
     (PierceSeq.infinite(BitPerturbedRule(F(2, 3), (0, 1, 1, 0, 1, 0, 1))), 2, 300, None),
-    (PierceSeq.infinite(ExplicitRule(lambda k: k * k + k, name="k^2+k")), 2, 300, None),
+    (PierceSeq.infinite(BitPerturbedRule(F(1, 2), (1, 1, 0, 1))), 2, 300, None),  # p == 1
     # windows that run past the finite digits, partly and wholly
     (PierceSeq.finite(tuple(k**3 for k in range(1, 40))), 10, 100, None),
     (PierceSeq.finite((2, 5, 11)), 5, 20, None),
@@ -623,20 +611,16 @@ class TestPointEstimates:
 
 class TestCertificates:
     def test_families(self):
-        assert certified_exponent(PowerFloorRule((2,), F(1, 2))) == F(1, 2)
-        assert certified_exponent(PowerFloorRule((2,), 0)) == 0
-        assert certified_exponent(BitPerturbedRule(F(1), (1, 0, 1))) == 1
-        assert certified_exponent(LinearRule(3)) == 1
-
-    def test_uncertified_refused(self):
-        with pytest.raises(UncertifiedRuleError):
-            certified_exponent(POWERS_OF_TWO)
+        assert PowerFloorRule((2,), F(1, 2)).certificate == F(1, 2)
+        assert PowerFloorRule((2,), 0).certificate == 0
+        assert BitPerturbedRule(F(1), (1, 0, 1)).certificate == 1
+        assert LinearRule(3).certificate == 1
 
     def test_window_approaches_certificate(self):
         # modest window already lands within 0.05 for the square family
         rule = PowerFloorRule((2,), F(1, 2))
         est = estimate_exponent(PierceSeq.infinite(rule), 4000)
-        assert abs(est.sup_value - certified_exponent(rule)) < F(5, 100)
+        assert abs(est.sup_value - rule.certificate) < F(5, 100)
 
 
 class TestClassifyDivergence:
@@ -645,7 +629,6 @@ class TestClassifyDivergence:
         assert classify_divergence(SQUARES, F(3, 4)) is Verdict.CONVERGENT
         assert classify_divergence(PowerFloorRule((), 0), F(1, 2)) is Verdict.CONVERGENT
         assert classify_divergence(LinearRule(0), F(1)) is Verdict.DIVERGENT
-        assert classify_divergence(POWERS_OF_TWO, F(1, 2)) is Verdict.UNKNOWN
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -714,13 +697,6 @@ class TestPowerSums:
         a = reciprocal_power_sum(seq, F(1, 2), n)
         b = reciprocal_power_sum(seq, F(1, 2), n + extra)
         assert a.sum.lo <= b.sum.lo
-
-    def test_decaying_rule_rejected_past_spot_check(self):
-        # strict increase is what makes the early tail bound sound; a
-        # rule that decays beyond the construction spot-check must raise
-        sneaky = ExplicitRule(lambda k: k if k <= 20 else 20, name="plateau")
-        with pytest.raises(DomainError):
-            reciprocal_power_sum(PierceSeq.infinite(sneaky), F(1, 2), 50)
 
 
 def reference_power_sum(seq, s, n_terms, bits=64):

@@ -18,7 +18,7 @@ KEPT = {
     "cylinder_contains": "membership in the paper's cylinder sets",
     "seq_distance": "the paper's metric",
     "Verdict": "return type of classify_divergence",
-    "ExponentEstimate": "return type of exponent_window and estimate_exponent",
+    "ExponentEstimate": "return type of estimate_exponent and estimate_point_exponent",
     "PowerSumPartial": "return type of reciprocal_power_sum",
     "estimate_point_exponent": "λ at a point given as an enclosure",
     "CoverVerdict": "verdict type of covering_sum",

@@ -7,13 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from piercelab import arith, rules
-from piercelab.arith import LOG2_SCALE, DomainError, Enclosure, GuardExceededError, log2_enclosure
+from piercelab.arith import DomainError, Enclosure, GuardExceededError, log2_enclosure
 from piercelab.constructions import divergent_tail_rule
 from piercelab.exponent import Verdict, classify_divergence, reciprocal_power_sum
 from piercelab.pierce import validate_prefix
 from piercelab.rules import (
     BitPerturbedRule,
-    ExplicitRule,
     LinearRule,
     PowerFloorRule,
 )
@@ -59,6 +58,8 @@ def test_terms_strictly_increase(case):
     assert rule.terms(len(prefix)) == prefix
 
 
+BOUND = rules._EXACT_LOG_BASE_BOUND
+
 PREFIXES = st.lists(st.integers(1, 200), max_size=5, unique=True).map(lambda ds: tuple(sorted(ds)))
 ALPHAS = st.integers(1, 8).flatmap(lambda q: st.integers(1, q).map(lambda p: F(p, q)))  # >= 1/8
 DRAWN_RULES = st.one_of(
@@ -73,15 +74,31 @@ DRAWN_RULES = st.one_of(
 )
 
 
-@given(DRAWN_RULES)
+def seam_indices(rule) -> list[int]:
+    """The first index past the prefix or bit pattern, and about where bases reach 2**18."""
+    if isinstance(rule, BitPerturbedRule):
+        return [len(rule.bits) + 1, BOUND // 2]  # b_k = 2k - 1 + eps_k
+    return [len(prefix_of(rule)) + 1, BOUND - rule._bases(0, 0)[0]]  # b_k = k + b_0
+
+
+@given(DRAWN_RULES, st.data())
 @settings(max_examples=60, deadline=None)
-def test_drawn_terms_strictly_increase(rule):
-    # Construction checks only the prefix; the tail, seam included, must
-    # increase by the proof in the _FloorPowerRule docstring.
+def test_drawn_terms_strictly_increase(rule, data):
+    # Construction checks only the prefix, and no reader checks the tail:
+    # its increase, seams included, rests on the proof in the DigitRule
+    # docstring, and this test pins it.
     prefix = prefix_of(rule)
     terms = rule.terms(len(prefix) + 64)
     assert terms[:len(prefix)] == prefix
     assert validate_prefix(terms) == terms
+    # 64 terms from a drawn start with the term before them, also across
+    # the seams; tower digits pass the digit guard long before 2**18
+    top = BOUND + 64 if rule.certificate else 1024
+    seams = [k for k in seam_indices(rule) if k <= top]
+    near_seam = st.sampled_from(seams).flatmap(lambda k: st.integers(max(2, k - 63), max(2, k)))
+    lo = data.draw(st.integers(2, top) | near_seam)
+    run = (rule.term(lo - 1), *rule.terms_run(lo, lo + 63))
+    assert validate_prefix(run) == run
 
 
 def test_construction_takes_no_root(monkeypatch):
@@ -149,7 +166,7 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
     [
         # the tail leaves the materialised floor for the slack path at b = 2**18
         (PowerFloorRule((), F(2, 3)), (1 << 18) - 60, (1 << 18) + 60),
-        (ExplicitRule(lambda k: 3 * k * k + 1, name="3k^2+1"), 1, 300),
+        (PowerFloorRule((), F(3, 5)), 1, 300),  # odd-root floors from the first index
         (PowerFloorRule((2, 5), F(2, 3)), (1 << 18) - 60, (1 << 18) + 60),
         (BitPerturbedRule(F(2, 3), PATTERN), (1 << 17) - 30, (1 << 17) + 30),
         # windows across the prefix end, for every family with a prefix
@@ -175,7 +192,7 @@ def test_log2_term_run_equals_the_bounds(case, monkeypatch, start, length):
         (PowerFloorRule((2, 5), 0), 1, 0),
         (BitPerturbedRule(F(2, 3), PATTERN), 1, -1),
         (LinearRule(3), 1, -1),
-        (ExplicitRule(lambda k: 3 * k * k + 1, name="3k^2+1"), 1, -1),
+        (BitPerturbedRule(F(0), PATTERN), 1, -1),
     ],
 )
 def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
@@ -187,8 +204,6 @@ def test_log2_term_run_across_branches(rule, lo, hi, monkeypatch):
     if hi <= 0:
         assert rule.terms(hi) == ()
 
-
-BOUND = rules._EXACT_LOG_BASE_BOUND
 
 
 @st.composite
@@ -377,8 +392,3 @@ def test_every_exponent_reader_shares_one_range_check(reader):
             call(F(0))
     call(F(1))
 
-
-def test_explicit_rule_is_uncertified():
-    rule = ExplicitRule(lambda k: 2**k, name="2^k")
-    assert classify_divergence(rule, F(1, 2)) is Verdict.UNKNOWN
-    assert rule.log2_term_run(5, 5) == [(5 * LOG2_SCALE, 5 * LOG2_SCALE, LOG2_SCALE)]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from piercelab.arith import INFINITY, DomainError, Enclosure
 from piercelab import space
 from piercelab.pierce import digits_rational, validate_prefix
-from piercelab.rules import ExplicitRule, LinearRule, PowerFloorRule
+from piercelab.rules import LinearRule, PowerFloorRule
 from piercelab.space import (
     PierceSeq,
     SIGMA_ZERO,
@@ -53,14 +53,6 @@ class TestExpansionValue:
         assert enc.width <= F(1, 1 << 20)
         # both intervals contain 1 - 1/e, hence overlap
         assert enc.lo <= hi and lo <= enc.hi
-
-    def test_rule_strict_increase_enforced(self):
-        with pytest.raises(DomainError):
-            ExplicitRule(lambda k: 5, name="constant")
-        # a rule that decays past the construction spot-check still fails at use
-        sneaky = ExplicitRule(lambda k: k if k <= 20 else 20, name="plateau")
-        with pytest.raises(DomainError):
-            expansion_value(PierceSeq.infinite(sneaky), 64)
 
     @given(st.lists(st.integers(1, 50), max_size=12), st.integers(2, 50))
     def test_digit_map_section(self, steps, last_step):

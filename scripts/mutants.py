@@ -152,13 +152,23 @@ MUTANTS = {
         "k, q = _cell(s, product, d, depth)\n        if a * q < k * c",
         [SPACE], None),
     "outward-lower-ceiling": (
-        "src/piercelab/dimension.py", "Enclosure(Fraction((a << bits) // b, scale)",
-        "Enclosure(Fraction(-(-(a << bits) // b), scale)", [LEDGER], None),
+        "src/piercelab/dimension.py", "outward(t_lo >> guard, -(-t_hi >> guard))",
+        "outward(-(-t_lo >> guard), -(-t_hi >> guard))", [LEDGER], None),
     "outward-upper-floor": (
-        "src/piercelab/dimension.py", "Fraction(-((-c << bits) // d), scale))",
-        "Fraction((c << bits) // d, scale))", [LEDGER], None),
+        "src/piercelab/dimension.py", "outward(t_lo >> guard, -(-t_hi >> guard))",
+        "outward(t_lo >> guard, t_hi >> guard)", [LEDGER], None),
     "ledger-guard-1": (
-        "src/piercelab/dimension.py", "guard = bits + 32", "guard = bits + 1", [LEDGER], None),
+        "src/piercelab/dimension.py", "guard, one = 32, 1 << bits", "guard, one = 1, 1 << bits",
+        [LEDGER], None),
+    "bracket-upper-tight": (
+        "src/piercelab/arith.py", "return r, r + (d < t), t - d,", "return r, r, t - d,",
+        [ARITH], None),
+    "ledger-takes-undecided": (
+        "src/piercelab/dimension.py", "return sign * q if q == hi // d_lo else None",
+        "return sign * q", [LEDGER], None),
+    "cover-exact-never": (
+        "src/piercelab/arith.py", "integer_root(base, v) ** v == base", "False",
+        [LEDGER], None),
     "unit-rational-open-top": (
         "src/piercelab/arith.py", "0 <= x.numerator <= x.denominator",
         "0 <= x.numerator < x.denominator", [UNIT], None),

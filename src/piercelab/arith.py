@@ -453,6 +453,26 @@ def _scaled_root(m: int, v: int, t: int) -> tuple[int, bool]:
     return r, r & ((1 << t) - 1) == 0 and (r >> t) ** v == m
 
 
+def _root_bracket(m: int, base: int, v: int, t: int, w: int) -> tuple[int, int, int, bool]:
+    """(lo, hi, e, exact) with lo*2**e <= X = floor(2**t * m**(1/v)) <= hi*2**e.
+
+    Needs m = base**n, n >= 1, gcd(n, v) = 1, t >= 0 and w >= 1; exact is
+    _scaled_root's flag.  Where X has at most about w bits, lo = hi = X
+    and e = 0.  Else lo > 2**w, hi = lo + 1, and hi*2**e >= X + 1 too.
+    - Bracket: r = lo is the root of m' = floor(m * 2**(v*d)), d <= t (m
+      cut to about v*(w + 2) bits where d < 0), so r**v <= m' <=
+      m*2**(v*d) < m' + 1 <= (r+1)**v and r <= 2**d * m**(1/v) < r + 1;
+      times 2**e, e = t - d, the integers r*2**e and (r+1)*2**e enclose
+      X and its ceiling.
+    - Exactness from the narrow base: m is a perfect v-th power exactly
+      when base is, as v divides n*a, a prime's exponent in m, exactly
+      when it divides a.
+    """
+    d = min(t, w + 2 - m.bit_length() // v)
+    r = integer_root(m << v * d if d >= 0 else m >> -v * d, v)
+    return r, r + (d < t), t - d, integer_root(base, v) ** v == base
+
+
 def pow_enclosure(base: int, exponent: Fraction, frac_bits: int = 64) -> Enclosure:
     """Certified enclosure of base**exponent for integer base >= 1.
 

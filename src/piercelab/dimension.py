@@ -11,6 +11,7 @@ the byte from their seed.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from enum import Enum
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .arith import (
     Enclosure,
     GuardExceededError,
     _record,
+    _root_bracket,
     _scaled_root,
     integer_root,
     ln_enclosure,
@@ -202,67 +204,133 @@ class CoverReport:
     verdict: CoverVerdict
 
 
-def _outward(quads, bits: int) -> tuple[Enclosure, ...]:
-    """Quadruples (lo_num, lo_den, hi_num, hi_den) rounded outward to 2**-bits."""
-    scale = 1 << bits
-    return tuple(
-        Enclosure(Fraction((a << bits) // b, scale), Fraction(-((-c << bits) // d), scale))
-        for a, b, c, d in quads
-    )
+# Working bits of the covering ledger's roots past the printed bits.
+_LEDGER_BITS = 128
+
+
+def _align(a: int, b: int, s: int) -> tuple[int, int]:
+    """a * 2**s and b scaled by one power of two to integers."""
+    return (a << s, b) if s >= 0 else (a, b << -s)
+
+
+def _quotient(n, d, sh: int, up: bool = False) -> Optional[int]:
+    """floor(N * 2**sh / D), or the ceiling if up, for brackets N >= 0, D > 0; None if undecided."""
+    sign, s = -1 if up else 1, sh + n[2] - d[2]
+    lo, hi = (sign * n[0] << s, sign * n[1] << s) if s >= 0 else (sign * n[0], sign * n[1])
+    d_lo, d_hi = (d[0], d[1]) if s >= 0 else (d[0] << -s, d[1] << -s)
+    q = lo // d_hi
+    return sign * q if q == hi // d_lo else None
+
+
+def _below(x, y, strict: bool) -> Optional[bool]:
+    """Whether x < y (x <= y if not strict) for brackets x and y; None where they overlap."""
+    below, s = operator.lt if strict else operator.le, x[2] - y[2]
+    if below(*_align(x[1], y[0], s)):
+        return True
+    return None if below(*_align(x[0], y[1], s)) else False
+
+
+def _times(x, y):
+    return x[0] * y[0], x[1] * y[1], x[2] + y[2]
 
 
 def covering_sum(params: CoverParams, bits: int = 96) -> CoverReport:
-    """Evaluate the covering series a_k = k**(k*g) / (k!)**(s*h+1).
+    """Evaluate the covering series a_k = k**(k*g) / (k!)**u, u = s*h + 1.
 
-    Here g = 1/(alpha-eps) and h = 1/(beta+eps).  Terms and consecutive
-    ratios are exact quotients of scaled integer roots, rounded outward
-    once; partial sums add the term bounds at 32 guard bits.  The
-    verdict is RATIO_VANISHING only when s exceeds the threshold
-    (beta+eps)(g-1) and the ratios are certifiably below 1 and
+    Here g = 1/(alpha-eps) and h = 1/(beta+eps).  Per term, a =
+    floor(2**bits * k**(k*g)) and c = floor(2**bits * (k!)**u) are exact
+    or one below the truth, so the term lies in [a/(c+1), (a+1)/c]
+    (no +1 where a root is exact), and a ratio a_{k+1}/a_k in the
+    quotient of the two terms' opposite ends.  Each is rounded outward to
+    2**-bits; partial sums add the term bounds at 32 guard bits and round
+    once.  The verdict is RATIO_VANISHING only when s exceeds the
+    threshold (beta+eps)(g-1) and the ratios are certifiably below 1 and
     decreasing over the final quarter of the window; anything else is
     INCONCLUSIVE, because the construction proves nothing there.
+
+    Each printed floor and ceiling and both verdict comparisons are
+    decided from brackets lo*2**e <= X <= hi*2**e of these integers at a
+    working precision w = bits + 128, and x bits more for a term near 2**x:
+    - Root brackets: both radicands are base**n with gcd(n, v) = 1, as
+      arith._root_bracket needs: k**(k*g.num/e) at degree g.den/e, e =
+      gcd(k*g.num, g.den), and (k!)**u.num, a running power, at u.den.
+    - Bracket arithmetic: a product multiplies the ends and adds the
+      exponents.  floor(N * 2**sh / D) rises with N and falls with D, so
+      it is decided where floor(lo_N * 2**sh / hi_D) equals
+      floor(hi_N * 2**sh / lo_D), and a ceiling the same way; a
+      comparison is decided where the brackets do not overlap.
+    - Widening: where any one is undecided, the whole ledger runs again
+      at 4w.  A bracket is the point X once w passes X's width, so the
+      last rung decides all on the exact integers: the bytes are theirs.
     """
     if params.k_max > COVER_KMAX_GUARD:
         raise GuardExceededError(
             f"k_max {params.k_max} exceeds the exact-root guard {COVER_KMAX_GUARD}"
         )
-    g = params.upper_exponent
-    exp_fact = params.s * params.lower_exponent + 1
+    w = bits + _LEDGER_BITS
+    while (report := _ledger(params, bits, w)) is None:
+        w *= 4
+    return report
+
+
+def _ledger(params: CoverParams, bits: int, w: int) -> Optional[CoverReport]:
+    """covering_sum at working precision w, or None where a rounding is undecided."""
+    g, u = params.upper_exponent, params.s * params.lower_exponent + 1
+    gn, gd, un, ud = g.numerator, g.denominator, u.numerator, u.denominator
     ks = tuple(range(params.N, params.k_max + 1))
-    # A term or ratio is a quadruple (lo_num, lo_den, hi_num, hi_den).  The
-    # roots a of 2**bits * k**(k*g) and c of 2**bits * (k!)**exp_fact are
-    # exact or one below the truth; the scales cancel.
-    terms = []
+    guard, one = 32, 1 << bits
     factorial = math.factorial(params.N - 1)
+    power = factorial**un
+    brackets, terms, sums, lo, hi = [], [], [], 0, 0
+    enclosures = {}  # terms and sums repeat once terms drop below 2**-bits
+
+    def outward(n_lo, n_hi):
+        if (n_lo, n_hi) not in enclosures:
+            enclosures[n_lo, n_hi] = Enclosure(Fraction(n_lo, one), Fraction(n_hi, one))
+        return enclosures[n_lo, n_hi]
+
     for k in ks:
         factorial *= k
-        e = math.gcd(k * g.numerator, g.denominator)
-        a, a_exact = _scaled_root(k ** (k * g.numerator // e), g.denominator // e, bits)
-        c, c_exact = _scaled_root(factorial**exp_fact.numerator, exp_fact.denominator, bits)
-        terms.append((a, c + (not c_exact), a + (not a_exact), c))
-    # a_{k+1}/a_k lies in [lo_{k+1}/hi_k, hi_{k+1}/lo_k]; every a >= 2**bits.
-    ratios = [(a1 * d0, b1 * c0, c1 * b0, d1 * a0)
-              for (a0, b0, c0, d0), (a1, b1, c1, d1) in zip(terms, terms[1:])]
-    guard = bits + 32
-    sums, lo, hi = [], 0, 0
-    for a, b, c, d in terms:
-        lo += (a << guard) // b
-        hi -= (-c << guard) // d
-        sums.append((lo, 1 << guard, hi, 1 << guard))
+        power *= k**un
+        e = math.gcd(k * gn, gd)
+        m, v = k ** (k * gn // e), gd // e
+        wk = w + max(0, m.bit_length() // v - power.bit_length() // ud)
+        quad = []  # brackets of a, a + (not exact), c, c + (not exact)
+        for m, base, v in ((m, k, v), (power, factorial, ud)):
+            r_lo, r_hi, r_e, exact = _root_bracket(m, base, v, bits, wk)
+            up = r_lo == r_hi and not exact
+            quad += [(r_lo, r_hi, r_e), (r_lo + up, r_hi + up, r_e)]
+        a, a_up, c, c_up = quad
+        t_lo, t_hi = _quotient(a, c_up, bits + guard), _quotient(a_up, c, bits + guard, True)
+        if t_lo is None or t_hi is None:
+            return None
+        brackets.append(quad)
+        lo, hi = lo + t_lo, hi + t_hi
+        terms.append(outward(t_lo >> guard, -(-t_hi >> guard)))
+        sums.append(outward(lo >> guard, -(-hi >> guard)))
+    # a_{k+1}/a_k lies in [lo_{k+1}/hi_k, hi_{k+1}/lo_k]: (n_lo, d_lo, n_hi, d_hi)
+    fractions = [(_times(a1, c0), _times(c1_up, a0_up), _times(a1_up, c0_up), _times(c1, a0))
+                 for (a0, a0_up, c0, c0_up), (a1, a1_up, c1, c1_up)
+                 in zip(brackets, brackets[1:])]
+    ratios = []
+    for n_lo, d_lo, n_hi, d_hi in fractions:
+        r_lo, r_hi = _quotient(n_lo, d_lo, bits), _quotient(n_hi, d_hi, bits, True)
+        if r_lo is None or r_hi is None:
+            return None
+        ratios.append(outward(r_lo, r_hi))
 
     verdict = CoverVerdict.INCONCLUSIVE
-    if params.s > params.threshold and ratios:
-        tail = ratios[-max(1, len(ratios) // 4):]
-        below_one = all(c < d for _, _, c, d in tail)
-        decreasing = all(
-            c1 * b0 <= a0 * d1 for (a0, b0, _, _), (_, _, c1, d1) in zip(tail, tail[1:])
-        )
-        if below_one and decreasing:
+    if params.s > params.threshold and fractions:
+        tail = fractions[-max(1, len(fractions) // 4):]
+        checks = [_below(n_hi, d_hi, True) for _, _, n_hi, d_hi in tail] + [
+            _below(_times(n1, d0), _times(n0, d1), False)
+            for (n0, d0, _, _), (_, _, n1, d1) in zip(tail, tail[1:])]
+        if False not in checks:
+            if None in checks:
+                return None
             verdict = CoverVerdict.RATIO_VANISHING
-    return CoverReport(
-        params, ks, _outward(terms, bits), _outward(ratios, bits), _outward(sums, bits),
-        params.threshold, verdict,
-    )
+    return CoverReport(params, ks, tuple(terms), tuple(ratios), tuple(sums),
+                       params.threshold, verdict)
 
 
 def refined_dimension_bound(alpha: Fraction, beta: Fraction, n_parts: int) -> Fraction:

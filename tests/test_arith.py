@@ -1,5 +1,6 @@
 import decimal
 import functools
+import itertools
 import math
 import operator
 import os
@@ -278,6 +279,21 @@ class TestRoots:
         r = (1 << 48) + offset
         assert integer_root(r**p, p) == r
         assert integer_root(r**p - 1, p) == r - 1
+
+    @pytest.mark.parametrize("base", [2, 8, 97, math.factorial(10), math.factorial(60)])
+    @pytest.mark.parametrize("n, v", [(1, 1), (5, 2), (7, 3), (10, 3), (13, 4), (600, 7)])
+    def test_root_bracket_contains_the_scaled_root(self, base, n, v):
+        # Bases k and k! at coprime (n, v), w on both sides of the root's
+        # width; 8 = 2**3 at v = 3 is a perfect power.
+        for t, w in itertools.product((0, 8, 96), (1, 8, 40, 224, 20000)):
+            x, exact = _scaled_root(base**n, v, t)
+            lo, hi, e, flag = arith._root_bracket(base**n, base, v, t, w)
+            assert flag is exact and exact == (integer_root(base, v) ** v == base)
+            if lo == hi:
+                assert (lo, e) == (x, 0)
+            else:
+                assert hi == lo + 1 and lo > 1 << w and w < x.bit_length()
+                assert lo << e <= x <= x + (not exact) <= hi << e
 
     @pytest.mark.parametrize("m, p", [(8, 0), (8, -3), (-8, 3), (-1, 1)])
     def test_refusals(self, m, p):

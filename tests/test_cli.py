@@ -721,3 +721,22 @@ def test_high_degree_root_commands_print_pinned_bytes(command):
     code, out, _ = invoke(command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ROOT_DEGREE_DIGESTS[command]
+
+
+# stdout SHA-256 of cover at the guard's kmax, where the ledger cuts its
+# roots deepest, at the three acceptance points (bytes of the exact ledger)
+KMAX_GUARD_DIGESTS = {
+    "cover --alpha 1/2 --beta 1/2 --eps 1/10 --s 3 --kmax 512":
+        "024a4c2cd941e20b0992bb4885aed6a4f53dc0be55345751001d5383d72e9965",
+    "cover --alpha 1 --beta 1 --eps 1/5 --s 4 --kmax 512":
+        "cf2459275b1ab75873964990b6aea413393104e1e979b1cec08bb16ded9e5f40",
+    "cover --alpha 3/5 --beta 4/5 --eps 1/10 --s 9/2 --kmax 512":
+        "0c91dd3efc74bf2a7eb4f43b1e09ceabef92a1618df72eabfe29385f60ac9fef",
+}
+
+
+@pytest.mark.parametrize("command", KMAX_GUARD_DIGESTS)
+def test_cover_at_the_kmax_guard_prints_pinned_bytes(command):
+    code, out, _ = invoke(command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == KMAX_GUARD_DIGESTS[command]

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 from fractions import Fraction as F
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from piercelab import arith, dimension
 from piercelab.arith import DomainError, Enclosure, GuardExceededError, pow_enclosure
 from piercelab.dimension import (
     CoverParams,
@@ -17,7 +19,9 @@ from piercelab.dimension import (
     refined_dimension_bound,
     sample_digit_statistics,
 )
+from piercelab.cli import run
 from piercelab.pierce import DigitStatus
+from piercelab.space import DEFAULT_PRECISION_BITS
 
 # beta+eps = 1 and alpha-eps = 1/2: the small exponent pair (1, 2)
 UNIT_PAIR = dict(alpha=F(3, 5), beta=F(9, 10), epsilon=F(1, 10))
@@ -200,6 +204,54 @@ class TestReferenceLedger:
         report = covering_sum(params, bits)
         got = (report.terms, report.ratios, report.partial_sums, report.verdict)
         assert got == reference_ledger(params, bits)
+
+    @pytest.mark.parametrize("point", LEDGER_POINTS)
+    @pytest.mark.parametrize("N", [1, 3])
+    @pytest.mark.parametrize("bits", [0, 8, 64])
+    @pytest.mark.parametrize("extra", [1, 8])
+    def test_narrow_ledger_widens_to_the_reference(self, point, N, bits, extra, monkeypatch):
+        # At w = bits + 1 or bits + 8 the first rungs leave roundings
+        # undecided; the ledger widens until each is decided.
+        monkeypatch.setattr(dimension, "_LEDGER_BITS", extra)
+        widths, ledger = [], dimension._ledger
+
+        def spy(params, bits, w):
+            widths.append(w)
+            return ledger(params, bits, w)
+
+        monkeypatch.setattr(dimension, "_ledger", spy)
+        params = CoverParams(N=N, k_max=60, **point)
+        report = covering_sum(params, bits)
+        got = (report.terms, report.ratios, report.partial_sums, report.verdict)
+        assert got == reference_ledger(params, bits)
+        assert widths[0] == bits + extra and len(widths) > 1
+        assert widths == [widths[0] * 4**i for i in range(len(widths))]
+
+
+def test_readme_cover_roots_at_working_precision(monkeypatch):
+    # The README's cover command runs the ledger once, and each radicand
+    # it roots, of k**(k*g) (up to 3800 bits) and (k!)**u (up to 7500), is
+    # cut to about degree * (w + 2) bits, w = bits + 128: the gain over
+    # exact roots.
+    roots, widths = [], []
+    root, ledger = arith.integer_root, dimension._ledger
+
+    def root_spy(m, p):
+        roots.append((m.bit_length(), p))
+        return root(m, p)
+
+    def ledger_spy(params, bits, w):
+        widths.append(w)
+        return ledger(params, bits, w)
+
+    monkeypatch.setattr(arith, "integer_root", root_spy)
+    monkeypatch.setattr(dimension, "_ledger", ledger_spy)
+    argv = "cover --alpha 1/2 --beta 1/2 --eps 1/10 --s 3 --kmax 200".split()
+    assert run(argv, io.StringIO(), io.StringIO()) == 0
+    w = DEFAULT_PRECISION_BITS + dimension._LEDGER_BITS
+    assert widths == [w]
+    degrees = [(bits, p) for bits, p in roots if p > 1]
+    assert len(degrees) >= 100 and max(bits / p for bits, p in degrees) <= w + 64
 
 
 class TestRefinedBound:

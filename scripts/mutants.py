@@ -40,6 +40,8 @@ LEDGER = "tests/test_dimension.py::TestReferenceLedger"
 UNIT = "tests/test_arith.py::TestUnitRational"
 PREFIX = "tests/test_pierce.py::TestValidatePrefix"
 ORBIT = "tests/test_pierce.py::TestReferenceOrbit"
+POWER_SUM = "tests/test_exponent.py::test_power_sum_equals_the_per_term_reference"
+SAMPLE = "tests/test_pierce.py::test_integer_entry_equals_the_enclosure_entry"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
@@ -178,6 +180,17 @@ MUTANTS = {
     "orbit-pad-off-by-one": (
         "src/piercelab/pierce.py", "[Fraction(0)] * (n - len(orbit))",
         "[Fraction(0)] * (n - len(orbit) + 1)", [ORBIT], None),
+    "power-sum-shortcut-any-v": (
+        "src/piercelab/exponent.py", "if u == 1 and v % q == 0:", "if u == 1 and v > 0:",
+        [POWER_SUM], None),
+    "power-sum-shortcut-without-p": (
+        "src/piercelab/exponent.py", "n ** (v // q * p)", "n ** (v // q)", [POWER_SUM], None),
+    "power-sum-pairs-unreduced": (
+        "src/piercelab/exponent.py", "g = gcd(num, den)", "g = 1", [POWER_SUM], None),
+    "power-sum-shared-inexact": (
+        "src/piercelab/exponent.py", "if b == e and lo == hi:", "if lo == hi:", [POWER_SUM], None),
+    "safe-run-ambiguity-strict": (
+        "src/piercelab/pierce.py", "if rest >= a:", "if rest > a:", [SAMPLE], None),
 }
 
 

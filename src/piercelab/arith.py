@@ -466,11 +466,12 @@ def _root_bracket(m: int, base: int, v: int, t: int, w: int) -> tuple[int, int, 
       X and its ceiling.
     - Exactness from the narrow base: m is a perfect v-th power exactly
       when base is, as v divides n*a, a prime's exponent in m, exactly
-      when it divides a.
+      when it divides a.  At v = 1 no root is taken: m' is its own, and exact.
     """
     d = min(t, w + 2 - m.bit_length() // v)
-    r = integer_root(m << v * d if d >= 0 else m >> -v * d, v)
-    return r, r + (d < t), t - d, integer_root(base, v) ** v == base
+    m = m << v * d if d >= 0 else m >> -v * d
+    r = integer_root(m, v) if v > 1 else m
+    return r, r + (d < t), t - d, v == 1 or integer_root(base, v) ** v == base
 
 
 def pow_enclosure(base: int, exponent: Fraction, frac_bits: int = 64) -> Enclosure:

@@ -29,7 +29,7 @@ from .arith import (
 )
 from .constructions import Witness, witness_in_interval
 from .exponent import _half_window, exponent_window
-from .pierce import DigitStatus, safe_digits
+from .pierce import DigitStatus, _safe_run
 from .rules import _check_alpha
 from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
@@ -406,8 +406,9 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
     for index in range(count):
         rng = random.Random(f"{seed}:{index}:piercelab-mc")
         p = rng.getrandbits(bits)
-        enclosure = Enclosure(Fraction(p, denominator), Fraction(p + 1, denominator))
-        sd = safe_digits(enclosure, max_n=10**6)
+        if not 0 <= p < p + 1 <= denominator:  # unit_interval's check, on the integers
+            raise DomainError(f"sample {p} does not lie in [0, 2**{bits})")
+        sd = _safe_run(p, p + 1, denominator, 10**6)
         depth = len(sd.prefix)
         seq = PierceSeq.finite(sd.prefix)
         window = exponent_window(seq, *_half_window(depth))

@@ -17,8 +17,10 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from itertools import chain, compress, repeat
+from math import gcd
 from typing import Optional
 
+from . import rules
 from .arith import (
     LOG2_SCALE,
     LOG2_SCALE_BITS,
@@ -28,7 +30,6 @@ from .arith import (
     _log2_ends,
     _record,
     _scaled_root,
-    integer_root,
 )
 from .pierce import DigitStatus, safe_digits
 from .rules import _EXACT_LOG_BASE_BOUND, DigitRule, _check_alpha
@@ -45,8 +46,6 @@ __all__ = [
     "reciprocal_power_sum",
     "classify_divergence",
 ]
-
-_ZERO = Fraction(0)
 
 
 class Verdict(Enum):
@@ -312,14 +311,17 @@ class PowerSumPartial:
     verdict: Verdict
 
 
-def _term_bounds(d: int, p: int, q: int, shift: int) -> tuple[int, int, int, int]:
-    """Integers with a/b <= 1/d**(p/q) <= c/e; exact when d**p is a perfect q-th power."""
-    v = d**p
-    r = integer_root(v, q)
-    if r**q == v:
-        return 1, r, 1, r
-    r, _ = _scaled_root(v, q, shift)
-    return 1 << shift, r + 1, 1 << shift, r
+def _term_bounds(d: int, p: int, q: int, shift: int) -> tuple[int, int, int]:
+    """Integers with a/b <= 1/d**(p/q) <= a/e, b == e where exact: one scaled root of d**p."""
+    r, exact = _scaled_root(d**p, q, shift)
+    return (1, r >> shift, r >> shift) if exact else (1 << shift, r + 1, r)
+
+
+def _plus(x: tuple[int, int], a: int, b: int) -> tuple[int, int]:
+    """The reduced pair of x[0]/x[1] + a/b."""
+    num, den = x[0] * b + a * x[1], x[1] * b
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def reciprocal_power_sum(
@@ -327,8 +329,14 @@ def reciprocal_power_sum(
 ) -> PowerSumPartial:
     """Enclosure of sum_{k<=n_terms} 1/d_k**s.
 
-    Terms that are exact rationals (perfect powers, s with denominator 1)
-    are accumulated exactly while denominators stay small; the
+    A rule term is read from its operand (n, u, v), d = floor(n**(v/u)):
+    at u = 1, d**(p/q) = n**(v*p/q) for s = p/q, a whole power of n
+    exactly when q divides v (gcd(p, q) = 1), and then the term is
+    1/n**(v//q*p).  Any other term is bounded by one scaled root, whose
+    flag finds the perfect powers among them (`_term_bounds`).  Exact sums
+    are integer pairs reduced by gcd: a reduced pair of a rational is
+    unique, so each is the lowest-terms Fraction of the same sum, and its
+    denominator passes 256 bits at the same term as that Fraction's.  The
     accumulator then switches to outward-rounded dyadics so that very
     long slowly divergent sums stay cheap.  Once a term drops below the
     resolution the certified tail bound closes the sum early.
@@ -338,46 +346,52 @@ def reciprocal_power_sum(
         raise DomainError("n_terms must be non-negative")
     p, q = s.numerator, s.denominator
     shift = bits + 32
-    scale = 1 << shift
     tiny_bits = bits + 8
-    exact_lo = _ZERO
-    exact_hi = _ZERO
+    lo = hi = (0, 1)  # the exact sums' reduced (numerator, denominator)
     int_mode = False
     ilo = ihi = 0
     # Strict increase of the digits is what makes the tail bound below
     # sound: a prefix is checked when its sequence is built, and rule
     # terms increase by the proof in the `DigitRule` docstring.
-    if seq.is_finite:
-        digits = seq.prefix[:n_terms]
+    finite = seq.is_finite
+    if finite:
+        count = min(n_terms, seq.depth)
+        operands = zip(seq.prefix[:count], repeat(1), repeat(1))
     else:
-        digits = seq.rule.terms_run(1, n_terms)
-    for k, d in enumerate(digits, start=1):
+        count, operands, floor_power = n_terms, seq.rule._operands(1, n_terms), rules._floor_power
+    for k, (n, u, v) in enumerate(operands, start=1):
+        d = n if finite else floor_power(n, u, v)
         # Term below resolution: close with a certified tail bound
         # (terms decrease, so each of the remaining ones is no larger;
         # a finite prefix has only the digits it holds).
         if d.bit_length() * p > tiny_bits * q + p:
-            remaining = (len(digits) if seq.is_finite else n_terms) - k + 1
             if int_mode:
-                ihi += remaining << (shift - tiny_bits)
+                ihi += count - k + 1 << shift - tiny_bits
             else:
-                exact_hi += Fraction(remaining, 1 << tiny_bits)
+                hi = (hi[0] << tiny_bits) + (count - k + 1) * hi[1], hi[1] << tiny_bits
             break
-        a, b, c, e = _term_bounds(d, p, q, shift)
+        if u == 1 and v % q == 0:
+            a = 1
+            b = e = n ** (v // q * p)
+        else:
+            a, b, e = _term_bounds(d, p, q, shift)
         if int_mode:
             ilo += (a << shift) // b
-            ihi += -((-c << shift) // e)
+            ihi += -((-a << shift) // e)
+            continue
+        if b == e and lo == hi:  # an exact term on equal ends: one reduction serves both
+            lo = hi = _plus(lo, a, b)
         else:
-            exact_lo += Fraction(a, b)
-            exact_hi += Fraction(c, e)
-            if exact_hi.denominator.bit_length() > 256:
-                int_mode = True
-                ilo = (exact_lo.numerator << shift) // exact_lo.denominator
-                ihi = -((-exact_hi.numerator << shift) // exact_hi.denominator)
+            lo, hi = _plus(lo, a, b), _plus(hi, a, e)
+        if hi[1].bit_length() > 256:
+            int_mode = True
+            ilo = (lo[0] << shift) // lo[1]
+            ihi = -((-hi[0] << shift) // hi[1])
     if int_mode:
-        total = Enclosure(Fraction(ilo, scale), Fraction(ihi, scale))
+        total = Enclosure(Fraction(ilo, 1 << shift), Fraction(ihi, 1 << shift))
     else:
-        total = Enclosure(exact_lo, exact_hi)
-    if seq.is_finite:
+        total = Enclosure(Fraction(*lo), Fraction(*hi))
+    if finite:
         verdict = Verdict.CONVERGENT  # finitely many finite digits: a finite sum
     else:
         verdict = classify_divergence(seq.rule, s)

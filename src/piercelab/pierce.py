@@ -123,8 +123,12 @@ def safe_digits(interval: Enclosure, max_n: int) -> SafeDigits:
     if max_n < 0:
         raise DomainError("max_n must be non-negative")
     q = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (q // lo.denominator)
-    b = hi.numerator * (q // hi.denominator)
+    return _safe_run(lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator),
+                     q, max_n)
+
+
+def _safe_run(a: int, b: int, q: int, max_n: int) -> SafeDigits:
+    """safe_digits of [a/q, b/q] for integers 0 <= a <= b <= q, q >= 1, and max_n >= 0."""
     digits: list[int] = []
     while True:
         if b == 0:

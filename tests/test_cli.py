@@ -444,7 +444,7 @@ class TestGuards:
         def started(*args, **kwargs):
             raise Started
 
-        monkeypatch.setattr(dimension, "safe_digits", started)
+        monkeypatch.setattr(dimension, "_safe_run", started)
         with pytest.raises(Started):  # the limit itself is admitted
             dimension.sample_digit_statistics(65536, count, 1)
         with pytest.raises(Started):  # the README run and every benchmark draw

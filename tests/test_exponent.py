@@ -749,9 +749,25 @@ ACCEPTANCE_S = (F(1, 4), F(1, 2), F(3, 4), F(1))
         (PowerFloorRule((), 0), F(1), 10**6, 16),
         (PowerFloorRule((), F(2, 31)), F(1, 2), 10**6, 64),
         (LinearRule(1), F(1, 2), 1, 64),
+    ] + [
+        # terms exact from their operands: the tower's n**k at s = p/q where q | k
+        (PowerFloorRule((), 0), s, 40, 64) for s in (F(1, 2), F(1, 4), F(3, 4))
+    ] + [
+        # every term n**4 exact at s = 1/2, and no n**3
+        (PowerFloorRule((), F(1, 4)), F(1, 2), 300, 64),
+        (PowerFloorRule((), F(1, 3)), F(1, 2), 300, 64),
+        (LinearRule(3), F(1, 2), 300, 64),
+        (BitPerturbedRule(F(1, 2), (1, 0, 1, 1)), F(1, 2), 300, 64),
+        # prefix digits through one scaled root: 4, 9 and 16 are exact at s = 1/2
+        (PierceSeq.finite((4, 9, 16, 27)), F(1, 2), 4, 64),
+        (PowerFloorRule((4, 9, 16, 27), F(1, 2)), F(1, 2), 300, 64),
+        # the switch to integers, and the tail cut, at other resolutions
+        (PowerFloorRule((), F(1, 3)), F(1, 2), 300, 0),
+        (PowerFloorRule((), F(1, 3)), F(1, 2), 300, 200),
+        (PowerFloorRule((), 0), F(3, 4), 300, 200),
     ],
 )
 def test_power_sum_equals_the_per_term_reference(rule, s, n_terms, bits):
-    seq = PierceSeq.infinite(rule)
+    seq = rule if isinstance(rule, PierceSeq) else PierceSeq.infinite(rule)
     partial = reciprocal_power_sum(seq, s, n_terms, bits)
     assert partial.sum == reference_power_sum(seq, s, n_terms, bits)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from piercelab.arith import DomainError, Enclosure, INFINITY
 from piercelab.pierce import (
     DigitStatus,
     SafeDigits,
+    _safe_run,
     alternating_sums,
     digit_step,
     digits_rational,
@@ -203,6 +205,19 @@ class TestSafeDigits:
             assert res == SafeDigits(a[:max_n], DigitStatus.EXHAUSTED)
         else:
             assert res == SafeDigits(a[:c], DigitStatus.AMBIGUOUS)
+
+
+@pytest.mark.parametrize("bits", [256, 1024, 4096])
+def test_integer_entry_equals_the_enclosure_entry(bits):
+    # sample_digit_statistics enters the loop with (p, p + 1, 2**bits); p = 2**(bits-1)
+    # has rest == a at its first step (lo = 1/2 has digit 2, every point above it 1)
+    q = 1 << bits
+    rng = random.Random(bits)
+    for p in (0, 1, q >> 1, q - 2, q - 1, *(rng.getrandbits(bits) for _ in range(20))):
+        interval = Enclosure(F(p, q), F(p + 1, q))
+        for max_n in (10**6, 2):
+            expected = two_division_safe_digits(interval, max_n)
+            assert _safe_run(p, p + 1, q, max_n) == safe_digits(interval, max_n) == expected
 
 
 def reference_step(x: F) -> tuple[int, F]:

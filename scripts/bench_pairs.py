@@ -18,8 +18,10 @@ count and, for every end-to-end metric, the parent's and the change's
 median and quartiles, the relative change of the median, the number
 of pairs the change won and whether the change is resolved: its median
 differs from the parent's by more than the distance between the parent's
-quartiles.  An unresolved change is within the parent's own spread and
-says nothing either way.  A pair whose run is not `correct`, or whose two
+quartiles, and at least 8 in 10 of the pairs (`AGREEING_PAIRS`, scaled to
+`--pairs` and rounded up) move the same way as the medians: won for a
+gain, lost for a loss.  An unresolved change is within the parent's own
+spread, or a shift most pairs do not share, and says nothing either way.  A pair whose run is not `correct`, or whose two
 digests differ, is flagged, and so is a metric whose median is worse than
 the parent's by more than its `bound` in BENCHMARK.json; the exit code is
 then 1.  Stdlib only; it only reads BENCHMARK.json and changes nothing
@@ -40,7 +42,8 @@ interpreter with PYTHONPATH set to the checkout's `src/`, the parent
 first in even pairs and the change first in odd ones.  It prints, per
 command, each side's median and quartiles of wall time, the relative
 change of the median, the number of pairs the change won and whether
-the change is resolved, as above; a run that exits non-zero, or a pair
+the change is resolved, as above, for a wall time that is better
+lower; a run that exits non-zero, or a pair
 whose two stdout SHA-256 digests differ, is flagged and the exit code
 is then 1.  It then times the same commands in process: each pair, in
 the same alternating order, runs one child interpreter per checkout that
@@ -142,9 +145,18 @@ def quartiles(values: list) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def resolution(pq: tuple, cq: tuple) -> str:
-    """Whether the medians of cq and pq differ by more than pq's interquartile distance."""
-    return "resolved" if abs(cq[1] - pq[1]) > pq[2] - pq[0] else "unresolved"
+# The share of pairs that must move the same way as the medians for a resolved change.
+AGREEING_PAIRS = (8, 10)
+
+
+def resolution(pq: tuple, cq: tuple, wins: int, pairs: int, higher: bool) -> str:
+    """Whether the medians of cq and pq differ by more than pq's interquartile distance,
+    with at least AGREEING_PAIRS of the pairs won for a gain, or lost for a loss."""
+    gain = cq[1] > pq[1] if higher else cq[1] < pq[1]
+    agreeing = wins if gain else pairs - wins
+    need = -(-AGREEING_PAIRS[0] * pairs // AGREEING_PAIRS[1])
+    apart = abs(cq[1] - pq[1]) > pq[2] - pq[0]
+    return "resolved" if apart and agreeing >= need else "unresolved"
 
 
 def compare(args, metrics: dict, workload: str) -> tuple[list, dict]:
@@ -183,13 +195,14 @@ def compare(args, metrics: dict, workload: str) -> tuple[list, dict]:
         rel = (cq[1] - pq[1]) / pq[1]
         print(f"{name:18s} {'/'.join(f'{v:.4g}' for v in pq):>30s}"
               f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {rel:>+8.2%} {wins:>3d}/{args.pairs}"
-              f"  {resolution(pq, cq)}")
+              f"  {resolution(pq, cq, wins, args.pairs, higher)}")
         worse = (-rel if higher else rel) > bound
         if worse:
             flagged.append(f"{name}: median {rel:+.2%} is worse than its bound of {bound:.0%}")
         table[name] = {"parent": dict(zip(QUARTILE_KEYS, pq)), "change": dict(zip(QUARTILE_KEYS, cq)),
                        "relative_change": rel, "wins": wins,
-                       "resolved": resolution(pq, cq) == "resolved", "flagged": worse}
+                       "resolved": resolution(pq, cq, wins, args.pairs, higher) == "resolved",
+                       "flagged": worse}
     for msg in flagged:
         print(f"FLAGGED {workload} {msg}")
     sys.stdout.flush()
@@ -246,7 +259,7 @@ def print_times(times: dict, pairs: int) -> None:
         pq, cq = quartiles(ps), quartiles(cs)
         print(f"{'/'.join(f'{v:.4g}' for v in pq):>26s} {'/'.join(f'{v:.4g}' for v in cq):>26s}"
               f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{pairs}"
-              f"  {resolution(pq, cq):10s}  {command}")
+              f"  {resolution(pq, cq, wins, pairs, False):10s}  {command}")
 
 
 def compare_readme(args) -> list:

@@ -33,10 +33,12 @@ MONOTONE = "tests/test_exponent.py::TestMonotoneTails"
 CHUNKED = "tests/test_exponent.py::TestReferenceWindow::test_chunked_window_equals_reference"
 PRUNED = "tests/test_exponent.py::TestPrunedWindow"
 TAILS = "tests/test_exponent.py::TestTailWindows"
+BITS = "tests/test_exponent.py::TestBitPerturbedWindows"
 RULES = "tests/test_rules.py"
 ARITH = "tests/test_arith.py"
 SPACE = "tests/test_space.py"
 LEDGER = "tests/test_dimension.py::TestReferenceLedger"
+COVER = "tests/test_dimension.py::TestCoveringSum"
 UNIT = "tests/test_arith.py::TestUnitRational"
 PREFIX = "tests/test_pierce.py::TestValidatePrefix"
 ORBIT = "tests/test_pierce.py::TestReferenceOrbit"
@@ -46,44 +48,66 @@ SAMPLE = "tests/test_pierce.py::test_integer_entry_equals_the_enclosure_entry"
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
     "ceiling-numerator": (
-        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - (sigma_k or sigma)",
-        "return n_lo + 1, d_lo - (sigma_k or sigma)", [MONOTONE], None),
+        "src/piercelab/exponent.py", "num, den = n_lo + 2, d_lo - (sigma_k or sigma)",
+        "num, den = n_lo + 1, d_lo - (sigma_k or sigma)", [MONOTONE], None),
     "ceiling-without-sigma": (
-        "src/piercelab/exponent.py", "return n_lo + 2, d_lo - (sigma_k or sigma)",
-        "return n_lo + 2, d_lo", [MONOTONE], None),
+        "src/piercelab/exponent.py", "num, den = n_lo + 2, d_lo - (sigma_k or sigma)",
+        "num, den = n_lo + 2, d_lo", [MONOTONE], None),
     "increase-unchecked": (
         "src/piercelab/exponent.py",
-        "if (p and q * (LOG2_SCALE * c - k - c) < p * sigma * (k + c)", "if (False",
+        "if (t < 0 or c < 0) and a * (first if t > 0 else k) * t + c * scaled < 0:",
+        "if False:",
         [MONOTONE], None),
     "ceiling-unchecked-at-p-1": (
-        "src/piercelab/exponent.py", "if (p and q * (LOG2_SCALE * c",
-        "if (p > 1 and q * (LOG2_SCALE * c", [MONOTONE], None),
+        "src/piercelab/exponent.py", "    if p:\n        scaled", "    if p > 1:\n        scaled",
+        [MONOTONE], None),
     "falling-slack-increase-unchecked": (
-        "src/piercelab/exponent.py", "\n            or p > 1 and LOG2_SCALE * c < 2 * k * sigma)",
-        ")", [MONOTONE], None),
+        "src/piercelab/exponent.py", "(LOG2_SCALE + 2 * sigma)", "LOG2_SCALE", [MONOTONE], None),
+    "affine-slope-1": (
+        "src/piercelab/exponent.py", "c < 0) and a * (", "c < 0) and (", [MONOTONE], None),
+    "affine-increase-at-k-only": (
+        "src/piercelab/exponent.py", "(first if t > 0 else k) * t", "k * t", [MONOTONE], None),
+    "affine-shortcut-without-c": (
+        "src/piercelab/exponent.py", "(t < 0 or c < 0)", "t < 0", [MONOTONE], None),
+    "affine-increase-without-c": (
+        "src/piercelab/exponent.py", "else k) * t + c * scaled < 0", "else k) * t < 0",
+        [MONOTONE], None),
     "falling-slack-without-1": (
-        "src/piercelab/exponent.py", "sigma_k = 1 - (-K // (values[0] - 1))",
-        "sigma_k = -(-K // (values[0] - 1))", [MONOTONE], None),
+        "src/piercelab/exponent.py", "floor_sigma, 1 - (-K // (values[0] - 1))",
+        "floor_sigma, -(-K // (values[0] - 1))", [MONOTONE], None),
     "slack-without-floor-term": (
         "src/piercelab/exponent.py",
-        "sigma = 1 - (-K // (seq.rule.term(first) - 1))", "sigma = 1", [MONOTONE], None),
+        "floor_sigma = first < seam and 1 - (-K // (seq.rule.term(first) - 1))",
+        "floor_sigma = first < seam and 1", [MONOTONE], None),
     "slack-from-last-base": (
         "src/piercelab/exponent.py", "seq.rule.term(first)", "seq.rule.term(hi)",
         [MONOTONE], None),
-    "slack-past-2**18": (
-        "src/piercelab/exponent.py", "p > 1 and hi + shift >= _EXACT_LOG_BASE_BOUND",
-        "p > 1 and hi + shift >= 1 << 32", [CHUNKED, MONOTONE], None),
+    "seam-past-2**18": (
+        "src/piercelab/exponent.py", "-((shift - _EXACT_LOG_BASE_BOUND) // slope)",
+        "-((shift - (1 << 32)) // slope)", [CHUNKED, MONOTONE], None),
+    "seam-slack-without-3/b": (
+        "src/piercelab/exponent.py", "-(-(q * v + 3 * p * scale) // (p * v))",
+        "-(-(q * v) // (p * v))", [MONOTONE], None),
+    "seam-slack-from-frontier": (
+        "src/piercelab/exponent.py", "for v in (slope * first + shift, bases[0]))",
+        "for v in (bases[0], bases[0]))", [MONOTONE], None),
     "constant-q-shift-0": (
-        "src/piercelab/exponent.py", "(shift >= 1 if p else first >= 3)",
-        "(shift >= 0 if p else first >= 3)", [CHUNKED], None),
+        "src/piercelab/exponent.py", "(slope > 1 or shift > 0 if p else first >= 3)",
+        "(slope > 1 or shift >= 0 if p else first >= 3)", [CHUNKED], None),
     "tower-from-2": (
-        "src/piercelab/exponent.py", "(shift >= 1 if p else first >= 3)",
-        "(shift >= 1 if p else first >= 2)", [CHUNKED], None),
+        "src/piercelab/exponent.py", "(slope > 1 or shift > 0 if p else first >= 3)",
+        "(slope > 1 or shift > 0 if p else first >= 2)", [CHUNKED], None),
     "tower-top-down": (
         "src/piercelab/exponent.py",
-        "_runs(first, hi, 8, p > 0)):",
-        "_runs(first, hi, 8, True)):",
+        "_runs(first, hi, 8, p > 0) if seam > hi",
+        "_runs(first, hi, 8, True) if seam > hi",
         [CHUNKED, MONOTONE], None),
+    "bit-perturbed-tail-base": (
+        "src/piercelab/rules.py", "return len(self.bits), 2, -1", "return len(self.bits), 2, 0",
+        [CHUNKED, BITS], None),
+    "merged-bases-inside-step-1": (
+        "src/piercelab/exponent.py", "bases[len(range(o, n, slope)):]", "bases[len(range(o, n)):]",
+        [CHUNKED, BITS], None),
     "operands-without-guard": (
         "src/piercelab/rules.py", "(_floor_power(b, p, q), 1, 1)",
         "(integer_root(b**q, p), 1, 1)", [RULES], None),
@@ -148,6 +172,12 @@ MUTANTS = {
     "base-slice-off-by-one": (
         "src/piercelab/exponent.py", "lows[-n:], highs[-n:]", "lows[-n - 1:-1], highs[-n - 1:-1]",
         [CHUNKED, MONOTONE, TAILS], None),
+    "merged-base-slice-off-by-one": (
+        "src/piercelab/exponent.py", "lows[o:n:slope] + lows[n:]",
+        "lows[o:n:slope] + lows[n - 1:-1]", [CHUNKED, BITS], None),
+    "runs-across-the-seam": (
+        "src/piercelab/exponent.py", "if seam > hi  # none across the seam", "if True",
+        [CHUNKED, MONOTONE], None),
     "locate-cell-left-end": (
         "src/piercelab/space.py",
         "k, q = _cell(s, product, d, depth)\n        if a * q <= k * c",
@@ -168,6 +198,17 @@ MUTANTS = {
     "ledger-takes-undecided": (
         "src/piercelab/dimension.py", "return sign * q if q == hi // d_lo else None",
         "return sign * q", [LEDGER], None),
+    "verdict-tail-at-least-2": (
+        "src/piercelab/dimension.py", "fractions[-max(1, len(fractions) // 4):]",
+        "fractions[-max(2, len(fractions) // 4):]", [COVER], None),
+    "verdict-tail-fifth": (
+        "src/piercelab/dimension.py", "len(fractions) // 4", "len(fractions) // 5", [COVER], None),
+    "verdict-pairs-two-apart": (
+        "src/piercelab/dimension.py", "zip(tail, tail[1:])", "zip(tail, tail[2:])", [COVER, LEDGER],
+        "the adjacent pairs differ from pairs two apart only where a tail ratio below 1 rises, "
+        "and a_(k+1)/a_k = (k+1)**(g-u)*(1+1/k)**(k*g) below 1 falls for k >= 2: a rise on "
+        "(k, k+1) needs k < g/(u-g) and a ratio below 1 then log(k+1) > k - 1/2; a pair of tail "
+        "ratios has k >= 7 (ROADMAP item 2 has the searched grid)"),
     "cover-exact-never": (
         "src/piercelab/arith.py", "integer_root(base, v) ** v == base", "False",
         [LEDGER], None),

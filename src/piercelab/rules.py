@@ -20,7 +20,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat, starmap
 from operator import add, attrgetter
-from typing import Optional
 
 from .arith import (
     LOG2_SCALE,
@@ -110,14 +109,10 @@ class DigitRule:
         shift = (self.prefix[-1] if self.prefix else 1) - len(self.prefix)
         return range(lo + shift, hi + shift + 1)
 
-    def _monotone_tail(self) -> Optional[tuple[int, int, Fraction]]:
-        """(M, c, alpha) if each term k > M is floor((k + c)**(1/alpha)), or (k + c)**k at 0."""
-        alpha = self.certificate
-        # floors that can pass the digit guard keep the in-order scan and its first refusal
-        if alpha.numerator > 1 and alpha.denominator * 18 > alpha.numerator * DIGIT_BITS_GUARD:
-            return None
-        # the bases are b_k = k + c, so b_0 = c
-        return len(self.prefix), self._bases(0, 0)[0], alpha
+    def _monotone_tail(self) -> tuple[int, int, int, Fraction]:
+        """(M, a, c, alpha): each term k > M is floor(b_k**(1/alpha)), b_k**k at 0, with the
+        affine bases b_k = a*k + c >= k, a >= 1; here b_k = k + b_0."""
+        return len(self.prefix), 1, self._bases(0, 0)[0], self.certificate
 
     def _operands(self, lo: int, hi: int):
         """Lazy (n, p, q) for k = lo..hi with term(k) = floor(n**(q/p)), n >= 2**18 if p > 1.
@@ -208,7 +203,8 @@ class BitPerturbedRule(DigitRule):
     Distinct bit patterns give distinct sequences, all with convergence
     exponent alpha.  alpha = 0 switches to the tower variant
     (eps_k + 2k - 1)**k.  A finite pattern is implicitly extended by
-    zeros.
+    zeros, so past it the bases are the affine 2k - 1, a monotone tail
+    that `exponent.exponent_window` reads from its maximum's end.
     """
 
     alpha: Fraction
@@ -223,9 +219,9 @@ class BitPerturbedRule(DigitRule):
             raise DomainError("perturbation pattern must consist of bits 0/1")
         object.__setattr__(self, "bits", pattern)
 
-    def _monotone_tail(self) -> None:
-        """None: b_k = 2k - 1 + eps_k is no k + c."""
-        return None
+    def _monotone_tail(self) -> tuple[int, int, int, Fraction]:
+        """Past the pattern eps_k = 0: b_k = 2k - 1."""
+        return len(self.bits), 2, -1, self.alpha
 
     def _bases(self, lo: int, hi: int):
         return map(add, chain(self.bits[lo - 1:hi], repeat(0)), range(2 * lo - 1, 2 * hi, 2))

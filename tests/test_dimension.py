@@ -148,6 +148,25 @@ class TestCoveringSum:
         with pytest.raises(GuardExceededError):
             covering_sum(p)
 
+    @pytest.mark.parametrize("point, k_max, verdict", [
+        # 5 ratios: the final quarter is the last alone, 1.050 then 0.937
+        (dict(alpha=F(3, 4), beta=F(3, 4), epsilon=F(1, 16), s=F(1)), 6,
+         CoverVerdict.RATIO_VANISHING),
+        # 8 ratios: the final quarter is the last two, 1.180 then 0.826
+        (dict(alpha=F(1, 8), beta=F(3, 16), epsilon=F(1, 1000), s=F(2)), 9,
+         CoverVerdict.INCONCLUSIVE),
+    ])
+    def test_final_quarter_where_the_ratios_cross_one(self, point, k_max, verdict):
+        # Above the threshold the ratios fall through 1 at the window's last step, so the
+        # verdict turns on which ratios make up the final quarter of the window
+        params = CoverParams(N=1, k_max=k_max, **point)
+        report = covering_sum(params)
+        assert params.s > params.threshold
+        assert report.ratios[-2].lo > 1 > report.ratios[-1].hi
+        assert report.verdict is verdict
+        assert (report.terms, report.ratios, report.partial_sums, report.verdict) == \
+            reference_ledger(params, 96)
+
 
 def reference_ledger(params, bits):
     """The covering ledger from exact rational enclosures.

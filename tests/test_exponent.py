@@ -143,7 +143,7 @@ REFERENCE_SCANS = [
     # prefix digits, then materialised floors of small bases
     (PierceSeq.infinite(PowerFloorRule((2, 5, 11), F(1, 2))), 2, 300, "hi"),
     # bases from 2**18 up: the 3/b slack bound, nothing materialised
-    (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300, None),
+    (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300, "hi"),
     # p == 1: exact scaling, with q == 1 and with q == k (the tower from index 3 on)
     (PierceSeq.infinite(PowerFloorRule((3,), F(1))), 2, 300, "hi"),
     (PierceSeq.infinite(PowerFloorRule((2,), 0)), 2, 200, None),
@@ -152,9 +152,10 @@ REFERENCE_SCANS = [
     (PierceSeq.infinite(LinearRule(0)), 2, 100, None),
     (PierceSeq.infinite(ZeroLowerLogIdentity()), 2, 100, None),
     (PierceSeq.infinite(DoubledScaleLogIdentity()), 2, 100, None),
-    (PierceSeq.infinite(BitPerturbedRule(F(0), (0, 1, 1, 0, 1))), 2, 200, None),
-    (PierceSeq.infinite(BitPerturbedRule(F(2, 3), (0, 1, 1, 0, 1, 0, 1))), 2, 300, None),
-    (PierceSeq.infinite(BitPerturbedRule(F(1, 2), (1, 1, 0, 1))), 2, 300, None),  # p == 1
+    # past the pattern the bases are 2k - 1: a monotone tail
+    (PierceSeq.infinite(BitPerturbedRule(F(0), (0, 1, 1, 0, 1))), 2, 200, "tail"),
+    (PierceSeq.infinite(BitPerturbedRule(F(2, 3), (0, 1, 1, 0, 1, 0, 1))), 2, 300, "hi"),
+    (PierceSeq.infinite(BitPerturbedRule(F(1, 2), (1, 1, 0, 1))), 2, 300, "hi"),  # p == 1
     # windows that run past the finite digits, partly and wholly
     (PierceSeq.finite(tuple(k**3 for k in range(1, 40))), 10, 100, None),
     (PierceSeq.finite((2, 5, 11)), 5, 20, None),
@@ -176,15 +177,25 @@ TAIL_SCANS = [
     (PierceSeq.infinite(PowerFloorRule((2, 5, 11, 20, 30), F(1, 2))), 2, 4, None),
     # bases near 2**32 at p = 1: the ratio's trend lies below the logs' resolution
     (PierceSeq.infinite(LinearRule(3)), 2**32 - 8, 2**32 - 1, "all"),
-    (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 0, 1, 0, 1))), 2, 300, None),
-    # p > 1: floors below 2**18 carry the slack; c = 0 and bases reaching 2**18 in order
+    (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 0, 1, 0, 1))), 2, 300, "hi"),
+    # p > 1: floors below 2**18 carry the slack; c = 0 in order, and across 2**18 every index
+    # read, as the floors' slack there outweighs the ratio's rise over 100 indices
     (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2, 300, "hi"),
     (PierceSeq.infinite(PowerFloorRule((2,), F(3, 4))), 500, 1000, "hi"),
     (PierceSeq.infinite(PowerFloorRule((1,), F(3, 4))), 2, 300, None),
-    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 100, 2**18, None),
+    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 100, 2**18, "all"),
     # bases past 2**32 at p = 1: c = 2**32 stops short; c = 1 fails S*c >= 2*(k + c)
     (PierceSeq.infinite(LinearRule(2**32)), 2**32, 2**32 + 300, "hi"),
     (PierceSeq.infinite(LinearRule(1)), 2**32 + 10, 2**32 + 40, "all"),
+    # bit-perturbed tails at each alpha of the lambda command's mix, and across 2**18: the
+    # bases 2k - 1 from 2**18 up, then a power-floor window whose bases 2**18 - 2995 up
+    # to 2**18 + 305 hold floors, then take the 3/b slack
+    (PierceSeq.infinite(BitPerturbedRule(F(0), (1, 0, 1, 1, 0, 0, 1, 1))), 2, 300, "tail"),
+    (PierceSeq.infinite(BitPerturbedRule(F(1, 2), (1, 0, 1, 1, 0, 0, 1, 1, 1))), 150, 600, "hi"),
+    (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 1, 0, 1, 0, 1))), 300, 900, "hi"),
+    (PierceSeq.infinite(BitPerturbedRule(F(1), (1, 1, 0, 0, 1, 0, 1, 1))), 2, 400, "hi"),
+    (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (1, 0, 1))), 2**17 - 100, 2**17 + 100, "hi"),
+    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 3000, 2**18 + 300, "hi"),
 ]
 TAIL_CASES = [scan[:3] for scan in TAIL_SCANS]
 
@@ -226,21 +237,21 @@ class TestReferenceWindow:
             return
         # the prefix in order, then one contiguous run of the tail from the
         # end that holds its maximum, stopped short of the other end
-        head = [n for n in window if n <= len(seq.rule.prefix)]
+        m, a, c, alpha = seq.rule._monotone_tail()
+        head = [n for n in window if n <= m]
         indices = []
         while len(indices) < len(head):
             indices += batches.pop(0)[1]
         assert indices == head
-        # each tail run reads its indices and their bases n + c in one batch,
-        # and at p > 1 then the logs of some of its floors
-        c, p = seq.rule._bases(0, 0)[0], seq.rule.certificate.numerator
+        # each tail run reads its indices and their bases a*n + c in one batch, in order,
+        # and at p > 1 below 2**18 then the logs of some of its floors
         tail = []
         while batches:
             ns = batches.pop(0)[1]
-            n = len(ns) - c if 2 * c <= len(ns) else len(ns) // 2
-            run, bases = ns[:n], [k + c for k in ns[:n]]
-            assert ns == sorted({*run, *bases}) and ns[-n:] == bases
-            if p > 1:  # then the logs of the floors that can hold a maximum
+            run = next(ns[:n] for n in range(1, len(ns) + 1)
+                       if ns == sorted({*ns[:n], *(a * k + c for k in ns[:n])}))
+            assert run == list(range(run[0], run[-1] + 1))
+            if alpha.numerator > 1 and a * run[-1] + c < 1 << 18:
                 assert set(batches.pop(0)[1]) <= set(seq.rule.terms_run(run[0], run[-1]))
             tail += run
         assert sorted(tail) == list(range(min(tail), max(tail) + 1))
@@ -345,72 +356,81 @@ class TestMonotoneTails:
             assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
 
     @given(st.integers(2, 1 << 40) | st.integers((1 << 32) - 300, (1 << 32) + 300),
-           st.integers(0, 100), st.integers(0, 64))
+           st.integers(0, 100), st.integers(0, 64), st.integers(1, 3), st.integers(0, 1 << 40))
+    @example(300, 0, 2, 2, 298)  # b = 2x - 1 from x = 2: only the end x = first refuses
+    @example(5, 0, 2, 2, 3)  # ... and up to k = 5 neither end does
+    @example(20, 0, 3, 3, 18)  # b = 3x - 2
     @settings(max_examples=200)
-    def test_ceiling_exceeds_the_bound_function(self, k, c, q):
-        # G(x) = (S log2 x + 1)/(S log2(x + c) - 1) at 50 digits; q = 0 is the tower, q_k = k
-        q_k = q or k
-        num, den = exponent._tail_ceiling(
-            k, c, 1 if q else 0, q or 1, q_k, log2_bounds(k)[0], q_k * log2_bounds(k + c)[0])
-        # at p = 1 (sigma = q) the increase condition reads S*c >= 2*(k + c); the tower has none
-        assert (den == 0) == (q > 0 and arith.LOG2_SCALE * c < 2 * (k + c))
+    def test_ceiling_exceeds_the_bound_function(self, k, c, q, a, gap):
+        # H(x) = (S log2 x + 1)/(q S log2 b - q), b = a x + c >= x (c >= 1 - a), over [first, k]
+        # at 50 digits; q = 0 is the tower, H(x) = (S log2 x + 1)/(x (S log2 b - 1)) past k
+        c += 1 - a
+        first, q_k = max(2, k - gap), q or k
+        n_lo, d_lo = log2_bounds(k)[0], q_k * log2_bounds(a * k + c)[0]
+        num, den = exponent._tail_ceiling(k, first, a, c, 1 if q else 0, q or 1, q_k, n_lo, d_lo)
+        # at p = 1 (sigma = q), phi' >= 0 reads den*b >= num*x*q*a*(1 + 2q/S): checked at both
+        # ends of [first, k] on the ceiling (n_lo + 2)/(d_lo - q); the tower needs no condition
+        S = arith.LOG2_SCALE
+        rises = all((d_lo - q) * (a * x + c) * S >= (n_lo + 2) * x * q * a * (S + 2 * q)
+                    for x in (first, k))
+        assert (den != 0) == (rises or not q)
         if den == 0:
             return
         with decimal.localcontext() as ctx:
             ctx.prec = 50
-            scale, ln2 = D(arith.LOG2_SCALE), D(2).ln()
+            scale, ln2 = D(S), D(2).ln()
 
-            def g(x):
-                return (scale * D(x).ln() / ln2 + 1) / (scale * D(x + c).ln() / ln2 - 1)
+            def h(x):
+                log_b = scale * D(a * x + c).ln() / ln2
+                return (scale * D(x).ln() / ln2 + 1) / (q * log_b - q if q else x * (log_b - 1))
 
-            assert D(num) / D(den) > g(k) / q_k
-            # the monotonicity the scan order rests on
-            if q:
-                assert g(k - 1) <= g(k)
-            elif k >= 3:
-                assert g(k + 1) / (k + 1) <= g(k) / k
+            # the ceiling bounds every index the scan leaves unread
+            unread = {first, (first + k) // 2, k - 1} if q else {k + 1, 2 * k} if k >= 3 else set()
+            for x in unread | {k}:
+                assert D(num) / D(den) > h(x)
 
     @given(st.integers(2, 7), st.integers(1, 21), st.integers(0, 300),
-           st.integers(2, 3000), st.integers(0, 1 << 18))
-    @example(3, 1, 1, 2, 998)  # the slack of F = 4 makes H fall near 1000: refused
-    @example(3, 1, 100, 2, 498)  # a ceiling without the slack lies below H(k)
-    @example(3, 1, 1, 19001, 999)  # an exponent-scan block at c = 1
-    @example(2, 1, 1, 200, 1800)  # only the term of the slope s' refuses
+           st.integers(2, 3000), st.integers(0, 1 << 18), st.integers(1, 2))
+    @example(3, 1, 1, 2, 998, 1)  # the slack of F = 4 makes H fall near 1000: refused
+    @example(3, 1, 100, 2, 498, 1)  # a ceiling without the slack lies below H(k)
+    @example(3, 1, 1, 19001, 999, 1)  # an exponent-scan block at c = 1
+    @example(2, 1, 1, 200, 1800, 1)  # only the term of the slope s' refuses
+    @example(3, 1, 0, 8, 292, 2)  # b = 2x - 1, the bit-perturbed tail at alpha = 3/4
     @settings(max_examples=200)
-    def test_slack_ceiling_exceeds_h_where_h_increases(self, p, dq, c, first, span):
-        # H(x) = (S log2 x + 1)/(r S log2(x + c) - s(x)), r = q/p, at 50 digits, with the
-        # falling slack s(x) = 1 + S/((u - 1) ln 2), u = (x + c)**r; the window's sigma comes
-        # from the floor F of the first base and the frontier's sigma_k from F_k
-        q = p + dq
+    def test_slack_ceiling_exceeds_h_where_h_increases(self, p, dq, c, first, span, a):
+        # H(x) = (S log2 x + 1)/(r S log2 b - s(x)), b = a x + c >= x (c >= 1 - a), r = q/p,
+        # at 50 digits, with the falling slack s(x) = 1 + S/((u - 1) ln 2), u = b**r; the
+        # window's sigma comes from the floor F of the first base and the frontier's sigma_k
+        # from F_k
+        q, c = p + dq, c + 1 - a
         assume(math.gcd(p, q) == 1)
-        k = min(first + span, (1 << 18) - 1 - c)
+        k = min(first + span, ((1 << 18) - 1 - c) // a)
+        S = arith.LOG2_SCALE
         with decimal.localcontext() as ctx:
             ctx.prec = 50
-            scale, ln2, r = D(arith.LOG2_SCALE), D(2).ln(), D(q) / D(p)
+            scale, ln2, r = D(S), D(2).ln(), D(q) / D(p)
 
             def slack(floor):
                 return 1 + int((scale / ((floor - 1) * ln2)).to_integral_value(decimal.ROUND_CEILING))
 
-            sigma, sigma_k = (slack(integer_root((x + c) ** q, p)) for x in (first, k))
-            num, den = exponent._tail_ceiling(
-                k, c, p, q, sigma, log2_bounds(k)[0], q * log2_bounds(k + c)[0] // p, sigma_k)
-            # refused exactly where the increase condition fails: the term H has for a slack
-            # s up to k, and the term of the slope s'
-            increases = (q * (arith.LOG2_SCALE * c - k - c) >= p * sigma * (k + c)
-                         and arith.LOG2_SCALE * c >= 2 * k * sigma)
-            assert (den != 0) == increases
+            sigma, sigma_k = (slack(integer_root((a * x + c) ** q, p)) for x in (first, k))
+            n_lo, d_lo = log2_bounds(k)[0], q * log2_bounds(a * k + c)[0] // p
+            num, den = exponent._tail_ceiling(k, first, a, c, p, q, sigma, n_lo, d_lo, sigma_k)
+            # refused exactly where phi' >= 0, den*b >= num*x*r*a*(1 + 2 sigma/S), fails at
+            # an end of [first, k], on the ceiling (n_lo + 2)/(d_lo - sigma_k)
+            rises = all(p * (d_lo - sigma_k) * (a * x + c) * S
+                        >= (n_lo + 2) * x * q * a * (S + 2 * sigma) for x in (first, k))
+            assert (den != 0) == rises
             if den == 0:
                 return
 
             def h(x):
-                u = (D(x + c).ln() * r).exp()
+                u = (D(a * x + c).ln() * r).exp()
                 falling = 1 + scale / ((u - 1) * ln2)
-                return (scale * D(x).ln() / ln2 + 1) / (r * scale * D(x + c).ln() / ln2 - falling)
+                return (scale * D(x).ln() / ln2 + 1) / (r * scale * D(a * x + c).ln() / ln2 - falling)
 
-            assert D(num) / D(den) > h(k)
-            for x in {first + 1, (first + k) // 2, k}:
-                if first < x <= k:
-                    assert h(x - 1) <= h(x)
+            for x in {first, (first + k) // 2, k}:
+                assert D(num) / D(den) > h(x)
 
     @given(st.integers(2, 7), st.integers(1, 21), st.integers(1, 300), st.integers(2, 1 << 18))
     @settings(max_examples=200)
@@ -441,10 +461,10 @@ class TestMonotoneTails:
         sigmas, frontiers = set(), []
         ceiling = exponent._tail_ceiling
 
-        def recording_ceiling(k, c, p, q, sigma, n_lo, d_lo, sigma_k):
+        def recording_ceiling(k, first, a, c, p, q, sigma, n_lo, d_lo, sigma_k):
             sigmas.add(sigma)
             frontiers.append((k, d_lo, sigma_k))
-            return ceiling(k, c, p, q, sigma, n_lo, d_lo, sigma_k)
+            return ceiling(k, first, a, c, p, q, sigma, n_lo, d_lo, sigma_k)
 
         monkeypatch.setattr(exponent, "_tail_ceiling", recording_ceiling)
         rule = PowerFloorRule(prefix, alpha)
@@ -520,6 +540,8 @@ class TestMonotoneTails:
         [
             (PowerFloorRule((2,), F(1, 2)), (999_001, 10**6)),
             (PowerFloorRule((2,), 0), (5 * 10**5, 500_999)),
+            (BitPerturbedRule(F(1, 2), (1, 0, 1)), (999_001, 10**6)),
+            (BitPerturbedRule(F(3, 4), (1, 0, 1)), (999_001, 10**6)),  # bases past 2**18
         ],
     )
     def test_half_million_indices_read_few_logs(self, rule, top, monkeypatch):
@@ -536,6 +558,70 @@ class TestMonotoneTails:
             monkeypatch.setattr(module, "_log2_ends", counting_ends)
         assert exponent_window(seq, 5 * 10**5, 10**6) == expected
         assert sum(read) <= 1024
+
+    @pytest.mark.parametrize("alpha", [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)])
+    def test_bit_perturbed_windows_read_few_logs(self, alpha, monkeypatch):
+        # past an 8-bit pattern the bases 2k - 1 rise twice as fast as the indices: each
+        # window stops within its first runs, the indices' logs and their bases' together;
+        # at alpha = 3/4 from 9 on the slack of the small floors keeps the scan going
+        seq = PierceSeq.infinite(BitPerturbedRule(alpha, (1, 0, 1, 1, 0, 0, 1, 1)))
+        read = []
+        ends = arith._log2_ends
+
+        def counting_ends(ns):
+            read.extend(ns)
+            return ends(ns)
+
+        for module in (exponent, rules):
+            monkeypatch.setattr(module, "_log2_ends", counting_ends)
+        for lo, hi in [(9, 300), (500, 1000), (1000, 2000)]:
+            with monkeypatch.context() as patch:
+                patch.setattr(exponent, "_log2_ends", ends)
+                patch.setattr(rules, "_log2_ends", ends)
+                expected = reference_window(seq, lo, hi)
+            read.clear()
+            assert exponent_window(seq, lo, hi) == expected
+            assert len(read) <= (300 if alpha == F(3, 4) and lo == 9 else 32)
+
+    @pytest.mark.parametrize("rule, lo, hi", [
+        (PowerFloorRule((3, 7), F(3, 4)), 2**18 - 3000, 2**18 + 300),
+        (PowerFloorRule((2,), F(3, 4)), 2**18 - 2000, 2**18 + 500),  # bounds falling past 2**18
+        (BitPerturbedRule(F(3, 4), (1, 0, 1)), 2**17 - 100, 2**17 + 100),
+        (BitPerturbedRule(F(2, 3), ()), 2**17 - 50, 2**17 + 2000),
+    ])
+    def test_seam_slack_covers_both_sides(self, rule, lo, hi, monkeypatch):
+        # At a frontier k whose base passes 2**18, sigma_k >= s(k) and sigma >= s(first) for
+        # s(x) = r + 3 S/b, b = a x + c, and s(x) bounds the loss r S log2 b less the lower
+        # log end of every index x of the window, floors below 2**18 included; a frontier
+        # below 2**18 keeps the floors' own slack
+        frontiers = []
+        ceiling = exponent._tail_ceiling
+
+        def recording_ceiling(*args):
+            frontiers.append(args)
+            return ceiling(*args)
+
+        monkeypatch.setattr(exponent, "_tail_ceiling", recording_ceiling)
+        seq = PierceSeq.infinite(rule)
+        assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
+        _, a, c, alpha = rule._monotone_tail()
+        seam = [args for args in frontiers if a * args[0] + c >= 1 << 18]
+        assert seam
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            S, r, ln2 = arith.LOG2_SCALE, D(alpha.denominator) / D(alpha.numerator), D(2).ln()
+
+            def s(x):
+                return r + 3 * D(S) / (a * x + c)
+
+            lost = {}
+            for x in range(lo, hi + 1):
+                ((d_lo, _, d_scale),) = rule.log2_term_run(x, x)
+                lost[x] = r * S * D(a * x + c).ln() / ln2 - D(d_lo) * S / d_scale
+                assert lost[x] <= s(x)
+            for k, first, _, _, _, _, sigma, _, d_lo, sigma_k in seam:
+                assert sigma >= s(first) and sigma_k >= s(k)
+                assert d_lo <= r * S * D(a * k + c).ln() / ln2 + D(10) ** -30  # b = 2**18: equal
 
 
 @st.composite
@@ -559,6 +645,27 @@ class TestTailWindows:
         rule, lo, hi = window
         seq = PierceSeq.infinite(rule)
         assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
+
+
+@st.composite
+def bit_perturbed_windows(draw):
+    """(rule, lo, hi): bit-perturbed rules of patterns up to 16 bits, windows of at most 400
+    indices from the pattern on, far past it, and across 2**17, where the bases 2k - 1 pass
+    2**18."""
+    alpha = draw(st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)]))
+    rule = BitPerturbedRule(alpha, draw(st.lists(st.integers(0, 1), max_size=16)))
+    hi = draw(st.integers(2, 500) | st.integers(2, 10**5) | st.integers(2**17 - 300, 2**17 + 300))
+    return rule, max(0, hi - draw(st.integers(0, 8) | st.integers(0, 400))), hi
+
+
+class TestBitPerturbedWindows:
+    @given(bit_perturbed_windows(), st.integers(1, 40))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_reference(self, window, chunk):
+        rule, lo, hi = window
+        seq = PierceSeq.infinite(rule)
+        with mock.patch.object(exponent, "_WINDOW_CHUNK", chunk):
+            assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
 
 
 class TestLogCache:

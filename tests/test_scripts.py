@@ -2,11 +2,13 @@
 
 `scripts/bench_pairs.py --json` writes a BENCH_*.json file; every such
 file in the repository root must hold each end-to-end metric of
-BENCHMARK.json for every workload it reports.  `scripts/interpreters.py`
+BENCHMARK.json for every workload it reports, and a row is resolved
+only when most pairs share its shift.  `scripts/interpreters.py`
 must report an interpreter that cannot start as not run, not as a
 difference in the bytes.
 """
 
+import contextlib
 import copy
 import importlib.util
 import io
@@ -33,9 +35,11 @@ def load_script(name):
 
 
 bench_pairs = load_script("bench_pairs")
+check = load_script("check")
 interpreters = load_script("interpreters")
 METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+CHECK_FILES = sorted(ROOT.glob("CHECK_*.json"))
 
 
 class TestBenchFiles:
@@ -58,6 +62,57 @@ class TestBenchFiles:
         del broken["workloads"][workload]["metrics"][METRICS[0]]["change"]["median"]
         assert bench_pairs.bench_file_problems(broken, METRICS)
         assert bench_pairs.bench_file_problems({}, METRICS)
+
+
+class TestResolution:
+    # a wall time, better lower: the change's median 3.95 % slower, outside the parent's quartiles
+    PARENT = [1.0] * 10
+
+    def test_a_shift_most_pairs_do_not_share_is_unresolved(self):
+        change = [0.99] * 3 + [1.0395] * 7  # the change won 3 of 10 pairs
+        wins = sum(c < p for p, c in zip(self.PARENT, change))
+        pq, cq = bench_pairs.quartiles(self.PARENT), bench_pairs.quartiles(change)
+        assert wins == 3 and cq[1] == 1.0395 and cq[1] - pq[1] > pq[2] - pq[0]
+        assert bench_pairs.resolution(pq, cq, wins, 10, False) == "unresolved"
+
+    def test_a_shift_eight_in_ten_pairs_share_is_resolved(self):
+        change = [0.99] * 2 + [1.0395] * 8
+        pq, cq = bench_pairs.quartiles(self.PARENT), bench_pairs.quartiles(change)
+        assert bench_pairs.resolution(pq, cq, 2, 10, False) == "resolved"
+        assert bench_pairs.resolution(cq, pq, 8, 10, True) == "unresolved"  # 8 wins, median lost
+
+
+class TestCheckFiles:
+    def test_every_check_is_recorded(self):
+        # scripts/check.py runs this suite before it writes its file, so none may exist yet
+        for path in CHECK_FILES:
+            assert check.check_file_problems(json.loads(path.read_text())) == [], path.name
+
+    def test_a_missing_check_fails_the_check(self):
+        entry = {"command": "true", "exit_code": 0, "counts": {}, "ok": True}
+        data = {"head": {"sha": "0"}, "parent": {"sha": "0"}, "python": "3",
+                "checks": {name: dict(entry) for name in check.CHECKS}, "failed": []}
+        assert check.check_file_problems(data) == []
+        for name in check.CHECKS:
+            broken = copy.deepcopy(data)
+            del broken["checks"][name]
+            assert check.check_file_problems(broken) == [f"no check {name!r}"]
+        del data["checks"]["mutants"]["counts"]
+        assert check.check_file_problems(data) == ["mutants: no 'counts'"]
+
+    def test_one_failing_check_fails_the_script(self, tmp_path, monkeypatch):
+        def entry(ok):
+            return lambda: {"command": "c", "exit_code": 1 - ok, "counts": {}, "ok": ok}
+
+        monkeypatch.setattr(check, "ROOT", tmp_path)
+        monkeypatch.setattr(check, "checks_of", lambda args: {"a": entry(True), "b": entry(False)})
+        with redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert check.main(["7"]) == 1
+        data = json.loads((tmp_path / "CHECK_7.json").read_text())
+        assert data["failed"] == ["b"] and data["checks"]["a"]["ok"]
+        monkeypatch.setattr(check, "checks_of", lambda args: {"a": entry(True)})
+        with redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert check.main(["7"]) == 0
 
 
 class TestInterpreters:

@@ -20,9 +20,10 @@ of pairs the change won and whether the change is resolved: its median
 differs from the parent's by more than the distance between the parent's
 quartiles, and at least 8 in 10 of the pairs (`AGREEING_PAIRS`, scaled to
 `--pairs` and rounded up) move the same way as the medians: won for a
-gain, lost for a loss.  An unresolved change is within the parent's own
-spread, or a shift most pairs do not share, and says nothing either way.  A pair whose run is not `correct`, or whose two
-digests differ, is flagged, and so is a metric whose median is worse than
+gain, lost for a loss, a tied pair counting for neither.  An unresolved
+change is within the parent's own spread, or a shift most pairs do not
+share, and says nothing either way.  A pair whose run is not `correct`,
+or whose two digests differ, is flagged, and so is a metric whose median is worse than
 the parent's by more than its `bound` in BENCHMARK.json; the exit code is
 then 1.  Stdlib only; it only reads BENCHMARK.json and changes nothing
 under `perfbench/`.
@@ -149,11 +150,12 @@ def quartiles(values: list) -> tuple[float, float, float]:
 AGREEING_PAIRS = (8, 10)
 
 
-def resolution(pq: tuple, cq: tuple, wins: int, pairs: int, higher: bool) -> str:
+def resolution(pq: tuple, cq: tuple, wins: int, losses: int, pairs: int, higher: bool) -> str:
     """Whether the medians of cq and pq differ by more than pq's interquartile distance,
-    with at least AGREEING_PAIRS of the pairs won for a gain, or lost for a loss."""
+    with at least AGREEING_PAIRS of the pairs won for a gain, or lost for a loss; a tied
+    pair counts for neither."""
     gain = cq[1] > pq[1] if higher else cq[1] < pq[1]
-    agreeing = wins if gain else pairs - wins
+    agreeing = wins if gain else losses
     need = -(-AGREEING_PAIRS[0] * pairs // AGREEING_PAIRS[1])
     apart = abs(cq[1] - pq[1]) > pq[2] - pq[0]
     return "resolved" if apart and agreeing >= need else "unresolved"
@@ -191,18 +193,19 @@ def compare(args, metrics: dict, workload: str) -> tuple[list, dict]:
     for name, (ps, cs) in values.items():
         higher, bound = metrics[name]
         wins = sum((c > p) if higher else (c < p) for p, c in zip(ps, cs))
+        losses = sum((c < p) if higher else (c > p) for p, c in zip(ps, cs))
         pq, cq = quartiles(ps), quartiles(cs)
         rel = (cq[1] - pq[1]) / pq[1]
+        resolved = resolution(pq, cq, wins, losses, args.pairs, higher)
         print(f"{name:18s} {'/'.join(f'{v:.4g}' for v in pq):>30s}"
               f" {'/'.join(f'{v:.4g}' for v in cq):>30s} {rel:>+8.2%} {wins:>3d}/{args.pairs}"
-              f"  {resolution(pq, cq, wins, args.pairs, higher)}")
+              f"  {resolved}")
         worse = (-rel if higher else rel) > bound
         if worse:
             flagged.append(f"{name}: median {rel:+.2%} is worse than its bound of {bound:.0%}")
         table[name] = {"parent": dict(zip(QUARTILE_KEYS, pq)), "change": dict(zip(QUARTILE_KEYS, cq)),
                        "relative_change": rel, "wins": wins,
-                       "resolved": resolution(pq, cq, wins, args.pairs, higher) == "resolved",
-                       "flagged": worse}
+                       "resolved": resolved == "resolved", "flagged": worse}
     for msg in flagged:
         print(f"FLAGGED {workload} {msg}")
     sys.stdout.flush()
@@ -255,11 +258,11 @@ def print_times(times: dict, pairs: int) -> None:
     print(f"{'parent q1/median/q3':>26s} {'change q1/median/q3':>26s} {'median':>8s} {'wins':>6s}"
           f"  {'resolution':10s}  command")
     for command, (ps, cs) in times.items():
-        wins = sum(c < p for p, c in zip(ps, cs))
+        wins, losses = sum(c < p for p, c in zip(ps, cs)), sum(c > p for p, c in zip(ps, cs))
         pq, cq = quartiles(ps), quartiles(cs)
         print(f"{'/'.join(f'{v:.4g}' for v in pq):>26s} {'/'.join(f'{v:.4g}' for v in cq):>26s}"
               f" {(cq[1] - pq[1]) / pq[1]:>+8.2%} {wins:>3d}/{pairs}"
-              f"  {resolution(pq, cq, wins, pairs, False):10s}  {command}")
+              f"  {resolution(pq, cq, wins, losses, pairs, False):10s}  {command}")
 
 
 def compare_readme(args) -> list:

@@ -97,19 +97,16 @@ def _tail_ceiling(k: int, first: int, a: int, c: int, p: int, q: int, sigma: int
     is the lower log end of k and d_lo <= r*B(k), B = S*log2 b at S = LOG2_SCALE:
     floor(q*B_lo/p), B_lo the base's lower log end (k*B_lo for the tower).  Both bounds of x
     are at most (A + 1)/(r*B - s) where positive, A = S*log2 x, with s(x) at least r*B less
-    the term's lower log end: q at p = 1, x for the tower, and at p > 1 the floor's
-    1 + K/(u - 1) below 2**18, u = b**r, K >= S/ln 2 (F > u - 1 loses under K/(u - 1), its
-    log end under 1), and r + 3*S/b, `DigitRule.log2_term_run`'s slack, from there on.  Both
-    fall, and the latter exceeds the former (b**r - 1 >= b/2), so at a frontier k from 2**18
-    on it serves every x.  sigma_k >= s(k) (sigma at p <= 1) makes den*(A(k) + 1) <=
-    num*(r*B(k) - s(k)).  At p >= 1 the unscanned x lie in [first, k) and phi = den*(A + 1)
-    - num*(r*B - s) has phi(x) <= phi(k) <= 0, a bound num/den on x, if phi' >= 0 there:
-    den*b >= num*x*(r*a + b*|s'|*ln 2/S), times x*b*ln 2/S.  With sigma >= s(first),
-    b*|s'|*ln 2/S is at most 2*r*a*sigma/S: it is r*a*(K/(u - 1))*(u/(u - 1))*ln 2/S, u >=
-    2, below 2**18, and 3*a*ln 2/b from there on.  So a*x*t + c*p*S*den >= 0, t = p*S*den -
-    q*num*(S + 2*sigma), suffices: linear in x, it is checked at x = first and x = k.  A den
-    <= 0 never stops a scan.  The tower (s = r = x) has (A + 1)/x falling from x = 3 (log2 3
-    > 1/ln 2) and B rising: the indices past k, with no condition.
+    the term's lower log end: q at p = 1, x for the tower, and 1 + K/(u - 1) at p > 1, u =
+    b**r, K >= S/ln 2 (F > u - 1 loses under K/(u - 1), its log end under 1).  sigma_k >=
+    s(k) (sigma at p = 1) makes den*(A(k) + 1) <= num*(r*B(k) - s(k)).  At p >= 1 the
+    unscanned x lie in [first, k) and phi = den*(A + 1) - num*(r*B - s) has phi(x) <= phi(k)
+    <= 0, a bound num/den on x, if phi' >= 0 there: den*b >= num*x*(r*a + b*|s'|*ln 2/S),
+    times x*b*ln 2/S.  With sigma >= s(first), s falling, b*|s'|*ln 2/S is at most
+    2*r*a*sigma/S: it is r*a*(K/(u - 1))*(u/(u - 1))*ln 2/S, u >= 2.  So a*x*t + c*p*S*den
+    >= 0, t = p*S*den - q*num*(S + 2*sigma), suffices: linear in x, it is checked at x =
+    first and x = k.  A den <= 0 never stops a scan.  The tower (s = r = x) has (A + 1)/x
+    falling from x = 3 (log2 3 > 1/ln 2) and B rising: the indices past k, with no condition.
     """
     num, den = n_lo + 2, d_lo - (sigma_k or sigma)
     if p:
@@ -145,59 +142,51 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
     certified logs.  A monotone rule tail is read from its maximum's end until
     `_tail_ceiling`, with the slack of any floors, bounds the rest below both maxima,
     each run of indices k in one log batch with its bases b = a*k + c, merged in order.
-    Its term logs are q*B at p = 1 and k*B for the tower, B the log of b, and at p > 1
-    from b = 2**18 on those of `DigitRule.log2_term_run`, in runs of their own read
-    first.  Below 2**18 a floor F = floor(b**r) takes its own log only if `_unpruned`
-    keeps it on the bracket [q*B_lo - p + 1 - ceil(K*R/F**p), q*B_hi + p] at scale p*S,
-    R = b**q - F**p, K >= S/ln 2: p*S*log2 F = q*S*log2 b - S*log2(1 + R/F**p) >=
-    q*B_lo - K*R/F**p, so its certified ends d_lo, d_hi at scale S have p*d_lo > p*S*log2
-    F - p >= q*B_lo - p - K*R/F**p >= bottom - 1, so the integer p*d_lo >= bottom, and
-    p*d_hi <= p*S*log2 F + p <= q*B_hi + p (b = 253927, r = 4/3 needs the + p).
+    Its term logs are q*B at p = 1 and k*B for the tower, B the log of b.  A floor F =
+    floor(b**r) of p > 1 takes its own log only if `_unpruned` keeps it on the bracket
+    [q*B_lo - p + 1 - ceil(K*R/F**p), q*B_hi + p] at scale p*S, R = b**q - F**p, K >=
+    S/ln 2: p*S*log2 F = q*S*log2 b - S*log2(1 + R/F**p) >= q*B_lo - K*R/F**p, so its
+    certified ends d_lo, d_hi at scale S have p*d_lo > p*S*log2 F - p >= q*B_lo - p -
+    K*R/F**p >= bottom - 1, so the integer p*d_lo >= bottom, and p*d_hi <= p*S*log2 F +
+    p <= q*B_hi + p (b = 253927, r = 4/3 needs the + p).
     """
     lo = max(lo, 2)
     scale = LOG2_SCALE
     if seq.is_finite:
         hi = min(hi, seq.depth)
     # The monotone tail past the prefix of length m (m = hi: none), bases slope*k + shift,
-    # starts at `first` if the window reaches it and _tail_ceiling's conditions can hold;
-    # floors that can pass the digit guard below 2**18 keep the in-order scan and its first
-    # refusal.  At p > 1 the runs from `seam` on, bases from 2**18 up, take the slack of
-    # log2_term_run.
+    # starts at `first` if the window reaches it and _tail_ceiling's conditions can hold
+    # (p > 1: floors of bases from 2**18 up have logs on another scale, and floors that
+    # can pass the digit guard keep the in-order scan and its first refusal).
     tail = None if seq.is_finite else seq.rule._monotone_tail()
     m, slope, shift, alpha = tail or (hi, 1, 0, 0)
     p, q = alpha.numerator, alpha.denominator
-    first, seam = max(lo, m + 1), hi + 1
+    first = max(lo, m + 1)
     sigma, sigma_k = q * p, 0  # q, or 0 for the tower, whose sigma is k
     if (first > hi or not (slope > 1 or shift > 0 if p else first >= 3)
-            or p > 1 and q * 18 > p * rules.DIGIT_BITS_GUARD):
+            or p > 1 and (slope * hi + shift >= _EXACT_LOG_BASE_BOUND
+                          or q * 18 > p * rules.DIGIT_BITS_GUARD)):
         first = hi + 1
-    elif p > 1:  # the seam, and sigma_F of the window's first floor below it, for _tail_ceiling
-        seam = min(seam, max(first, -((shift - _EXACT_LOG_BASE_BOUND) // slope)))
+    elif p > 1:  # sigma_F of the window's first floor, for _tail_ceiling's increase
         K = _log2_constants(LOG2_SCALE_BITS - 1)[1]
-        floor_sigma = first < seam and 1 - (-K // (seq.rule.term(first) - 1))
+        sigma = 1 - (-K // (seq.rule.term(first) - 1))
     # Running maxima a/b and c/d of the ratio's lower and upper bounds,
     # from n_lo/scale <= log2 n <= n_hi/scale and d_lo/d_scale <= log2 d_n
     # <= d_hi/d_scale.  Where log d_n's lower bound is at most log n's
     # upper bound, d_n >= n caps the ratio at n_hi/n_lo >= 1, so that
     # tightening is the clamp at 1.
     a, b, c, d = 0, 1, 0, 1
-    tail_runs = (_runs(first, hi, 8, p > 0) if seam > hi  # none across the seam
-                 else chain(_runs(seam, hi, 8, True), _runs(first, seam - 1, 8, True)))
-    for run in chain(_runs(lo, first - 1, _WINDOW_CHUNK), tail_runs):
+    for run in chain(_runs(lo, first - 1, _WINDOW_CHUNK), _runs(first, hi, 8, p > 0)):
         start, end = run.start, run.stop
         n = end - start
         if start < first:
             ends = _log2_ends(run)
-        else:  # the n indices, then the bases past them: a base below `end` is an index
-            if slope == 1 and shift <= n:  # one range: the bases are the last n entries
-                lows, highs = _log2_ends(range(start, end + shift))
-                base_lo, base_hi = lows[-n:], highs[-n:]
-            else:  # o: the place of the first base, if below `end`
-                bases = range(slope * start + shift, slope * end + shift, slope)
-                o = bases[0] - start
-                lows, highs = _log2_ends([*run, *bases[len(range(o, n, slope)):]])
-                base_lo, base_hi = lows[o:n:slope] + lows[n:], highs[o:n:slope] + highs[n:]
+        else:  # the n indices, then the bases from `end` up; o: the place of the first base
+            bases = range(slope * start + shift, slope * end + shift, slope)
+            o = bases[0] - start
+            lows, highs = _log2_ends([*run, *bases[len(range(o, n, slope)):]])
             ends = lows[:n], highs[:n]
+            base_lo, base_hi = lows[o:n:slope] + lows[n:], highs[o:n:slope] + highs[n:]
         if seq.is_finite:  # at scale 1: a digit of l bits has a log in [l - 1, l]
             values = seq.prefix[start - 1:end - 1]
             tops = list(map(int.bit_length, values))
@@ -206,24 +195,17 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
             # Terms of an infinite rule are never INFINITY; asking the rule
             # for log bounds avoids materialising tower-sized digits.
             dens = seq.rule.log2_term_run(start, end - 1)
-        elif p > 1:
-            bases = range(slope * start + shift, slope * end + shift, slope)
-            if start >= seam:  # floor(v**r) loses under 3/v bits: log2_term_run's ends
-                dens = [(q * v * x - 3 * p * scale, q * v * y, p * v * scale)
-                        for v, x, y in zip(bases, base_lo, base_hi)]
-                sigma, sigma_k = (-(-(q * v + 3 * p * scale) // (p * v))  # ceil(r + 3*S/v)
-                                  for v in (slope * first + shift, bases[0]))
-            else:  # the floors' brackets at scale p*S
-                values = [f for f, _, _ in seq.rule._operands(start, end - 1)]
-                sigma, sigma_k = floor_sigma, 1 - (-K // (values[0] - 1))
-                tops = [q * y + p for y in base_hi]
-                bottoms = [q * x - p + 1 + K + -K * b**q // f**p  # K - ceil(K*b**q/f**p)
-                           for x, b, f in zip(base_lo, bases, values)]
-                *ends, values = _unpruned(*ends, values, tops, bottoms, a, p * b)
+        elif p > 1:  # the floors' brackets at scale p*S
+            values = [f for f, _, _ in seq.rule._operands(start, end - 1)]
+            sigma_k = 1 - (-K // (values[0] - 1))
+            tops = [q * y + p for y in base_hi]
+            bottoms = [q * x - p + 1 + K + -K * b**q // f**p  # K - ceil(K*b**q/f**p)
+                       for x, b, f in zip(base_lo, bases, values)]
+            *ends, values = _unpruned(*ends, values, tops, bottoms, a, p * b)
         else:  # q*B, or k*B for the tower
             muls = repeat(q) if p else run
             dens = [(e * x, e * y, scale) for e, x, y in zip(muls, base_lo, base_hi)]
-        if seq.is_finite or p > 1 and first <= start < seam:
+        if seq.is_finite or p > 1 and start >= first:
             dens = zip(*_log2_ends(values), repeat(scale))
         for n_lo, n_hi, (d_lo, d_hi, d_scale) in zip(*ends, dens):
             if d_scale != scale:

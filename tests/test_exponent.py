@@ -143,7 +143,7 @@ REFERENCE_SCANS = [
     # prefix digits, then materialised floors of small bases
     (PierceSeq.infinite(PowerFloorRule((2, 5, 11), F(1, 2))), 2, 300, "hi"),
     # bases from 2**18 up: the 3/b slack bound, nothing materialised
-    (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300, "hi"),
+    (PierceSeq.infinite(PowerFloorRule((2**18,), F(2, 3))), 2, 300, None),
     # p == 1: exact scaling, with q == 1 and with q == k (the tower from index 3 on)
     (PierceSeq.infinite(PowerFloorRule((3,), F(1))), 2, 300, "hi"),
     (PierceSeq.infinite(PowerFloorRule((2,), 0)), 2, 200, None),
@@ -178,24 +178,22 @@ TAIL_SCANS = [
     # bases near 2**32 at p = 1: the ratio's trend lies below the logs' resolution
     (PierceSeq.infinite(LinearRule(3)), 2**32 - 8, 2**32 - 1, "all"),
     (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 0, 1, 0, 1))), 2, 300, "hi"),
-    # p > 1: floors below 2**18 carry the slack; c = 0 in order, and across 2**18 every index
-    # read, as the floors' slack there outweighs the ratio's rise over 100 indices
+    # p > 1: floors below 2**18 carry the slack; c = 0 and bases reaching 2**18 in order
     (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2, 300, "hi"),
     (PierceSeq.infinite(PowerFloorRule((2,), F(3, 4))), 500, 1000, "hi"),
     (PierceSeq.infinite(PowerFloorRule((1,), F(3, 4))), 2, 300, None),
-    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 100, 2**18, "all"),
+    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 100, 2**18, None),
     # bases past 2**32 at p = 1: c = 2**32 stops short; c = 1 fails S*c >= 2*(k + c)
     (PierceSeq.infinite(LinearRule(2**32)), 2**32, 2**32 + 300, "hi"),
     (PierceSeq.infinite(LinearRule(1)), 2**32 + 10, 2**32 + 40, "all"),
-    # bit-perturbed tails at each alpha of the lambda command's mix, and across 2**18: the
-    # bases 2k - 1 from 2**18 up, then a power-floor window whose bases 2**18 - 2995 up
-    # to 2**18 + 305 hold floors, then take the 3/b slack
+    # bit-perturbed tails at each alpha of the lambda command's mix; p > 1 windows whose
+    # bases pass 2**18, the bases 2k - 1 and then k + c, are read in order
     (PierceSeq.infinite(BitPerturbedRule(F(0), (1, 0, 1, 1, 0, 0, 1, 1))), 2, 300, "tail"),
     (PierceSeq.infinite(BitPerturbedRule(F(1, 2), (1, 0, 1, 1, 0, 0, 1, 1, 1))), 150, 600, "hi"),
     (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (0, 1, 1, 1, 0, 1, 0, 1))), 300, 900, "hi"),
     (PierceSeq.infinite(BitPerturbedRule(F(1), (1, 1, 0, 0, 1, 0, 1, 1))), 2, 400, "hi"),
-    (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (1, 0, 1))), 2**17 - 100, 2**17 + 100, "hi"),
-    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 3000, 2**18 + 300, "hi"),
+    (PierceSeq.infinite(BitPerturbedRule(F(3, 4), (1, 0, 1))), 2**17 - 100, 2**17 + 100, None),
+    (PierceSeq.infinite(PowerFloorRule((3, 7), F(3, 4))), 2**18 - 3000, 2**18 + 300, None),
 ]
 TAIL_CASES = [scan[:3] for scan in TAIL_SCANS]
 
@@ -244,14 +242,14 @@ class TestReferenceWindow:
             indices += batches.pop(0)[1]
         assert indices == head
         # each tail run reads its indices and their bases a*n + c in one batch, in order,
-        # and at p > 1 below 2**18 then the logs of some of its floors
+        # and at p > 1 then the logs of some of its floors
         tail = []
         while batches:
             ns = batches.pop(0)[1]
             run = next(ns[:n] for n in range(1, len(ns) + 1)
                        if ns == sorted({*ns[:n], *(a * k + c for k in ns[:n])}))
             assert run == list(range(run[0], run[-1] + 1))
-            if alpha.numerator > 1 and a * run[-1] + c < 1 << 18:
+            if alpha.numerator > 1:
                 assert set(batches.pop(0)[1]) <= set(seq.rule.terms_run(run[0], run[-1]))
             tail += run
         assert sorted(tail) == list(range(min(tail), max(tail) + 1))
@@ -541,7 +539,6 @@ class TestMonotoneTails:
             (PowerFloorRule((2,), F(1, 2)), (999_001, 10**6)),
             (PowerFloorRule((2,), 0), (5 * 10**5, 500_999)),
             (BitPerturbedRule(F(1, 2), (1, 0, 1)), (999_001, 10**6)),
-            (BitPerturbedRule(F(3, 4), (1, 0, 1)), (999_001, 10**6)),  # bases past 2**18
         ],
     )
     def test_half_million_indices_read_few_logs(self, rule, top, monkeypatch):
@@ -582,46 +579,6 @@ class TestMonotoneTails:
             read.clear()
             assert exponent_window(seq, lo, hi) == expected
             assert len(read) <= (300 if alpha == F(3, 4) and lo == 9 else 32)
-
-    @pytest.mark.parametrize("rule, lo, hi", [
-        (PowerFloorRule((3, 7), F(3, 4)), 2**18 - 3000, 2**18 + 300),
-        (PowerFloorRule((2,), F(3, 4)), 2**18 - 2000, 2**18 + 500),  # bounds falling past 2**18
-        (BitPerturbedRule(F(3, 4), (1, 0, 1)), 2**17 - 100, 2**17 + 100),
-        (BitPerturbedRule(F(2, 3), ()), 2**17 - 50, 2**17 + 2000),
-    ])
-    def test_seam_slack_covers_both_sides(self, rule, lo, hi, monkeypatch):
-        # At a frontier k whose base passes 2**18, sigma_k >= s(k) and sigma >= s(first) for
-        # s(x) = r + 3 S/b, b = a x + c, and s(x) bounds the loss r S log2 b less the lower
-        # log end of every index x of the window, floors below 2**18 included; a frontier
-        # below 2**18 keeps the floors' own slack
-        frontiers = []
-        ceiling = exponent._tail_ceiling
-
-        def recording_ceiling(*args):
-            frontiers.append(args)
-            return ceiling(*args)
-
-        monkeypatch.setattr(exponent, "_tail_ceiling", recording_ceiling)
-        seq = PierceSeq.infinite(rule)
-        assert exponent_window(seq, lo, hi) == reference_window(seq, lo, hi)
-        _, a, c, alpha = rule._monotone_tail()
-        seam = [args for args in frontiers if a * args[0] + c >= 1 << 18]
-        assert seam
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            S, r, ln2 = arith.LOG2_SCALE, D(alpha.denominator) / D(alpha.numerator), D(2).ln()
-
-            def s(x):
-                return r + 3 * D(S) / (a * x + c)
-
-            lost = {}
-            for x in range(lo, hi + 1):
-                ((d_lo, _, d_scale),) = rule.log2_term_run(x, x)
-                lost[x] = r * S * D(a * x + c).ln() / ln2 - D(d_lo) * S / d_scale
-                assert lost[x] <= s(x)
-            for k, first, _, _, _, _, sigma, _, d_lo, sigma_k in seam:
-                assert sigma >= s(first) and sigma_k >= s(k)
-                assert d_lo <= r * S * D(a * k + c).ln() / ln2 + D(10) ** -30  # b = 2**18: equal
 
 
 @st.composite

@@ -73,13 +73,21 @@ class TestResolution:
         wins = sum(c < p for p, c in zip(self.PARENT, change))
         pq, cq = bench_pairs.quartiles(self.PARENT), bench_pairs.quartiles(change)
         assert wins == 3 and cq[1] == 1.0395 and cq[1] - pq[1] > pq[2] - pq[0]
-        assert bench_pairs.resolution(pq, cq, wins, 10, False) == "unresolved"
+        assert bench_pairs.resolution(pq, cq, wins, 7, 10, False) == "unresolved"
 
     def test_a_shift_eight_in_ten_pairs_share_is_resolved(self):
         change = [0.99] * 2 + [1.0395] * 8
         pq, cq = bench_pairs.quartiles(self.PARENT), bench_pairs.quartiles(change)
-        assert bench_pairs.resolution(pq, cq, 2, 10, False) == "resolved"
-        assert bench_pairs.resolution(cq, pq, 8, 10, True) == "unresolved"  # 8 wins, median lost
+        assert bench_pairs.resolution(pq, cq, 2, 8, 10, False) == "resolved"
+        assert bench_pairs.resolution(cq, pq, 8, 2, 10, True) == "unresolved"  # 8 wins, median lost
+
+    def test_ties_count_for_neither_side(self):
+        # 6 pairs lost and 4 tied, over a zero interquartile distance: only 6 of 10 lost
+        change = [1.0] * 4 + [1.0395] * 6
+        losses = sum(c > p for p, c in zip(self.PARENT, change))
+        pq, cq = bench_pairs.quartiles(self.PARENT), bench_pairs.quartiles(change)
+        assert losses == 6 and cq[1] - pq[1] > pq[2] - pq[0] == 0
+        assert bench_pairs.resolution(pq, cq, 0, losses, 10, False) == "unresolved"
 
 
 class TestCheckFiles:

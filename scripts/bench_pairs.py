@@ -23,10 +23,10 @@ quartiles, and at least 8 in 10 of the pairs (`AGREEING_PAIRS`, scaled to
 gain, lost for a loss, a tied pair counting for neither.  An unresolved
 change is within the parent's own spread, or a shift most pairs do not
 share, and says nothing either way.  A pair whose run is not `correct`,
-or whose two digests differ, is flagged, and so is a metric whose median is worse than
-the parent's by more than its `bound` in BENCHMARK.json; the exit code is
-then 1.  Stdlib only; it only reads BENCHMARK.json and changes nothing
-under `perfbench/`.
+or whose two digests differ, is flagged, and so is a metric whose median
+is worse than the parent's by more than its `bound` in BENCHMARK.json;
+the exit code is then 1.  Stdlib only; it only reads BENCHMARK.json and
+changes nothing under `perfbench/`.
 
 `--json PATH` also writes the tables to PATH: per workload and metric,
 each side's quartiles, the relative change of the median, the pairs the

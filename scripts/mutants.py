@@ -163,8 +163,7 @@ MUTANTS = {
         "src/piercelab/exponent.py", "d_lo = q * base_lo[i] // p", "d_lo = q * base_hi[i] // p",
         [MONOTONE], None),
     "base-slice-off-by-one": (
-        "src/piercelab/exponent.py", "lows[o:n:slope] + lows[n:], highs[o:n:slope] + highs[n:]",
-        "lows[o - 1:n - 1:slope] + lows[n - 1:-1], highs[o - 1:n - 1:slope] + highs[n - 1:-1]",
+        "src/piercelab/exponent.py", "lows[-n:], highs[-n:]", "lows[-n - 1:-1], highs[-n - 1:-1]",
         [CHUNKED, MONOTONE, TAILS], None),
     "merged-base-slice-off-by-one": (
         "src/piercelab/exponent.py", "lows[o:n:slope] + lows[n:]",

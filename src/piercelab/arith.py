@@ -439,8 +439,6 @@ def ln2_enclosure(frac_bits: int = 64) -> Enclosure:
 
 def ln_enclosure(n: int) -> Enclosure:
     """Certified enclosure of the natural logarithm of a positive integer."""
-    if n == 1:
-        return Enclosure.exact(0)
     return log2_enclosure(n).mul_pos(ln2_enclosure(32))
 
 

@@ -20,6 +20,7 @@ import io
 import json
 import re
 import sys
+from enum import Enum
 from fractions import Fraction
 from typing import Optional, TextIO
 
@@ -30,7 +31,7 @@ from .arith import (
     DomainError,
     Enclosure,
     GuardExceededError,
-    rational_str as fmt_rational,
+    rational_str,
 )
 from .constructions import divergent_tail_rule, witness_in_interval
 from .dimension import (
@@ -77,10 +78,6 @@ REPORT_SCHEMA = {
     },
     "additionalProperties": False,
 }
-
-
-def fmt_enclosure(e: Enclosure) -> list[str]:
-    return [fmt_rational(e.lo), fmt_rational(e.hi)]
 
 
 def _parse_int(text: str) -> int:
@@ -143,6 +140,17 @@ def _integer(limit: Optional[int] = None, what: str = ""):
     return parse
 
 
+def _json_value(value):
+    """json.dumps's default: a rational prints "p/q", an enclosure [lo, hi], an enum its value."""
+    if isinstance(value, Enclosure):  # the most frequent value, and formatted here in full
+        return [rational_str(value.lo), rational_str(value.hi)]
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not a report value")
+
+
 def _flatten(node, path=""):
     if isinstance(node, dict):
         for key in sorted(node):
@@ -180,154 +188,113 @@ def _build_rule(args):
 
 
 def _cmd_expand(args, bits: int):
-    x = args.value
+    x = args.x
     digits = digits_rational(x)
-    tau = dual_representation(x)[1] if 0 < x < 1 else None
-    orbit = shift_orbit(x, len(digits))
-    results = {
-        "digits": list(digits),
-        "tau": list(tau) if tau is not None else None,
-        "orbit": [fmt_rational(t) for t in orbit],
+    yield {
+        "digits": digits,
+        "tau": dual_representation(x)[1] if 0 < x < 1 else None,
+        "orbit": shift_orbit(x, len(digits)),
     }
-    yield {"x": fmt_rational(x)}, results
 
 
 def _cmd_eval(args, bits: int):
     rule = _build_rule(args)
-    prefix = args.prefix
-    params = {"prefix": list(prefix), "bits": bits}
     if rule is not None:
-        value = expansion_value(PierceSeq.infinite(rule), bits)
-        results = {"rule": rule.describe(), "value": fmt_enclosure(value)}
-        params["rule"] = args.rule
-        if args.alpha is not None:
-            params["alpha"] = fmt_rational(rule.alpha)
+        results = {"rule": rule.describe(),
+                   "value": expansion_value(PierceSeq.infinite(rule), bits)}
     else:
-        value = expansion_value(PierceSeq.finite(prefix), bits)
-        results = {"value": fmt_rational(value)}
-    if prefix:
-        cell = fundamental_interval(prefix)
-        results["interval"] = [fmt_rational(cell.left), fmt_rational(cell.right)]
-        results["diameter"] = fmt_rational(cell.diameter)
-    yield params, results
+        results = {"value": expansion_value(PierceSeq.finite(args.prefix), bits)}
+    if args.prefix:
+        cell = fundamental_interval(args.prefix)
+        results["interval"] = Enclosure(cell.left, cell.right)
+        results["diameter"] = cell.diameter
+    yield results
 
 
 def _cmd_lambda(args, bits: int):
     rule = _build_rule(args)
     estimate = estimate_exponent(PierceSeq.infinite(rule), args.window)
-    results = {
+    yield {
         "rule": rule.describe(),
-        "window": [estimate.window_lo, estimate.window_hi],
-        "sup": fmt_enclosure(estimate.sup),
-        "sup_value": fmt_rational(estimate.sup_value),
+        "window": (estimate.window_lo, estimate.window_hi),
+        "sup": estimate.sup,
+        "sup_value": estimate.sup_value,
         "window_certifies": estimate.certified,
-        "certificate": fmt_rational(rule.certificate),
+        "certificate": rule.certificate,
     }
-    params = {"rule": args.rule, "window": args.window}
-    yield params, results
 
 
 def _cmd_construct(args, bits: int):
-    interval, alpha = getattr(args, "in"), args.alpha  # "in" is a Python keyword
-    witness = witness_in_interval(interval, alpha, bits)
-    results = {
+    witness = witness_in_interval(getattr(args, "in"), args.alpha, bits)  # "in" is a keyword
+    yield {
         "rule": witness.rule.describe(),
-        "enclosure": fmt_enclosure(witness.enclosure),
-        "certificate": fmt_rational(witness.certificate),
-        "container": fmt_enclosure(witness.container),
+        "enclosure": witness.enclosure,
+        "certificate": witness.certificate,
+        "container": witness.container,
     }
-    params = {
-        "alpha": fmt_rational(alpha),
-        "in": fmt_enclosure(interval),
-        "bits": bits,
-    }
-    yield params, results
 
 
 def _cmd_divergent(args, bits: int):
-    prefix, s = args.prefix, args.s
-    rule = divergent_tail_rule(prefix, s, args.j)
-    seq = PierceSeq.infinite(rule)
+    rule = divergent_tail_rule(args.prefix, args.s, args.j)
     first_terms = rule.terms(12)  # increasing: the one report integer no input or guard bounds
     if first_terms[-1] >= TEN_TO_MAX_DIGITS:
         raise GuardExceededError(f"report number too long to print: more than {MAX_DIGITS} digits")
     results = {
         "rule": rule.describe(),
-        "first_terms": list(first_terms),
-        "verdict": classify_divergence(rule, s).value,
+        "first_terms": first_terms,
+        "verdict": classify_divergence(rule, args.s),
     }
     if args.terms is not None:
-        partial = reciprocal_power_sum(seq, s, args.terms, bits)
-        results["partial_sum"] = fmt_enclosure(partial.sum)
+        partial = reciprocal_power_sum(PierceSeq.infinite(rule), args.s, args.terms, bits)
+        results["partial_sum"] = partial.sum
         results["n_terms"] = partial.n_terms
-    params = {"s": fmt_rational(s), "prefix": list(prefix), "j": args.j}
-    yield params, results
+    yield results
 
 
 def _cmd_cover(args, bits: int):
-    params_obj = CoverParams(N=args.N, alpha=args.alpha, beta=args.beta, epsilon=args.eps,
-                             s=args.s, k_max=args.kmax)
-    report = covering_sum(params_obj, bits)
-    results = {
-        "threshold": fmt_rational(report.threshold),
-        "verdict": report.verdict.value,
-        "k_range": [report.ks[0], report.ks[-1]],
-        "terms": [fmt_enclosure(t) for t in report.terms],
-        "ratios": [fmt_enclosure(r) for r in report.ratios],
-        "partial_sums": [fmt_enclosure(p) for p in report.partial_sums],
+    report = covering_sum(CoverParams(N=args.N, alpha=args.alpha, beta=args.beta,
+                                      epsilon=args.eps, s=args.s, k_max=args.kmax), bits)
+    yield {
+        "threshold": report.threshold,
+        "verdict": report.verdict,
+        "k_range": (report.ks[0], report.ks[-1]),
+        "terms": report.terms,
+        "ratios": report.ratios,
+        "partial_sums": report.partial_sums,
     }
-    params = {
-        "N": args.N,
-        "alpha": fmt_rational(params_obj.alpha),
-        "beta": fmt_rational(params_obj.beta),
-        "eps": fmt_rational(params_obj.epsilon),
-        "s": fmt_rational(params_obj.s),
-        "kmax": args.kmax,
-    }
-    yield params, results
 
 
 def _cmd_grid(args, bits: int):
     report = grid_witness_sweep(args.alpha, args.depth, bits)
-    params = {"alpha": fmt_rational(args.alpha), "depth": args.depth, "bits": bits}
     for cell in report.cells:
-        results = {
+        yield {
             "kind": "cell",
             "index": cell.index,
-            "cell": fmt_enclosure(cell.cell),
-            "prefix": list(cell.witness.rule.prefix),
-            "enclosure": fmt_enclosure(cell.witness.enclosure),
-            "certificate": fmt_rational(cell.witness.certificate),
+            "cell": cell.cell,
+            "prefix": cell.witness.rule.prefix,
+            "enclosure": cell.witness.enclosure,
+            "certificate": cell.witness.certificate,
         }
-        yield params, results
-    summary = {
-        "kind": "summary",
-        "cells": len(report.cells),
-        "all_witnessed": report.all_witnessed,
-    }
-    yield params, summary
+    yield {"kind": "summary", "cells": len(report.cells), "all_witnessed": report.all_witnessed}
 
 
 def _cmd_sample(args, bits: int):
     report = sample_digit_statistics(args.bits, args.count, args.seed)
-    params = {"bits": args.bits, "count": args.count, "seed": args.seed}
     for rec in report.samples:
-        results = {
+        yield {
             "kind": "sample",
             "index": rec.index,
             "depth": rec.depth,
-            "status": rec.status.value,
-            "log_ratio": fmt_enclosure(rec.log_ratio) if rec.log_ratio else None,
-            "window": fmt_enclosure(rec.window),
+            "status": rec.status,
+            "log_ratio": rec.log_ratio,
+            "window": rec.window,
         }
-        yield params, results
-    summary = {
+    yield {
         "kind": "summary",
         "algorithm": report.algorithm,
-        "median_log_ratio": fmt_rational(report.median_log_ratio),
-        "median_depth": fmt_rational(report.median_depth),
+        "median_log_ratio": report.median_log_ratio,
+        "median_depth": report.median_depth,
     }
-    yield params, summary
 
 
 REQUIRED = object()  # the default of a flag that must be given
@@ -339,7 +306,7 @@ _PRECISION = ("--bits", _integer(4096, "precision bits"), DEFAULT_PRECISION_BITS
 # positional without dashes; a tuple parse lists the accepted choices.
 _COMMANDS = {
     "expand": (_cmd_expand, "digit sequence, dual representation, and shift orbit of p/q", (
-        ("value", parse_rational, REQUIRED),
+        ("x", parse_rational, REQUIRED),
     )),
     "eval": (_cmd_eval, "expansion value and fundamental interval of a digit prefix", (
         ("--prefix", parse_prefix, REQUIRED),
@@ -386,6 +353,18 @@ _COMMANDS = {
         ("--count", _integer(5_000, "sample count"), REQUIRED),
         ("--seed", _integer(), REQUIRED),
     )),
+}
+
+# command -> the parsed flags its reports echo as params; run leaves out those that are None.
+_ECHOED = {
+    "expand": ("x",),
+    "eval": ("prefix", "rule", "alpha", "bits"),
+    "lambda": ("rule", "window"),
+    "construct": ("alpha", "in", "bits"),
+    "divergent": ("s", "prefix", "j"),
+    "cover": ("N", "alpha", "beta", "eps", "s", "kmax"),
+    "grid": ("alpha", "depth", "bits"),
+    "sample": ("bits", "count", "seed"),
 }
 
 USAGE = "usage: pierce-lab [--format json|csv] COMMAND ...\n\ncommands:\n" + "".join(
@@ -459,7 +438,9 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
             raise DomainError(f"precision must be non-negative, got {bits} bits")
         seed = getattr(args, "seed", None)
         provenance = {"version": __version__, "seed": seed, "precision_bits": bits}
-        for line, (params, results) in enumerate(handler(args, bits)):
+        params = {name: value for name in _ECHOED[args.command]
+                  if (value := getattr(args, name)) is not None}
+        for line, results in enumerate(handler(args, bits)):
             envelope = {
                 "command": args.command,
                 "params": params,
@@ -467,13 +448,14 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
                 "provenance": provenance,
             }
             try:  # a host process may set the interpreter's own digit limit lower
-                if args.format == "json":
-                    text = json.dumps(envelope, sort_keys=True, separators=(",", ":")) + "\n"
-                else:
+                # report values hold no cycles; the check would cost a dict entry per value
+                text = json.dumps(envelope, sort_keys=True, separators=(",", ":"),
+                                  default=_json_value, check_circular=False) + "\n"
+                if args.format == "csv":
                     import csv  # imported here: only --format csv needs it
                     buf = io.StringIO()
                     csv.writer(buf, lineterminator="\n").writerows(
-                        [line, path, value] for path, value in _flatten(envelope)
+                        [line, path, value] for path, value in _flatten(json.loads(text))
                     )
                     text = buf.getvalue()
             except ValueError as exc:

@@ -760,6 +760,14 @@ class TestLnEnclosures:
         # ln 2 stays at 32 bits, which the sample command's output bytes rest on
         assert enc == log2_enclosure(10).mul_pos(ln2_enclosure(32))
 
+    def test_ln_of_one_is_exactly_zero(self):
+        assert ln_enclosure(1) == Enclosure.exact(0)
+
+    @pytest.mark.parametrize("k", [1, 2, 10, 64])
+    def test_ln_of_a_power_of_two_is_k_ln2(self, k):
+        # log2(2**k) = k exactly, so only ln 2's width remains
+        assert ln_enclosure(2**k) == Enclosure.exact(k).mul_pos(ln2_enclosure(32))
+
 
 class TestPowEnclosure:
     def test_integer_exponent_exact(self):

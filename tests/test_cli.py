@@ -633,7 +633,7 @@ RATIONALS = ("0", "1/4", "1/2", "3/4", "1")
 # Small valid values of each flag, by destination name; only precision and
 # sample's --bits share a name, and the table entry tells them apart.
 SMALL = {
-    "value": st.sampled_from(RATIONALS + ("7/10", "355/1130")),
+    "x": st.sampled_from(RATIONALS + ("7/10", "355/1130")),
     "prefix": st.sampled_from(("2", "3,7", "2,9,16")),
     "alpha": st.sampled_from(RATIONALS),
     "beta": st.sampled_from(RATIONALS),

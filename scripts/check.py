@@ -9,9 +9,10 @@ From this checkout, one after another:
 - `mutants`: `scripts/mutants.py`; counts the mutants and the survivors.
 - `interpreters`: `scripts/interpreters.py PY ...` (this interpreter when
   no `--python` is given); counts the interpreters, those that did not run
-  and the differences.
-- `readme-digests`: `scripts/readme_digests.py`, its lines compared with
-  `tests/readme_digests.txt`; counts the lines and those that differ.
+  and the differences.  Under each interpreter it compares the lines of
+  `scripts/readme_digests.py` with `tests/readme_digests.txt`, the one
+  README-digest run of this script (tier-1's
+  `tests/test_readme_digests.py` makes the same comparison in process).
 - `src-lines`: the lines of `src/piercelab/*.py`, as `cat | wc -l` counts.
 - `self-checks`: `perfbench/run.py --workload all --trace 1`; reads the
   `self_checks` of each workload's run record and counts those that pass
@@ -42,7 +43,7 @@ PY = sys.executable
 
 FILE_KEYS = ("head", "parent", "python", "checks", "failed")
 CHECK_KEYS = ("command", "exit_code", "counts", "ok")
-CHECKS = ("tier-1", "mutants", "interpreters", "readme-digests", "src-lines", "self-checks")
+CHECKS = ("tier-1", "mutants", "interpreters", "src-lines", "self-checks")
 
 
 def git(*argv) -> str | None:
@@ -79,17 +80,6 @@ def interpreters(pythons: list) -> dict:
                       map(int, found.groups()))) if found else {}
     return {"command": " ".join(["python3", *argv[1:]]), "exit_code": proc.returncode,
             "counts": counts, "ok": proc.returncode == 0 and found is not None}
-
-
-def readme_digests() -> dict:
-    proc = subprocess.run([PY, "scripts/readme_digests.py"], cwd=ROOT, capture_output=True,
-                          text=True)
-    lines = proc.stdout.splitlines()
-    expected = (ROOT / "tests" / "readme_digests.txt").read_text(encoding="utf-8").splitlines()
-    differing = sum(a != b for a, b in zip(lines, expected)) + abs(len(lines) - len(expected))
-    return {"command": "python3 scripts/readme_digests.py", "exit_code": proc.returncode,
-            "counts": {"lines": len(lines), "differing": differing},
-            "ok": proc.returncode == 0 and not differing}
 
 
 def src_lines() -> dict:
@@ -132,7 +122,7 @@ def check_file_problems(data: dict) -> list:
 def checks_of(args) -> dict:
     """Name -> the function that runs that check and returns its entry, in CHECKS order."""
     return dict(zip(CHECKS, (tier1, mutants, lambda: interpreters(args.python or [PY]),
-                             readme_digests, src_lines, self_checks)))
+                             src_lines, self_checks)))
 
 
 def main(argv=None) -> int:

@@ -44,6 +44,8 @@ PREFIX = "tests/test_pierce.py::TestValidatePrefix"
 ORBIT = "tests/test_pierce.py::TestReferenceOrbit"
 POWER_SUM = "tests/test_exponent.py::test_power_sum_equals_the_per_term_reference"
 SAMPLE = "tests/test_pierce.py::test_integer_entry_equals_the_enclosure_entry"
+DIGESTS = "tests/test_readme_digests.py"
+ENCLOSURE_FIELDS = "tests/test_cli.py::test_enclosure_fields_are_those_the_benchmark_oracle_checks"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
@@ -222,6 +224,19 @@ MUTANTS = {
         "src/piercelab/exponent.py", "if b == e and lo == hi:", "if lo == hi:", [POWER_SUM], None),
     "safe-run-ambiguity-strict": (
         "src/piercelab/pierce.py", "if rest >= a:", "if rest > a:", [SAMPLE], None),
+    "report-enclosure-hi-lo": (
+        "src/piercelab/cli.py", "[rational_str(value.lo), rational_str(value.hi)]",
+        "[rational_str(value.hi), rational_str(value.lo)]",
+        [DIGESTS], None),
+    "report-params-keep-none": (
+        "src/piercelab/cli.py", "if (value := getattr(args, name)) is not None}",
+        "if (value := getattr(args, name)) is not None or True}", [DIGESTS], None),
+    "eval-echo-without-bits": (
+        "src/piercelab/cli.py", '"eval": ("prefix", "rule", "alpha", "bits"),',
+        '"eval": ("prefix", "rule", "alpha"),', [DIGESTS], None),
+    "eval-interval-plain-pair": (
+        "src/piercelab/cli.py", "Enclosure(cell.left, cell.right)", "(cell.left, cell.right)",
+        [ENCLOSURE_FIELDS], None),
 }
 
 

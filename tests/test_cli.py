@@ -1,6 +1,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -740,3 +741,57 @@ def test_cover_at_the_kmax_guard_prints_pinned_bytes(command):
     code, out, _ = invoke(command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == KMAX_GUARD_DIGESTS[command]
+
+
+ORACLES = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+
+
+def load_oracles():
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", ORACLES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# one small invocation per command: eval with and without --rule, divergent with --terms
+ENCLOSURE_ARGV = [
+    ["expand", "7/10"],
+    ["eval", "--prefix", "2,9", "--bits", "8"],
+    ["eval", "--prefix", "2", "--rule", "power", "--alpha", "1/2", "--bits", "16"],
+    ["lambda", "--rule", "power", "--prefix", "2", "--alpha", "1/2", "--window", "50"],
+    ["construct", "--alpha", "1/2", "--in", "1/3,1/2"],
+    ["divergent", "--s", "1/2", "--prefix", "2", "--j", "1", "--terms", "5"],
+    ["cover", "--alpha", "1/2", "--beta", "3/4", "--eps", "1/10", "--s", "1", "--kmax", "4"],
+    ["grid", "--alpha", "1/2", "--depth", "1"],
+    ["sample", "--bits", "256", "--count", "2", "--seed", "3"],
+]
+
+
+def test_enclosure_fields_are_those_the_benchmark_oracle_checks(monkeypatch):
+    # The printed bytes of an Enclosure and of a pair of Fractions are the same;
+    # the handlers' values tell them apart.
+    oracles = load_oracles()
+    singles = {command: set() for command in _COMMANDS}
+    lists = {command: set() for command in _COMMANDS}
+
+    def recording(command, handler):
+        def record(args, bits):
+            for results in handler(args, bits):
+                for key, value in results.items():
+                    if isinstance(value, arith.Enclosure):
+                        singles[command].add(key)
+                    elif isinstance(value, tuple) and value and all(
+                            isinstance(v, arith.Enclosure) for v in value):
+                        lists[command].add(key)
+                yield results
+        return record
+
+    for command, (handler, summary, flags) in list(_COMMANDS.items()):
+        monkeypatch.setitem(_COMMANDS, command, (recording(command, handler), summary, flags))
+    assert sorted({argv[0] for argv in ENCLOSURE_ARGV}) == sorted(_COMMANDS)
+    for argv in ENCLOSURE_ARGV:
+        code, _, err = invoke(argv)
+        assert code == 0, (argv, err)
+    for command in _COMMANDS:
+        assert singles[command] == set(oracles.ENCLOSURES[command]), command
+        assert lists[command] == set(oracles.ENCLOSURE_LISTS.get(command, ())), command

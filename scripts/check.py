@@ -6,7 +6,8 @@ From this checkout, one after another:
 
 - `tier-1`: `python -m pytest -q --continue-on-collection-errors`, with
   PYTHONPATH set to `src/`; counts the passed, failed and errored tests.
-- `mutants`: `scripts/mutants.py`; counts the mutants and the survivors.
+- `mutants`: `scripts/mutants.py`; counts the mutants, the killed ones,
+  the survivors and the equivalent ones, which survive by a written reason.
 - `interpreters`: `scripts/interpreters.py PY ...` (this interpreter when
   no `--python` is given); counts the interpreters, those that did not run
   and the differences.  Under each interpreter it compares the lines of
@@ -68,6 +69,7 @@ def mutants() -> dict:
     found = re.search(r"(\d+) mutants, (\d+) surviving", proc.stdout)
     counts = {"mutants": int(found[1]), "surviving": int(found[2])} if found else {}
     counts["killed"] = proc.stdout.count(" killed\n")
+    counts["equivalent"] = proc.stdout.count(" equivalent: ")
     return {"command": "python3 scripts/mutants.py", "exit_code": proc.returncode,
             "counts": counts, "ok": proc.returncode == 0 and found is not None}
 

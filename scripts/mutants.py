@@ -39,6 +39,7 @@ ARITH = "tests/test_arith.py"
 SPACE = "tests/test_space.py"
 LEDGER = "tests/test_dimension.py::TestReferenceLedger"
 COVER = "tests/test_dimension.py::TestCoveringSum"
+REFINED = "tests/test_dimension.py::TestRefinedBound"
 UNIT = "tests/test_arith.py::TestUnitRational"
 PREFIX = "tests/test_pierce.py::TestValidatePrefix"
 ORBIT = "tests/test_pierce.py::TestReferenceOrbit"
@@ -191,19 +192,21 @@ MUTANTS = {
         "src/piercelab/dimension.py", "return sign * q if q == hi // d_lo else None",
         "return sign * q", [LEDGER], None),
     "verdict-tail-at-least-2": (
-        "src/piercelab/dimension.py", "fractions[-max(1, len(fractions) // 4):]",
-        "fractions[-max(2, len(fractions) // 4):]", [COVER], None),
+        "src/piercelab/dimension.py", "fractions[-max(1, len(fractions) // 4)]",
+        "fractions[-max(2, len(fractions) // 4)]", [COVER], None),
     "verdict-tail-fifth": (
         "src/piercelab/dimension.py", "len(fractions) // 4", "len(fractions) // 5", [COVER], None),
-    "verdict-pairs-two-apart": (
-        "src/piercelab/dimension.py", "zip(tail, tail[1:])", "zip(tail, tail[2:])", [COVER, LEDGER],
-        "the adjacent pairs differ from pairs two apart only where a tail ratio below 1 rises, "
-        "and a_(k+1)/a_k = (k+1)**(g-u)*(1+1/k)**(k*g) below 1 falls for k >= 2: a rise on "
-        "(k, k+1) needs k < g/(u-g) and a ratio below 1 then log(k+1) > k - 1/2; a pair of tail "
-        "ratios has k >= 7 (ROADMAP item 2 has the searched grid)"),
+    "verdict-last-ratio": (
+        "src/piercelab/dimension.py", "fractions[-max(1, len(fractions) // 4)]", "fractions[-1]",
+        [COVER], None),
+    "verdict-floor-at-most-1": (
+        "src/piercelab/dimension.py", "if floor == 0:", "if floor <= 1:", [COVER], None),
     "cover-exact-never": (
         "src/piercelab/arith.py", "integer_root(base, v) ** v == base", "False",
         [LEDGER], None),
+    "refined-bound-last-piece": (
+        "src/piercelab/dimension.py", "return (alpha + delta) * (1 / alpha - 1)",
+        "return beta * (1 / (beta - delta) - 1)", [REFINED], None),
     "unit-rational-open-top": (
         "src/piercelab/arith.py", "0 <= x.numerator <= x.denominator",
         "0 <= x.numerator < x.denominator", [UNIT], None),

@@ -11,7 +11,6 @@ the byte from their seed.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from enum import Enum
 from fractions import Fraction
@@ -208,11 +207,6 @@ class CoverReport:
 _LEDGER_BITS = 128
 
 
-def _align(a: int, b: int, s: int) -> tuple[int, int]:
-    """a * 2**s and b scaled by one power of two to integers."""
-    return (a << s, b) if s >= 0 else (a, b << -s)
-
-
 def _quotient(n, d, sh: int, up: bool = False) -> Optional[int]:
     """floor(N * 2**sh / D), or the ceiling if up, for brackets N >= 0, D > 0; None if undecided."""
     sign, s = -1 if up else 1, sh + n[2] - d[2]
@@ -220,14 +214,6 @@ def _quotient(n, d, sh: int, up: bool = False) -> Optional[int]:
     d_lo, d_hi = (d[0], d[1]) if s >= 0 else (d[0] << -s, d[1] << -s)
     q = lo // d_hi
     return sign * q if q == hi // d_lo else None
-
-
-def _below(x, y, strict: bool) -> Optional[bool]:
-    """Whether x < y (x <= y if not strict) for brackets x and y; None where they overlap."""
-    below, s = operator.lt if strict else operator.le, x[2] - y[2]
-    if below(*_align(x[1], y[0], s)):
-        return True
-    return None if below(*_align(x[0], y[1], s)) else False
 
 
 def _times(x, y):
@@ -244,21 +230,31 @@ def covering_sum(params: CoverParams, bits: int = 96) -> CoverReport:
     quotient of the two terms' opposite ends.  Each is rounded outward to
     2**-bits; partial sums add the term bounds at 32 guard bits and round
     once.  The verdict is RATIO_VANISHING only when s exceeds the
-    threshold (beta+eps)(g-1) and the ratios are certifiably below 1 and
-    decreasing over the final quarter of the window; anything else is
-    INCONCLUSIVE, because the construction proves nothing there.
+    threshold (beta+eps)(g-1) and the ratios are below 1 and falling over
+    the final quarter of the window; anything else is INCONCLUSIVE,
+    because the construction proves nothing there.
 
-    Each printed floor and ceiling and both verdict comparisons are
-    decided from brackets lo*2**e <= X <= hi*2**e of these integers at a
-    working precision w = bits + 128, and x bits more for a term near 2**x:
+    Each printed floor and ceiling and the verdict are decided from
+    brackets lo*2**e <= X <= hi*2**e of these integers at a working
+    precision w = bits + 128, and x bits more for a term near 2**x:
     - Root brackets: both radicands are base**n with gcd(n, v) = 1, as
       arith._root_bracket needs: k**(k*g.num/e) at degree g.den/e, e =
       gcd(k*g.num, g.den), and (k!)**u.num, a running power, at u.den.
     - Bracket arithmetic: a product multiplies the ends and adds the
       exponents.  floor(N * 2**sh / D) rises with N and falls with D, so
       it is decided where floor(lo_N * 2**sh / hi_D) equals
-      floor(hi_N * 2**sh / lo_D), and a ceiling the same way; a
-      comparison is decided where the brackets do not overlap.
+      floor(hi_N * 2**sh / lo_D), and a ceiling the same way.
+    - The verdict: the quarter's first ratio r_k decides it, by the floor
+      0 of its upper end; the fall after it is proven.  Above the threshold,
+      u > g > 1, and r_k = (k+1)**(g-u) (1+1/k)**(kg) < 1 needs (u-g)
+      ln(k+1) > g(1-1/2k), so u - g > g/k for k >= 2, where ln(k+1) < k -
+      1/2: d ln r/dk <= (g/k + g - u)/(k+1) < 0 from k on, and step j falls
+      by e**-D_j, D_j >= g((1-1/2j)/ln(j+1) - 1/j)/(j+2).  A quarter of 2
+      or more ratios has k >= N + 6 >= 7, where each end of a ratio's
+      integer bracket lies within F_k = (1+1/A_{k+1})(1+1/C_k)(1+2/C_{k+1})
+      (1+2/A_k) of r_k, A = a >= k**k, C = c >= k!.  At g = u = 1, the worst
+      case, ln F_j F_{j+1} <= 0.0084 D_j for j = 7..511: each later upper
+      end lies below the lower end before it, so below 1, and pairs fall.
     - Widening: where any one is undecided, the whole ledger runs again
       at 4w.  A bracket is the point X once w passes X's width, so the
       last rung decides all on the exact integers: the bytes are theirs.
@@ -321,13 +317,10 @@ def _ledger(params: CoverParams, bits: int, w: int) -> Optional[CoverReport]:
 
     verdict = CoverVerdict.INCONCLUSIVE
     if params.s > params.threshold and fractions:
-        tail = fractions[-max(1, len(fractions) // 4):]
-        checks = [_below(n_hi, d_hi, True) for _, _, n_hi, d_hi in tail] + [
-            _below(_times(n1, d0), _times(n0, d1), False)
-            for (n0, d0, _, _), (_, _, n1, d1) in zip(tail, tail[1:])]
-        if False not in checks:
-            if None in checks:
-                return None
+        _, _, n_hi, d_hi = fractions[-max(1, len(fractions) // 4)]
+        if (floor := _quotient(n_hi, d_hi, 0)) is None:
+            return None
+        if floor == 0:
             verdict = CoverVerdict.RATIO_VANISHING
     return CoverReport(params, ks, tuple(terms), tuple(ratios), tuple(sums),
                        params.threshold, verdict)
@@ -336,9 +329,10 @@ def _ledger(params: CoverParams, bits: int, w: int) -> Optional[CoverReport]:
 def refined_dimension_bound(alpha: Fraction, beta: Fraction, n_parts: int) -> Fraction:
     """max over the refined partition of alpha_{j+1} * (1/alpha_j - 1).
 
-    Splitting [alpha, beta] into n_parts equal pieces, the bound is
-    attained at the first piece and decreases to 1 - alpha as the
-    partition refines.
+    Splitting [alpha, beta] into n_parts equal pieces of width delta, the
+    piece at x gives (x + delta)(1/x - 1) = 1 - delta - x + delta/x,
+    which falls in x: the bound is attained at the first piece and
+    decreases to 1 - alpha as the partition refines.
     """
     alpha, beta = _check_alpha(alpha, allow_zero=False), _check_alpha(beta, allow_zero=False)
     if alpha > beta:
@@ -346,10 +340,7 @@ def refined_dimension_bound(alpha: Fraction, beta: Fraction, n_parts: int) -> Fr
     if n_parts < 1:
         raise DomainError("need at least one partition piece")
     delta = (beta - alpha) / n_parts
-    levels = [alpha + j * delta for j in range(n_parts + 1)]
-    best = max(levels[j + 1] * (1 / levels[j] - 1) for j in range(n_parts))
-    assert best == (alpha + delta) * (1 / alpha - 1)
-    return best
+    return (alpha + delta) * (1 / alpha - 1)
 
 
 @_record
@@ -406,8 +397,6 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
     for index in range(count):
         rng = random.Random(f"{seed}:{index}:piercelab-mc")
         p = rng.getrandbits(bits)
-        if not 0 <= p < p + 1 <= denominator:  # unit_interval's check, on the integers
-            raise DomainError(f"sample {p} does not lie in [0, 2**{bits})")
         sd = _safe_run(p, p + 1, denominator, 10**6)
         depth = len(sd.prefix)
         seq = PierceSeq.finite(sd.prefix)

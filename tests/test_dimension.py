@@ -1,3 +1,4 @@
+import decimal
 import io
 import math
 import re
@@ -167,6 +168,23 @@ class TestCoveringSum:
         assert (report.terms, report.ratios, report.partial_sums, report.verdict) == \
             reference_ledger(params, 96)
 
+    def test_written_verdict_margin(self):
+        # covering_sum's docstring: at g = u = 1 the slack of two ratio brackets, ln F_j +
+        # ln F_(j+1), is at most 0.0084 of the fall D_j of a ratio below 1, over every
+        # step j = 7..510 between the ratios a window under the k_max guard can have
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            D = decimal.Decimal
+
+            def ln_slack(k):
+                a0, a1 = D(k) ** k, D(k + 1) ** (k + 1)
+                c0, c1 = D(math.factorial(k)), D(math.factorial(k + 1))
+                return ((1 + 1 / a1) * (1 + 1 / c0) * (1 + 2 / c1) * (1 + 2 / a0)).ln()
+
+            for j in range(7, dimension.COVER_KMAX_GUARD - 1):
+                fall = ((1 - D(1) / (2 * j)) / D(j + 1).ln() - D(1) / j) / (j + 2)
+                assert ln_slack(j) + ln_slack(j + 1) <= D("0.0084") * fall, j
+
 
 def reference_ledger(params, bits):
     """The covering ledger from exact rational enclosures.
@@ -246,6 +264,29 @@ class TestReferenceLedger:
         assert widths[0] == bits + extra and len(widths) > 1
         assert widths == [widths[0] * 4**i for i in range(len(widths))]
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_drawn_verdicts_equal_the_reference(self, data):
+        # The verdict reads the final quarter's first ratio alone; the reference still checks
+        # every ratio of the quarter and every adjacent pair on exact rational enclosures.
+        # The partial sums are left out: the ledger adds term floors at 32 guard bits and
+        # rounds once, so where an exact sum is an integer multiple of 2**-bits it may print
+        # one unit lower than the reference, both certified.  At (N, alpha, beta, eps, s,
+        # k_max) = (1, 1, 1, 1/16, 47/240, 9) and bits 0, the k = 3 sum is exactly
+        # 1 + 4/3 + 11/3 = 6, printed [5, 8] by the ledger and [6, 8] by the reference.
+        fraction = st.builds(F, st.integers(1, 5), st.integers(2, 5)).filter(lambda x: x <= 1)
+        alpha, beta = sorted((data.draw(fraction), data.draw(fraction)))
+        epsilon = data.draw(st.sampled_from([F(1, 10), F(1, 16), F(1, 20)]))
+        N = data.draw(st.integers(1, 3))
+        k_max = data.draw(st.integers(N, 24) | st.integers(N + 8, 24))
+        params = CoverParams(N=N, alpha=alpha, beta=beta, epsilon=epsilon, s=1, k_max=k_max)
+        s = params.threshold + data.draw(st.sampled_from([F(1, 8), F(1, 2), F(1), F(4)]))
+        params = CoverParams(N=N, alpha=alpha, beta=beta, epsilon=epsilon, s=s, k_max=k_max)
+        bits = data.draw(st.sampled_from([0, 8, 64]))
+        terms, ratios, _, verdict = reference_ledger(params, bits)
+        report = covering_sum(params, bits)
+        assert (report.terms, report.ratios, report.verdict) == (terms, ratios, verdict)
+
 
 def test_readme_cover_roots_at_working_precision(monkeypatch):
     # The README's cover command runs the ledger once, and each radicand
@@ -300,6 +341,16 @@ class TestRefinedBound:
         assert bound - (1 - alpha) == (beta - alpha) / n * (1 / alpha - 1)
         if n <= m:
             assert refined_dimension_bound(alpha, beta, m) <= bound
+
+    @given(st.data())
+    @settings(max_examples=40)
+    def test_closed_form_is_the_largest_piece(self, data):
+        fraction = st.builds(F, st.integers(1, 60), st.integers(1, 60)).filter(lambda x: x <= 1)
+        alpha, beta = sorted((data.draw(fraction), data.draw(fraction)))
+        n = data.draw(st.integers(1, 60))
+        levels = [alpha + j * (beta - alpha) / n for j in range(n + 1)]
+        assert refined_dimension_bound(alpha, beta, n) == max(
+            b * (1 / a - 1) for a, b in zip(levels, levels[1:]))
 
 
 class TestSampling:

@@ -170,8 +170,8 @@ class TestCoveringSum:
 
     def test_written_verdict_margin(self):
         # covering_sum's docstring: at g = u = 1 the slack of two ratio brackets, ln F_j +
-        # ln F_(j+1), is at most 0.0084 of the fall D_j of a ratio below 1, over every
-        # step j = 7..510 between the ratios a window under the k_max guard can have
+        # ln F_(j+1), is at most 0.0084 of the fall D_j of a ratio below 1, for every
+        # j = 7..511, the ratio indices from 7 on that a window under the k_max guard has
         with decimal.localcontext() as ctx:
             ctx.prec = 60
             D = decimal.Decimal
@@ -181,7 +181,7 @@ class TestCoveringSum:
                 c0, c1 = D(math.factorial(k)), D(math.factorial(k + 1))
                 return ((1 + 1 / a1) * (1 + 1 / c0) * (1 + 2 / c1) * (1 + 2 / a0)).ln()
 
-            for j in range(7, dimension.COVER_KMAX_GUARD - 1):
+            for j in range(7, dimension.COVER_KMAX_GUARD):
                 fall = ((1 - D(1) / (2 * j)) / D(j + 1).ln() - D(1) / j) / (j + 2)
                 assert ln_slack(j) + ln_slack(j + 1) <= D("0.0084") * fall, j
 

@@ -87,12 +87,9 @@ import io, json, shlex, sys, time
 from piercelab import arith
 from piercelab.cli import run
 
-# ln2_enclosure's cache is functools.cache's, or a module dict in older checkouts
-clear_ln2 = getattr(arith.ln2_enclosure, "cache_clear", None) or arith._LN2_CACHE.clear
-
 def call(argv):
     arith._LOG2_CACHE.clear()
-    clear_ln2()
+    arith.ln2_enclosure.cache_clear()
     start = time.perf_counter()
     code = run(argv, io.StringIO(), io.StringIO())
     elapsed = time.perf_counter() - start

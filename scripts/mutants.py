@@ -41,10 +41,10 @@ LEDGER = "tests/test_dimension.py::TestReferenceLedger"
 COVER = "tests/test_dimension.py::TestCoveringSum"
 REFINED = "tests/test_dimension.py::TestRefinedBound"
 UNIT = "tests/test_arith.py::TestUnitRational"
-PREFIX = "tests/test_pierce.py::TestValidatePrefix"
 ORBIT = "tests/test_pierce.py::TestReferenceOrbit"
 POWER_SUM = "tests/test_exponent.py::test_power_sum_equals_the_per_term_reference"
 SAMPLE = "tests/test_pierce.py::test_integer_entry_equals_the_enclosure_entry"
+SAFE_EXACT = "tests/test_pierce.py::TestSafeDigits::test_exact"
 DIGESTS = "tests/test_readme_digests.py"
 ENCLOSURE_FIELDS = "tests/test_cli.py::test_enclosure_fields_are_those_the_benchmark_oracle_checks"
 
@@ -210,9 +210,6 @@ MUTANTS = {
     "unit-rational-open-top": (
         "src/piercelab/arith.py", "0 <= x.numerator <= x.denominator",
         "0 <= x.numerator < x.denominator", [UNIT], None),
-    "prefix-fast-path-zero": (
-        "src/piercelab/pierce.py", "all(map(lt, (0, *d), d))", "all(map(lt, (-1, *d), d))",
-        [PREFIX], None),
     "orbit-pad-off-by-one": (
         "src/piercelab/pierce.py", "[Fraction(0)] * (n - len(orbit))",
         "[Fraction(0)] * (n - len(orbit) + 1)", [ORBIT], None),
@@ -226,7 +223,10 @@ MUTANTS = {
     "power-sum-shared-inexact": (
         "src/piercelab/exponent.py", "if b == e and lo == hi:", "if lo == hi:", [POWER_SUM], None),
     "safe-run-ambiguity-strict": (
-        "src/piercelab/pierce.py", "if rest >= a:", "if rest > a:", [SAMPLE], None),
+        "src/piercelab/pierce.py", "if b >= a:", "if b > a:", [SAMPLE], None),
+    "point-next-upper-end": (
+        "src/piercelab/pierce.py", "# a point stays a point\n            b = r\n",
+        "# a point stays a point\n            b = r + 1\n", [SAFE_EXACT], None),
     "report-enclosure-hi-lo": (
         "src/piercelab/cli.py", "[rational_str(value.lo), rational_str(value.hi)]",
         "[rational_str(value.hi), rational_str(value.lo)]",

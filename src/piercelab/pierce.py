@@ -4,12 +4,13 @@ A single greedy step maps x to (d, t) with d = floor(1/x) and
 t = 1 - d*x.  For x = p/q it keeps the denominator fixed:
 T(p/q) = 1 - (q//p)*p/q = (q mod p)/q, so the digits of a rational are
 d_k = q // p_k with p_{k+1} = q - d_k*p_k, computed on integers alone.
-One plain loop, _orbit, runs these steps and lists the digits and
-numerators; digits_rational, digit_step and shift_orbit all read them.
 The numerators strictly decrease, so the strictly increasing digit
-sequence of x terminates at 0 exactly when x is rational.  The interval
-variant runs the same step on both endpoints over a common denominator
-and only ever emits digits shared by every point of the enclosure.
+sequence of x terminates at 0 exactly when x is rational.  One plain
+loop, _digit_run, steps both ends of [a/q, b/q] and emits only the
+digits every point of it shares; digits_rational, digit_step and
+shift_orbit run it on a point, a == b.  A step multiplies the gap b - a
+by d, so a point stays a point, and its next upper end is the remainder
+of the divmod(q, b) that gave d.
 Partial sums of the alternating series are likewise integer pairs
 (S_k, P_k) with s_k = S_k / P_k and P_k = d_1 ... d_k.
 """
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import lt
 
 from .arith import (
     DomainError,
@@ -46,9 +46,6 @@ __all__ = [
 def validate_prefix(digits) -> tuple[int, ...]:
     """Check a finite digit prefix: positive integers, strictly increasing."""
     d = tuple(digits)
-    if set(map(type, d)) <= {int} and all(map(lt, (0, *d), d)):  # plain ints rising from 1
-        return d
-    # int subclasses, or a refusal that names the first digit at fault
     last = 0
     for k, x in enumerate(d, start=1):
         if not isinstance(x, int) or x < 1:
@@ -59,18 +56,6 @@ def validate_prefix(digits) -> tuple[int, ...]:
     return d
 
 
-def _orbit(x: Fraction, n: int) -> tuple[list[int], list[int]]:
-    """([d_1..d_k], [p_1..p_k]) with T^j(x) = p_j/q for x = p_0/q: k = n, or less at p_k = 0."""
-    p, q = x.numerator, x.denominator
-    digits, rests = [], []
-    while p and n:
-        d, p = divmod(q, p)
-        digits.append(d)
-        rests.append(p)
-        n -= 1
-    return digits, rests
-
-
 def digit_step(x: Fraction) -> tuple[ExtNat, Fraction]:
     """One greedy step: (floor(1/x), 1 - floor(1/x)*x); (INFINITY, 0) at x = 0.
 
@@ -79,7 +64,7 @@ def digit_step(x: Fraction) -> tuple[ExtNat, Fraction]:
     terminates on rationals.
     """
     x = unit_rational(x)
-    digits, rests = _orbit(x, 1)
+    digits, rests, _ = _digit_run(x.numerator, x.numerator, x.denominator, 1)
     return (digits[0], Fraction(rests[0], x.denominator)) if digits else (INFINITY, Fraction(0))
 
 
@@ -88,10 +73,10 @@ def digits_rational(x: Fraction) -> tuple[int, ...]:
 
     Every remainder keeps the denominator q, so the digits are q // p_k
     with p_{k+1} = q mod p_k < p_k: no gcd is taken at any step, and the
-    one orbit loop ends after at most p steps.
+    digit loop ends after at most p steps.
     """
     x = unit_rational(x)
-    return tuple(_orbit(x, x.numerator)[0])
+    return tuple(_digit_run(x.numerator, x.numerator, x.denominator, x.numerator)[0])
 
 
 class DigitStatus(Enum):
@@ -127,24 +112,36 @@ def safe_digits(interval: Enclosure, max_n: int) -> SafeDigits:
                      q, max_n)
 
 
+def _digit_run(a: int, b: int, q: int, n: int) -> tuple[list[int], list[int], DigitStatus]:
+    """(digits, lower numerators after each step, status) of [a/q, b/q], 0 <= a <= b <= q.
+
+    The digits, at most n, are those every point of the interval shares.
+    With d = q // b the ends step to (q mod b, q - d*a); as d*a <= q,
+    q // a == d exactly when q - d*a < a, and at a == 0 (digit INFINITY
+    at lo) q - d*a = q >= a, so that case is AMBIGUOUS too.
+    """
+    digits, lows = [], []
+    while b:
+        if not n:
+            return digits, lows, DigitStatus.EXHAUSTED
+        d, r = divmod(q, b)
+        if a == b:  # a point stays a point
+            b = r
+        else:
+            b = q - d * a
+            if b >= a:
+                return digits, lows, DigitStatus.AMBIGUOUS
+        a = r
+        digits.append(d)
+        lows.append(r)
+        n -= 1
+    return digits, lows, DigitStatus.TERMINATED
+
+
 def _safe_run(a: int, b: int, q: int, max_n: int) -> SafeDigits:
     """safe_digits of [a/q, b/q] for integers 0 <= a <= b <= q, q >= 1, and max_n >= 0."""
-    digits: list[int] = []
-    while True:
-        if b == 0:
-            return SafeDigits(tuple(digits), DigitStatus.TERMINATED)
-        if len(digits) >= max_n:
-            return SafeDigits(tuple(digits), DigitStatus.EXHAUSTED)
-        # One big division per step.  With a <= b and d = q // b, d*a <=
-        # d*b <= q, so rest = q - d*a >= 0 and q // a == d exactly when
-        # rest < a; at a == 0 (digit INFINITY at lo) rest = q >= a, so that
-        # case is AMBIGUOUS too.  rest is the next b.
-        d = q // b
-        rest = q - d * a
-        if rest >= a:
-            return SafeDigits(tuple(digits), DigitStatus.AMBIGUOUS)
-        digits.append(d)
-        a, b = q - d * b, rest
+    digits, _, status = _digit_run(a, b, q, max_n)
+    return SafeDigits(tuple(digits), status)
 
 
 def alternating_sums(digits):
@@ -163,9 +160,10 @@ def alternating_sums(digits):
 
 
 def shift_orbit(x: Fraction, n: int) -> list[Fraction]:
-    """[T(x), T^2(x), ..., T^n(x)] exactly from the orbit loop, padded with its fixed point 0."""
+    """[T(x), T^2(x), ..., T^n(x)] exactly from the digit loop, padded with its fixed point 0."""
     x = unit_rational(x)
     if n < 0:
         raise DomainError("orbit length must be non-negative")
-    orbit = [Fraction(p, x.denominator) for p in _orbit(x, n)[1]]
+    p, q = x.numerator, x.denominator
+    orbit = [Fraction(r, q) for r in _digit_run(p, p, q, n)[1]]
     return orbit + [Fraction(0)] * (n - len(orbit))

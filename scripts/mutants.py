@@ -47,6 +47,8 @@ SAMPLE = "tests/test_pierce.py::test_integer_entry_equals_the_enclosure_entry"
 SAFE_EXACT = "tests/test_pierce.py::TestSafeDigits::test_exact"
 DIGESTS = "tests/test_readme_digests.py"
 ENCLOSURE_FIELDS = "tests/test_cli.py::test_enclosure_fields_are_those_the_benchmark_oracle_checks"
+WITNESSES = "tests/test_constructions.py::TestWitnesses"
+ENUMERATION = "tests/test_dimension.py::TestEnumeration"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
@@ -176,6 +178,16 @@ MUTANTS = {
         "k, q = _cell(s, product, d, depth)\n        if a * q <= k * c",
         "k, q = _cell(s, product, d, depth)\n        if a * q < k * c",
         [SPACE], None),
+    "locate-child-jump-shift": (
+        "src/piercelab/space.py", "for d in (first, first + 1):",
+        "for d in (first + 1, first + 2):", [SPACE], None),
+    "witness-container-unchecked": (
+        "src/piercelab/constructions.py",
+        "if not self.container.contains_interval(self.enclosure):", "if False:",
+        [WITNESSES], None),
+    "enumeration-floor-strict": (
+        "src/piercelab/dimension.py", "if v >= floors[j - 1]:", "if v > floors[j - 1]:",
+        [ENUMERATION], None),
     "outward-lower-ceiling": (
         "src/piercelab/dimension.py", "outward(t_lo >> guard, -(-t_hi >> guard))",
         "outward(-(-t_lo >> guard), -(-t_hi >> guard))", [LEDGER], None),

@@ -18,8 +18,8 @@ from .rules import DigitRule, PowerFloorRule, _check_alpha
 from .space import (
     DEFAULT_PRECISION_BITS,
     PierceSeq,
-    _locate,
     expansion_value,
+    locate_cylinder,
 )
 
 __all__ = [
@@ -82,17 +82,13 @@ def witness_in_interval(
     Locates a fundamental cell inside the interval, extends its prefix
     by the prescribed-exponent continuation, and encloses the value with
     partial sums of depth at least prefix+2, which keeps the enclosure
-    strictly inside the cell.  All containments are checked exactly.
+    strictly inside the cell (see expansion_value).  The cell lies in
+    the interval by the search's own exact comparison, so the one check
+    left is Witness's: the enclosure lies in the requested interval.
     """
-    prefix, left, right = _locate(interval)
+    prefix = locate_cylinder(interval)
     rule = prescribed_exponent_rule(prefix, alpha)
     enclosure = expansion_value(
         PierceSeq.infinite(rule), precision_bits, min_depth=len(prefix) + 2
     )
-    cell = Enclosure(left, right)
-    if not cell.contains_interval(enclosure):
-        raise AssertionError("witness enclosure escaped its fundamental cell")
-    if not interval.contains_interval(cell):
-        raise AssertionError("located cell escaped the requested interval")
     return Witness(rule, enclosure, interval)
-

@@ -28,7 +28,7 @@ from .arith import (
 )
 from .constructions import Witness, witness_in_interval
 from .exponent import _half_window, exponent_window
-from .pierce import DigitStatus, _safe_run
+from .pierce import DigitStatus, _digit_run
 from .rules import _check_alpha
 from .space import DEFAULT_PRECISION_BITS, PierceSeq
 
@@ -36,7 +36,6 @@ __all__ = [
     "CoverParams",
     "CoverVerdict",
     "CoverReport",
-    "TupleEnumeration",
     "enumerate_digit_tuples",
     "binomial_tuple_bound",
     "covering_sum",
@@ -118,12 +117,6 @@ def _digit_floor(params: CoverParams, j: int) -> int:
     return r + (not exact)
 
 
-@_record
-class TupleEnumeration:
-    count: int
-    tuples: Optional[tuple[tuple[int, ...], ...]] = None
-
-
 def binomial_tuple_bound(params: CoverParams, k: int) -> int:
     """C(floor(k**(1/(alpha-eps))), k): counts all increasing tuples below the cap."""
     if k < params.N:
@@ -131,16 +124,13 @@ def binomial_tuple_bound(params: CoverParams, k: int) -> int:
     return math.comb(_last_digit_cap(params, k), k)
 
 
-def enumerate_digit_tuples(
-    params: CoverParams, k: int, include_listing: bool = False
-) -> TupleEnumeration:
+def enumerate_digit_tuples(params: CoverParams, k: int) -> int:
     """Exact count of admissible strictly increasing k-tuples.
 
     A tuple (d_1 < ... < d_k) is admissible when d_j is at least
     j**(1/(beta+eps)) for N <= j <= k and d_k is at most
     k**(1/(alpha-eps)); indices below N are only constrained by strict
-    increase.  Counting is a DP over (position, value); the optional
-    listing is produced by the same recursion used as a test oracle.
+    increase.  Counting is a DP over (position, value).
     """
     bound = binomial_tuple_bound(params, k)  # refuses k < N
     if bound > ENUMERATION_GUARD:
@@ -150,7 +140,7 @@ def enumerate_digit_tuples(
     cap = _last_digit_cap(params, k)
     floors = [_digit_floor(params, j) for j in range(1, k + 1)]
     if cap < k:
-        return TupleEnumeration(0, tuple() if include_listing else None)
+        return 0
 
     # ways[v] = number of admissible prefixes of the current length ending at v
     ways = [0] * (cap + 1)
@@ -164,25 +154,7 @@ def enumerate_digit_tuples(
                 nxt[v] = prefix_total
             prefix_total += ways[v]
         ways = nxt
-    count = sum(ways[floors[k - 1]:])
-
-    listing = None
-    if include_listing:
-        out: list[tuple[int, ...]] = []
-
-        def descend(j: int, last: int, acc: list[int]) -> None:
-            if j > k:
-                out.append(tuple(acc))
-                return
-            for v in range(max(last + 1, floors[j - 1]), cap - (k - j) + 1):
-                acc.append(v)
-                descend(j + 1, v, acc)
-                acc.pop()
-
-        descend(1, 0, [])
-        listing = tuple(out)
-        assert len(listing) == count
-    return TupleEnumeration(count, listing)
+    return sum(ways[floors[k - 1]:])
 
 
 class CoverVerdict(Enum):
@@ -397,17 +369,17 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
     for index in range(count):
         rng = random.Random(f"{seed}:{index}:piercelab-mc")
         p = rng.getrandbits(bits)
-        sd = _safe_run(p, p + 1, denominator, 10**6)
-        depth = len(sd.prefix)
-        seq = PierceSeq.finite(sd.prefix)
+        digits, _, status = _digit_run(p, p + 1, denominator, 10**6)
+        depth = len(digits)
+        seq = PierceSeq.finite(digits)
         window = exponent_window(seq, *_half_window(depth))
         if depth >= 1:
-            log_ratio = ln_enclosure(sd.prefix[-1]).mul_pos(Enclosure.exact(Fraction(1, depth)))
+            log_ratio = ln_enclosure(digits[-1]).mul_pos(Enclosure.exact(Fraction(1, depth)))
             log_ratios.append(log_ratio.midpoint)
         else:
             log_ratio = None
         depths.append(Fraction(depth))
-        records.append(SampleRecord(index, depth, sd.status, log_ratio, window))
+        records.append(SampleRecord(index, depth, status, log_ratio, window))
     return McReport(
         algorithm=RNG_ALGORITHM,
         bits=bits,

@@ -108,8 +108,9 @@ def safe_digits(interval: Enclosure, max_n: int) -> SafeDigits:
     if max_n < 0:
         raise DomainError("max_n must be non-negative")
     q = math.lcm(lo.denominator, hi.denominator)
-    return _safe_run(lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator),
-                     q, max_n)
+    digits, _, status = _digit_run(lo.numerator * (q // lo.denominator),
+                                   hi.numerator * (q // hi.denominator), q, max_n)
+    return SafeDigits(tuple(digits), status)
 
 
 def _digit_run(a: int, b: int, q: int, n: int) -> tuple[list[int], list[int], DigitStatus]:
@@ -136,12 +137,6 @@ def _digit_run(a: int, b: int, q: int, n: int) -> tuple[list[int], list[int], Di
         lows.append(r)
         n -= 1
     return digits, lows, DigitStatus.TERMINATED
-
-
-def _safe_run(a: int, b: int, q: int, max_n: int) -> SafeDigits:
-    """safe_digits of [a/q, b/q] for integers 0 <= a <= b <= q, q >= 1, and max_n >= 0."""
-    digits, _, status = _digit_run(a, b, q, max_n)
-    return SafeDigits(tuple(digits), status)
 
 
 def alternating_sums(digits):

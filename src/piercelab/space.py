@@ -206,21 +206,16 @@ def seq_distance(s: PierceSeq, t: PierceSeq, depth: int) -> Fraction:
 
 
 def locate_cylinder(interval: Enclosure) -> tuple[int, ...]:
-    """A digit prefix whose fundamental interval fits inside [lo, hi] within [0, 1]."""
-    return _locate(interval)[0]
-
-
-def _locate(interval: Enclosure) -> tuple[tuple[int, ...], Fraction, Fraction]:
-    """(prefix, left, right): locate_cylinder's prefix and its cell's endpoints.
+    """A digit prefix whose fundamental interval fits inside [lo, hi] within [0, 1].
 
     Descends the chain of cells containing the midpoint, returning the
     shallowest one that fits; each cell [k, k + 1] / q (see _cell) is
-    tested on integers against lo = a/c and hi = b/c.  When the
-    midpoint's (finite, rational) digit chain is exhausted first, the
-    children of the final cell accumulate exactly at the midpoint with
-    exact offsets 1/(P*m) (P the digit product), so the first admissible
-    child index is computed directly rather than scanned.  Deterministic
-    by construction.
+    tested on integers against lo = a/c and hi = b/c, so no Fraction
+    endpoint is built.  When the midpoint's (finite, rational) digit
+    chain is exhausted first, the children of the final cell accumulate
+    exactly at the midpoint with exact offsets 1/(P*m) (P the digit
+    product), so the first admissible child index is computed directly
+    rather than scanned.  Deterministic by construction.
     """
     lo, hi = unit_interval(interval)
     if lo >= hi:
@@ -232,7 +227,7 @@ def _locate(interval: Enclosure) -> tuple[tuple[int, ...], Fraction, Fraction]:
     for depth, (d, (s, product)) in enumerate(zip(chain, alternating_sums(chain)), start=1):
         k, q = _cell(s, product, d, depth)
         if a * q <= k * c and (k + 1) * c <= b * q:
-            return chain[:depth], Fraction(k, q), Fraction(k + 1, q)
+            return chain[:depth]
     # mid = s/P equals the value of its full chain; children sit at
     # (s*m + (-1)^n) / (P*m) and shrink toward mid, which is interior.
     n = len(chain)
@@ -241,5 +236,5 @@ def _locate(interval: Enclosure) -> tuple[tuple[int, ...], Fraction, Fraction]:
     for d in (first, first + 1):
         k, q = _cell(s * d + (-1) ** n, product * d, d, n + 1)
         if a * q <= k * c and (k + 1) * c <= b * q:
-            return chain + (d,), Fraction(k, q), Fraction(k + 1, q)
+            return chain + (d,)
     raise AssertionError("child-cell jump failed to land inside the interval")

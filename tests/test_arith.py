@@ -32,7 +32,6 @@ from piercelab.arith import (
     unit_rational,
     unit_reciprocal,
 )
-from piercelab.dimension import TupleEnumeration
 from piercelab.rules import LinearRule, PowerFloorRule
 from piercelab.space import FundamentalInterval, PierceSeq, fundamental_interval
 
@@ -439,7 +438,6 @@ class TestRecords:
 
     def test_keywords_defaults_and_arity(self):
         assert LinearRule() == LinearRule(0) == LinearRule(offset=0)
-        assert TupleEnumeration(3) == TupleEnumeration(count=3, tuples=None)
         assert PierceSeq(prefix=(2,)) == PierceSeq((2,), None) == PierceSeq.finite([2])
         assert PierceSeq(rule=LinearRule()).rule == LinearRule()
         cell = fundamental_interval((2,))

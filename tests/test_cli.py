@@ -445,7 +445,7 @@ class TestGuards:
         def started(*args, **kwargs):
             raise Started
 
-        monkeypatch.setattr(dimension, "_safe_run", started)
+        monkeypatch.setattr(dimension, "_digit_run", started)
         with pytest.raises(Started):  # the limit itself is admitted
             dimension.sample_digit_statistics(65536, count, 1)
         with pytest.raises(Started):  # the README run and every benchmark draw

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from piercelab.arith import DomainError, Enclosure
 from piercelab.constructions import (
+    Witness,
     divergent_tail_rule,
     prescribed_exponent_rule,
     witness_in_interval,
@@ -164,6 +165,13 @@ class TestWitnesses:
     def test_degenerate_interval(self):
         with pytest.raises(DomainError):
             witness_in_interval(Enclosure.exact(F(1, 2)), F(1, 2))
+
+    def test_enclosure_outside_its_container_is_refused(self):
+        w = witness_in_interval(Enclosure(F(0), F(1, 2)), F(1, 2))
+        lo, hi = w.enclosure.lo, w.enclosure.hi
+        for container in (Enclosure(F(1, 2), F(1)), Enclosure(F(0), (lo + hi) / 2)):
+            with pytest.raises(DomainError, match="escapes its requested container"):
+                Witness(w.rule, w.enclosure, container)
 
 
 class TestIntermediateValueWitness:

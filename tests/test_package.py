@@ -24,7 +24,6 @@ KEPT = {
     "estimate_point_exponent": "λ at a point given as an enclosure",
     "CoverVerdict": "verdict type of covering_sum",
     "CoverReport": "return type of covering_sum",
-    "TupleEnumeration": "return type of enumerate_digit_tuples",
     "enumerate_digit_tuples": "the exact count that binomial_tuple_bound bounds",
     "binomial_tuple_bound": "the paper's count of digit tuples under the cap",
     "refined_dimension_bound": "the paper's dimension bound over a refined partition",

@@ -11,7 +11,7 @@ from piercelab.arith import DomainError, Enclosure, INFINITY
 from piercelab.pierce import (
     DigitStatus,
     SafeDigits,
-    _safe_run,
+    _digit_run,
     alternating_sums,
     digit_step,
     digits_rational,
@@ -217,7 +217,8 @@ def test_integer_entry_equals_the_enclosure_entry(bits):
         interval = Enclosure(F(p, q), F(p + 1, q))
         for max_n in (10**6, 2):
             expected = two_division_safe_digits(interval, max_n)
-            assert _safe_run(p, p + 1, q, max_n) == safe_digits(interval, max_n) == expected
+            digits, _, status = _digit_run(p, p + 1, q, max_n)
+            assert SafeDigits(tuple(digits), status) == safe_digits(interval, max_n) == expected
 
 
 def reference_step(x: F) -> tuple[int, F]:

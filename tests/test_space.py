@@ -16,7 +16,6 @@ from piercelab.space import (
     cylinder_contains,
     dual_representation,
     expansion_value,
-    _locate,
     fundamental_interval,
     locate_cylinder,
     seq_distance,
@@ -251,7 +250,7 @@ class TestSeqDistance:
 def fraction_locate(lo, hi):
     """locate_cylinder's search restated on fundamental_interval's Fractions.
 
-    The oracle of _locate's integer comparisons: the shallowest cell of
+    The oracle of locate_cylinder's integer comparisons: the shallowest cell of
     the midpoint's digit chain inside [lo, hi], else the first of the two
     jumped-to children of its last cell.
     """
@@ -293,27 +292,26 @@ class TestLocateCylinder:
     @settings(max_examples=300, deadline=None)
     def test_integer_search_matches_fraction_search(self, ends):
         lo, hi = ends
-        prefix, left, right = _locate(Enclosure(lo, hi))
-        assert prefix == fraction_locate(lo, hi) == locate_cylinder(Enclosure(lo, hi))
+        prefix = locate_cylinder(Enclosure(lo, hi))
+        assert prefix == fraction_locate(lo, hi)
         cell = fundamental_interval(prefix)
-        assert (left, right) == (cell.left, cell.right)
-        assert lo <= left < right <= hi
+        assert lo <= cell.left < cell.right <= hi
 
     @given(prefixes)
     def test_a_cell_locates_itself(self, prefix):
         cell = fundamental_interval(prefix)
-        assert _locate(Enclosure(cell.left, cell.right)) == (prefix, cell.left, cell.right)
+        assert locate_cylinder(Enclosure(cell.left, cell.right)) == prefix
 
     def test_child_jump_builds_no_fundamental_interval(self, monkeypatch):
         calls = []
         monkeypatch.setattr(space, "fundamental_interval", lambda p: calls.append(p))
         w = F(1, 1 << 40)
-        prefix, left, right = _locate(Enclosure(F(7, 10) - w, F(7, 10) + w))
+        prefix = locate_cylinder(Enclosure(F(7, 10) - w, F(7, 10) + w))
         monkeypatch.undo()
         assert calls == []
         assert prefix[:-1] == digits_rational(F(7, 10))  # a child of the chain's last cell
         cell = fundamental_interval(prefix)
-        assert (left, right) == (cell.left, cell.right)
+        assert F(7, 10) - w <= cell.left and cell.right <= F(7, 10) + w
 
     def test_examples(self):
         assert locate_cylinder(Enclosure(F(0), F(1))) == (2,)

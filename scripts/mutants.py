@@ -49,6 +49,8 @@ DIGESTS = "tests/test_readme_digests.py"
 ENCLOSURE_FIELDS = "tests/test_cli.py::test_enclosure_fields_are_those_the_benchmark_oracle_checks"
 WITNESSES = "tests/test_constructions.py::TestWitnesses"
 ENUMERATION = "tests/test_dimension.py::TestEnumeration"
+CONFIG = "tests/test_cli.py::TestFormatsAndConfig::test_config_is_a_usage_error"
+USAGE_ERRORS = "tests/test_cli.py::TestMalformedInput::test_usage_error_is_one_line"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
@@ -252,6 +254,13 @@ MUTANTS = {
     "eval-interval-plain-pair": (
         "src/piercelab/cli.py", "Enclosure(cell.left, cell.right)", "(cell.left, cell.right)",
         [ENCLOSURE_FIELDS], None),
+    "argv-stray-tokens-kept": (
+        "src/piercelab/cli.py", "    if stray:\n", "    if False:\n", [CONFIG], None),
+    "argv-required-flag-unchecked": (
+        "src/piercelab/cli.py", "if given[name] is REQUIRED:", "if False:", [USAGE_ERRORS], None),
+    "argv-choice-unchecked": (
+        "src/piercelab/cli.py", "and given[name] not in parse:", "and False:", [USAGE_ERRORS],
+        None),
 }
 
 

@@ -13,15 +13,13 @@ exceeded (a number too long to print included), 64 unknown subcommand.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import functools
 import io
 import json
 import re
 import sys
 from enum import Enum
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, TextIO
 
 from . import __version__
@@ -80,14 +78,29 @@ REPORT_SCHEMA = {
 }
 
 
-def _parse_int(text: str) -> int:
-    """int(text), refused (ValueError) for a numeral of more than MAX_DIGITS digits."""
-    if len(text) > MAX_DIGITS and sum(map(str.isdecimal, text)) > MAX_DIGITS:
-        raise ValueError(f"a numeral of more than {MAX_DIGITS} digits")
-    return int(text)
-
-
+# A rational numeral; an integer numeral is one without "/q".  ASCII digits only.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _integer(limit: Optional[int] = None, what: str = ""):
+    """Parse function of an integer flag; a value past `limit` is refused (exit 3)."""
+
+    def parse(text) -> int:
+        numeral = _RATIONAL.fullmatch(text.strip())
+        if not numeral or numeral[1]:
+            raise DomainError(f"cannot parse integer {text!r}")
+        if len(text) > MAX_DIGITS and sum(map(str.isdecimal, text)) > MAX_DIGITS:
+            raise DomainError(f"a numeral of more than {MAX_DIGITS} digits")
+        value = int(text)
+        if limit is not None and value > limit:
+            raise GuardExceededError(f"{what} {value} exceeds the guard {limit}")
+        return value
+
+    parse.limit = limit
+    return parse
+
+
+_parse_int = _integer()  # a prefix digit, or a part of a rational
 
 
 def parse_rational(text: str) -> Fraction:
@@ -110,34 +123,13 @@ def parse_interval(text: str) -> Enclosure:
 def parse_prefix(text: str) -> tuple[int, ...]:
     if not text:
         return ()
-    try:
-        digits = tuple(map(_parse_int, text.split(",")))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse prefix {text!r}") from exc
-    return validate_prefix(digits)
+    return validate_prefix(tuple(map(_parse_int, text.split(","))))
 
 
 def parse_pattern(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(c) for c in text)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse pattern {text!r}") from exc
-
-
-def _integer(limit: Optional[int] = None, what: str = ""):
-    """Parse function of an integer flag; a value past `limit` is refused (exit 3)."""
-
-    def parse(text) -> int:
-        try:
-            value = _parse_int(text)
-        except ValueError as exc:
-            raise DomainError(f"cannot parse integer {text!r}") from exc
-        if limit is not None and value > limit:
-            raise GuardExceededError(f"{what} {value} exceeds the guard {limit}")
-        return value
-
-    parse.limit = limit
-    return parse
+    if not set(text) <= {"0", "1"}:
+        raise DomainError(f"cannot parse pattern {text!r}")
+    return tuple(map(int, text))
 
 
 def _json_value(value):
@@ -301,6 +293,7 @@ REQUIRED = object()  # the default of a flag that must be given
 
 # The enclosure precision; a command without this entry reports the default.
 _PRECISION = ("--bits", _integer(4096, "precision bits"), DEFAULT_PRECISION_BITS)
+_FORMAT = ("--format", ("json", "csv"), "json")  # the one option before the command
 
 # command -> (handler, USAGE summary, flags).  A flag is (name, parse, default),
 # positional without dashes; a tuple parse lists the accepted choices.
@@ -372,67 +365,73 @@ USAGE = "usage: pierce-lab [--format json|csv] COMMAND ...\n\ncommands:\n" + "".
 )
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Raises usage errors instead of printing them, and reads "-p/q" as a value."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # argparse's own pattern takes "-3" for a value but "-3/4" for an option.
-        self._negative_number_matcher = re.compile(r"^-[0-9]+(/[0-9]+)?$|^-[0-9]*\.[0-9]+$")
-
-    def error(self, message):
-        raise argparse.ArgumentError(None, message)
+def _usage(command: str, flags) -> str:
+    """The line `pierce-lab COMMAND --help` prints, written from the command's flags."""
+    words = []
+    for name, parse, default in flags:
+        value = "{" + ",".join(parse) + "}" if isinstance(parse, tuple) else name[2:].upper()
+        word = f"{name} {value}" if name.startswith("-") else name
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return f"usage: pierce-lab {command} {' '.join(words)}\n"
 
 
-@functools.cache  # built on first use, so importing the module stays cheap
-def _build_parser(commands: bool = True) -> argparse.ArgumentParser:
-    """The pierce-lab parser; without commands, its top-level options alone."""
-    parser = _ArgumentParser(prog="pierce-lab", add_help=True)
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
-    if not commands:
-        return parser
-    sub = parser.add_subparsers(dest="command")
-    for command, (_, _, flags) in _COMMANDS.items():
-        p = sub.add_parser(command)
-        for name, parse, default in flags:
-            options = {"choices": parse} if isinstance(parse, tuple) else {}
-            if name.startswith("-"):  # argparse refuses these for a positional
-                options.update(required=default is REQUIRED, default=default)
-            p.add_argument(name, **options)
-    return parser
+def _read(tokens, flags) -> dict:
+    """The text of each flag in `tokens`, else its default, by name without dashes.
+
+    A flag is its full name, then its value (the last one given counts); a
+    positional does not start with "--".  Other tokens raise ValueError."""
+    given = {name: default for name, _, default in flags}
+    names = {name for name in given if name.startswith("-")}
+    positionals = [name for name in given if name not in names]
+    stray = []
+    tokens = iter(tokens)
+    for token in tokens:
+        if token in names:
+            given[token] = next(tokens, None)
+            if given[token] is None or given[token] in names:
+                raise ValueError(f"argument {token}: expected one argument")
+        elif positionals and not token.startswith("--"):
+            given[positionals.pop()] = token
+        else:
+            stray.append(token)
+    if stray:
+        raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
+    for name, parse, default in flags:
+        if given[name] is REQUIRED:
+            raise ValueError(f"the following arguments are required: {name}")
+        if isinstance(parse, tuple) and given[name] is not default and given[name] not in parse:
+            raise ValueError(f"argument {name}: invalid choice: {given[name]!r} "
+                             f"(choose from {', '.join(parse)})")
+    return {name.lstrip("-"): value for name, value in given.items()}
 
 
 def run(argv, stdout: TextIO, stderr: TextIO) -> int:
     argv = list(argv)
-    if argv and argv[0] in ("-h", "--help"):
+    command = next((i for i, a in enumerate(argv) if a in _COMMANDS), None)
+    if {"-h", "--help"} & set(argv[:command]):  # before the command, or with none
         print(USAGE, file=stdout, end="")
         return 0
-    command = next((i for i, a in enumerate(argv) if a in _COMMANDS), None)
     if command is None:
         attempted = next((a for a in argv if not a.startswith("-")), "(none)")
         print(f"unknown subcommand: {attempted}", file=stderr)
         print(USAGE, file=stderr, end="")
         return 64
+    handler, _, flags = _COMMANDS[argv[command]]
+    if {"-h", "--help"} & set(argv[command:]):
+        print(_usage(argv[command], flags), file=stdout, end="")
+        return 0
     try:
-        with contextlib.redirect_stdout(stdout):  # argparse prints help to sys.stdout
-            # read alone, an unknown option's value is not taken for the command
-            stray = command and _build_parser(commands=False).parse_known_args(argv[:command])[1]
-            if stray:
-                raise argparse.ArgumentError(None, f"unrecognized arguments: {' '.join(stray)}")
-            args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    except argparse.ArgumentError as exc:
+        top, values = _read(argv[:command], (_FORMAT,)), _read(argv[command + 1:], flags)
+    except ValueError as exc:
         print(f"usage error: {exc}", file=stderr)
         return 2
-    handler, _, flags = _COMMANDS[args.command]
     try:
-        # not argparse's type=, which would make a DomainError a usage error
+        # after the whole command line is read, so a malformed value is a domain error
         for name, parse, _ in flags:
             dest = name.lstrip("-")
-            value = getattr(args, dest)
-            if isinstance(value, str) and callable(parse):
-                setattr(args, dest, parse(value))
+            if isinstance(values[dest], str) and callable(parse):
+                values[dest] = parse(values[dest])
+        args = SimpleNamespace(command=argv[command], **top, **values)
         bits = args.bits if _PRECISION in flags else DEFAULT_PRECISION_BITS
         if bits < 0:
             raise DomainError(f"precision must be non-negative, got {bits} bits")

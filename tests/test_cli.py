@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import piercelab
 from piercelab import arith, dimension, rules
-from piercelab.cli import _COMMANDS, _PRECISION, REPORT_SCHEMA, _build_parser, run
+from piercelab.cli import _COMMANDS, _PRECISION, REPORT_SCHEMA, run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -202,6 +202,12 @@ class TestMalformedInput:
             ["lambda", "--rule", "tower", "--prefix", "2", "--pattern", "01", "--window", "10"],
             ["lambda", "--rule", "binary", "--alpha", "1/2", "--pattern", "01", "--offset", "1",
              "--window", "10"],
+            # an integer numeral is ASCII [+-]?[0-9]+, and a pattern ASCII 0s and 1s
+            ["grid", "--alpha", "1/2", "--depth", "1_0"],
+            ["grid", "--alpha", "1/2", "--depth", "\u0662"],
+            ["eval", "--prefix", "2,1_0"],
+            ["lambda", "--rule", "binary", "--alpha", "1/2", "--pattern", "\u0661\u0660",
+             "--window", "10"],
         ],
     )
     def test_flag_inputs(self, argv):
@@ -221,6 +227,13 @@ class TestMalformedInput:
             # the window scan runs at its own fixed precision, so lambda has no --bits
             ["lambda", "--rule", "power", "--prefix", "2", "--alpha", "1/2", "--window", "1000",
              "--bits", "8"],
+            # a flag is its full name, then its value: no abbreviation, "=" or "--"
+            ["eval", "--pre", "2"],
+            ["eval", "--prefix=2"],
+            ["expand", "--", "1/2"],
+            ["expand", "1/2", "--format", "csv"],  # --format comes before the command
+            ["eval", "--prefix"],
+            ["eval", "--prefix", "--bits", "8"],
         ],
     )
     def test_usage_error_is_one_line(self, argv, capsys):
@@ -228,6 +241,16 @@ class TestMalformedInput:
         assert code == 2 and out == ""
         assert err.startswith("usage error") and err.count("\n") == 1
         assert capsys.readouterr() == ("", "")
+
+    def test_grammar(self):
+        # a flag given twice takes its last value
+        code, out, _ = invoke(["eval", "--prefix", "2", "--prefix", "3"])
+        assert code == 0 and lines_of(out)[0]["params"]["prefix"] == [3]
+        # help after the command wins over the flags before it
+        code, out, err = invoke(["eval", "--prefix", "2", "-h"])
+        assert code == 0 and err == "" and out.startswith("usage: pierce-lab eval")
+        # a value that starts with "-" is a value, read by its parse function
+        assert_one_line_domain_error(*invoke(["construct", "--alpha", "-1/2", "--in", "1/3,1/2"]))
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -595,14 +618,13 @@ class TestFormatsAndConfig:
 class TestSharedParser:
     def test_earlier_runs_leave_no_state(self):
         plain = ["eval", "--prefix", "2"]
-        _build_parser.cache_clear()
+        first = invoke(plain)
         assert invoke(["expand"])[0] == 2  # usage error
         assert invoke(["expand", "3/2"])[0] == 2  # domain error
         assert invoke([*plain, "--bits", "40"])[0] == 0
         assert invoke([*plain, "--bits", "8"])[0] == 0
         after = invoke(plain)
-        _build_parser.cache_clear()
-        assert after == invoke(plain)
+        assert after == first
         assert lines_of(after[1])[0]["provenance"]["precision_bits"] == 64
 
     def test_parser_built_once(self, monkeypatch):
@@ -614,12 +636,10 @@ class TestSharedParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        _build_parser.cache_clear()
+        # the command table is read directly: no argparse parser is ever built
         assert invoke(["expand", "7/10"])[0] == 0
-        first = len(built)
-        assert first > 0
         assert invoke(["eval", "--prefix", "2"])[0] == 0
-        assert len(built) == first
+        assert built == []
 
     def test_csv_rows_numbered_per_envelope(self):
         code, out, _ = invoke(["--format", "csv", "grid", "--alpha", "1/2", "--depth", "2"])

@@ -51,6 +51,10 @@ WITNESSES = "tests/test_constructions.py::TestWitnesses"
 ENUMERATION = "tests/test_dimension.py::TestEnumeration"
 CONFIG = "tests/test_cli.py::TestFormatsAndConfig::test_config_is_a_usage_error"
 USAGE_ERRORS = "tests/test_cli.py::TestMalformedInput::test_usage_error_is_one_line"
+RULE_EXPANSION = "tests/test_space.py::TestRuleExpansion"
+UNREDUCED_MIDPOINT = ("tests/test_space.py::TestLocateCylinder::"
+                      "test_unreduced_midpoint_against_its_digits")
+CANONICAL_LINES = "tests/test_cli.py::TestReportWriter::test_lines_are_canonical_json"
 
 # name -> (file, old snippet, new snippet, pytest selection, equivalent-mutant reason or None)
 MUTANTS = {
@@ -183,6 +187,11 @@ MUTANTS = {
     "locate-child-jump-shift": (
         "src/piercelab/space.py", "for d in (first, first + 1):",
         "for d in (first + 1, first + 2):", [SPACE], None),
+    "locate-room-halved": (
+        "src/piercelab/space.py", "-(-2 * c // (product * (b - a)))",
+        "-(-c // (product * (b - a)))", [UNREDUCED_MIDPOINT], None),
+    "expansion-parity-swap": (
+        "src/piercelab/space.py", "if sign > 0 else", "if sign < 0 else", [RULE_EXPANSION], None),
     "witness-container-unchecked": (
         "src/piercelab/constructions.py",
         "if not self.container.contains_interval(self.enclosure):", "if False:",
@@ -254,6 +263,9 @@ MUTANTS = {
     "eval-interval-plain-pair": (
         "src/piercelab/cli.py", "Enclosure(cell.left, cell.right)", "(cell.left, cell.right)",
         [ENCLOSURE_FIELDS], None),
+    "report-head-spaced": (
+        "src/piercelab/cli.py", """[:-1] + ',"results":'""", """[:-1] + ', "results":'""",
+        [CANONICAL_LINES], None),
     "argv-stray-tokens-kept": (
         "src/piercelab/cli.py", "    if stray:\n", "    if False:\n", [CONFIG], None),
     "argv-required-flag-unchecked": (

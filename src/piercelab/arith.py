@@ -124,8 +124,8 @@ def unit_rational(x) -> Fraction:
 
 def unit_interval(e: Enclosure) -> tuple[Fraction, Fraction]:
     """The endpoints of e, checked to lie within [0, 1]."""
-    lo, hi = e.lo, e.hi
-    if not (0 <= lo and hi <= 1):
+    lo, hi = e.lo, e.hi  # Fractions, denominators positive: numerators decide
+    if lo.numerator < 0 or hi.numerator > hi.denominator:
         raise DomainError(f"interval [{lo}, {hi}] is not within [0, 1]")
     return lo, hi
 
@@ -454,7 +454,8 @@ def _scaled_root(m: int, v: int, t: int) -> tuple[int, bool]:
 def _root_bracket(m: int, base: int, v: int, t: int, w: int) -> tuple[int, int, int, bool]:
     """(lo, hi, e, exact) with lo*2**e <= X = floor(2**t * m**(1/v)) <= hi*2**e.
 
-    Needs m = base**n, n >= 1, gcd(n, v) = 1, t >= 0 and w >= 1; exact is
+    Needs t >= 0, w >= 1 and a base that is a perfect v-th power exactly
+    when m is, such as m = base**n, n >= 1, gcd(n, v) = 1; exact is
     _scaled_root's flag.  Where X has at most about w bits, lo = hi = X
     and e = 0.  Else lo > 2**w, hi = lo + 1, and hi*2**e >= X + 1 too.
     - Bracket: r = lo is the root of m' = floor(m * 2**(v*d)), d <= t (m
@@ -462,9 +463,9 @@ def _root_bracket(m: int, base: int, v: int, t: int, w: int) -> tuple[int, int, 
       m*2**(v*d) < m' + 1 <= (r+1)**v and r <= 2**d * m**(1/v) < r + 1;
       times 2**e, e = t - d, the integers r*2**e and (r+1)*2**e enclose
       X and its ceiling.
-    - Exactness from the narrow base: m is a perfect v-th power exactly
-      when base is, as v divides n*a, a prime's exponent in m, exactly
-      when it divides a.  At v = 1 no root is taken: m' is its own, and exact.
+    - Exactness from the narrow base: m = base**n is a perfect v-th power
+      exactly when base is, as v divides n*a, a prime's exponent in m,
+      exactly when it divides a.  At v = 1 no root is taken: m' is its own, and exact.
     """
     d = min(t, w + 2 - m.bit_length() // v)
     m = m << v * d if d >= 0 else m >> -v * d

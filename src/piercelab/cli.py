@@ -439,17 +439,15 @@ def run(argv, stdout: TextIO, stderr: TextIO) -> int:
         provenance = {"version": __version__, "seed": seed, "precision_bits": bits}
         params = {name: value for name in _ECHOED[args.command]
                   if (value := getattr(args, name)) is not None}
+        # report values hold no cycles; the check would cost a dict entry per value
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_value,
+                                  check_circular=False).encode
         for line, results in enumerate(handler(args, bits)):
-            envelope = {
-                "command": args.command,
-                "params": params,
-                "results": results,
-                "provenance": provenance,
-            }
             try:  # a host process may set the interpreter's own digit limit lower
-                # report values hold no cycles; the check would cost a dict entry per value
-                text = json.dumps(envelope, sort_keys=True, separators=(",", ":"),
-                                  default=_json_value, check_circular=False) + "\n"
+                if not line:  # sorted keys put results last; encoded after the handler's errors
+                    head = encode({"command": args.command, "params": params,
+                                   "provenance": provenance})[:-1] + ',"results":'
+                text = head + encode(results) + "}\n"
                 if args.format == "csv":
                     import csv  # imported here: only --format csv needs it
                     buf = io.StringIO()

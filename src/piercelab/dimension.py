@@ -17,14 +17,16 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import (
+    LOG2_SCALE,
     DomainError,
     Enclosure,
     GuardExceededError,
+    _log2_ends,
     _record,
     _root_bracket,
     _scaled_root,
     integer_root,
-    ln_enclosure,
+    ln2_enclosure,
 )
 from .constructions import Witness, witness_in_interval
 from .exponent import _half_window, exponent_window
@@ -264,7 +266,9 @@ def _ledger(params: CoverParams, bits: int, w: int) -> Optional[CoverReport]:
         m, v = k ** (k * gn // e), gd // e
         wk = w + max(0, m.bit_length() // v - power.bit_length() // ud)
         quad = []  # brackets of a, a + (not exact), c, c + (not exact)
-        for m, base, v in ((m, k, v), (power, factorial, ud)):
+        # k! with k >= 2 is no perfect power of degree 2 or more: by Bertrand's postulate a
+        # prime in (k/2, k] divides it exactly once.  Nor is 2, so 2 stands in as its base.
+        for m, base, v in ((m, k, v), (power, factorial if k < 2 else 2, ud)):
             r_lo, r_hi, r_e, exact = _root_bracket(m, base, v, bits, wk)
             up = r_lo == r_hi and not exact
             quad += [(r_lo, r_hi, r_e), (r_lo + up, r_hi + up, r_e)]
@@ -366,6 +370,8 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
     records: list[SampleRecord] = []
     log_ratios: list[Fraction] = []
     depths: list[Fraction] = []
+    ln2 = ln2_enclosure(32)
+    ln, ld, hn, hd = ln2.lo.numerator, ln2.lo.denominator, ln2.hi.numerator, ln2.hi.denominator
     for index in range(count):
         rng = random.Random(f"{seed}:{index}:piercelab-mc")
         p = rng.getrandbits(bits)
@@ -373,9 +379,11 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
         depth = len(digits)
         seq = PierceSeq.finite(digits)
         window = exponent_window(seq, *_half_window(depth))
-        if depth >= 1:
-            log_ratio = ln_enclosure(digits[-1]).mul_pos(Enclosure.exact(Fraction(1, depth)))
-            log_ratios.append(log_ratio.midpoint)
+        if depth >= 1:  # ln(d)/depth, log2(d) in [lo, hi]/LOG2_SCALE, times ln 2's ends
+            (lo,), (hi,) = _log2_ends((digits[-1],))
+            scale = LOG2_SCALE * depth
+            log_ratio = Enclosure(Fraction(lo * ln, scale * ld), Fraction(hi * hn, scale * hd))
+            log_ratios.append(Fraction(lo * ln * hd + hi * hn * ld, 2 * scale * ld * hd))
         else:
             log_ratio = None
         depths.append(Fraction(depth))

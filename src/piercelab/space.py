@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import pairwise
 from typing import Optional, Union
 
 from .arith import (
@@ -24,7 +23,7 @@ from .arith import (
     unit_interval,
     unit_reciprocal,
 )
-from .pierce import alternating_sums, digits_rational, validate_prefix
+from .pierce import _digit_run, alternating_sums, digits_rational, validate_prefix
 from .rules import DigitRule
 
 __all__ = [
@@ -123,14 +122,17 @@ def expansion_value(
     # terms increase by the proof in the `DigitRule` docstring, and the
     # stream is lazy, so no digit past the last one read is built.
     depth = max(min_depth + 1, 3, precision_bits + 1)
-    sums = alternating_sums(seq.rule.terms_run(1, depth))
-    for k, (prev, (s, p)) in enumerate(pairwise(sums), start=2):
-        # prev is the depth-(k-1) sum: both bracket endpoints must
-        # reach min_depth before an enclosure may be returned; the
-        # bracket is exactly 1/P_k wide
-        if k - 1 >= max(min_depth, 2) and p >= target:
-            lo, hi = sorted((Fraction(*prev), Fraction(s, p)))
-            return Enclosure(lo, hi)
+    least = max(min_depth, 2) + 1
+    s, p, sign = 0, 1, 1  # (S_{k-1}, P_{k-1}), stepped as in alternating_sums
+    for k, d in enumerate(seq.rule.terms_run(1, depth), start=1):
+        t, q = s * d + sign, p * d
+        # both endpoints must reach min_depth before an enclosure may be
+        # returned; the bracket is exactly 1/P_k wide, and S_k/P_k is its
+        # upper end at odd k (sign 1)
+        if k >= least and q >= target:
+            lo, hi = ((s, p), (t, q)) if sign > 0 else ((t, q), (s, p))
+            return Enclosure(Fraction(*lo), Fraction(*hi))
+        s, p, sign = t, q, -sign
     raise AssertionError(f"the expansion bracket did not close by digit {depth}")
 
 
@@ -218,12 +220,13 @@ def locate_cylinder(interval: Enclosure) -> tuple[int, ...]:
     rather than scanned.  Deterministic by construction.
     """
     lo, hi = unit_interval(interval)
-    if lo >= hi:
-        raise DomainError(f"interval [{lo}, {hi}] has no interior")
     c = math.lcm(lo.denominator, hi.denominator)
     a, b = lo.numerator * (c // lo.denominator), hi.numerator * (c // hi.denominator)
-    mid = (lo + hi) / 2
-    chain = digits_rational(mid)  # non-empty: mid > 0
+    if a >= b:
+        raise DomainError(f"interval [{lo}, {hi}] has no interior")
+    # the digits of the midpoint (a + b) / 2c, unreduced: a common factor
+    # of both leaves every quotient; non-empty, as a + b > 0
+    chain = tuple(_digit_run(a + b, a + b, 2 * c, a + b)[0])
     for depth, (d, (s, product)) in enumerate(zip(chain, alternating_sums(chain)), start=1):
         k, q = _cell(s, product, d, depth)
         if a * q <= k * c and (k + 1) * c <= b * q:
@@ -231,8 +234,7 @@ def locate_cylinder(interval: Enclosure) -> tuple[int, ...]:
     # mid = s/P equals the value of its full chain; children sit at
     # (s*m + (-1)^n) / (P*m) and shrink toward mid, which is interior.
     n = len(chain)
-    gap = hi - mid  # equals mid - lo: the room on either side of mid
-    first = max(chain[-1] + 1, -(-gap.denominator // (product * gap.numerator)))
+    first = max(chain[-1] + 1, -(-2 * c // (product * (b - a))))  # room (b - a)/2c by mid
     for d in (first, first + 1):
         k, q = _cell(s * d + (-1) ** n, product * d, d, n + 1)
         if a * q <= k * c and (k + 1) * c <= b * q:

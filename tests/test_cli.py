@@ -555,6 +555,53 @@ class TestStreaming:
         assert reports[0]["provenance"]["seed"] == 1
 
 
+# A small run of each README command; grid and sample print several lines.
+REPORT_RUNS = (
+    ["expand", "7/10"],
+    ["eval", "--prefix", "2", "--bits", "8"],
+    ["eval", "--prefix", "2,5", "--rule", "power", "--alpha", "1/2"],
+    ["lambda", "--rule", "power", "--prefix", "2", "--alpha", "1/2", "--window", "100"],
+    ["construct", "--alpha", "1/2", "--in", "1/3,1/2", "--bits", "64"],
+    ["divergent", "--s", "1/2", "--prefix", "2,9,16", "--j", "2", "--terms", "30"],
+    ["cover", "--alpha", "1/2", "--beta", "1/2", "--eps", "1/10", "--s", "3", "--kmax", "20"],
+    ["grid", "--alpha", "1/2", "--depth", "3"],
+    ["sample", "--bits", "256", "--count", "3", "--seed", "9"],
+)
+
+
+def leaves(node, path=""):
+    """(path, value) of each scalar of a parsed report, keys sorted, list items indexed."""
+    if isinstance(node, dict):
+        for key in sorted(node):
+            yield from leaves(node[key], f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from leaves(item, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("argv", REPORT_RUNS, ids=" ".join)
+    def test_lines_are_canonical_json(self, argv):
+        code, out, _ = invoke(argv)
+        lines = out.splitlines(keepends=True)
+        assert code == 0 and len(lines) >= (4 if argv[0] in ("grid", "sample") else 1)
+        for line in lines:
+            assert line == json.dumps(json.loads(line), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("argv", REPORT_RUNS, ids=" ".join)
+    def test_csv_flattens_the_json(self, argv):
+        _, out, _ = invoke(argv)
+        code, text, _ = invoke(["--format", "csv", *argv])
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [i, path, json.dumps(value)]
+            for i, line in enumerate(out.splitlines()) for path, value in leaves(json.loads(line)))
+        assert code == 0 and text == buf.getvalue()
+
+
 class TestFormatsAndConfig:
     def test_csv(self):
         code, out, _ = invoke(["--format", "csv", "expand", "7/10"])

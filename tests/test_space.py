@@ -3,13 +3,13 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from piercelab.arith import INFINITY, DomainError, Enclosure
 from piercelab import space
-from piercelab.pierce import digits_rational, validate_prefix
-from piercelab.rules import LinearRule, PowerFloorRule
+from piercelab.pierce import alternating_sums, digits_rational, validate_prefix
+from piercelab.rules import BitPerturbedRule, LinearRule, PowerFloorRule
 from piercelab.space import (
     PierceSeq,
     SIGMA_ZERO,
@@ -61,6 +61,35 @@ class TestExpansionValue:
         digits = list(itertools.accumulate(steps))
         d = (*digits, (digits[-1] if digits else 0) + last_step)
         assert digits_rational(expansion_value(PierceSeq.finite(d))) == d
+
+
+def pairwise_value(rule, bits: int, min_depth: int) -> Enclosure:
+    """expansion_value's rule branch as it was: consecutive sums in pairs, sorted."""
+    depth = max(min_depth + 1, 3, bits + 1)
+    sums = alternating_sums(rule.terms_run(1, depth))
+    for k, (prev, (s, p)) in enumerate(itertools.pairwise(sums), start=2):
+        if k - 1 >= max(min_depth, 2) and p >= 1 << bits:
+            return Enclosure(*sorted((F(*prev), F(s, p))))
+    raise AssertionError("no bracket")
+
+
+alphas = st.sampled_from([F(0), F(1, 7), F(1, 3), F(1, 2), F(2, 3), F(3, 4), F(1)])
+# the four rule families; the tower is power-floor (and bit-perturbed) at alpha 0
+digit_rules = st.one_of(
+    st.builds(PowerFloorRule, st.lists(st.integers(1, 60), max_size=4, unique=True).map(
+        lambda xs: tuple(sorted(xs))), alphas),
+    st.builds(PowerFloorRule, st.just(()), st.just(F(0))),
+    st.builds(LinearRule, st.integers(0, 50)),
+    st.builds(BitPerturbedRule, alphas, st.lists(st.integers(0, 1), max_size=8).map(tuple)),
+)
+
+
+class TestRuleExpansion:
+    @given(digit_rules, st.sampled_from([0, 1, 64, 300]), st.integers(0, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_pairwise_form(self, rule, bits, min_depth):
+        seq = PierceSeq.infinite(rule)
+        assert expansion_value(seq, bits, min_depth) == pairwise_value(rule, bits, min_depth)
 
 
 def reference_value(digits) -> F:
@@ -312,6 +341,37 @@ class TestLocateCylinder:
         assert prefix[:-1] == digits_rational(F(7, 10))  # a child of the chain's last cell
         cell = fundamental_interval(prefix)
         assert F(7, 10) - w <= cell.left and cell.right <= F(7, 10) + w
+
+    @given(st.fractions(min_value=F(1, 60), max_value=F(59, 60), max_denominator=60),
+           st.integers(1, 12), st.integers(0, 100))
+    @settings(max_examples=200, deadline=None)
+    @example(F(1, 2), 3, 60)  # the chain (2,) runs out: a child of about 2**60 is jumped to
+    @example(F(2, 3), 1, 1)
+    def test_unreduced_midpoint_against_its_digits(self, mid, h, w):
+        # [mid - r, mid + r] with r = h/(den(mid) 2**w): the integer search reads the
+        # midpoint as (a + b)/2c, and here gcd(a + b, 2c) > 1
+        r = F(h, mid.denominator << w)
+        lo, hi = mid - r, mid + r
+        assume(0 <= lo and hi <= 1)
+        c = math.lcm(lo.denominator, hi.denominator)
+        a, b = lo.numerator * (c // lo.denominator), hi.numerator * (c // hi.denominator)
+        assume(math.gcd(a + b, 2 * c) > 1)
+        prefix = locate_cylinder(Enclosure(lo, hi))
+
+        def fits(p):
+            cell = fundamental_interval(p)
+            return lo <= cell.left and cell.right <= hi
+
+        # the shallowest cell of the midpoint's chain inside [lo, hi], else the least
+        # child digit of its last cell that fits: children near mid as the digit grows
+        chain = digits_rational((lo + hi) / 2)
+        assert fits(prefix)
+        assert not any(fits(chain[:j]) for j in range(1, min(len(prefix), len(chain) + 1)))
+        if len(prefix) <= len(chain):
+            assert prefix == chain[:len(prefix)]
+        else:
+            assert prefix[:-1] == chain
+            assert prefix[-1] - 1 == chain[-1] or not fits(chain + (prefix[-1] - 1,))
 
     def test_examples(self):
         assert locate_cylinder(Enclosure(F(0), F(1))) == (2,)

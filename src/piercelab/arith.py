@@ -439,7 +439,10 @@ def ln2_enclosure(frac_bits: int = 64) -> Enclosure:
 
 def ln_enclosure(n: int) -> Enclosure:
     """Certified enclosure of the natural logarithm of a positive integer."""
-    return log2_enclosure(n).mul_pos(ln2_enclosure(32))
+    lo, hi = log2_bounds(n)  # log2(n) in [lo, hi]/LOG2_SCALE, times ln 2's ends
+    ln2 = ln2_enclosure(32)
+    return Enclosure(Fraction(lo * ln2.lo.numerator, LOG2_SCALE * ln2.lo.denominator),
+                     Fraction(hi * ln2.hi.numerator, LOG2_SCALE * ln2.hi.denominator))
 
 
 def _scaled_root(m: int, v: int, t: int) -> tuple[int, bool]:
@@ -454,8 +457,7 @@ def _scaled_root(m: int, v: int, t: int) -> tuple[int, bool]:
 def _root_bracket(m: int, base: int, v: int, t: int, w: int) -> tuple[int, int, int, bool]:
     """(lo, hi, e, exact) with lo*2**e <= X = floor(2**t * m**(1/v)) <= hi*2**e.
 
-    Needs t >= 0, w >= 1 and a base that is a perfect v-th power exactly
-    when m is, such as m = base**n, n >= 1, gcd(n, v) = 1; exact is
+    Needs m = base**n, n >= 1, gcd(n, v) = 1, t >= 0 and w >= 1; exact is
     _scaled_root's flag.  Where X has at most about w bits, lo = hi = X
     and e = 0.  Else lo > 2**w, hi = lo + 1, and hi*2**e >= X + 1 too.
     - Bracket: r = lo is the root of m' = floor(m * 2**(v*d)), d <= t (m
@@ -463,9 +465,9 @@ def _root_bracket(m: int, base: int, v: int, t: int, w: int) -> tuple[int, int, 
       m*2**(v*d) < m' + 1 <= (r+1)**v and r <= 2**d * m**(1/v) < r + 1;
       times 2**e, e = t - d, the integers r*2**e and (r+1)*2**e enclose
       X and its ceiling.
-    - Exactness from the narrow base: m = base**n is a perfect v-th power
-      exactly when base is, as v divides n*a, a prime's exponent in m,
-      exactly when it divides a.  At v = 1 no root is taken: m' is its own, and exact.
+    - Exactness from the narrow base: m is a perfect v-th power exactly
+      when base is, as v divides n*a, a prime's exponent in m, exactly
+      when it divides a.  At v = 1 no root is taken: m' is its own, and exact.
     """
     d = min(t, w + 2 - m.bit_length() // v)
     m = m << v * d if d >= 0 else m >> -v * d

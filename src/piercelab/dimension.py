@@ -17,16 +17,14 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import (
-    LOG2_SCALE,
     DomainError,
     Enclosure,
     GuardExceededError,
-    _log2_ends,
     _record,
     _root_bracket,
     _scaled_root,
     integer_root,
-    ln2_enclosure,
+    ln_enclosure,
 )
 from .constructions import Witness, witness_in_interval
 from .exponent import _half_window, exponent_window
@@ -266,9 +264,7 @@ def _ledger(params: CoverParams, bits: int, w: int) -> Optional[CoverReport]:
         m, v = k ** (k * gn // e), gd // e
         wk = w + max(0, m.bit_length() // v - power.bit_length() // ud)
         quad = []  # brackets of a, a + (not exact), c, c + (not exact)
-        # k! with k >= 2 is no perfect power of degree 2 or more: by Bertrand's postulate a
-        # prime in (k/2, k] divides it exactly once.  Nor is 2, so 2 stands in as its base.
-        for m, base, v in ((m, k, v), (power, factorial if k < 2 else 2, ud)):
+        for m, base, v in ((m, k, v), (power, factorial, ud)):
             r_lo, r_hi, r_e, exact = _root_bracket(m, base, v, bits, wk)
             up = r_lo == r_hi and not exact
             quad += [(r_lo, r_hi, r_e), (r_lo + up, r_hi + up, r_e)]
@@ -370,8 +366,6 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
     records: list[SampleRecord] = []
     log_ratios: list[Fraction] = []
     depths: list[Fraction] = []
-    ln2 = ln2_enclosure(32)
-    ln, ld, hn, hd = ln2.lo.numerator, ln2.lo.denominator, ln2.hi.numerator, ln2.hi.denominator
     for index in range(count):
         rng = random.Random(f"{seed}:{index}:piercelab-mc")
         p = rng.getrandbits(bits)
@@ -379,11 +373,11 @@ def sample_digit_statistics(bits: int, count: int, seed: int) -> McReport:
         depth = len(digits)
         seq = PierceSeq.finite(digits)
         window = exponent_window(seq, *_half_window(depth))
-        if depth >= 1:  # ln(d)/depth, log2(d) in [lo, hi]/LOG2_SCALE, times ln 2's ends
-            (lo,), (hi,) = _log2_ends((digits[-1],))
-            scale = LOG2_SCALE * depth
-            log_ratio = Enclosure(Fraction(lo * ln, scale * ld), Fraction(hi * hn, scale * hd))
-            log_ratios.append(Fraction(lo * ln * hd + hi * hn * ld, 2 * scale * ld * hd))
+        if depth >= 1:  # ln(d)/depth; its midpoint as one Fraction from the two ends
+            ln_d = ln_enclosure(digits[-1])
+            (ln, ld), (hn, hd) = ln_d.lo.as_integer_ratio(), ln_d.hi.as_integer_ratio()
+            log_ratio = Enclosure(Fraction(ln, ld * depth), Fraction(hn, hd * depth))
+            log_ratios.append(Fraction(ln * hd + hn * ld, 2 * depth * ld * hd))
         else:
             log_ratio = None
         depths.append(Fraction(depth))

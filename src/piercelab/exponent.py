@@ -90,10 +90,8 @@ def _unpruned(lows: list, highs: list, values, tops: list, bottoms: list, a: int
 
 
 def _tail_ceiling(k: int, first: int, a: int, c: int, p: int, q: int, sigma: int, n_lo: int,
-                  d_lo: int, sigma_k: int = 0, below: tuple[int, int] = (1, 0)):
+                  d_lo: int, sigma_k: int = 0):
     """num/den above both ratio bounds of each unscanned index of a monotone tail, or 1/0.
-
-    Also 1/0, with no increase test run, where num/den is not below x/y = `below`.
 
     The tail is floor(b**r), b = a*x + c >= x, a >= 1, r = q/p (p = 0: the tower b**x); n_lo
     is the lower log end of k and d_lo <= r*B(k), B = S*log2 b at S = LOG2_SCALE:
@@ -111,8 +109,6 @@ def _tail_ceiling(k: int, first: int, a: int, c: int, p: int, q: int, sigma: int
     falling from x = 3 (log2 3 > 1/ln 2) and B rising: the indices past k, with no condition.
     """
     num, den = n_lo + 2, d_lo - (sigma_k or sigma)
-    if num * below[1] >= below[0] * den:
-        return 1, 0
     if p:
         scaled = p * LOG2_SCALE * den
         t = scaled - q * num * (LOG2_SCALE + 2 * sigma)
@@ -229,9 +225,9 @@ def exponent_window(seq: PierceSeq, lo: int, hi: int) -> Enclosure:
             k = start if p else end - 1
             i = k - start
             d_lo = q * base_lo[i] // p if p else k * base_lo[i]
-            # below a/b <= min(1, c/d) none clamps or moves a maximum
-            if _tail_ceiling(k, first, slope, shift, p, q, sigma or k, lows[i], d_lo, sigma_k,
-                             (a, b))[1]:
+            num, den = _tail_ceiling(k, first, slope, shift, p, q, sigma or k, lows[i], d_lo,
+                                     sigma_k)
+            if num * b < a * den:  # below a/b <= min(1, c/d) none clamps or moves a maximum
                 break
     return Enclosure(Fraction(a, b), Fraction(c, d))
 

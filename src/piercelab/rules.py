@@ -59,7 +59,7 @@ def _floor_power(b: int, p: int, q: int) -> int:
             raise GuardExceededError(
                 f"digit floor({b}**({q}/{p})) exceeds the digit guard of {DIGIT_BITS_GUARD} bits"
             )
-    return b**q if p == 1 else integer_root(b**q, p)
+    return integer_root(b**q, p)
 
 
 def _check_alpha(alpha, allow_zero: bool) -> Fraction:

@@ -459,10 +459,10 @@ class TestMonotoneTails:
         sigmas, frontiers = set(), []
         ceiling = exponent._tail_ceiling
 
-        def recording_ceiling(k, first, a, c, p, q, sigma, n_lo, d_lo, sigma_k, *below):
+        def recording_ceiling(k, first, a, c, p, q, sigma, n_lo, d_lo, sigma_k):
             sigmas.add(sigma)
             frontiers.append((k, d_lo, sigma_k))
-            return ceiling(k, first, a, c, p, q, sigma, n_lo, d_lo, sigma_k, *below)
+            return ceiling(k, first, a, c, p, q, sigma, n_lo, d_lo, sigma_k)
 
         monkeypatch.setattr(exponent, "_tail_ceiling", recording_ceiling)
         rule = PowerFloorRule(prefix, alpha)
